@@ -92,11 +92,20 @@ def write_csv(path, header, columns):
 
 def load_nodes(path):
     nodes = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                nodes.append(float(line))
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                try:
+                    nodes.append(float(line))
+                except ValueError:
+                    raise InvalidInputError(
+                        f"{path}:{lineno}: not a number: {line!r}"
+                    ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read node file {path}: {exc}") from None
     return np.asarray(nodes)
 
 

@@ -112,6 +112,32 @@ class TestFit:
         assert rc == 1
         assert "numerical failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_sweep_cap_exit_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("UNIRAT_SWEEP_CAP", value)
+        rc = main(
+            ["fit", "--interval", "-3", "3", "--n-test", "40", "--m-max", "3",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "UNIRAT_SWEEP_CAP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"0.5\n\xff\xfe\n"])
+    def test_unreadable_nodes_file_exit_2(self, content, tmp_path, capsys):
+        nodes = tmp_path / "nodes.txt"
+        if content is not None:
+            nodes.write_bytes(content)
+        rc = main(["fit", "--nodes", str(nodes), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert str(nodes) in capsys.readouterr().err
+
+    def test_malformed_nodes_line_exit_2(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("# header\n0.5\n1.5 2.5\n3.0\n")
+        rc = main(["fit", "--nodes", str(nodes), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{nodes}:3:" in capsys.readouterr().err
+
     def test_json_round_trip_bits(self, tmp_path):
         out = tmp_path / "run"
         args = ["fit", "--interval", "-5", "5", "--n-test", "200",

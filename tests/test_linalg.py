@@ -1,12 +1,15 @@
 """SVD kernel tests: examples, oracles, and factorization invariants."""
 
+import itertools
+
 import numpy as np
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unirat import svd_complex, svd_real
+from unirat import NodeSet, expanded_loewner, svd_complex, svd_real
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import EPS
+from unirat.linalg import DEFAULT_SWEEP_CAP, EPS, _round_robin
 
 mp.mp.dps = 50
 
@@ -114,6 +117,38 @@ class TestSvdReal:
         res = svd_real(A)
         assert_factorization(A, res)
 
+    def test_left_basis_completion_evenly_spread(self):
+        # the left null vector (1, ..., 1)/sqrt(6) leaves every e_i a residual
+        # of 1/sqrt(6) < 1/2 against the computed left vectors
+        n = 6
+        P = np.eye(n) - np.full((n, n), 1.0 / n)
+        A = P @ np.random.default_rng(43).standard_normal((n, n))
+        res = svd_real(A)
+        assert_factorization(A, res)
+        assert res.singular_values[-1] <= 64 * EPS * res.singular_values[0]
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "-5"])
+    def test_sweep_cap_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("UNIRAT_SWEEP_CAP", value)
+        with pytest.raises(InvalidInputError):
+            svd_real(np.eye(2))
+
+    @pytest.mark.parametrize("svd, shape", [(svd_real, (9, 6)), (svd_real, (3, 7)),
+                                            (svd_complex, (8, 5)),
+                                            (svd_complex, (4, 9))])
+    def test_kernel_stats_repeat(self, monkeypatch, svd, shape):
+        rng = np.random.default_rng(37)
+        A = rng.standard_normal(shape)
+        if svd is svd_complex:
+            A = A + 1j * rng.standard_normal(shape)
+        r1, r2 = svd(A), svd(A)
+        assert (r1.sweeps, r1.rotations) == (r2.sweeps, r2.rotations)
+        assert 1 <= r1.sweeps <= DEFAULT_SWEEP_CAP
+        assert r1.rotations >= 1
+        monkeypatch.setenv("UNIRAT_SWEEP_CAP", str(r1.sweeps))
+        r3 = svd(A)
+        assert (r3.sweeps, r3.rotations) == (r1.sweeps, r1.rotations)
+
 
 class TestSvdComplex:
     def test_unitary_diagonal(self):
@@ -164,3 +199,76 @@ class TestSvdComplex:
             top = V[np.argmax(np.abs(V[:, j])), j]
             assert abs(top.imag) <= 4 * EPS * abs(top)
             assert top.real >= 0
+
+
+@st.composite
+def graded_matrices(draw):
+    """Random matrices with columns scaled over up to 12 decades, tall or
+    wide, real or complex, of full or deficient rank."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 10))
+    rank = draw(st.integers(0, min(n, m)))
+    spread = draw(st.floats(0.0, 12.0))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if is_complex else X
+
+    A = gaussian((n, rank)) @ gaussian((rank, m)) if rank else gaussian((n, m))
+    return A * 10.0 ** rng.uniform(-spread, 0.0, size=m)
+
+
+class TestSvdProperties:
+    @pytest.mark.parametrize("m", range(1, 14))
+    def test_round_robin_covers_each_pair_once(self, m):
+        pairs = []
+        for index, half in _round_robin(m):
+            assert len(set(index.tolist())) == index.size  # disjoint pairs
+            pairs += zip(index[:half].tolist(), index[half:].tolist())
+        assert sorted(pairs) == list(itertools.combinations(range(m), 2))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(graded_matrices())
+    def test_factorization_invariants(self, A):
+        svd = svd_complex if np.iscomplexobj(A) else svd_real
+        res = svd(A)
+        n, m = A.shape
+        V, U, s = res.right_vectors, res.left_vectors, res.singular_values
+        k = U.shape[1]
+        assert np.max(np.abs(V.conj().T @ V - np.eye(m))) <= 64 * EPS
+        assert np.max(np.abs(np.linalg.norm(V, axis=0) - 1.0)) <= 4 * EPS
+        recon = A @ V[:, :k] - U * s[:k]
+        assert np.max(np.abs(recon)) <= 64 * EPS * np.max(np.abs(A)) * max(n, m)
+        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+    def test_subnormal_inner_products(self, shape):
+        # Gram entries of a matrix of order 1e-150 reach the subnormal range,
+        # where |apq| is too coarse to normalise the rotation phase directly
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        res = svd_complex(1e-150 * A)
+        V = res.right_vectors
+        assert np.max(np.abs(V.conj().T @ V - np.eye(shape[1]))) <= 64 * EPS
+        ref = np.linalg.svd(A, compute_uv=False)
+        k = ref.size
+        assert np.max(np.abs(res.singular_values[:k] / 1e-150 - ref)) <= 64 * EPS * ref[0]
+
+    def test_expanded_loewner_right_vectors_orthonormal(self):
+        # node sets drawn like acceptance criterion 3's; many of the expanded
+        # systems [M | -S_F M] are wide and rank-deficient
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        for _ in range(200):
+            m = int(rng.integers(1, 13))
+            n = int(rng.integers(max(m - 1, 1), 61))
+            pts = rng.uniform(-15, 15, size=n + m)
+            while len(set(pts.tolist())) != n + m:
+                pts = rng.uniform(-15, 15, size=n + m)
+            mu = 10.0 ** rng.uniform(-3, 0, size=n)
+            nodes = NodeSet(test_nodes=pts[:n], support_nodes=pts[n:], weights=mu)
+            V = svd_complex(expanded_loewner(nodes)).right_vectors
+            worst = max(worst, float(np.max(np.abs(V.conj().T @ V - np.eye(2 * m)))))
+        assert worst <= 64 * EPS
