@@ -9,8 +9,11 @@ Three forms are provided:
 * ``NonInterpolatoryApproximant`` -- quotient of two independent partial
   fractions with coefficients alpha and beta.
 
-Support-node hits are detected by exact float equality and replaced by the
-appropriate limit value.
+Every form evaluates through one kernel.  It walks the points in blocks of
+``BLOCK_ELEMENTS`` point-node pairs, so its buffers (about 1 MB) stay in cache
+and do not grow with the points or nodes, and the values do not depend on the
+blocking.  Each block forms 1/(x - y_j) once for numerator and denominator,
+and finds support-node hits by exact float equality; a hit takes the limit.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +27,9 @@ from .errors import (
     PoleEvaluationError,
 )
 from .linalg import EPS
+
+#: Point-node pairs per evaluation block.
+BLOCK_ELEMENTS = 2**16
 
 
 def _check_support(y):
@@ -45,13 +51,33 @@ def _as_coeff(w, m, name="coefficients"):
 
 
 def _partial_fraction(coeff, support, xv):
-    """Row sums of coeff_j / (x - y_j), with support hits masked out."""
-    D = xv[:, None] - support[None, :]
-    hit = D == 0.0
+    """Row sums of coeff_j / (x - y_j), and per point the index of the
+    support node it hits (-1 for none); at a hit of y_j the sum is coeff_j.
+
+    ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
+    the reciprocals; the sums then have shape (k, xv.size).
+    """
+    stack = coeff.reshape(-1, support.size)
+    sums = np.empty((len(stack), xv.size), dtype=complex)
+    node = np.full(xv.size, -1)
+    rows = max(1, BLOCK_ELEMENTS // support.size)
+    # buffers reused by every block; fresh ones leave more memory resident
+    D_buf = np.empty((min(rows, xv.size), support.size))
+    T_buf = np.empty(D_buf.shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        T = coeff[None, :] / D
-    T[hit] = 0.0
-    return T.sum(axis=1), hit
+        for start in range(0, xv.size, rows):
+            x = xv[start:start + rows, None]
+            D = np.subtract(x, support, out=D_buf[:len(x)])
+            if not D.all():
+                i, j = np.nonzero(D == 0.0)  # distinct nodes: one hit per row
+                node[start + i] = j
+            inv = np.divide(1.0, D, out=D)
+            T = T_buf[:len(x)]
+            for c, s in zip(stack, sums):
+                np.sum(np.multiply(c, inv, out=T), axis=1, out=s[start:start + rows])
+    hits = node >= 0
+    sums[:, hits] = stack[:, node[hits]]
+    return sums.reshape(coeff.shape[:-1] + (xv.size,)), node
 
 
 def _prepare(x):
@@ -63,6 +89,18 @@ def _prepare(x):
 
 def _finish(out, scalar):
     return complex(out[0]) if scalar else out
+
+
+def _quotient(n, d, hits, xv, hit_error):
+    """n / d; a zero d raises PoleEvaluationError, or ``hit_error`` at a hit."""
+    zero = d == 0.0
+    if np.any(zero):
+        plain = zero & ~hits
+        if np.any(plain):
+            raise PoleEvaluationError(float(xv[np.argmax(plain)]))
+        raise hit_error(float(xv[np.argmax(zero)]))
+    with np.errstate(invalid="ignore"):
+        return n / d
 
 
 def cayley_phase_residual(w, support):
@@ -98,29 +136,19 @@ class BarycentricInterpolant:
         return eval_interpolant(self, x)
 
     def denominator(self, x):
+        """sum w_j/(x - y_j); w_j at a support node y_j."""
         xv, scalar = _prepare(x)
-        d, _ = _partial_fraction(self.coefficients, self.support, xv)
-        return _finish(d, scalar)
+        return _finish(_partial_fraction(self.coefficients, self.support, xv)[0], scalar)
 
 
 def eval_interpolant(r, x):
     """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j)."""
     xv, scalar = _prepare(x)
-    d, hit = _partial_fraction(r.coefficients, r.support, xv)
-    n, _ = _partial_fraction(r.values * r.coefficients, r.support, xv)
-    out = np.empty(xv.size, dtype=complex)
-    hit_rows = np.any(hit, axis=1)
-    plain = ~hit_rows
-    bad = plain & (d == 0.0)
-    if np.any(bad):
-        raise PoleEvaluationError(float(xv[np.argmax(bad)]))
-    with np.errstate(invalid="ignore"):
-        out[plain] = n[plain] / d[plain]
-    for i in np.nonzero(hit_rows)[0]:
-        j = int(np.argmax(hit[i]))
-        if r.coefficients[j] == 0.0:
-            raise AmbiguousEvaluationError(float(xv[i]))
-        out[i] = r.values[j]
+    w = r.coefficients
+    (d, n), node = _partial_fraction(np.stack([w, r.values * w]), r.support, xv)
+    hits = node >= 0
+    out = _quotient(n, d, hits, xv, AmbiguousEvaluationError)
+    out[hits] = r.values[node[hits]]
     return _finish(out, scalar)
 
 
@@ -154,7 +182,7 @@ class CayleyApproximant:
 
     def denominator(self, x):
         xv, scalar = _prepare(x)
-        return _finish(_xi(self, xv), scalar)
+        return _finish(_partial_fraction(self.coefficients, self.support, xv)[0], scalar)
 
 
 def to_cayley(w, support, tol=1e-12):
@@ -166,19 +194,10 @@ def to_cayley(w, support, tol=1e-12):
     return r
 
 
-def _xi(r, xv):
-    xi, hit = _partial_fraction(r.coefficients, r.support, xv)
-    hit_rows = np.any(hit, axis=1)
-    for i in np.nonzero(hit_rows)[0]:
-        j = int(np.argmax(hit[i]))
-        xi[i] = r.coefficients[j]
-    return xi
-
-
 def eval_cayley(r, x):
     """conj(xi)/xi with xi = sum w_j/(x-y_j); at a support hit xi = w_j."""
     xv, scalar = _prepare(x)
-    xi = _xi(r, xv)
+    xi, _ = _partial_fraction(r.coefficients, r.support, xv)
     if np.any(xi == 0.0):
         raise PoleEvaluationError(float(xv[np.argmax(xi == 0.0)]))
     return _finish(np.conj(xi) / xi, scalar)
@@ -212,30 +231,11 @@ class NonInterpolatoryApproximant:
 
     def denominator(self, x):
         xv, scalar = _prepare(x)
-        d, hit = _partial_fraction(self.beta, self.support, xv)
-        hit_rows = np.any(hit, axis=1)
-        for i in np.nonzero(hit_rows)[0]:
-            j = int(np.argmax(hit[i]))
-            d[i] = self.beta[j]
-        return _finish(d, scalar)
+        return _finish(_partial_fraction(self.beta, self.support, xv)[0], scalar)
 
 
 def eval_noninterpolatory(r, x):
     """n_b/d_b off support; the limit alpha_j/beta_j at a support hit."""
     xv, scalar = _prepare(x)
-    d, hit = _partial_fraction(r.beta, r.support, xv)
-    n, _ = _partial_fraction(r.alpha, r.support, xv)
-    out = np.empty(xv.size, dtype=complex)
-    hit_rows = np.any(hit, axis=1)
-    plain = ~hit_rows
-    bad = plain & (d == 0.0)
-    if np.any(bad):
-        raise PoleEvaluationError(float(xv[np.argmax(bad)]))
-    with np.errstate(invalid="ignore"):
-        out[plain] = n[plain] / d[plain]
-    for i in np.nonzero(hit_rows)[0]:
-        j = int(np.argmax(hit[i]))
-        if r.beta[j] == 0.0:
-            raise PoleEvaluationError(float(xv[i]))
-        out[i] = r.alpha[j] / r.beta[j]
-    return _finish(out, scalar)
+    (d, n), node = _partial_fraction(np.stack([r.beta, r.alpha]), r.support, xv)
+    return _finish(_quotient(n, d, node >= 0, xv, PoleEvaluationError), scalar)

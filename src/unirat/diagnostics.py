@@ -17,14 +17,18 @@ def _grid(grid):
 
 
 def _values(approx, grid):
-    """Evaluate pointwise; a pole yields inf at that point instead of raising."""
+    """Evaluate on the grid; a pole yields inf at that point instead of raising."""
     try:
         return approx.eval(grid)
     except PoleEvaluationError:
+        # only points with a zero denominator can raise; evaluating those one
+        # at a time turns a pole into inf and lets any other error propagate
+        zero = approx.denominator(grid) == 0.0
         out = np.empty(grid.size, dtype=complex)
-        for i, xi in enumerate(grid):
+        out[~zero] = approx.eval(grid[~zero])
+        for i in np.nonzero(zero)[0]:
             try:
-                out[i] = approx.eval(float(xi))
+                out[i] = approx.eval(float(grid[i]))
             except PoleEvaluationError:
                 out[i] = np.inf
         return out

@@ -83,8 +83,15 @@ def _phase(z):
     if not np.iscomplexobj(z):
         return np.sign(z)
     _, e = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))
-    z = np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
+    z = _ldexp(z, -e)
     return z / np.abs(z)
+
+
+def _ldexp(z, e):
+    """z * 2**e, exact unless the result leaves the normal range."""
+    if np.iscomplexobj(z):
+        return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+    return np.ldexp(z, e)
 
 
 def _jacobi_orthogonalize(R, cap):
@@ -185,6 +192,13 @@ def _svd(A, dtype):
         raise InvalidInputError("matrix contains non-finite entries")
     n, m = A.shape
     cap = sweep_cap()
+    # Gram entries overflow above ~1e154 and lose their precision below
+    # ~1e-154, so a matrix far out of range is brought near 1 by an exact
+    # power of two; one in range is left untouched
+    _, e = np.frexp(np.max(np.abs(A)))
+    shift = int(e) if abs(e) > 256 else 0
+    if shift:
+        A = _ldexp(A, -shift)
     if n >= m:
         V, sweeps, rotations = _jacobi_orthogonalize(np.linalg.qr(A, mode="r"), cap)
     else:
@@ -212,8 +226,8 @@ def _svd(A, dtype):
         U[:, j] = u / np.linalg.norm(u)
     _complete_basis(U, filled, n)
     _apply_sign_convention(V, U)
-    return SvdResult(singular_values=sigma, right_vectors=V, left_vectors=U,
-                     sweeps=sweeps, rotations=rotations)
+    return SvdResult(singular_values=np.ldexp(sigma, shift), right_vectors=V,
+                     left_vectors=U, sweeps=sweeps, rotations=rotations)
 
 
 def svd_real(A):

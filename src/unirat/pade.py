@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .barycentric import BLOCK_ELEMENTS
 from .errors import InvalidInputError, PoleEvaluationError
 
 #: Largest supported degree; the coefficient recurrence stays in range here.
@@ -42,11 +43,18 @@ class PadeApproximant:
         object.__setattr__(self, "coefficients", pade_coefficients(self.degree))
 
     def _numerator(self, xv):
-        z = 1j * xv
-        p = np.full(xv.shape, self.coefficients[-1], dtype=complex)
-        for c in self.coefficients[-2::-1]:
-            p = p * z + c
-        return p
+        """p(ix) by Horner's rule, in place over blocks of points that stay
+        in cache."""
+        flat = xv.reshape(-1)
+        p = np.empty(flat.size, dtype=complex)
+        for start in range(0, flat.size, BLOCK_ELEMENTS):
+            q = p[start:start + BLOCK_ELEMENTS]
+            z = 1j * flat[start:start + BLOCK_ELEMENTS]
+            q[...] = self.coefficients[-1]
+            for c in self.coefficients[-2::-1]:
+                q *= z
+                q += c
+        return p.reshape(xv.shape)
 
     def eval(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -54,7 +62,8 @@ class PadeApproximant:
         p = self._numerator(xv)
         if np.any(p == 0.0):
             raise PoleEvaluationError(float(xv[np.argmax(p == 0.0)]))
-        out = p / np.conj(p)
+        out = np.conj(p)
+        np.divide(p, out, out=out)
         return complex(out[0]) if scalar else out
 
     def denominator(self, x):

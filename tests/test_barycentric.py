@@ -1,9 +1,14 @@
 """Approximant forms: evaluation semantics, limits, certification."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from unirat import barycentric
 from unirat import (
     BarycentricInterpolant,
     CayleyApproximant,
@@ -79,6 +84,12 @@ class TestBarycentricInterpolant:
         assert abs(np.linalg.norm(r.coefficients) - 1.0) <= 4 * EPS
         with pytest.raises(InvalidInputError):
             BarycentricInterpolant(support=[0.0], coefficients=[0.0])
+
+    def test_denominator_at_support_node_is_coefficient(self):
+        # the masked sum of the other terms would read (1 + 1)/1.5 here
+        r = BarycentricInterpolant(support=[-1.0, 0.0, 1.0], coefficients=[1.0, 0.5, -1.0])
+        assert r.denominator(0.0) == complex(r.coefficients[1])
+        assert np.array_equal(r.denominator(r.support), r.coefficients)
 
     def test_normalized_input_is_bit_stable(self):
         w = np.array([3.0, 4.0j]) / 5.0
@@ -215,3 +226,158 @@ class TestAppendixBProperty:
             checked += 1
             n = ((np.exp(1j * y) * w)[None, :] / D).sum(axis=1)
             assert np.max(np.abs(np.abs(n) - np.abs(d)) / np.abs(d)) <= 64 * EPS
+
+
+FORMS = {
+    "interpolant": lambda y, a, b: BarycentricInterpolant(support=y, coefficients=b),
+    "cayley": lambda y, a, b: CayleyApproximant(support=y, coefficients=b),
+    "noninterpolatory": lambda y, a, b: NonInterpolatoryApproximant(
+        support=y, alpha=a, beta=b),
+}
+
+
+def unblocked_sums(coeff, support, x):
+    """Reference: the whole n x m quotient array, hit terms masked out."""
+    D = x[:, None] - support[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = coeff[None, :] / D
+    T[D == 0.0] = 0.0
+    return T.sum(axis=1)
+
+
+def bits(v):
+    """Raw bits, so that signed zeros differ and equal NaNs compare equal."""
+    return np.asarray(v, dtype=complex).view(np.uint64)
+
+
+def support_and_coefficients(m):
+    rng = np.random.default_rng(60 + m)
+    y = np.sort(rng.uniform(-14.0, 14.0, size=m))
+    a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return y, a, b
+
+
+class TestBlockedEvaluation:
+    M = 15
+    ROWS = barycentric.BLOCK_ELEMENTS // M
+
+    @pytest.mark.parametrize("size", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_block_edges(self, size):
+        y, a, b = support_and_coefficients(self.M)
+        x = np.linspace(-40.0, 40.0, size)
+        # support hits in the first and last row of a block and in the tail
+        placed = {i for i in (0, self.ROWS - 1, self.ROWS, size - 1) if i < size}
+        for i in placed:
+            x[i] = y[i % self.M]
+        sums, node = barycentric._partial_fraction(b, y, x)
+        hits = np.nonzero(node >= 0)[0]
+        assert set(hits.tolist()) == placed
+        assert np.array_equal(x[hits], y[node[hits]])
+        assert np.array_equal(sums[hits], b[node[hits]])
+        plain = node < 0
+        assert np.array_equal(bits(sums[plain]), bits(unblocked_sums(b, y, x)[plain]))
+        for name, form in FORMS.items():
+            r = form(y, a, b)
+            pointwise = [r.eval(float(v)) for v in x]
+            assert np.array_equal(bits(r.eval(x)), bits(pointwise)), name
+
+    def test_stacked_coefficients_match_single(self):
+        y, a, b = support_and_coefficients(7)
+        x = np.concatenate([np.linspace(-20.0, 20.0, 30001), y])
+        (sa, sb), node = barycentric._partial_fraction(np.stack([a, b]), y, x)
+        for coeff, stacked in ((a, sa), (b, sb)):
+            single, single_node = barycentric._partial_fraction(coeff, y, x)
+            assert np.array_equal(bits(stacked), bits(single))
+            assert np.array_equal(node, single_node)
+
+    def test_pole_in_later_block(self):
+        # the denominator (1/(x + 1) + 1/(x - 1))/sqrt(2) vanishes exactly at 0
+        rows = barycentric.BLOCK_ELEMENTS // 2
+        x = np.linspace(5.0, 6.0, 3 * rows)
+        x[rows + 7] = x[2 * rows + 3] = 0.0
+        for form in (BarycentricInterpolant, CayleyApproximant):
+            r = form(support=[-1.0, 1.0], coefficients=[1.0, 1.0])
+            with pytest.raises(PoleEvaluationError) as exc:
+                r.eval(x)
+            assert exc.value.location == 0.0
+
+    def test_first_zero_weight_hit_raises(self):
+        # beta_j = 0 at y = 2 and y = 3: the first of them in grid order
+        rb = NonInterpolatoryApproximant(
+            support=[2.0, 3.0, 4.0], alpha=[1.0, 1.0, 1.0], beta=[0.0, 0.0, 1.0]
+        )
+        rows = barycentric.BLOCK_ELEMENTS // 3
+        x = np.linspace(5.0, 6.0, 3 * rows)
+        x[rows + 1], x[2 * rows + 1] = 3.0, 2.0
+        with pytest.raises(PoleEvaluationError) as exc:
+            rb.eval(x)
+        assert exc.value.location == 3.0
+
+    def test_plain_pole_precedes_support_hit_errors(self):
+        # a zero-coefficient hit early in the grid, a plain pole at x = 0 in
+        # a later block: the pole is reported, as by a pointwise scan of the
+        # plain points first
+        rows = barycentric.BLOCK_ELEMENTS // 3
+        x = np.linspace(5.0, 6.0, 2 * rows)
+        x[3], x[rows + 5] = 2.0, 0.0
+        ri = BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
+        rb = NonInterpolatoryApproximant(
+            support=[-1.0, 1.0, 2.0], alpha=[1.0, 1.0, 1.0], beta=[1.0, 1.0, 0.0]
+        )
+        for r in (ri, rb):
+            with pytest.raises(PoleEvaluationError) as exc:
+                r.eval(x)
+            assert exc.value.location == 0.0
+        with pytest.raises(AmbiguousEvaluationError) as exc:
+            ri.eval(x[:rows])
+        assert exc.value.location == 2.0
+
+    @pytest.mark.parametrize("m", [15, 60])
+    def test_memory_bounded_by_output(self, m):
+        # the unblocked evaluation held n x m float, bool and complex arrays:
+        # 78 MB at m = 15 for 2e5 points, 26 times the output
+        y, a, b = support_and_coefficients(m)
+        x = np.linspace(-40.0, 40.0, 200_000)
+        for name, form in FORMS.items():
+            r = form(y, a, b)
+            tracemalloc.start()
+            try:
+                out = r.eval(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * out.nbytes, name
+
+
+@st.composite
+def evaluation_cases(draw):
+    m = draw(st.integers(1, 8))
+    y = draw(st.lists(st.floats(-20, 20), min_size=m, max_size=m, unique=True))
+    part = st.floats(-1, 1)
+    a = [complex(draw(part), draw(part)) for _ in range(m)]
+    b = [complex(draw(part), draw(part)) for _ in range(m)]
+    x = draw(st.lists(st.floats(-25, 25) | st.sampled_from(y), min_size=1, max_size=40))
+    block = draw(st.integers(1, 64))
+    return np.array(y), np.array(a), np.array(b), np.array(x), block
+
+
+class TestBlockedEvaluationProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(evaluation_cases())
+    def test_grid_equals_pointwise(self, case):
+        y, a, b, x, block = case
+        assume(np.linalg.norm(b) > 0.0)
+        for name, form in FORMS.items():
+            r = form(y, a, b)
+            pointwise = []
+            for v in x:
+                try:
+                    pointwise.append(r.eval(float(v)))
+                except (PoleEvaluationError, AmbiguousEvaluationError):
+                    assume(False)
+            # blocks of ``block`` point-node pairs put many block edges
+            # into a short grid
+            with mock.patch.object(barycentric, "BLOCK_ELEMENTS", block):
+                grid = r.eval(x)
+            assert np.array_equal(bits(grid), bits(pointwise)), name

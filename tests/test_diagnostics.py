@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from unirat import (
+    BarycentricInterpolant,
     CayleyApproximant,
+    NonInterpolatoryApproximant,
     PadeApproximant,
     cayley_residual,
     max_error,
     real_axis_pole_scan,
     unitarity_deviation,
 )
-from unirat.errors import InvalidInputError
+from unirat.diagnostics import _values
+from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
 
 from conftest import EVAL_GRID
@@ -54,6 +57,44 @@ class TestMaxError:
         r = CayleyApproximant(support=[-1.0, 1.0], coefficients=[1.0, 1.0])
         grid = np.array([-3.0, 0.0, 3.0])  # xi(0) = 0
         assert max_error(r, grid) == np.inf
+
+
+def pointwise_values(approx, grid):
+    """Reference: one eval per point, inf where it raises a pole error."""
+    out = np.empty(grid.size, dtype=complex)
+    for i, x in enumerate(grid):
+        try:
+            out[i] = approx.eval(float(x))
+        except PoleEvaluationError:
+            out[i] = np.inf
+    return out
+
+
+class TestPoleFallback:
+    GRID = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, 1.0, -1.0, 2.0]])
+
+    @pytest.mark.parametrize("approx", [
+        # poles at 0 (plain) and support hits at -1, 1
+        BarycentricInterpolant(support=[-1.0, 1.0], coefficients=[1.0, 1.0]),
+        CayleyApproximant(support=[-1.0, 1.0], coefficients=[1.0, 1.0]),
+        # zero weight at the support node 2: xi(2) = 0 is a pole there
+        CayleyApproximant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0]),
+        NonInterpolatoryApproximant(
+            support=[-1.0, 1.0, 2.0], alpha=[1.0, 2.0, 1.0], beta=[1.0, 1.0, 0.0]),
+    ])
+    def test_matches_pointwise_loop(self, approx):
+        vals = _values(approx, self.GRID)
+        assert np.isinf(vals[300]) and self.GRID[300] == 0.0
+        assert np.array_equal(vals.view(np.uint64),
+                              pointwise_values(approx, self.GRID).view(np.uint64))
+
+    def test_zero_weight_interpolant_hit_propagates(self):
+        r = BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
+        with pytest.raises(AmbiguousEvaluationError) as exc:
+            _values(r, self.GRID)
+        assert exc.value.location == 2.0
+        with pytest.raises(AmbiguousEvaluationError):
+            pointwise_values(r, self.GRID)
 
 
 class TestUnitarityDeviation:

@@ -256,6 +256,23 @@ class TestSvdProperties:
         k = ref.size
         assert np.max(np.abs(res.singular_values[:k] / 1e-150 - ref)) <= 64 * EPS * ref[0]
 
+    @pytest.mark.parametrize("shape, dtype, scale", [
+        ((6, 4), float, 1e200),    # Gram entries overflowed: sigma read inf
+        ((6, 4), float, 1e-200),   # underflowed: sigma read 0
+        ((6, 4), complex, 1e-156),  # no convergence within the sweep cap
+        ((8, 8), complex, 1e-154),
+    ])
+    def test_out_of_range_scale(self, shape, dtype, scale):
+        rng = np.random.default_rng(43)
+        A = rng.standard_normal(shape)
+        if dtype is complex:
+            A = A + 1j * rng.standard_normal(shape)
+        A = scale * A
+        res = (svd_complex if dtype is complex else svd_real)(A)
+        ref = np.linalg.svd(A, compute_uv=False)
+        assert np.all(np.abs(res.singular_values - ref) <= 16 * EPS * ref)
+        assert_factorization(A, res)
+
     def test_expanded_loewner_right_vectors_orthonormal(self):
         # node sets drawn like acceptance criterion 3's; many of the expanded
         # systems [M | -S_F M] are wide and rank-deficient

@@ -5,6 +5,7 @@ import pytest
 
 from unirat import PadeApproximant, pade_eval
 from unirat.errors import InvalidInputError
+from unirat.barycentric import BLOCK_ELEMENTS
 from unirat.linalg import EPS
 from unirat.pade import MAX_DEGREE, pade_coefficients
 
@@ -60,3 +61,14 @@ class TestEvaluation:
         p = PadeApproximant(degree=5)
         x = np.array([0.3, -1.7, 9.2])
         assert np.array_equal(p.denominator(x), np.conj(p._numerator(x)))
+
+    def test_blocked_horner_matches_whole_array(self):
+        p = PadeApproximant(degree=13)
+        x = np.linspace(-40.0, 40.0, 2 * BLOCK_ELEMENTS + 3)
+        z = 1j * x
+        ref = np.full(x.shape, p.coefficients[-1], dtype=complex)
+        for c in p.coefficients[-2::-1]:
+            ref = ref * z + c
+        assert np.array_equal(p._numerator(x).view(np.uint64), ref.view(np.uint64))
+        grid = x[:12].reshape(3, 4)
+        assert np.array_equal(p._numerator(grid), ref[:12].reshape(3, 4))
