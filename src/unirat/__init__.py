@@ -5,17 +5,10 @@ from .barycentric import (
     BarycentricInterpolant,
     CayleyApproximant,
     NonInterpolatoryApproximant,
-    eval_cayley,
-    eval_interpolant,
-    eval_noninterpolatory,
+    cayley_phase_residual,
     to_cayley,
 )
-from .diagnostics import (
-    cayley_residual,
-    max_error,
-    real_axis_pole_scan,
-    unitarity_deviation,
-)
+from .diagnostics import max_error, real_axis_pole_scan, unitarity_deviation
 from .lawson import LawsonConfig, LawsonTrace, lawson_fit, lawson_weight_update
 from .linalg import SvdResult, svd_complex, svd_real
 from .loewner import (
@@ -32,19 +25,19 @@ from .loewner import (
     rescaled_loewner,
     weighted_loewner,
 )
-from .pade import PadeApproximant, pade_eval
+from .pade import PadeApproximant
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AaaConfig", "AaaTrace", "aaa_fit", "greedy_select",
     "BarycentricInterpolant", "CayleyApproximant", "NonInterpolatoryApproximant",
-    "eval_cayley", "eval_interpolant", "eval_noninterpolatory", "to_cayley",
-    "cayley_residual", "max_error", "real_axis_pole_scan", "unitarity_deviation",
+    "cayley_phase_residual", "to_cayley",
+    "max_error", "real_axis_pole_scan", "unitarity_deviation",
     "LawsonConfig", "LawsonTrace", "lawson_fit", "lawson_weight_update",
     "SvdResult", "svd_complex", "svd_real",
     "NodeSet", "PhaseDiagonals", "bhat", "cauchy", "expanded_loewner", "loewner",
     "min_singular_coefficients", "min_singular_pair", "modified_cauchy",
     "phase_diagonals", "rescaled_loewner", "weighted_loewner",
-    "PadeApproximant", "pade_eval",
+    "PadeApproximant",
 ]

@@ -9,15 +9,20 @@ unmodified method.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .barycentric import BarycentricInterpolant, CayleyApproximant
+from .barycentric import (
+    BarycentricInterpolant,
+    CayleyApproximant,
+    check_nodes,
+    node_quotient,
+)
 from .errors import InvalidInputError
+from .lawson import LawsonConfig, lawson_fit
 from .linalg import EPS, svd_complex, svd_real
-from .loewner import phase_entries
-
-VARIANTS = ("original", "modified")
+from .loewner import VARIANTS, phase_entries
 
 
 @dataclass(frozen=True)
@@ -28,14 +33,14 @@ class AaaConfig:
     n_lawson: int = 0
 
     def __post_init__(self):
-        if self.m_max < 1:
-            raise InvalidInputError("m_max must be at least 1")
-        if self.tol < 0:
+        if not isinstance(self.m_max, Integral) or self.m_max < 1:
+            raise InvalidInputError("m_max must be an integer of at least 1")
+        if not self.tol >= 0:  # also rejects NaN
             raise InvalidInputError("tol must be nonnegative")
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")
-        if self.n_lawson < 0:
-            raise InvalidInputError("n_lawson must be nonnegative")
+        if not isinstance(self.n_lawson, Integral) or self.n_lawson < 0:
+            raise InvalidInputError("n_lawson must be a nonnegative integer")
 
 
 @dataclass
@@ -73,11 +78,7 @@ def aaa_fit(test_nodes, config):
     nodes are handed to the minimax iteration and its result is returned,
     with the Lawson trace attached to ``trace.lawson``.
     """
-    x = np.atleast_1d(np.asarray(test_nodes, dtype=float))
-    if x.size < 2 or len(set(x.tolist())) != x.size:
-        raise InvalidInputError("need at least 2 distinct test nodes")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("test nodes must be finite")
+    x = check_nodes(test_nodes, "test nodes", least=2)
     if config.m_max >= x.size:
         raise InvalidInputError("m_max must be smaller than the number of test nodes")
 
@@ -86,41 +87,30 @@ def aaa_fit(test_nodes, config):
     r = np.full(x.size, F.mean(), dtype=complex)
 
     y = []  # support nodes, in selection order
-    f = []  # exp(i y_j)
-    kk = []  # K diagonal entries
+    fv = K = np.empty(0, dtype=complex)  # exp(i y_j) and the K diagonal
     C = np.empty((x.size, 0))
     trace = AaaTrace()
-    w = None
 
     for m in range(1, config.m_max + 1):
         j = greedy_select(F, r)
         y.append(float(x[j]))
-        f.append(complex(F[j]))
-        kk.append(complex(R[j]))
+        fv, K = np.append(fv, F[j]), np.append(K, R[j])
         keep = np.arange(x.size) != j
         x, F, R, C = x[keep], F[keep], R[keep], C[keep]
 
         C = np.hstack([C, (1.0 / (x - y[-1]))[:, None]])
-        K = np.asarray(kk)
-        fv = np.asarray(f)
 
         if config.variant == "modified":
             lhat = 2.0 * np.imag(R[:, None] * C * np.conj(K)[None, :])
             res = svd_real(lhat)
             w = 1j * K * res.right_vectors[:, -1]
-            xi = C @ w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.conj(xi) / xi
-            r[xi == 0.0] = np.inf
+            alpha = np.conj(w)
         else:
             L = (F[:, None] - fv[None, :]) * C
             res = svd_complex(L)
             w = res.right_vectors[:, -1]
-            num = C @ (fv * w)
-            den = C @ w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = num / den
-            r[den == 0.0] = np.inf
+            alpha = fv * w
+        r = node_quotient(C, alpha, w)
 
         sig = res.singular_values
         degenerate = m >= 2 and (sig[-2] - sig[-1]) <= 8.0 * EPS * sig[0]
@@ -134,17 +124,12 @@ def aaa_fit(test_nodes, config):
             trace.stop_reason = "tol"
             break
     else:
-        trace.converged = trace.iterations[-1].max_error <= config.tol
         trace.stop_reason = "m_max"
 
     y = np.asarray(y)
     if config.n_lawson > 0:
-        from .lawson import LawsonConfig, lawson_fit
-
-        approx, ltrace = lawson_fit(
-            x, y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant)
-        )
-        trace.lawson = ltrace
+        approx, trace.lawson = lawson_fit(
+            x, y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant))
         return approx, trace
 
     if config.variant == "modified":

@@ -1,13 +1,13 @@
 """Barycentric rational approximants of exp(ix) and their evaluation.
 
-Three forms are provided:
+Three forms share one model: r(x) = sum alpha_j/(x-y_j) / sum beta_j/(x-y_j)
+over distinct real support nodes y_j, with the limit alpha_j/beta_j at y_j.
 
-* ``BarycentricInterpolant`` -- r(x) = sum f_j w_j/(x-y_j) / sum w_j/(x-y_j)
-  with f_j = exp(i y_j); interpolates exp(ix) at the support nodes.
-* ``CayleyApproximant`` -- r(x) = conj(xi(x))/xi(x) with
-  xi(x) = sum w_j/(x-y_j); unit modulus on the real axis by construction.
-* ``NonInterpolatoryApproximant`` -- quotient of two independent partial
-  fractions with coefficients alpha and beta.
+* ``BarycentricInterpolant`` -- alpha = f w, beta = w with f_j = exp(i y_j);
+  interpolates exp(ix) at the support nodes.
+* ``CayleyApproximant`` -- alpha = conj(w), beta = w: r = conj(xi)/xi with
+  xi(x) = sum w_j/(x-y_j) has unit modulus on the real axis by construction.
+* ``NonInterpolatoryApproximant`` -- alpha and beta as given.
 
 Every form evaluates through one kernel.  It walks the points in blocks of
 ``BLOCK_ELEMENTS`` point-node pairs, so its buffers (about 1 MB) stay in cache
@@ -16,7 +16,7 @@ blocking.  Each block forms 1/(x - y_j) once for numerator and denominator,
 and finds support-node hits by exact float equality; a hit takes the limit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,22 +32,24 @@ from .linalg import EPS
 BLOCK_ELEMENTS = 2**16
 
 
-def _check_support(y):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size < 1 or not np.all(np.isfinite(y)):
-        raise InvalidInputError("support nodes must be nonempty and finite")
-    if len(set(y.tolist())) != y.size:
-        raise InvalidInputError("support nodes must be pairwise distinct")
-    return y
-
-
-def _as_coeff(w, m, name="coefficients"):
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if w.shape != (m,):
-        raise InvalidInputError(f"{name} must have one entry per support node")
-    if not np.all(np.isfinite(w)):
+def check_nodes(nodes, name="nodes", least=1):
+    """``nodes`` as a float array of at least ``least`` finite, distinct values."""
+    v = np.atleast_1d(np.asarray(nodes, dtype=float))
+    if v.size < least:
+        raise InvalidInputError(f"need at least {least} {name}")
+    if not np.all(np.isfinite(v)):
         raise InvalidInputError(f"{name} must be finite")
-    return w
+    if len(set(v.tolist())) != v.size:
+        raise InvalidInputError(f"{name} must be pairwise distinct")
+    return v
+
+
+def coefficient_norm(vectors):
+    """||c||_2 of one coefficient vector; sqrt(||alpha||^2 + ||beta||^2) of a pair."""
+    with np.errstate(over="ignore"):
+        if len(vectors) == 1:
+            return np.linalg.norm(vectors[0])
+        return np.sqrt(sum(np.linalg.norm(v) ** 2 for v in vectors))
 
 
 def _partial_fraction(coeff, support, xv):
@@ -64,7 +66,7 @@ def _partial_fraction(coeff, support, xv):
     # buffers reused by every block; fresh ones leave more memory resident
     D_buf = np.empty((min(rows, xv.size), support.size))
     T_buf = np.empty(D_buf.shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, xv.size, rows):
             x = xv[start:start + rows, None]
             D = np.subtract(x, support, out=D_buf[:len(x)])
@@ -75,6 +77,11 @@ def _partial_fraction(coeff, support, xv):
             T = T_buf[:len(x)]
             for c, s in zip(stack, sums):
                 np.sum(np.multiply(c, inv, out=T), axis=1, out=s[start:start + rows])
+    # 1/(x - y_j) overflows at a subnormal distance from y_j, which leaves
+    # every row sum non-finite: such a point is a hit of y_j as well
+    near = (node < 0) & ~np.isfinite(sums[0])
+    if near.any():
+        node[near] = np.argmin(np.abs(xv[near, None] - support), axis=1)
     hits = node >= 0
     sums[:, hits] = stack[:, node[hits]]
     return sums.reshape(coeff.shape[:-1] + (xv.size,)), node
@@ -91,16 +98,30 @@ def _finish(out, scalar):
     return complex(out[0]) if scalar else out
 
 
-def _quotient(n, d, hits, xv, hit_error):
-    """n / d; a zero d raises PoleEvaluationError, or ``hit_error`` at a hit."""
+def _quotient(alpha, beta, support, x, hit_error):
+    """n/d at the points x, the limit alpha_j/beta_j at a hit of y_j; returns
+    the values, the hit indices and whether x was a scalar.  A zero d raises
+    PoleEvaluationError, or ``hit_error`` at a hit."""
+    xv, scalar = _prepare(x)
+    (d, n), node = _partial_fraction(np.stack([beta, alpha]), support, xv)
     zero = d == 0.0
     if np.any(zero):
-        plain = zero & ~hits
+        plain = zero & (node < 0)
         if np.any(plain):
             raise PoleEvaluationError(float(xv[np.argmax(plain)]))
         raise hit_error(float(xv[np.argmax(zero)]))
     with np.errstate(invalid="ignore"):
-        return n / d
+        return n / d, node, scalar
+
+
+def node_quotient(C, alpha, beta):
+    """(C alpha) / (C beta) for a Cauchy-type matrix C, inf where C beta = 0:
+    the approximant's values at the test nodes during a fit."""
+    den = C @ beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (C @ alpha) / den
+    r[den == 0.0] = np.inf
+    return r
 
 
 def cayley_phase_residual(w, support):
@@ -112,48 +133,77 @@ def cayley_phase_residual(w, support):
     return float(np.max(np.abs(np.exp(1j * support) * w - np.conj(w))))
 
 
+class _Quotient:
+    """Base of the three forms.  Each is a frozen dataclass that declares
+    ``KIND``, its JSON kind tag, and ``COEFFICIENTS``, its coefficient fields
+    with beta's last, and binds ``denominator`` in its own namespace so that
+    the method can be wrapped per form.  Construction checks the support
+    nodes and scales the coefficients jointly to unit norm.
+    """
+
+    COEFFICIENTS = ("coefficients",)
+
+    def __post_init__(self):
+        y = check_nodes(self.support, "support nodes")
+        vectors = [np.ascontiguousarray(getattr(self, name), dtype=complex)
+                   for name in self.COEFFICIENTS]
+        if any(c.shape != y.shape for c in vectors):
+            raise InvalidInputError("coefficients must have one entry per support node")
+        if not all(np.all(np.isfinite(c)) for c in vectors):
+            raise InvalidInputError("coefficients must be finite")
+        norm = coefficient_norm(vectors)
+        # a norm whose square under- or overflows is inexact: divide each part
+        # by the largest one first (complex division by a subnormal overflows)
+        if not np.sqrt(np.finfo(float).tiny) <= norm < np.inf:
+            top = max(np.max(np.abs(c.view(float))) for c in vectors)
+            if top == 0.0:
+                raise InvalidInputError("coefficients must not be identically zero")
+            vectors = [(c.view(float) / top).view(complex) for c in vectors]
+            norm = coefficient_norm(vectors)
+        if abs(norm - 1.0) > 32 * EPS:  # keep already-normalized vectors bit-stable
+            vectors = [c / norm for c in vectors]
+        object.__setattr__(self, "support", y)
+        for name, c in zip(self.COEFFICIENTS, vectors):
+            object.__setattr__(self, name, c)
+
+    def denominator(self, x):
+        """sum beta_j/(x - y_j); beta_j at a support node y_j."""
+        xv, scalar = _prepare(x)
+        beta = getattr(self, self.COEFFICIENTS[-1])
+        return _finish(_partial_fraction(beta, self.support, xv)[0], scalar)
+
+
 @dataclass(frozen=True)
-class BarycentricInterpolant:
-    """Interpolatory form r = n/d; coefficients are normalized to unit norm."""
+class BarycentricInterpolant(_Quotient):
+    """Interpolatory form r = n/d."""
+
+    KIND = "interpolatory"
 
     support: np.ndarray
     coefficients: np.ndarray
-    values: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        y = _check_support(self.support)
-        w = _as_coeff(self.coefficients, y.size)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise InvalidInputError("coefficient vector must not be identically zero")
-        if abs(norm - 1.0) > 32 * EPS:  # keep already-normalized vectors bit-stable
-            w = w / norm
-        object.__setattr__(self, "support", y)
-        object.__setattr__(self, "coefficients", w)
-        object.__setattr__(self, "values", np.exp(1j * y))
+    @property
+    def values(self):
+        """f_j = exp(i y_j)."""
+        return np.exp(1j * self.support)
 
     def eval(self, x):
         return eval_interpolant(self, x)
 
-    def denominator(self, x):
-        """sum w_j/(x - y_j); w_j at a support node y_j."""
-        xv, scalar = _prepare(x)
-        return _finish(_partial_fraction(self.coefficients, self.support, xv)[0], scalar)
+    denominator = _Quotient.denominator
 
 
 def eval_interpolant(r, x):
     """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j)."""
-    xv, scalar = _prepare(x)
-    w = r.coefficients
-    (d, n), node = _partial_fraction(np.stack([w, r.values * w]), r.support, xv)
+    f, w = r.values, r.coefficients
+    out, node, scalar = _quotient(f * w, w, r.support, x, AmbiguousEvaluationError)
     hits = node >= 0
-    out = _quotient(n, d, hits, xv, AmbiguousEvaluationError)
-    out[hits] = r.values[node[hits]]
+    out[hits] = f[node[hits]]
     return _finish(out, scalar)
 
 
 @dataclass(frozen=True)
-class CayleyApproximant:
+class CayleyApproximant(_Quotient):
     """Unitary form r = conj(xi)/xi.
 
     ``phase_residual`` records max |f_j w_j - conj(w_j)|; it is at machine
@@ -161,28 +211,19 @@ class CayleyApproximant:
     approximant also interpolates exp(ix) at the support nodes.
     """
 
+    KIND = "cayley"
+
     support: np.ndarray
     coefficients: np.ndarray
-    phase_residual: float = field(init=False)
 
-    def __post_init__(self):
-        y = _check_support(self.support)
-        w = _as_coeff(self.coefficients, y.size)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise InvalidInputError("coefficient vector must not be identically zero")
-        if abs(norm - 1.0) > 32 * EPS:
-            w = w / norm
-        object.__setattr__(self, "support", y)
-        object.__setattr__(self, "coefficients", w)
-        object.__setattr__(self, "phase_residual", cayley_phase_residual(w, y))
+    @property
+    def phase_residual(self):
+        return cayley_phase_residual(self.coefficients, self.support)
 
     def eval(self, x):
         return eval_cayley(self, x)
 
-    def denominator(self, x):
-        xv, scalar = _prepare(x)
-        return _finish(_partial_fraction(self.coefficients, self.support, xv)[0], scalar)
+    denominator = _Quotient.denominator
 
 
 def to_cayley(w, support, tol=1e-12):
@@ -204,38 +245,24 @@ def eval_cayley(r, x):
 
 
 @dataclass(frozen=True)
-class NonInterpolatoryApproximant:
+class NonInterpolatoryApproximant(_Quotient):
     """r_b = n_b/d_b with independent numerator and denominator coefficients;
     normalized so ||alpha||^2 + ||beta||^2 = 1."""
+
+    KIND = "noninterpolatory"
+    COEFFICIENTS = ("alpha", "beta")
 
     support: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
 
-    def __post_init__(self):
-        y = _check_support(self.support)
-        a = _as_coeff(self.alpha, y.size, "alpha")
-        b = _as_coeff(self.beta, y.size, "beta")
-        norm = np.sqrt(np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2)
-        if norm == 0.0:
-            raise InvalidInputError("coefficients must not be identically zero")
-        if abs(norm - 1.0) > 32 * EPS:
-            a = a / norm
-            b = b / norm
-        object.__setattr__(self, "support", y)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
     def eval(self, x):
         return eval_noninterpolatory(self, x)
 
-    def denominator(self, x):
-        xv, scalar = _prepare(x)
-        return _finish(_partial_fraction(self.beta, self.support, xv)[0], scalar)
+    denominator = _Quotient.denominator
 
 
 def eval_noninterpolatory(r, x):
     """n_b/d_b off support; the limit alpha_j/beta_j at a support hit."""
-    xv, scalar = _prepare(x)
-    (d, n), node = _partial_fraction(np.stack([r.beta, r.alpha]), r.support, xv)
-    return _finish(_quotient(n, d, node >= 0, xv, PoleEvaluationError), scalar)
+    out, _, scalar = _quotient(r.alpha, r.beta, r.support, x, PoleEvaluationError)
+    return _finish(out, scalar)

@@ -2,6 +2,7 @@
 unitarity experiments as CSV/JSON artifacts."""
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -14,14 +15,11 @@ from .barycentric import (
     BarycentricInterpolant,
     CayleyApproximant,
     NonInterpolatoryApproximant,
+    cayley_phase_residual,
 )
-from .diagnostics import (
-    cayley_residual,
-    max_error,
-    real_axis_pole_scan,
-    unitarity_deviation,
-)
+from .diagnostics import max_error, real_axis_pole_scan, unitarity_deviation
 from .errors import InvalidInputError, UniratError
+from .loewner import VARIANTS
 from .pade import PadeApproximant
 
 FIT_INTERVAL = (-13.9, 13.9)
@@ -32,38 +30,40 @@ FIGURE_TOL = 1e-12
 FIGURE_LAWSON_STEPS = 20
 
 
+#: Approximant classes by JSON kind tag.
+KINDS = {cls.KIND: cls for cls in
+         (BarycentricInterpolant, CayleyApproximant, NonInterpolatoryApproximant)}
+#: JSON key stem of each coefficient field; a vector c is stored as the
+#: lists ``<stem>_re`` and ``<stem>_im``.
+KEY_STEMS = {"coefficients": "coeff", "alpha": "alpha", "beta": "beta"}
+#: complex(re, im) elementwise; unlike re + 1j * im, it keeps signed zeros.
+_complex = np.vectorize(complex, otypes=[complex])
+
+
 def approximant_to_dict(approx):
-    if isinstance(approx, NonInterpolatoryApproximant):
-        return {
-            "kind": "noninterpolatory",
-            "support": approx.support.tolist(),
-            "alpha_re": approx.alpha.real.tolist(),
-            "alpha_im": approx.alpha.imag.tolist(),
-            "beta_re": approx.beta.real.tolist(),
-            "beta_im": approx.beta.imag.tolist(),
-        }
-    kind = "cayley" if isinstance(approx, CayleyApproximant) else "interpolatory"
-    return {
-        "kind": kind,
-        "support": approx.support.tolist(),
-        "coeff_re": approx.coefficients.real.tolist(),
-        "coeff_im": approx.coefficients.imag.tolist(),
-    }
+    doc = {"kind": approx.KIND, "support": approx.support.tolist()}
+    for name in approx.COEFFICIENTS:
+        c = getattr(approx, name)
+        doc[KEY_STEMS[name] + "_re"] = c.real.tolist()
+        doc[KEY_STEMS[name] + "_im"] = c.imag.tolist()
+    return doc
 
 
 def approximant_from_dict(doc):
-    kind = doc["kind"]
-    support = np.asarray(doc["support"], dtype=float)
-    if kind == "noninterpolatory":
-        alpha = np.asarray(doc["alpha_re"]) + 1j * np.asarray(doc["alpha_im"])
-        beta = np.asarray(doc["beta_re"]) + 1j * np.asarray(doc["beta_im"])
-        return NonInterpolatoryApproximant(support=support, alpha=alpha, beta=beta)
-    if kind not in ("cayley", "interpolatory"):
-        raise InvalidInputError(f"unknown approximant kind {kind!r}")
-    coeff = np.asarray(doc["coeff_re"]) + 1j * np.asarray(doc["coeff_im"])
-    if kind == "cayley":
-        return CayleyApproximant(support=support, coefficients=coeff)
-    return BarycentricInterpolant(support=support, coefficients=coeff)
+    if not isinstance(doc, dict):
+        raise InvalidInputError("an approximant document must be a JSON object")
+    cls = KINDS.get(str(doc.get("kind")))
+    if cls is None:
+        raise InvalidInputError(f"unknown approximant kind {doc.get('kind')!r}")
+    try:
+        support = np.asarray(doc["support"], dtype=float)
+        coeffs = {name: _complex(doc[KEY_STEMS[name] + "_re"], doc[KEY_STEMS[name] + "_im"])
+                  for name in cls.COEFFICIENTS}
+    except KeyError as exc:
+        raise InvalidInputError(f"approximant document lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed approximant document: {exc}") from None
+    return cls(support=support, **coeffs)
 
 
 def _atomic_write(path, text):
@@ -116,31 +116,21 @@ def interval_grid(a, b, n):
 
 
 def _fit_metrics(approx, grid):
-    scan = real_axis_pole_scan(approx, grid)
     metrics = {
         "max_error": max_error(approx, grid),
         "unitarity_deviation": unitarity_deviation(approx, grid),
-        "pole_scan": {
-            "min_denominator": scan.min_denominator,
-            "location": scan.location,
-            "threshold": scan.threshold,
-            "flagged": scan.flagged,
-        },
+        "pole_scan": dataclasses.asdict(real_axis_pole_scan(approx, grid)),
     }
-    if hasattr(approx, "coefficients"):
-        metrics["cayley_residual"] = cayley_residual(approx.coefficients, approx.support)
-    else:
-        metrics["cayley_residual"] = cayley_residual(
-            np.conj(approx.alpha), approx.support
-        )
+    w = getattr(approx, approx.COEFFICIENTS[0])
+    if approx.COEFFICIENTS == ("alpha", "beta"):
+        w = np.conj(w)  # alpha = conj(w) in the Cayley form
+    metrics["cayley_residual"] = cayley_phase_residual(w, approx.support)
     return metrics
 
 
 def cmd_fit(args):
     if args.nodes is not None:
         grid = load_nodes(args.nodes)
-        if grid.size < 2:
-            raise InvalidInputError("node file must contain at least 2 nodes")
     else:
         grid = interval_grid(args.interval[0], args.interval[1], args.n_test)
 
@@ -161,8 +151,7 @@ def cmd_fit(args):
         for st in trace.lawson.steps:
             rows.append((len(trace.iterations) + st.step, st.worst_node,
                          st.max_error, st.sigma_min, 0.0))
-    write_csv(os.path.join(args.out, "trace.csv"), header,
-              list(zip(*rows)) if rows else [[]] * len(header))
+    write_csv(os.path.join(args.out, "trace.csv"), header, list(zip(*rows)))
 
     metrics = _fit_metrics(approx, grid)
     metrics["converged"] = trace.converged
@@ -186,17 +175,20 @@ def _figure_metadata():
     }
 
 
+def _figure_fit(grid, variant, lawson):
+    """A figure's fit: 15 AAA support nodes, or 14 refined by Lawson steps."""
+    config = AaaConfig(m_max=14 if lawson else 15, tol=FIGURE_TOL, variant=variant,
+                       n_lawson=FIGURE_LAWSON_STEPS if lawson else 0)
+    return aaa_fit(grid, config)[0]
+
+
 def cmd_figure(args):
     os.makedirs(args.out, exist_ok=True)
     fit_grid = interval_grid(*FIT_INTERVAL, FIT_NODES)
 
     if args.which == 1:
         pade = PadeApproximant(degree=13)
-        lawson, _ = aaa_fit(
-            fit_grid,
-            AaaConfig(m_max=14, tol=FIGURE_TOL, variant="modified",
-                      n_lawson=FIGURE_LAWSON_STEPS),
-        )
+        lawson = _figure_fit(fit_grid, "modified", lawson=True)
         target = np.exp(1j * fit_grid)
         write_csv(
             os.path.join(args.out, "figure1.csv"),
@@ -209,22 +201,14 @@ def cmd_figure(args):
         return 0
 
     eval_grid = interval_grid(*EVAL_INTERVAL, EVAL_NODES)
-    fits = {
-        "unitdev_aaa_orig": aaa_fit(
-            fit_grid, AaaConfig(m_max=15, tol=FIGURE_TOL, variant="original"))[0],
-        "unitdev_aaa_mod": aaa_fit(
-            fit_grid, AaaConfig(m_max=15, tol=FIGURE_TOL, variant="modified"))[0],
-        "unitdev_lawson_orig": aaa_fit(
-            fit_grid, AaaConfig(m_max=14, tol=FIGURE_TOL, variant="original",
-                                n_lawson=FIGURE_LAWSON_STEPS))[0],
-        "unitdev_lawson_mod": aaa_fit(
-            fit_grid, AaaConfig(m_max=14, tol=FIGURE_TOL, variant="modified",
-                                n_lawson=FIGURE_LAWSON_STEPS))[0],
-    }
     columns = [eval_grid]
     header = ["x"]
-    for name, approx in fits.items():
-        header.append(name)
+    for name, variant, lawson in (("aaa_orig", "original", False),
+                                  ("aaa_mod", "modified", False),
+                                  ("lawson_orig", "original", True),
+                                  ("lawson_mod", "modified", True)):
+        approx = _figure_fit(fit_grid, variant, lawson)
+        header.append("unitdev_" + name)
         columns.append(np.abs(np.abs(approx.eval(eval_grid)) - 1.0))
     write_csv(os.path.join(args.out, "figure2.csv"), header, columns)
     write_json(os.path.join(args.out, "figure2_metadata.json"), _figure_metadata())
@@ -246,7 +230,7 @@ def build_parser():
     fit.add_argument("--n-test", type=int, default=FIT_NODES)
     fit.add_argument("--m-max", type=int, default=14)
     fit.add_argument("--tol", type=float, default=1e-13)
-    fit.add_argument("--variant", choices=("original", "modified"), default="modified")
+    fit.add_argument("--variant", choices=VARIANTS, default="modified")
     fit.add_argument("--lawson", type=int, default=0)
     fit.add_argument("--out", default=".")
     fit.set_defaults(func=cmd_fit)

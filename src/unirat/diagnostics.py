@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import cayley_phase_residual
+from .barycentric import coefficient_norm
 from .errors import InvalidInputError, PoleEvaluationError
 from .linalg import EPS
 
@@ -58,15 +58,12 @@ class PoleScanReport:
 
 def real_axis_pole_scan(approx, grid):
     """Minimum |denominator| over the grid (|xi| for the Cayley form), with
-    its location; flags values below 1e3 * eps * ||coefficients||_2."""
+    its location; flags values below 1e3 * eps times the joint 2-norm of the
+    coefficient fields that ``approx.COEFFICIENTS`` names."""
     g = _grid(grid)
     d = np.abs(approx.denominator(g))
     i = int(np.argmin(d))
-    if hasattr(approx, "coefficients"):
-        scale = float(np.linalg.norm(approx.coefficients))
-    else:
-        scale = float(np.sqrt(np.linalg.norm(approx.alpha) ** 2
-                              + np.linalg.norm(approx.beta) ** 2))
+    scale = float(coefficient_norm([getattr(approx, f) for f in approx.COEFFICIENTS]))
     threshold = 1e3 * EPS * scale
     return PoleScanReport(
         min_denominator=float(d[i]),
@@ -75,7 +72,3 @@ def real_axis_pole_scan(approx, grid):
         flagged=bool(d[i] < threshold),
     )
 
-
-def cayley_residual(w, support):
-    """max_j |exp(i y_j) w_j - conj(w_j)|."""
-    return cayley_phase_residual(w, support)

@@ -9,16 +9,14 @@ errors and renormalized to max 1 after every step.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .barycentric import CayleyApproximant, NonInterpolatoryApproximant
+from .barycentric import CayleyApproximant, NonInterpolatoryApproximant, node_quotient
 from .errors import InvalidInputError
 from .linalg import svd_complex, svd_real
-
-SQRT2 = np.sqrt(2.0)
-
-VARIANTS = ("original", "modified")
+from .loewner import SQRT2, VARIANTS, NodeSet, bhat, modified_cauchy
 
 
 @dataclass(frozen=True)
@@ -27,8 +25,8 @@ class LawsonConfig:
     variant: str = "modified"
 
     def __post_init__(self):
-        if self.n_lawson < 1:
-            raise InvalidInputError("n_lawson must be at least 1")
+        if not isinstance(self.n_lawson, Integral) or self.n_lawson < 1:
+            raise InvalidInputError("n_lawson must be an integer of at least 1")
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")
 
@@ -73,33 +71,21 @@ def lawson_fit(test_nodes, support_nodes, config):
     """
     x = np.atleast_1d(np.asarray(test_nodes, dtype=float))
     y = np.atleast_1d(np.asarray(support_nodes, dtype=float))
-    if len(set(x.tolist())) != x.size:
-        raise InvalidInputError("test nodes must be pairwise distinct")
-    if len(set(y.tolist())) != y.size:
-        raise InvalidInputError("support nodes must be pairwise distinct")
     if set(x.tolist()) & set(y.tolist()):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")
-
-    m = y.size
-    xa = np.concatenate([x, y])
+    nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+    xa, m = nodes.test_nodes, nodes.m
     F = np.exp(1j * xa)
-    S_F = F
     mu = np.ones(xa.size)
 
-    # modified Cauchy: plain rows for the original test nodes, unit rows for
-    # the appended support nodes
-    Cp = np.zeros((xa.size, m))
-    Cp[: x.size] = 1.0 / (x[:, None] - y[None, :])
-    Cp[x.size :] = np.eye(m)
-
-    from .loewner import phase_entries
-
-    R = phase_entries(xa)
-    A = np.hstack([R.real[:, None] * Cp, -R.imag[:, None] * Cp])
+    # C' has unit rows for the appended support nodes; Bhat = [Re(R) C' |
+    # -Im(R) C'].  Each step scales their rows by sqrt(mu), which may reach
+    # 0, so NodeSet, whose weights must be positive, keeps unit weights.
+    Cp = modified_cauchy(nodes)
+    A = bhat(nodes) if config.variant == "modified" else None
 
     trace = LawsonTrace()
-    alpha = beta = None
     for step in range(1, config.n_lawson + 1):
         smu = np.sqrt(mu)[:, None]
         if config.variant == "modified":
@@ -107,20 +93,12 @@ def lawson_fit(test_nodes, support_nodes, config):
             g = res.right_vectors[:, -1]
             beta = (g[:m] - 1j * g[m:]) / SQRT2
             alpha = np.conj(beta)
-            xi = Cp @ beta
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.conj(xi) / xi
-            r[xi == 0.0] = np.inf
         else:
             M = smu * Cp
-            res = svd_complex(np.hstack([M, -S_F[:, None] * M]))
+            res = svd_complex(np.hstack([M, -F[:, None] * M]))
             g = res.right_vectors[:, -1]
             alpha, beta = g[:m], g[m:]
-            num = Cp @ alpha
-            den = Cp @ beta
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = num / den
-            r[den == 0.0] = np.inf
+        r = node_quotient(Cp, alpha, beta)
 
         eps = F - r
         worst = int(np.argmax(np.abs(eps)))

@@ -13,10 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .barycentric import check_nodes
 from .errors import InvalidInputError, NodeCollisionError
 from .linalg import EPS, svd_real
 
 SQRT2 = np.sqrt(2.0)
+
+#: Fitting variants: "original" solves the complex systems, "modified" the
+#: real re-scaled ones and returns the unitary Cayley form.
+VARIANTS = ("original", "modified")
 
 
 @dataclass(frozen=True)
@@ -34,18 +39,10 @@ class NodeSet:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.test_nodes, dtype=float))
-        y = np.atleast_1d(np.asarray(self.support_nodes, dtype=float))
+        x = check_nodes(self.test_nodes, "test nodes")
+        y = check_nodes(self.support_nodes, "support nodes")
         object.__setattr__(self, "test_nodes", x)
         object.__setattr__(self, "support_nodes", y)
-        if x.size < 1 or y.size < 1:
-            raise InvalidInputError("need at least one test node and one support node")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidInputError("nodes must be finite")
-        if len(set(x.tolist())) != x.size:
-            raise InvalidInputError("test nodes must be pairwise distinct")
-        if len(set(y.tolist())) != y.size:
-            raise InvalidInputError("support nodes must be pairwise distinct")
         if self.weights is None:
             mu = np.ones(x.size)
         else:

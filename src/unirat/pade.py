@@ -36,6 +36,8 @@ class PadeApproximant:
     """Degree-k diagonal Pade approximant of exp(ix), evaluated on the real
     axis as p(ix) / conj(p(ix))."""
 
+    COEFFICIENTS = ("coefficients",)  # scales the pole scan's threshold
+
     degree: int
     coefficients: np.ndarray = field(init=False)
 
@@ -71,8 +73,3 @@ class PadeApproximant:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         d = np.conj(self._numerator(xv))
         return complex(d[0]) if scalar else d
-
-
-def pade_eval(k, x):
-    """Evaluate the degree-k diagonal Pade approximant of exp(ix) at x."""
-    return PadeApproximant(degree=k).eval(x)

@@ -1,11 +1,18 @@
 """Shared fixtures and node-set helpers for the test suite."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 
+import unirat
 from unirat import AaaConfig, aaa_fit
+
+# Subprocesses started by the tests import the same package as the tests do.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(unirat.__file__)),
+                  os.environ.get("PYTHONPATH")]))
 
 # Fit/evaluation setup shared by the figure-reproduction tests.
 FIT_GRID = np.linspace(-13.9, 13.9, 2000)

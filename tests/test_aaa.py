@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unirat import (
     AaaConfig,
@@ -18,6 +19,8 @@ from unirat import (
 )
 from unirat.errors import InvalidInputError
 from unirat.linalg import EPS
+
+from conftest import separated_nodes
 
 
 class TestConfig:
@@ -146,3 +149,30 @@ class TestAaaFit:
         assert trace.lawson is not None
         assert len(trace.lawson.steps) == 3
         assert isinstance(approx, CayleyApproximant)
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("kwargs", [
+        {"m_max": 2.5},
+        {"m_max": 3, "tol": float("nan")},
+        {"m_max": 3, "n_lawson": 1.5},
+    ])
+    def test_rejects_non_integer_counts_and_nan_tol(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            AaaConfig(**kwargs)
+
+    def test_integer_types_accepted(self):
+        config = AaaConfig(m_max=np.int64(3), n_lawson=np.int32(0))
+        assert config.m_max == 3
+
+
+class TestModifiedProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(6, 24), st.integers(1, 5))
+    def test_unit_modulus_and_phase_residual(self, seed, n, m_max):
+        x, _ = separated_nodes(np.random.default_rng(seed), n, 0)
+        approx, _ = aaa_fit(x, AaaConfig(m_max=m_max, tol=0.0, variant="modified"))
+        assert isinstance(approx, CayleyApproximant)
+        assert approx.phase_residual <= 4 * EPS
+        grid = np.concatenate([x, approx.support, np.linspace(-20.0, 20.0, 101)])
+        assert np.max(np.abs(np.abs(approx.eval(grid)) - 1.0)) <= 1e-15

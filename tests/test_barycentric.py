@@ -381,3 +381,104 @@ class TestBlockedEvaluationProperty:
             with mock.patch.object(barycentric, "BLOCK_ELEMENTS", block):
                 grid = r.eval(x)
             assert np.array_equal(bits(grid), bits(pointwise)), name
+
+
+class TestCoefficientRange:
+    """Coefficient vectors whose plain 2-norm overflows or underflows."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200, 2.0**-1074 * 3])
+    def test_scaled_vectors_match_in_range_ones(self, scale):
+        y = [-1.0, 0.0, 1.0]
+        a = np.array([1.0, 2j, -1.0])
+        b = np.array([2.0, 1.0, 1j])
+        x = np.array([-0.5, 0.5, 3.0])
+        for name, form in FORMS.items():
+            ref = form(y, a, b)
+            r = form(y, scale * a, scale * b)
+            for field in type(r).COEFFICIENTS:
+                assert np.allclose(getattr(r, field), getattr(ref, field),
+                                   rtol=0.0, atol=4 * EPS), name
+            assert np.allclose(r.eval(x), ref.eval(x), rtol=0.0, atol=16 * EPS), name
+
+    def test_reported_cases(self):
+        r = BarycentricInterpolant([0.0, 1.0], [1e200, 1e200])
+        assert np.allclose(r.coefficients, np.sqrt(0.5), rtol=0.0, atol=EPS)
+        assert np.isfinite(r.eval(0.25))
+        r = BarycentricInterpolant([0.0], [3.7e-196j])
+        assert r.coefficients[0] == 1j
+        # |c| itself overflows here, the largest component does not
+        r = CayleyApproximant([0.0], [1e308 + 1e308j])
+        assert np.allclose(r.coefficients, (1 + 1j) * np.sqrt(0.5), rtol=0.0, atol=EPS)
+
+    def test_in_range_vectors_keep_their_bits(self):
+        # in range, the constructors divide by the plain norm and nothing else
+        rng = np.random.default_rng(5)
+        y = np.sort(rng.uniform(-5.0, 5.0, 6))
+        a, b = (3.0 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+                for _ in range(2))
+        single = BarycentricInterpolant(support=y, coefficients=b)
+        assert np.array_equal(bits(single.coefficients), bits(b / np.linalg.norm(b)))
+        pair = NonInterpolatoryApproximant(support=y, alpha=a, beta=b)
+        norm = np.sqrt(np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2)
+        assert np.array_equal(bits(pair.alpha), bits(a / norm))
+        assert np.array_equal(bits(pair.beta), bits(b / norm))
+
+    def test_zero_vectors_rejected(self):
+        for name, form in FORMS.items():
+            with pytest.raises(InvalidInputError):
+                form([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+
+
+class TestSubnormalDistance:
+    """A point at a nonzero subnormal distance from a support node, where
+    1/(x - y_j) overflows, takes the support-hit limit."""
+
+    POINTS = (1e-310, -1e-320, 5e-324)
+
+    def test_limits(self):
+        rc = CayleyApproximant([-1.0, 0.0, 1.0], [1j, 2j, 1j])
+        ri = BarycentricInterpolant([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0])
+        rn = NonInterpolatoryApproximant([-1.0, 0.0, 1.0], alpha=[1.0, 2.0, 3.0],
+                                         beta=[1.0, 4j, 1.0])
+        for x in self.POINTS:
+            assert rc.eval(x) == -1.0
+            assert ri.eval(x) == 1.0
+            assert rn.eval(x) == rn.alpha[1] / rn.beta[1]
+            for r in (rc, ri):
+                assert r.denominator(x) == r.coefficients[1]
+            assert rn.denominator(x) == rn.beta[1]
+
+    @pytest.mark.parametrize("block", [1, 4, 2**16])
+    def test_grid_equals_pointwise(self, block):
+        x = np.array([-2.0, self.POINTS[0], 0.0, 0.25, self.POINTS[1], -1.0,
+                      self.POINTS[2], 3.0])
+        y, a, b = [-1.0, 0.0, 1.0], [1.0, 2.0, 3j], [1j, 1.0, 2.0]
+        for name, form in FORMS.items():
+            r = form(y, a, b)
+            with mock.patch.object(barycentric, "BLOCK_ELEMENTS", block):
+                grid = r.eval(x)
+                den = r.denominator(x)
+            assert np.all(np.isfinite(grid)), name
+            assert np.array_equal(bits(grid), bits([r.eval(float(v)) for v in x])), name
+            assert np.array_equal(bits(den), bits([r.denominator(float(v)) for v in x]))
+
+
+class TestNodeQuotient:
+    def test_conjugate_numerator_is_bit_identical(self):
+        # the modified fits pass alpha = conj(w): (C conj(w)) / (C w) must be
+        # conj(C w) / (C w) bit for bit
+        rng = np.random.default_rng(11)
+        for rows in (50, 333, 4000):
+            m = int(rng.integers(1, 20))
+            C = 1.0 / (rng.uniform(-10, 10, (rows, 1)) - rng.uniform(-10, 10, m))
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            xi = C @ w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = np.conj(xi) / xi
+            got = barycentric.node_quotient(C, np.conj(w), w)
+            assert np.array_equal(bits(got), bits(expected))
+
+    def test_zero_denominator_is_inf(self):
+        C = np.array([[1.0, 1.0], [1.0, 2.0]])
+        r = barycentric.node_quotient(C, np.array([1.0, 0.0]), np.array([1.0, -1.0]))
+        assert r[0] == np.inf and r[1] == -1.0

@@ -7,8 +7,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from unirat import AaaConfig, aaa_fit
+from unirat import (
+    AaaConfig,
+    BarycentricInterpolant,
+    CayleyApproximant,
+    NonInterpolatoryApproximant,
+    aaa_fit,
+)
 from unirat.cli import (
     approximant_from_dict,
     approximant_to_dict,
@@ -216,3 +223,79 @@ class TestSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(tmp_path / "metrics.json")
+
+
+class TestInputBoundary:
+    def test_nan_tol_exit_2(self, tmp_path, capsys):
+        rc = main(["fit", "--n-test", "50", "--tol", "nan", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "cayley", "support": [0.0], "coeff_re": [1.0]},
+        {"kind": "noninterpolatory", "support": [0.0], "alpha_re": [1.0],
+         "alpha_im": [0.0]},
+        {"support": [0.0], "coeff_re": [1.0], "coeff_im": [0.0]},
+        {"kind": "interpolatory", "coeff_re": [1.0], "coeff_im": [0.0]},
+    ])
+    def test_missing_key_rejected(self, doc):
+        with pytest.raises(InvalidInputError):
+            approximant_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [None, [1.0], "cayley", 3.0])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(InvalidInputError):
+            approximant_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": ["cayley"], "support": [0.0]},
+        {"kind": "cayley", "support": ["a"], "coeff_re": [1.0], "coeff_im": [0.0]},
+        {"kind": "cayley", "support": [0.0], "coeff_re": ["a"], "coeff_im": [0.0]},
+        {"kind": "cayley", "support": [0.0, 1.0], "coeff_re": [1.0, 2.0],
+         "coeff_im": [0.0, 1.0, 2.0]},
+    ])
+    def test_malformed_values_rejected(self, doc):
+        with pytest.raises(InvalidInputError):
+            approximant_from_dict(doc)
+
+
+FORMS = {
+    "interpolatory": lambda y, a, b: BarycentricInterpolant(support=y, coefficients=b),
+    "cayley": lambda y, a, b: CayleyApproximant(support=y, coefficients=b),
+    "noninterpolatory": lambda y, a, b: NonInterpolatoryApproximant(
+        support=y, alpha=a, beta=b),
+}
+
+
+@st.composite
+def approximant_inputs(draw):
+    """Support nodes and coefficient vectors over the whole float range, so
+    that some norms overflow or underflow and are rescaled."""
+    m = draw(st.integers(1, 6))
+    y = draw(st.lists(st.floats(-50, 50), min_size=m, max_size=m, unique=True))
+    part = st.floats(allow_nan=False, allow_infinity=False)
+    a = [complex(draw(part), draw(part)) for _ in range(m)]
+    b = [complex(draw(part), draw(part)) for _ in range(m)]
+    return np.array(y), np.array(a), np.array(b)
+
+
+def bits(v):
+    return np.asarray(v).view(np.uint64)
+
+
+class TestJsonProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(approximant_inputs())
+    def test_round_trip_bits(self, case):
+        y, a, b = case
+        assume(np.any(b != 0.0))
+        for kind, form in FORMS.items():
+            r = form(y, a, b)
+            doc = approximant_to_dict(r)
+            assert doc["kind"] == kind
+            loaded = approximant_from_dict(json.loads(json.dumps(doc)))
+            assert type(loaded) is type(r)
+            for field in ("support",) + type(r).COEFFICIENTS:
+                assert np.array_equal(bits(getattr(loaded, field)),
+                                      bits(getattr(r, field))), (kind, field)
+            assert approximant_to_dict(loaded) == doc

@@ -8,7 +8,7 @@ from unirat import (
     CayleyApproximant,
     NonInterpolatoryApproximant,
     PadeApproximant,
-    cayley_residual,
+    cayley_phase_residual,
     max_error,
     real_axis_pole_scan,
     unitarity_deviation,
@@ -151,15 +151,15 @@ class TestPoleScan:
 class TestCayleyResidual:
     def test_minimizing_vector(self, figure_fits):
         approx, _, _ = figure_fits["aaa_mod"]
-        assert cayley_residual(approx.coefficients, approx.support) <= 4 * EPS
+        assert cayley_phase_residual(approx.coefficients, approx.support) <= 4 * EPS
 
     def test_original_vector_larger(self, figure_fits):
         # the complex SVD fixes the global phase only up to its sign rule, so
         # the residual is 2|sin(phi)| times the coefficient scale: well above
         # machine precision but bounded
         approx, _, _ = figure_fits["aaa_orig"]
-        res = cayley_residual(approx.coefficients, approx.support)
+        res = cayley_phase_residual(approx.coefficients, approx.support)
         assert 64 * EPS < res <= 2.0
 
     def test_hand_value(self):
-        assert abs(cayley_residual([1.0], [np.pi / 2]) - np.sqrt(2)) <= 4 * EPS
+        assert abs(cayley_phase_residual([1.0], [np.pi / 2]) - np.sqrt(2)) <= 4 * EPS

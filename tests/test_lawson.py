@@ -1,5 +1,7 @@
 """Lawson re-weighted minimax phase: weight rule, variants, optimality."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,18 @@ class TestLawsonFit:
             lawson_fit([1.0, 1.0], [0.0], LawsonConfig(n_lawson=1))
         with pytest.raises(InvalidInputError):
             lawson_fit([1.0, 2.0], [2.0], LawsonConfig(n_lawson=1))
+
+
+class TestBoundary:
+    def test_non_integer_steps_rejected(self):
+        with pytest.raises(InvalidInputError):
+            LawsonConfig(n_lawson=1.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_nodes_rejected_before_any_arithmetic(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                lawson_fit([1.0, 2.0, 3.0], [0.5, bad], LawsonConfig(n_lawson=2))
+            with pytest.raises(InvalidInputError):
+                lawson_fit([1.0, bad, 3.0], [0.5], LawsonConfig(n_lawson=2))

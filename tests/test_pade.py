@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unirat import PadeApproximant, pade_eval
+from unirat import PadeApproximant
 from unirat.errors import InvalidInputError
 from unirat.barycentric import BLOCK_ELEMENTS
 from unirat.linalg import EPS
@@ -30,17 +30,17 @@ class TestCoefficients:
 class TestEvaluation:
     def test_degree_one_closed_form(self):
         # (1 + ix/2)/(1 - ix/2); at x = 2 this is (1+i)/(1-i) = i
-        assert abs(pade_eval(1, 2.0) - 1j) <= 4 * EPS
+        assert abs(PadeApproximant(1).eval(2.0) - 1j) <= 4 * EPS
         x = 0.75
         ref = (1 + 1j * x / 2) / (1 - 1j * x / 2)
-        assert abs(pade_eval(1, x) - ref) <= 4 * EPS
+        assert abs(PadeApproximant(1).eval(x) - ref) <= 4 * EPS
 
     def test_degree_zero_constant(self):
         for x in (-5.0, 0.0, 2.5):
-            assert pade_eval(0, x) == 1.0
+            assert PadeApproximant(0).eval(x) == 1.0
 
     def test_endpoint_error_order(self):
-        err = abs(pade_eval(13, 13.9) - np.exp(1j * 13.9))
+        err = abs(PadeApproximant(13).eval(13.9) - np.exp(1j * 13.9))
         assert 1e-6 <= err <= 1e-4
 
     def test_unit_modulus(self):
@@ -53,7 +53,7 @@ class TestEvaluation:
         # the sample window keeps the error well above the rounding floor
         for k, lo, hi in ((1, -2.0, -1.0), (2, -1.5, -0.7), (3, -1.0, -0.4)):
             x = np.logspace(lo, hi, 20)
-            err = np.abs(pade_eval(k, x) - np.exp(1j * x))
+            err = np.abs(PadeApproximant(k).eval(x) - np.exp(1j * x))
             slope = np.polyfit(np.log(x), np.log(err), 1)[0]
             assert abs(slope - (2 * k + 1)) <= 0.2
 
