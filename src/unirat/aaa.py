@@ -21,7 +21,7 @@ from .barycentric import (
 )
 from .errors import InvalidInputError
 from .lawson import LawsonConfig, lawson_fit
-from .linalg import EPS, svd_complex, svd_real
+from .linalg import svd_complex, svd_real
 from .loewner import VARIANTS, phase_entries
 
 
@@ -112,12 +112,11 @@ def aaa_fit(test_nodes, config):
             alpha = fv * w
         r = node_quotient(C, alpha, w)
 
-        sig = res.singular_values
-        degenerate = m >= 2 and (sig[-2] - sig[-1]) <= 8.0 * EPS * sig[0]
         max_error = float(np.max(np.abs(F - r)))
         trace.iterations.append(
             AaaIteration(m=m, node=y[-1], max_error=max_error,
-                         sigma_min=float(sig[-1]), degenerate=bool(degenerate))
+                         sigma_min=float(res.singular_values[-1]),
+                         degenerate=res.degenerate)
         )
         if max_error <= config.tol:
             trace.converged = True

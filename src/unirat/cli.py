@@ -49,6 +49,14 @@ def approximant_to_dict(approx):
     return doc
 
 
+def _vector(doc, stem):
+    """The complex vector stored as the lists ``<stem>_re`` and ``<stem>_im``."""
+    re, im = doc[stem + "_re"], doc[stem + "_im"]
+    if np.ndim(re) != 1 or np.shape(re) != np.shape(im):
+        raise InvalidInputError(f"{stem}_re and {stem}_im must be flat lists of equal length")
+    return _complex(re, im)
+
+
 def approximant_from_dict(doc):
     if not isinstance(doc, dict):
         raise InvalidInputError("an approximant document must be a JSON object")
@@ -57,8 +65,7 @@ def approximant_from_dict(doc):
         raise InvalidInputError(f"unknown approximant kind {doc.get('kind')!r}")
     try:
         support = np.asarray(doc["support"], dtype=float)
-        coeffs = {name: _complex(doc[KEY_STEMS[name] + "_re"], doc[KEY_STEMS[name] + "_im"])
-                  for name in cls.COEFFICIENTS}
+        coeffs = {name: _vector(doc, KEY_STEMS[name]) for name in cls.COEFFICIENTS}
     except KeyError as exc:
         raise InvalidInputError(f"approximant document lacks key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -154,11 +154,8 @@ def min_singular_coefficients(lhat, phases):
         raise InvalidInputError("phase diagonal K does not match the column count")
     res = svd_real(lhat)
     w = 1j * phases.K * res.right_vectors[:, -1]
-    sig = res.singular_values
-    degenerate = m >= 2 and (sig[-2] - sig[-1]) <= 8.0 * EPS * sig[0]
-    return MinSingularResult(
-        coefficients=w, singular_values=sig, degenerate=bool(degenerate)
-    )
+    return MinSingularResult(coefficients=w, singular_values=res.singular_values,
+                             degenerate=res.degenerate)
 
 
 def modified_cauchy(nodes):

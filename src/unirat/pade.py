@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import BLOCK_ELEMENTS
+from .barycentric import BLOCK_ELEMENTS, _finish, _prepare
 from .errors import InvalidInputError, PoleEvaluationError
 
 #: Largest supported degree; the coefficient recurrence stays in range here.
@@ -59,17 +59,14 @@ class PadeApproximant:
         return p.reshape(xv.shape)
 
     def eval(self, x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        xv, scalar = _prepare(x)
         p = self._numerator(xv)
         if np.any(p == 0.0):
             raise PoleEvaluationError(float(xv[np.argmax(p == 0.0)]))
         out = np.conj(p)
         np.divide(p, out, out=out)
-        return complex(out[0]) if scalar else out
+        return _finish(out, scalar)
 
     def denominator(self, x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        d = np.conj(self._numerator(xv))
-        return complex(d[0]) if scalar else d
+        xv, scalar = _prepare(x)
+        return _finish(np.conj(self._numerator(xv)), scalar)

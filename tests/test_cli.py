@@ -258,6 +258,16 @@ class TestInputBoundary:
         with pytest.raises(InvalidInputError):
             approximant_from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "cayley", "support": [0, 1], "coeff_re": [1, 2], "coeff_im": [1]},
+        {"kind": "cayley", "support": [0, 1], "coeff_re": [[1, 2]], "coeff_im": [[1, 2]]},
+        {"kind": "cayley", "support": [0], "coeff_re": 1, "coeff_im": 1},
+    ])
+    def test_unequal_or_nested_parts_rejected(self, doc):
+        # re + 1j * im would broadcast these into a coefficient vector
+        with pytest.raises(InvalidInputError, match="coeff_re and coeff_im"):
+            approximant_from_dict(doc)
+
 
 FORMS = {
     "interpolatory": lambda y, a, b: BarycentricInterpolant(support=y, coefficients=b),

@@ -7,9 +7,13 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unirat import NodeSet, expanded_loewner, svd_complex, svd_real
+import unirat.lawson as lawson
+from unirat import (AaaConfig, NodeSet, aaa_fit, bhat, expanded_loewner, svd_complex,
+                    svd_real)
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import DEFAULT_SWEEP_CAP, EPS, _round_robin
+from unirat.linalg import DEFAULT_SWEEP_CAP, EPS, _pivoted_r, _round_robin
+
+from conftest import FIT_GRID
 
 mp.mp.dps = 50
 
@@ -289,3 +293,108 @@ class TestSvdProperties:
             V = svd_complex(expanded_loewner(nodes)).right_vectors
             worst = max(worst, float(np.max(np.abs(V.conj().T @ V - np.eye(2 * m)))))
         assert worst <= 64 * EPS
+
+
+def pivoted_cases():
+    """Square matrices for the pivoted QR, with the shapes of rank loss it
+    must survive."""
+    rng = np.random.default_rng(47)
+    real = rng.standard_normal((6, 6))
+    cplx = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    zero_col = real.copy()
+    zero_col[:, 1] = 0.0
+    dup = cplx.copy()
+    dup[:, 3] = dup[:, 0]
+    return {"real": real, "complex": cplx, "zero column": zero_col,
+            "duplicate columns": dup, "zero matrix": np.zeros((4, 4)),
+            "1x1": np.array([[-3.5]])}
+
+
+class TestPivotedQr:
+    @pytest.mark.parametrize("name", list(pivoted_cases()))
+    def test_factorization(self, name):
+        T = pivoted_cases()[name]
+        R, p = _pivoted_r(T)
+        k = T.shape[1]
+        assert sorted(p.tolist()) == list(range(k))
+        assert np.array_equal(R, np.triu(R))
+        # a square R with R^H R = (T P)^H (T P) is the R of T P = Q R for a
+        # unitary Q
+        G = T[:, p].conj().T @ T[:, p]
+        scale = max(np.max(np.abs(G)), 1.0)
+        assert np.max(np.abs(R.conj().T @ R - G)) <= 16 * k * EPS * scale
+        d = np.abs(np.diag(R))
+        assert np.all(d[1:] <= d[:-1] * (1 + 4 * EPS))
+
+    def test_pivots_largest_column_first(self):
+        T = np.diag([1.0, 3.0, 2.0])
+        R, p = _pivoted_r(T)
+        assert p.tolist() == [1, 2, 0]
+        assert np.allclose(np.abs(np.diag(R)), [3.0, 2.0, 1.0], rtol=8 * EPS, atol=0)
+
+
+def small_cases():
+    """A zero column and a rank-one matrix, which the pivoting reorders, and
+    a wide matrix."""
+    rng = np.random.default_rng(53)
+    zero_col = rng.standard_normal((5, 3))
+    zero_col[:, 0] = 0.0
+    rank_one = np.outer(rng.standard_normal(4), [1.0, 2.0, 3.0])
+    wide = rng.standard_normal((2, 4))
+    return {"zero column": zero_col, "rank one": rank_one, "wide 2x4": wide}
+
+
+class TestSmallMatrices:
+    @pytest.mark.parametrize("svd", [svd_real, svd_complex])
+    @pytest.mark.parametrize("name", list(small_cases()))
+    def test_factorization(self, svd, name):
+        A = small_cases()[name]
+        if svd is svd_complex:
+            A = A * np.exp(1j * np.arange(A.shape[1]))
+        res = svd(A)
+        n, m = A.shape
+        V, U, s = res.right_vectors, res.left_vectors, res.singular_values
+        k = U.shape[1]
+        assert np.max(np.abs(V.conj().T @ V - np.eye(m))) <= 64 * EPS
+        scale = np.max(np.abs(A))
+        assert np.max(np.abs(A @ V[:, :k] - U * s[:k])) <= 64 * EPS * scale * max(n, m)
+        ref = np.linalg.svd(A, compute_uv=False)
+        assert np.max(np.abs(s[:k] - ref)) <= 64 * EPS * ref[0]
+
+
+def figure_support(variant):
+    """The support nodes of the 14-node AAA fit on the figure grid."""
+    return aaa_fit(FIT_GRID, AaaConfig(m_max=14, tol=1e-12, variant=variant))[0].support
+
+
+class TestSweepCounts:
+    """Sweeps are deterministic; the unpreconditioned kernel needed 12-16 on
+    the figure-grid Lawson systems."""
+
+    def test_first_lawson_systems(self):
+        # unit weights, over the support nodes that figure 1's AAA-Lawson fit
+        # refines
+        y = figure_support("modified")
+        x = FIT_GRID[~np.isin(FIT_GRID, y)]
+        nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+        assert svd_real(bhat(nodes)).sweeps <= 8
+        assert svd_complex(expanded_loewner(nodes)).sweeps <= 8
+
+    @pytest.mark.parametrize("variant, first", [("modified", 8), ("original", 9)])
+    def test_figure_lawson_fit(self, monkeypatch, variant, first):
+        # the first system of the original fit has twelve leading columns
+        # within 0.2% in norm, and its eighth sweep only rotates pairs whose
+        # cosines sit at the eps threshold; the weighted systems after it
+        # are where the column pivoting pays
+        sweeps = []
+        for name in ("svd_real", "svd_complex"):
+            def record(A, svd=getattr(lawson, name)):
+                res = svd(A)
+                sweeps.append(res.sweeps)
+                return res
+            monkeypatch.setattr(lawson, name, record)
+        y = figure_support(variant)
+        lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
+                          lawson.LawsonConfig(n_lawson=20, variant=variant))
+        assert len(sweeps) == 20
+        assert sweeps[0] <= first and max(sweeps[1:]) <= 8, sweeps

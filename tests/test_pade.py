@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unirat import PadeApproximant
+from unirat.diagnostics import max_error, real_axis_pole_scan
 from unirat.errors import InvalidInputError
 from unirat.barycentric import BLOCK_ELEMENTS
 from unirat.linalg import EPS
@@ -72,3 +73,19 @@ class TestEvaluation:
         assert np.array_equal(p._numerator(x).view(np.uint64), ref.view(np.uint64))
         grid = x[:12].reshape(3, 4)
         assert np.array_equal(p._numerator(grid), ref[:12].reshape(3, 4))
+
+
+class TestNonFinitePoints:
+    """Padé rejects the points the barycentric forms reject."""
+
+    def test_eval_rejects_nan(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PadeApproximant(13).eval(np.nan)
+
+    def test_max_error_rejects_nan(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            max_error(PadeApproximant(13), [np.nan])
+
+    def test_pole_scan_rejects_nan(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            real_axis_pole_scan(PadeApproximant(13), [np.nan, 1.0])
