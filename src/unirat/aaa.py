@@ -21,8 +21,8 @@ from .barycentric import (
 )
 from .errors import InvalidInputError
 from .lawson import LawsonConfig, lawson_fit
-from .linalg import svd_complex, svd_real
-from .loewner import VARIANTS, phase_entries
+from .loewner import (VARIANTS, PhaseDiagonals, interpolatory_coefficients,
+                      interpolatory_system, phase_entries)
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,9 @@ def aaa_fit(test_nodes, config):
 
         C = np.hstack([C, (1.0 / (x - y[-1]))[:, None]])
 
-        if config.variant == "modified":
-            lhat = 2.0 * np.imag(R[:, None] * C * np.conj(K)[None, :])
-            res = svd_real(lhat)
-            w = 1j * K * res.right_vectors[:, -1]
-            alpha = np.conj(w)
-        else:
-            L = (F[:, None] - fv[None, :]) * C
-            res = svd_complex(L)
-            w = res.right_vectors[:, -1]
-            alpha = fv * w
+        ph = PhaseDiagonals(K=K, R=R, S_f=fv, S_F=F)
+        alpha, w, res = interpolatory_coefficients(
+            interpolatory_system(C, ph, config.variant), ph, config.variant)
         r = node_quotient(C, alpha, w)
 
         max_error = float(np.max(np.abs(F - r)))

@@ -97,6 +97,13 @@ def write_csv(path, header, columns):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot use {path} as output directory: {exc}") from None
+
+
 def load_nodes(path):
     nodes = []
     try:
@@ -146,7 +153,7 @@ def cmd_fit(args):
     )
     approx, trace = aaa_fit(grid, config)
 
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
     write_json(os.path.join(args.out, "approximant.json"), approximant_to_dict(approx))
 
     header = ["m", "node", "max_error", "sigma_min", "degenerate"]
@@ -190,7 +197,7 @@ def _figure_fit(grid, variant, lawson):
 
 
 def cmd_figure(args):
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
     fit_grid = interval_grid(*FIT_INTERVAL, FIT_NODES)
 
     if args.which == 1:

@@ -2,10 +2,10 @@
 
 The support nodes are appended to the test set so accuracy can be enforced
 there too.  Each step minimizes a weighted linearized error via the smallest
-right singular vector: the MODIFIED variant uses the real matrix Bhat and
-reconstructs beta_j = (g_j - i g_{j+m})/sqrt(2), the ORIGINAL variant uses a
-complex SVD of [M | -S_F M].  Weights are multiplied by the current absolute
-errors and renormalized to max 1 after every step.
+right singular vector of the real matrix Bhat (MODIFIED variant) or of the
+complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``.
+Weights are multiplied by the current absolute errors and renormalized to
+max 1 after every step.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +15,8 @@ import numpy as np
 
 from .barycentric import CayleyApproximant, NonInterpolatoryApproximant, node_quotient
 from .errors import InvalidInputError
-from .linalg import svd_complex, svd_real
-from .loewner import SQRT2, VARIANTS, NodeSet, bhat, modified_cauchy
+from .loewner import (VARIANTS, NodeSet, expanded_coefficients, expanded_system,
+                      modified_cauchy, phase_diagonals)
 
 
 @dataclass(frozen=True)
@@ -75,32 +75,23 @@ def lawson_fit(test_nodes, support_nodes, config):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")
     nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
-    xa, m = nodes.test_nodes, nodes.m
-    F = np.exp(1j * xa)
+    xa, ph = nodes.test_nodes, phase_diagonals(nodes)
     mu = np.ones(xa.size)
 
-    # C' has unit rows for the appended support nodes; Bhat = [Re(R) C' |
-    # -Im(R) C'].  Each step scales their rows by sqrt(mu), which may reach
-    # 0, so NodeSet, whose weights must be positive, keeps unit weights.
+    # C' has unit rows for the appended support nodes.  Each step scales the
+    # unit-weight Bhat, or C' before [M | -S_F M] is built, by sqrt(mu), which
+    # may reach 0, so NodeSet, whose weights must be positive, keeps unit weights.
     Cp = modified_cauchy(nodes)
-    A = bhat(nodes) if config.variant == "modified" else None
+    B = expanded_system(Cp, ph, "modified") if config.variant == "modified" else None
 
     trace = LawsonTrace()
     for step in range(1, config.n_lawson + 1):
         smu = np.sqrt(mu)[:, None]
-        if config.variant == "modified":
-            res = svd_real(smu * A)
-            g = res.right_vectors[:, -1]
-            beta = (g[:m] - 1j * g[m:]) / SQRT2
-            alpha = np.conj(beta)
-        else:
-            M = smu * Cp
-            res = svd_complex(np.hstack([M, -F[:, None] * M]))
-            g = res.right_vectors[:, -1]
-            alpha, beta = g[:m], g[m:]
+        A = smu * B if B is not None else expanded_system(smu * Cp, ph, "original")
+        alpha, beta, res = expanded_coefficients(A, config.variant)
         r = node_quotient(Cp, alpha, beta)
 
-        eps = F - r
+        eps = ph.S_F - r
         worst = int(np.argmax(np.abs(eps)))
         trace.steps.append(
             LawsonStep(step=step, max_error=float(np.abs(eps[worst])),

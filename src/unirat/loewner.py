@@ -1,12 +1,13 @@
 """Loewner-type matrices for rational approximation of exp(ix).
 
-All constructors hard-code the target function f(x) = exp(ix).  The module
-builds the Cauchy matrix C, the Loewner matrix L (entrywise or weighted),
-the real re-scaled matrix Lhat = 2 Im(R C K*), and for the non-interpolatory
-setting the modified Cauchy matrix C' (unit rows where a test node equals a
-support node), the expanded matrix [M | -S_F M] and its real counterpart
-Bhat = [Re(R) M | -Im(R) M].  The distinguished minimizing coefficient
-vectors are extracted from the real SVDs.
+All matrices hard-code f(x) = exp(ix).  Each fit's systems are built and
+solved here, once, with the variant as the only switch: AAA's by
+``interpolatory_system`` (Lhat = 2 Im(R C K*) or the Loewner matrix
+S_F C - C S_f, over a Cauchy block C) and ``interpolatory_coefficients``,
+Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
+over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
+The node-level functions (``loewner``, ``rescaled_loewner``, ``bhat``,
+``min_singular_pair``, ...) wrap these four: the identity tests check them.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +16,7 @@ import numpy as np
 
 from .barycentric import check_nodes
 from .errors import InvalidInputError, NodeCollisionError
-from .linalg import EPS, svd_real
-
-SQRT2 = np.sqrt(2.0)
+from .linalg import EPS, svd_complex, svd_real
 
 #: Fitting variants: "original" solves the complex systems, "modified" the
 #: real re-scaled ones and returns the unitary Cayley form.
@@ -100,6 +99,41 @@ def phase_diagonals(nodes):
     )
 
 
+def interpolatory_system(C, ph, variant):
+    """Lhat = 2 Im(R C K*) (modified) or the Loewner matrix S_F C - C S_f."""
+    if variant == "modified":
+        return 2.0 * np.imag(ph.R[:, None] * C * np.conj(ph.K)[None, :])
+    return (ph.S_F[:, None] - ph.S_f[None, :]) * C
+
+
+def interpolatory_coefficients(A, ph, variant):
+    """(alpha, w, svd): (conj(w), w = i K v) or (S_f v, v), v = last right vector."""
+    res = (svd_real if variant == "modified" else svd_complex)(A)
+    v = res.right_vectors[:, -1]
+    if variant == "original":
+        return ph.S_f * v, v, res
+    w = 1j * ph.K * v
+    return np.conj(w), w, res
+
+
+def expanded_system(M, ph, variant):
+    """Bhat = [Re(R) M | -Im(R) M] (modified) or [M | -S_F M]."""
+    if variant == "modified":
+        return np.hstack([ph.R.real[:, None] * M, -ph.R.imag[:, None] * M])
+    return np.hstack([M, -ph.S_F[:, None] * M])
+
+
+def expanded_coefficients(A, variant):
+    """(alpha, beta, svd): (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta]."""
+    m = A.shape[1] // 2
+    res = (svd_real if variant == "modified" else svd_complex)(A)
+    g = res.right_vectors[:, -1]
+    if variant == "original":
+        return g[:m], g[m:], res
+    beta = (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
+    return np.conj(beta), beta, res
+
+
 def _differences(nodes, allow_overlap=False):
     D = nodes.test_nodes[:, None] - nodes.support_nodes[None, :]
     if not allow_overlap and np.any(D == 0.0):
@@ -115,10 +149,7 @@ def cauchy(nodes):
 
 def loewner(nodes):
     """L_kj = (e^{i x_k} - e^{i y_j}) / (x_k - y_j)."""
-    D = _differences(nodes)
-    F = np.exp(1j * nodes.test_nodes)
-    f = np.exp(1j * nodes.support_nodes)
-    return (F[:, None] - f[None, :]) / D
+    return interpolatory_system(cauchy(nodes), phase_diagonals(nodes), "original")
 
 
 def weighted_loewner(nodes):
@@ -129,9 +160,8 @@ def weighted_loewner(nodes):
 def rescaled_loewner(nodes):
     """Real matrix 2 Im(R M K*) with M = diag(sqrt(mu)) C; shares singular
     values with the (weighted) Loewner matrix."""
-    ph = phase_diagonals(nodes)
     M = np.sqrt(nodes.weights)[:, None] * cauchy(nodes)
-    return 2.0 * np.imag(ph.R[:, None] * M * np.conj(ph.K)[None, :])
+    return interpolatory_system(M, phase_diagonals(nodes), "modified")
 
 
 @dataclass(frozen=True)
@@ -152,8 +182,7 @@ def min_singular_coefficients(lhat, phases):
         raise InvalidInputError(f"need at least m-1 test nodes, got {n} for m={m}")
     if phases.K.size != m:
         raise InvalidInputError("phase diagonal K does not match the column count")
-    res = svd_real(lhat)
-    w = 1j * phases.K * res.right_vectors[:, -1]
+    _, w, res = interpolatory_coefficients(lhat, phases, "modified")
     return MinSingularResult(coefficients=w, singular_values=res.singular_values,
                              degenerate=res.degenerate)
 
@@ -174,16 +203,14 @@ def modified_cauchy(nodes):
 def expanded_loewner(nodes):
     """[M | -S_F M] with M = diag(sqrt(mu)) C' (complex, n x 2m)."""
     M = np.sqrt(nodes.weights)[:, None] * modified_cauchy(nodes)
-    S_F = np.exp(1j * nodes.test_nodes)
-    return np.hstack([M, -S_F[:, None] * M])
+    return expanded_system(M, phase_diagonals(nodes), "original")
 
 
 def bhat(nodes):
     """Real n x 2m matrix [Re(R) M | -Im(R) M]; its singular values are
     those of [M | -S_F M] divided by sqrt(2)."""
     M = np.sqrt(nodes.weights)[:, None] * modified_cauchy(nodes)
-    R = phase_entries(nodes.test_nodes)
-    return np.hstack([R.real[:, None] * M, -R.imag[:, None] * M])
+    return expanded_system(M, phase_diagonals(nodes), "modified")
 
 
 def min_singular_pair(bhat_matrix):
@@ -192,9 +219,4 @@ def min_singular_pair(bhat_matrix):
     B = np.asarray(bhat_matrix, dtype=float)
     if B.shape[1] % 2 != 0:
         raise InvalidInputError("Bhat must have an even number of columns")
-    m = B.shape[1] // 2
-    res = svd_real(B)
-    g = res.right_vectors[:, -1]
-    alpha = (g[:m] + 1j * g[m:]) / SQRT2
-    beta = (g[:m] - 1j * g[m:]) / SQRT2
-    return alpha, beta
+    return expanded_coefficients(B, "modified")[:2]

@@ -11,9 +11,12 @@ from unirat import (
     NodeSet,
     aaa_fit,
     greedy_select,
+    loewner,
     max_error,
+    min_singular_coefficients,
     phase_diagonals,
     rescaled_loewner,
+    svd_complex,
     svd_real,
     unitarity_deviation,
 )
@@ -109,6 +112,23 @@ class TestAaaFit:
         assert trace.stop_reason == "m_max"
         nodes = [it.node for it in trace.iterations]
         assert len(set(nodes)) == 4
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_final_coefficients_match_public_path(self, variant):
+        # the fit builds and solves its systems with the functions behind the
+        # node-level constructors and extractors, so the bits agree
+        rng = np.random.default_rng(64)
+        for _ in range(5):
+            x, _ = separated_nodes(rng, 16, 0)
+            approx, _ = aaa_fit(x, AaaConfig(m_max=6, tol=0.0, variant=variant))
+            y = approx.support
+            ns = NodeSet(test_nodes=x[~np.isin(x, y)], support_nodes=y)
+            if variant == "modified":
+                w = min_singular_coefficients(rescaled_loewner(ns),
+                                              phase_diagonals(ns)).coefficients
+            else:
+                w = svd_complex(loewner(ns)).right_vectors[:, -1]
+            assert np.array_equal(approx.coefficients, w)
 
     def test_nullspace_final_iteration(self):
         # with N = 2 m_max - 1 nodes the last matrix is (m-1) x m

@@ -231,6 +231,17 @@ class TestInputBoundary:
         assert rc == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fit", "--n-test", "50", "--m-max", "3"],
+                                         ["figure", "1"]])
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_not_a_directory_exit_2(self, command, sub, tmp_path, capsys):
+        # --out names an existing file, or a path below one
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(command + ["--out", str(blocker / sub)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [
         {"kind": "cayley", "support": [0.0], "coeff_re": [1.0]},
         {"kind": "noninterpolatory", "support": [0.0], "alpha_re": [1.0],

@@ -63,17 +63,25 @@ class TestConfig:
 
 class TestLawsonFit:
     def test_first_step_matches_expanded_svd(self):
-        # one step with unit weights reproduces the distinguished pair from
-        # the real expanded matrix over test nodes + appended support nodes
+        # one step with unit weights reproduces, bit for bit, the pair from
+        # the expanded matrix over test nodes + appended support nodes: the
+        # fit and the node-level functions build and solve it with the same code
         rng = np.random.default_rng(72)
-        x, y = separated_nodes(rng, 10, 3)
-        approx, trace = lawson_fit(x, y, LawsonConfig(n_lawson=1))
-        xa = np.concatenate([x, y])
-        ns = NodeSet(test_nodes=xa, support_nodes=y)
-        alpha, beta = min_singular_pair(bhat(ns))
-        assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
-        w = beta / np.linalg.norm(beta)
-        assert np.max(np.abs(approx.coefficients - w)) <= 4 * EPS
+        for _ in range(5):
+            x, y = separated_nodes(rng, 10, 3)
+            ns = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+            alpha, beta = min_singular_pair(bhat(ns))
+            assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
+            g = svd_complex(expanded_loewner(ns)).right_vectors[:, -1]
+            expected = {
+                "modified": CayleyApproximant(support=y, coefficients=beta),
+                "original": NonInterpolatoryApproximant(support=y, alpha=g[:y.size],
+                                                        beta=g[y.size:]),
+            }
+            for variant, ref in expected.items():
+                approx, _ = lawson_fit(x, y, LawsonConfig(n_lawson=1, variant=variant))
+                for name in ref.COEFFICIENTS:
+                    assert np.array_equal(getattr(approx, name), getattr(ref, name))
 
     def test_modified_iterates_stay_unitary(self):
         rng = np.random.default_rng(74)

@@ -1,5 +1,6 @@
 """SVD kernel tests: examples, oracles, and factorization invariants."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -386,14 +387,18 @@ class TestSweepCounts:
         # within 0.2% in norm, and its eighth sweep only rotates pairs whose
         # cosines sit at the eps threshold; the weighted systems after it
         # are where the column pivoting pays
+        # the fits solve their systems in unirat.loewner, whose package
+        # attribute is the loewner function, not the module; the support is
+        # fitted before patching, so only the Lawson SVDs are recorded
+        y = figure_support(variant)
+        loewner = importlib.import_module("unirat.loewner")
         sweeps = []
         for name in ("svd_real", "svd_complex"):
-            def record(A, svd=getattr(lawson, name)):
+            def record(A, svd=getattr(loewner, name)):
                 res = svd(A)
                 sweeps.append(res.sweeps)
                 return res
-            monkeypatch.setattr(lawson, name, record)
-        y = figure_support(variant)
+            monkeypatch.setattr(loewner, name, record)
         lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
                           lawson.LawsonConfig(n_lawson=20, variant=variant))
         assert len(sweeps) == 20
