@@ -33,8 +33,14 @@ BLOCK_ELEMENTS = 2**16
 
 
 def check_nodes(nodes, name="nodes", least=1):
-    """``nodes`` as a float array of at least ``least`` finite, distinct values."""
-    v = np.atleast_1d(np.asarray(nodes, dtype=float))
+    """``nodes`` as a 1-D float array of at least ``least`` finite, distinct
+    values."""
+    try:
+        v = np.atleast_1d(np.asarray(nodes, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be real numbers: {exc}") from None
+    if v.ndim != 1:
+        raise InvalidInputError(f"{name} must be 1-D, got shape {v.shape}")
     if v.size < least:
         raise InvalidInputError(f"need at least {least} {name}")
     if not np.all(np.isfinite(v)):

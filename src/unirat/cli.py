@@ -151,9 +151,8 @@ def cmd_fit(args):
     config = AaaConfig(
         m_max=args.m_max, tol=args.tol, variant=args.variant, n_lawson=args.lawson
     )
-    approx, trace = aaa_fit(grid, config)
-
     make_out_dir(args.out)
+    approx, trace = aaa_fit(grid, config)
     write_json(os.path.join(args.out, "approximant.json"), approximant_to_dict(approx))
 
     header = ["m", "node", "max_error", "sigma_min", "degenerate"]

@@ -9,17 +9,20 @@ Householder QR with column pivoting, T P = Q2 R2, and an LQ step,
 R2^H = Q3 R3, then leave the lower-triangular R3^H, and the sweeps rotate
 its columns: on the figure-grid Lawson systems they converge in 6-9 sweeps,
 where rotating T took 12-16.  The right vectors are V = P Q3 W, W the
-accumulated rotations, and they are applied to A itself.  Each sweep visits every column pair once in round-robin order
-(Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 1985), whose rounds of disjoint
-pairs are rotated by one set of array operations each.  A complex pair is
-rotated by the Hermitian 2 x 2 rotation that takes out the phase of its
-inner product, so complex input needs no real embedding.
+accumulated rotations, and they are applied to A itself.  Each sweep visits
+every column pair once in round-robin order (Brent & Luk, SIAM J. Sci.
+Stat. Comput. 6, 1985), whose rounds of disjoint pairs are rotated by one
+set of array operations each.  A complex pair is rotated by the Hermitian
+2 x 2 rotation that takes out the phase of its inner product, so complex
+input needs no real embedding.  The fits read only V and the singular
+values, so the left vectors are built on first access, from a Householder
+QR of A V.
 """
 
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,16 +53,16 @@ class SvdResult:
     ``singular_values`` has one entry per column of A, in descending order
     (for a matrix with fewer rows than columns the trailing values are the
     numerically zero ones).  ``right_vectors`` is the square cols x cols
-    basis; ``left_vectors`` holds min(rows, cols) orthonormal columns.
-    ``sweeps`` and ``rotations`` count the Jacobi sweeps run and the column
-    pair rotations applied.
+    basis; ``left_vectors`` holds min(rows, cols) orthonormal columns, built
+    on first access from a QR of A V.  ``sweeps`` and ``rotations`` count
+    the Jacobi sweeps run and the column pair rotations applied.
     """
 
     singular_values: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
     sweeps: int
     rotations: int
+    _av: np.ndarray = field(repr=False, compare=False)
 
     @property
     def degenerate(self):
@@ -67,6 +70,15 @@ class SvdResult:
         of each other, so that the last right vector is not determined."""
         sig = self.singular_values
         return bool(sig.size >= 2 and (sig[-2] - sig[-1]) <= 8.0 * EPS * sig[0])
+
+    @functools.cached_property
+    def left_vectors(self):
+        """The Q of a Householder QR of A V, each column turned to the phase
+        of its r_jj, so column j is A v_j / sigma_j wherever sigma_j is well
+        above the noise.  Householder Q is orthonormal whatever the rank."""
+        Q, R = np.linalg.qr(self._av)
+        d = np.diagonal(R)
+        return Q * _phase(np.where(d == 0.0, 1.0, d))
 
 
 @functools.lru_cache(maxsize=128)
@@ -152,7 +164,7 @@ def _jacobi_orthogonalize(R, cap):
         if not rotated:
             return S[:, k:].T, sweep, rotations
     # the cap was reached; accept the result if the last sweep actually
-    # drove the off-diagonal Gram entries to roundoff level
+    # drove the column inner products to roundoff level
     C = S[:, :k]
     off = np.abs(C.conj() @ C.T)
     np.fill_diagonal(off, 0.0)
@@ -217,35 +229,15 @@ def _preconditioned(T, cap):
     return V, sweeps, rotations
 
 
-def _complete_basis(U, start, n):
-    """Fill U[:, start:] with orthonormal columns via Gram-Schmidt from e_i."""
-    col = start
-    for i in range(n):
-        if col == U.shape[1]:
-            return
-        v = np.zeros(n, dtype=U.dtype)
-        v[i] = 1.0
-        for _ in range(2):  # twice is enough
-            v = v - U[:, :col] @ (U[:, :col].conj().T @ v)
-        nv = np.linalg.norm(v)
-        # the squared residuals of the unused e_i sum to at least
-        # n - col - 1/4, so one of them clears this bound
-        if nv >= 0.5 / np.sqrt(n):
-            U[:, col] = v / nv
-            col += 1
-    if col < U.shape[1]:
-        raise NumericalFailureError("failed to complete orthonormal basis", 0.0)
-
-
-def _apply_sign_convention(V, U):
+def _apply_sign_convention(V, M):
     """Make the largest-magnitude entry of each right singular vector
-    real-nonnegative, adjusting U consistently."""
+    real-nonnegative, adjusting M = A V consistently."""
     top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
     mag = np.abs(top)
     phase = np.conj(top) / np.where(mag > 0.0, mag, 1.0)
     phase[mag == 0.0] = 1.0
     V *= phase
-    U *= phase[: U.shape[1]]
+    M *= phase
 
 
 def _svd(A, dtype):
@@ -256,9 +248,9 @@ def _svd(A, dtype):
         raise InvalidInputError("matrix contains non-finite entries")
     n, m = A.shape
     cap = sweep_cap()
-    # Gram entries overflow above ~1e154 and lose their precision below
-    # ~1e-154, so a matrix far out of range is brought near 1 by an exact
-    # power of two; one in range is left untouched
+    # column inner products overflow above ~1e154 and lose their precision
+    # below ~1e-154, so a matrix far out of range is brought near 1 by an
+    # exact power of two; one in range is left untouched
     _, e = np.frexp(np.max(np.abs(A)))
     shift = int(e) if abs(e) > 256 else 0
     if shift:
@@ -282,16 +274,9 @@ def _svd(A, dtype):
     order = np.argsort(-norms, kind="stable")
     sigma, V, M = norms[order], V[:, order], M[:, order]
 
-    k = min(n, m)
-    U = np.zeros((n, k), dtype=dtype)
-    filled = int(np.count_nonzero(sigma[:k] > n * EPS * sigma[0]))
-    for j in range(filled):
-        u = M[:, j] - U[:, :j] @ (U[:, :j].conj().T @ M[:, j])
-        U[:, j] = u / np.linalg.norm(u)
-    _complete_basis(U, filled, n)
-    _apply_sign_convention(V, U)
+    _apply_sign_convention(V, M)
     return SvdResult(singular_values=np.ldexp(sigma, shift), right_vectors=V,
-                     left_vectors=U, sweeps=sweeps, rotations=rotations)
+                     sweeps=sweeps, rotations=rotations, _av=M)
 
 
 def svd_real(A):

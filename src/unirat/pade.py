@@ -7,6 +7,7 @@ value (real coefficients), so the quotient has unit modulus.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -20,8 +21,8 @@ MAX_DEGREE = 85
 def pade_coefficients(k):
     """Numerator coefficients c_0..c_k via the stable ratio recurrence
     c_{j+1}/c_j = (k-j) / ((2k-j)(j+1))."""
-    if k < 0:
-        raise InvalidInputError("degree must be nonnegative")
+    if not isinstance(k, Integral) or k < 0:
+        raise InvalidInputError("degree must be a nonnegative integer")
     if k > MAX_DEGREE:
         raise InvalidInputError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
     c = np.empty(k + 1)

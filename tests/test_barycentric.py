@@ -10,10 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from unirat import barycentric
 from unirat import (
+    AaaConfig,
     BarycentricInterpolant,
     CayleyApproximant,
     NodeSet,
     NonInterpolatoryApproximant,
+    aaa_fit,
     bhat,
     min_singular_coefficients,
     min_singular_pair,
@@ -21,6 +23,7 @@ from unirat import (
     rescaled_loewner,
     to_cayley,
 )
+from unirat.cli import approximant_from_dict
 from unirat.errors import (
     AmbiguousEvaluationError,
     InvalidInputError,
@@ -482,3 +485,21 @@ class TestNodeQuotient:
         C = np.array([[1.0, 1.0], [1.0, 2.0]])
         r = barycentric.node_quotient(C, np.array([1.0, 0.0]), np.array([1.0, -1.0]))
         assert r[0] == np.inf and r[1] == -1.0
+
+
+class TestCheckNodes:
+    @pytest.mark.parametrize("build", [
+        lambda: approximant_from_dict({"kind": "cayley", "support": [[0, 1]],
+                                       "coeff_re": [1, 2], "coeff_im": [0, 0]}),
+        lambda: NodeSet(test_nodes=[[1.0, 2.0]], support_nodes=[0.0]),
+        lambda: aaa_fit(np.arange(6.0).reshape(2, 3), AaaConfig(m_max=1)),
+    ], ids=["approximant document", "NodeSet", "aaa_fit"])
+    def test_rejects_nodes_that_are_not_1d(self, build):
+        # set(v.tolist()) raised TypeError: unhashable type: 'list'
+        with pytest.raises(InvalidInputError, match="1-D"):
+            build()
+
+    @pytest.mark.parametrize("nodes", [[[0.0, 1.0], [2.0]], ["a"], [1j]])
+    def test_rejects_nodes_that_are_not_real_numbers(self, nodes):
+        with pytest.raises(InvalidInputError, match="real numbers"):
+            NodeSet(test_nodes=nodes, support_nodes=[5.0])

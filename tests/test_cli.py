@@ -242,6 +242,15 @@ class TestInputBoundary:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_checked_before_fit(self, tmp_path, monkeypatch, capsys):
+        def no_fit(*args):
+            raise AssertionError("aaa_fit ran before --out was checked")
+        monkeypatch.setattr("unirat.cli.aaa_fit", no_fit)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["fit", "--n-test", "50", "--out", str(blocker)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [
         {"kind": "cayley", "support": [0.0], "coeff_re": [1.0]},
         {"kind": "noninterpolatory", "support": [0.0], "alpha_re": [1.0],

@@ -123,14 +123,31 @@ class TestSvdReal:
         assert_factorization(A, res)
 
     def test_left_basis_completion_evenly_spread(self):
-        # the left null vector (1, ..., 1)/sqrt(6) leaves every e_i a residual
-        # of 1/sqrt(6) < 1/2 against the computed left vectors
+        # the left null vector (1, ..., 1)/sqrt(6) is spread evenly over the
+        # coordinates, so the last left vector, which sigma does not
+        # determine, must still come out orthonormal to the others
         n = 6
         P = np.eye(n) - np.full((n, n), 1.0 / n)
         A = P @ np.random.default_rng(43).standard_normal((n, n))
         res = svd_real(A)
         assert_factorization(A, res)
         assert res.singular_values[-1] <= 64 * EPS * res.singular_values[0]
+
+    def test_rank_one_noise_column_orthonormal(self):
+        # sigma_1 / sigma_0 = 6.2e-16 is noise; one Gram-Schmidt pass over
+        # that column of A V gave |U^T U - I| = 456 eps
+        rng = np.random.default_rng(258)
+        A = np.outer(rng.standard_normal(2), rng.standard_normal(4))
+        res = svd_real(A)
+        assert res.singular_values[1] <= 8 * EPS * res.singular_values[0]
+        assert_factorization(A, res)
+
+    def test_left_vectors_built_on_first_access(self):
+        res = svd_complex(np.random.default_rng(59).standard_normal((7, 3)))
+        assert "left_vectors" not in vars(res)
+        U = res.left_vectors
+        assert "left_vectors" in vars(res)
+        assert res.left_vectors is U
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "-5"])
     def test_sweep_cap_env_rejected(self, monkeypatch, value):
@@ -243,6 +260,7 @@ class TestSvdProperties:
         V, U, s = res.right_vectors, res.left_vectors, res.singular_values
         k = U.shape[1]
         assert np.max(np.abs(V.conj().T @ V - np.eye(m))) <= 64 * EPS
+        assert np.max(np.abs(U.conj().T @ U - np.eye(k))) <= 64 * EPS
         assert np.max(np.abs(np.linalg.norm(V, axis=0) - 1.0)) <= 4 * EPS
         recon = A @ V[:, :k] - U * s[:k]
         assert np.max(np.abs(recon)) <= 64 * EPS * np.max(np.abs(A)) * max(n, m)
