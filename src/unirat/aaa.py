@@ -9,7 +9,6 @@ unmodified method.
 """
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .barycentric import (
     BarycentricInterpolant,
     CayleyApproximant,
     check_nodes,
+    is_count,
     node_quotient,
 )
 from .errors import InvalidInputError
@@ -33,13 +33,13 @@ class AaaConfig:
     n_lawson: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.m_max, Integral) or self.m_max < 1:
+        if not is_count(self.m_max) or self.m_max < 1:
             raise InvalidInputError("m_max must be an integer of at least 1")
         if not self.tol >= 0:  # also rejects NaN
             raise InvalidInputError("tol must be nonnegative")
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")
-        if not isinstance(self.n_lawson, Integral) or self.n_lawson < 0:
+        if not is_count(self.n_lawson) or self.n_lawson < 0:
             raise InvalidInputError("n_lawson must be a nonnegative integer")
 
 

@@ -17,6 +17,7 @@ and finds support-node hits by exact float equality; a hit takes the limit.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .linalg import EPS
 
 #: Point-node pairs per evaluation block.
 BLOCK_ELEMENTS = 2**16
+
+
+def is_count(k):
+    """Whether k is an integer; bool, an Integral subclass, is not a count."""
+    return isinstance(k, Integral) and not isinstance(k, bool)
 
 
 def check_nodes(nodes, name="nodes", least=1):

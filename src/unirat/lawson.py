@@ -9,11 +9,11 @@ max 1 after every step.
 """
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .barycentric import CayleyApproximant, NonInterpolatoryApproximant, node_quotient
+from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
+                          is_count, node_quotient)
 from .errors import InvalidInputError
 from .loewner import (VARIANTS, NodeSet, expanded_coefficients, expanded_system,
                       modified_cauchy, phase_diagonals)
@@ -25,7 +25,7 @@ class LawsonConfig:
     variant: str = "modified"
 
     def __post_init__(self):
-        if not isinstance(self.n_lawson, Integral) or self.n_lawson < 1:
+        if not is_count(self.n_lawson) or self.n_lawson < 1:
             raise InvalidInputError("n_lawson must be an integer of at least 1")
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")
@@ -69,8 +69,8 @@ def lawson_fit(test_nodes, support_nodes, config):
     ``NonInterpolatoryApproximant`` carrying both alpha and beta for the
     original variant.
     """
-    x = np.atleast_1d(np.asarray(test_nodes, dtype=float))
-    y = np.atleast_1d(np.asarray(support_nodes, dtype=float))
+    x = check_nodes(test_nodes, "test nodes", least=0)
+    y = check_nodes(support_nodes, "support nodes")
     if set(x.tolist()) & set(y.tolist()):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")

@@ -12,11 +12,12 @@ where rotating T took 12-16.  The right vectors are V = P Q3 W, W the
 accumulated rotations, and they are applied to A itself.  Each sweep visits
 every column pair once in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6, 1985), whose rounds of disjoint pairs are rotated by one
-set of array operations each.  A complex pair is rotated by the Hermitian
-2 x 2 rotation that takes out the phase of its inner product, so complex
-input needs no real embedding.  The fits read only V and the singular
-values, so the left vectors are built on first access, from a Householder
-QR of A V.
+set of array operations each; a round computes the rotations of its active
+pairs only, those not yet orthogonal to roundoff, and writes back only
+their rows.  A complex pair is rotated by the Hermitian 2 x 2 rotation that
+takes out the phase of its inner product, so complex input needs no real
+embedding.  The fits read only V and the singular values, so the left
+vectors are built on first access, from a Householder QR of A V.
 """
 
 import functools
@@ -132,45 +133,54 @@ def _jacobi_orthogonalize(R, cap):
     # scatter per round move a column pair together with its right vectors
     S = np.hstack([R.T, np.eye(m, dtype=R.dtype)])
     rotations = 0
-    for sweep in range(1, cap + 1):
-        rotated = 0
-        for index, half in _round_robin(m):
-            P = S[index]
-            C = P[:, :k]
-            norms = np.einsum("ij,ij->i", C.conj(), C).real
-            app, aqq = norms[:half], norms[half:]
-            apq = np.einsum("ij,ij->i", C[:half].conj(), C[half:])
-            a = np.abs(apq)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for sweep in range(1, cap + 1):
+            rotated = 0
+            for index, half in _round_robin(m):
+                P = S[index]
+                C = P[:, :k]
+                Cc = C.conj()
+                norms = np.einsum("ij,ij->i", Cc, C).real
+                app, aqq = norms[:half], norms[half:]
+                apq = np.einsum("ij,ij->i", Cc[:half], C[half:])
+                a = np.abs(apq)
                 zeta = (aqq - app) / (2.0 * a)
-            # a pair at the threshold (apq == 0 included) is orthogonal to
-            # roundoff; a non-finite zeta means the rotation angle is below
-            # representable resolution
-            active = (a > EPS * np.sqrt(app * aqq)) & np.isfinite(zeta)
-            count = int(np.count_nonzero(active))
-            if not count:
-                continue
-            rotated += count
-            z = np.abs(zeta)
-            with np.errstate(over="ignore", divide="ignore"):
-                t = np.where(z > 1e150, 0.5 / z, 1.0 / (z + np.hypot(1.0, zeta)))
-            t = np.where(active, np.copysign(t, zeta), 0.0)  # t = 0: identity
-            cs = 1.0 / np.hypot(1.0, t)
-            sn = cs * t * _phase(np.where(active, apq, 1.0))
-            X, Y = P[:half], P[half:]
-            S[index[:half]] = cs[:, None] * X - sn.conj()[:, None] * Y
-            S[index[half:]] = sn[:, None] * X + cs[:, None] * Y
-        rotations += rotated
-        if not rotated:
-            return S[:, k:].T, sweep, rotations
-    # the cap was reached; accept the result if the last sweep actually
-    # drove the column inner products to roundoff level
-    C = S[:, :k]
-    off = np.abs(C.conj() @ C.T)
-    np.fill_diagonal(off, 0.0)
-    norms = np.linalg.norm(C, axis=1)
-    scale = np.outer(norms, norms)
-    with np.errstate(invalid="ignore", divide="ignore"):
+                # a pair at the threshold (apq == 0 included) is orthogonal to
+                # roundoff; a non-finite zeta means the rotation angle is below
+                # representable resolution
+                ok = (a > EPS * np.sqrt(app * aqq)) & np.isfinite(zeta)
+                active = np.flatnonzero(ok)
+                if not active.size:
+                    continue
+                rotated += active.size
+                top, bottom = index[:half], index[half:]
+                X, Y = P[:half], P[half:]
+                if active.size < half:
+                    apq, a, zeta = apq[active], a[active], zeta[active]
+                    top, bottom = top[active], bottom[active]
+                    X, Y = X[active], Y[active]
+                # t = 1/(|zeta| + hypot(1, zeta)) with both sides halved, which
+                # is exact; unhalved, the sum overflows where 2|zeta| does, and
+                # a t of 0 would leave an active pair unrotated in every sweep
+                h = 0.5 * zeta
+                t = np.copysign(0.5 / (np.abs(h) + np.hypot(0.5, h)), zeta)
+                cs = 1.0 / np.hypot(1.0, t)
+                # while a is normal, apq / a has the bits of _phase(apq), whose
+                # power-of-two prescale is exact; a tiny a keeps the prescale
+                sn = cs * t * (apq / a if a.min() >= 2.0**-960 else _phase(apq))
+                c, s = cs[:, None], sn[:, None]
+                S[top] = c * X - s.conj() * Y
+                S[bottom] = s * X + c * Y
+            rotations += rotated
+            if not rotated:
+                return S[:, k:].T, sweep, rotations
+        # the cap was reached; accept the result if the last sweep actually
+        # drove the column inner products to roundoff level
+        C = S[:, :k]
+        off = np.abs(C.conj() @ C.T)
+        np.fill_diagonal(off, 0.0)
+        norms = np.linalg.norm(C, axis=1)
+        scale = np.outer(norms, norms)
         residual = float(np.max(np.where(scale > 0, off / scale, 0.0)))
     if residual > 8.0 * EPS:
         raise NumericalFailureError(

@@ -7,11 +7,10 @@ value (real coefficients), so the quotient has unit modulus.
 """
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .barycentric import BLOCK_ELEMENTS, _finish, _prepare
+from .barycentric import BLOCK_ELEMENTS, _finish, _prepare, is_count
 from .errors import InvalidInputError, PoleEvaluationError
 
 #: Largest supported degree; the coefficient recurrence stays in range here.
@@ -21,7 +20,7 @@ MAX_DEGREE = 85
 def pade_coefficients(k):
     """Numerator coefficients c_0..c_k via the stable ratio recurrence
     c_{j+1}/c_j = (k-j) / ((2k-j)(j+1))."""
-    if not isinstance(k, Integral) or k < 0:
+    if not is_count(k) or k < 0:
         raise InvalidInputError("degree must be a nonnegative integer")
     if k > MAX_DEGREE:
         raise InvalidInputError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")

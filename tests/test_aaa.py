@@ -36,6 +36,10 @@ class TestConfig:
             AaaConfig(m_max=3, variant="fast")
         with pytest.raises(InvalidInputError):
             AaaConfig(m_max=3, n_lawson=-1)
+        with pytest.raises(InvalidInputError):
+            AaaConfig(m_max=True)
+        with pytest.raises(InvalidInputError):
+            AaaConfig(m_max=3, n_lawson=False)
 
 
 class TestGreedySelect:

@@ -139,12 +139,19 @@ class TestLawsonFit:
             lawson_fit([1.0, 1.0], [0.0], LawsonConfig(n_lawson=1))
         with pytest.raises(InvalidInputError):
             lawson_fit([1.0, 2.0], [2.0], LawsonConfig(n_lawson=1))
+        # malformed nodes are checked before the overlap test
+        for x, y in [([[1.0, 2.0]], [0.5]), (["a", 2.0], [0.5]), ([1.0, 2.0], [0.5j]),
+                     ([1.0, 2.0], [[0.5]])]:
+            with pytest.raises(InvalidInputError):
+                lawson_fit(x, y, LawsonConfig(n_lawson=1))
 
 
 class TestBoundary:
     def test_non_integer_steps_rejected(self):
         with pytest.raises(InvalidInputError):
             LawsonConfig(n_lawson=1.5)
+        with pytest.raises(InvalidInputError):
+            LawsonConfig(n_lawson=True)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_nodes_rejected_before_any_arithmetic(self, bad):

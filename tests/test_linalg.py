@@ -12,7 +12,8 @@ import unirat.lawson as lawson
 from unirat import (AaaConfig, NodeSet, aaa_fit, bhat, expanded_loewner, svd_complex,
                     svd_real)
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import DEFAULT_SWEEP_CAP, EPS, _pivoted_r, _round_robin
+from unirat.linalg import (DEFAULT_SWEEP_CAP, EPS, _jacobi_orthogonalize, _phase,
+                           _pivoted_r, _round_robin)
 
 from conftest import FIT_GRID
 
@@ -296,6 +297,21 @@ class TestSvdProperties:
         assert np.all(np.abs(res.singular_values - ref) <= 16 * EPS * ref)
         assert_factorization(A, res)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 2(c)")
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_graded_column_scales(self, dtype):
+        # squared norms of the 1e-170 columns underflow to 0, and their
+        # singular values come out 0; one power-of-two rescale of the whole
+        # matrix cannot bring both column scales into range
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 4))
+        if dtype is complex:
+            A = A + 1j * rng.standard_normal((6, 4))
+        A[:, 2:] *= 1e-170
+        res = (svd_complex if dtype is complex else svd_real)(A)
+        ref = np.linalg.svd(A, compute_uv=False)
+        assert np.all(np.abs(res.singular_values - ref) <= 64 * EPS * ref)
+
     def test_expanded_loewner_right_vectors_orthonormal(self):
         # node sets drawn like acceptance criterion 3's; many of the expanded
         # systems [M | -S_F M] are wide and rank-deficient
@@ -312,6 +328,91 @@ class TestSvdProperties:
             V = svd_complex(expanded_loewner(nodes)).right_vectors
             worst = max(worst, float(np.max(np.abs(V.conj().T @ V - np.eye(2 * m)))))
         assert worst <= 64 * EPS
+
+
+def masked_jacobi(R, cap):
+    """Reference Jacobi loop: each round rotates every pair, an inactive one
+    by the identity (t = 0), through masks over the whole round."""
+    k, m = R.shape
+    S = np.hstack([R.T, np.eye(m, dtype=R.dtype)])
+    rotations = 0
+    for sweep in range(1, cap + 1):
+        rotated = 0
+        for index, half in _round_robin(m):
+            P = S[index]
+            C = P[:, :k]
+            norms = np.einsum("ij,ij->i", C.conj(), C).real
+            app, aqq = norms[:half], norms[half:]
+            apq = np.einsum("ij,ij->i", C[:half].conj(), C[half:])
+            a = np.abs(apq)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                zeta = (aqq - app) / (2.0 * a)
+            active = (a > EPS * np.sqrt(app * aqq)) & np.isfinite(zeta)
+            count = int(np.count_nonzero(active))
+            if not count:
+                continue
+            rotated += count
+            z = np.abs(zeta)
+            with np.errstate(over="ignore", divide="ignore"):
+                t = np.where(z > 1e150, 0.5 / z, 1.0 / (z + np.hypot(1.0, zeta)))
+            t = np.where(active, np.copysign(t, zeta), 0.0)
+            cs = 1.0 / np.hypot(1.0, t)
+            sn = cs * t * _phase(np.where(active, apq, 1.0))
+            X, Y = P[:half], P[half:]
+            S[index[:half]] = cs[:, None] * X - sn.conj()[:, None] * Y
+            S[index[half:]] = sn[:, None] * X + cs[:, None] * Y
+        rotations += rotated
+        if not rotated:
+            return S[:, k:].T, sweep, rotations
+    return S[:, k:].T, cap, rotations
+
+
+def kernel_input(A):
+    """The lower-triangular factor whose columns the sweeps rotate: R3^H of
+    the pivoted QR and LQ step applied to the square triangle of A."""
+    n, m = A.shape
+    if n >= m:
+        T = np.linalg.qr(A, mode="r")
+    else:
+        T = np.linalg.qr(A.conj().T, mode="complete")[1][:n].conj().T
+    R2, _ = _pivoted_r(T)
+    return np.linalg.qr(R2.conj().T)[1].conj().T
+
+
+def bit_cases():
+    """A complex factor of order 1e-150, whose inner products fall below the
+    range where the phase is one division, a zero column, rank one, and a
+    subnormal column whose pair has 2|zeta| above the overflow threshold."""
+    rng = np.random.default_rng(41)
+    tiny = 1e-150 * kernel_input(rng.standard_normal((6, 4))
+                                 + 1j * rng.standard_normal((6, 4)))
+    zero_col = rng.standard_normal((7, 5))
+    zero_col[:, 2] = 0.0
+    rank_one = np.outer(rng.standard_normal(6), rng.standard_normal(5) + 1j)
+    return {"1e-150 complex": tiny, "zero column": kernel_input(zero_col),
+            "rank one": kernel_input(rank_one),
+            "subnormal column": np.array([[1.0, 4e-309], [0.0, 3e-309]])}
+
+
+class TestKernelBits:
+    """The sweeps rotate only the active pairs of each round, and return the
+    same bits as rotating every pair with identity rotations for the rest."""
+
+    @staticmethod
+    def assert_same_bits(R):
+        V, sweeps, rotations = _jacobi_orthogonalize(R, DEFAULT_SWEEP_CAP)
+        V0, sweeps0, rotations0 = masked_jacobi(R, DEFAULT_SWEEP_CAP)
+        assert (sweeps, rotations) == (sweeps0, rotations0)
+        assert V.tobytes() == V0.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graded_matrices())
+    def test_matches_masked_rounds(self, A):
+        self.assert_same_bits(kernel_input(A))
+
+    @pytest.mark.parametrize("name", list(bit_cases()))
+    def test_edge_cases(self, name):
+        self.assert_same_bits(bit_cases()[name])
 
 
 def pivoted_cases():

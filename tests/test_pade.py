@@ -27,7 +27,7 @@ class TestCoefficients:
         assert pade_coefficients(MAX_DEGREE).shape == (MAX_DEGREE + 1,)
         assert np.all(np.isfinite(pade_coefficients(MAX_DEGREE)))
 
-    @pytest.mark.parametrize("degree", [2.5, "3", 3.0, None])
+    @pytest.mark.parametrize("degree", [2.5, "3", 3.0, None, True, False])
     def test_non_integer_degree_rejected(self, degree):
         with pytest.raises(InvalidInputError, match="integer"):
             PadeApproximant(degree)
