@@ -9,6 +9,7 @@ unmodified method.
 """
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class AaaConfig:
     def __post_init__(self):
         if not is_count(self.m_max) or self.m_max < 1:
             raise InvalidInputError("m_max must be an integer of at least 1")
-        if not self.tol >= 0:  # also rejects NaN
+        if not (isinstance(self.tol, Real) and self.tol >= 0):  # also rejects NaN
             raise InvalidInputError("tol must be nonnegative")
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")

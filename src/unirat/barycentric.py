@@ -100,21 +100,23 @@ def _partial_fraction(coeff, support, xv):
 
 
 def _prepare(x):
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    """The points as a flat float array, and the shape of x."""
+    xv = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("evaluation points must be finite")
-    return xv, np.isscalar(x) or np.ndim(x) == 0
+    return xv.ravel(), xv.shape
 
 
-def _finish(out, scalar):
-    return complex(out[0]) if scalar else out
+def _finish(out, shape):
+    """Values at the flat points in the shape of x; a complex for a scalar."""
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def _quotient(alpha, beta, support, x, hit_error):
     """n/d at the points x, the limit alpha_j/beta_j at a hit of y_j; returns
-    the values, the hit indices and whether x was a scalar.  A zero d raises
+    the flat values, the hit indices and the shape of x.  A zero d raises
     PoleEvaluationError, or ``hit_error`` at a hit."""
-    xv, scalar = _prepare(x)
+    xv, shape = _prepare(x)
     (d, n), node = _partial_fraction(np.stack([beta, alpha]), support, xv)
     zero = d == 0.0
     if np.any(zero):
@@ -123,7 +125,7 @@ def _quotient(alpha, beta, support, x, hit_error):
             raise PoleEvaluationError(float(xv[np.argmax(plain)]))
         raise hit_error(float(xv[np.argmax(zero)]))
     with np.errstate(invalid="ignore"):
-        return n / d, node, scalar
+        return n / d, node, shape
 
 
 def node_quotient(C, alpha, beta):
@@ -180,9 +182,9 @@ class _Quotient:
 
     def denominator(self, x):
         """sum beta_j/(x - y_j); beta_j at a support node y_j."""
-        xv, scalar = _prepare(x)
+        xv, shape = _prepare(x)
         beta = getattr(self, self.COEFFICIENTS[-1])
-        return _finish(_partial_fraction(beta, self.support, xv)[0], scalar)
+        return _finish(_partial_fraction(beta, self.support, xv)[0], shape)
 
 
 @dataclass(frozen=True)
@@ -208,10 +210,10 @@ class BarycentricInterpolant(_Quotient):
 def eval_interpolant(r, x):
     """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j)."""
     f, w = r.values, r.coefficients
-    out, node, scalar = _quotient(f * w, w, r.support, x, AmbiguousEvaluationError)
+    out, node, shape = _quotient(f * w, w, r.support, x, AmbiguousEvaluationError)
     hits = node >= 0
     out[hits] = f[node[hits]]
-    return _finish(out, scalar)
+    return _finish(out, shape)
 
 
 @dataclass(frozen=True)
@@ -249,11 +251,11 @@ def to_cayley(w, support, tol=1e-12):
 
 def eval_cayley(r, x):
     """conj(xi)/xi with xi = sum w_j/(x-y_j); at a support hit xi = w_j."""
-    xv, scalar = _prepare(x)
+    xv, shape = _prepare(x)
     xi, _ = _partial_fraction(r.coefficients, r.support, xv)
     if np.any(xi == 0.0):
         raise PoleEvaluationError(float(xv[np.argmax(xi == 0.0)]))
-    return _finish(np.conj(xi) / xi, scalar)
+    return _finish(np.conj(xi) / xi, shape)
 
 
 @dataclass(frozen=True)
@@ -276,5 +278,5 @@ class NonInterpolatoryApproximant(_Quotient):
 
 def eval_noninterpolatory(r, x):
     """n_b/d_b off support; the limit alpha_j/beta_j at a support hit."""
-    out, _, scalar = _quotient(r.alpha, r.beta, r.support, x, PoleEvaluationError)
-    return _finish(out, scalar)
+    out, _, shape = _quotient(r.alpha, r.beta, r.support, x, PoleEvaluationError)
+    return _finish(out, shape)

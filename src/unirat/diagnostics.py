@@ -10,7 +10,7 @@ from .linalg import EPS
 
 
 def _grid(grid):
-    g = np.atleast_1d(np.asarray(grid, dtype=float))
+    g = np.asarray(grid, dtype=float).ravel()
     if g.size == 0:
         raise InvalidInputError("grid must be nonempty")
     return g

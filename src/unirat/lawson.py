@@ -78,16 +78,15 @@ def lawson_fit(test_nodes, support_nodes, config):
     xa, ph = nodes.test_nodes, phase_diagonals(nodes)
     mu = np.ones(xa.size)
 
-    # C' has unit rows for the appended support nodes.  Each step scales the
-    # unit-weight Bhat, or C' before [M | -S_F M] is built, by sqrt(mu), which
-    # may reach 0, so NodeSet, whose weights must be positive, keeps unit weights.
+    # C' has unit rows for the appended support nodes.  Each step builds its
+    # system from sqrt(mu) C', as bhat and expanded_loewner do for a NodeSet
+    # weighted by mu; mu may reach 0, so the fit's NodeSet, whose weights must
+    # be positive, keeps unit weights.
     Cp = modified_cauchy(nodes)
-    B = expanded_system(Cp, ph, "modified") if config.variant == "modified" else None
 
     trace = LawsonTrace()
     for step in range(1, config.n_lawson + 1):
-        smu = np.sqrt(mu)[:, None]
-        A = smu * B if B is not None else expanded_system(smu * Cp, ph, "original")
+        A = expanded_system(np.sqrt(mu)[:, None] * Cp, ph, config.variant)
         alpha, beta, res = expanded_coefficients(A, config.variant)
         r = node_quotient(Cp, alpha, beta)
 

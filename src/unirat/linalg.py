@@ -22,7 +22,6 @@ vectors are built on first access, from a Householder QR of A V.
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,19 +31,9 @@ from .errors import InvalidInputError, NumericalFailureError
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 
-#: Default cap on Jacobi sweeps; override with the UNIRAT_SWEEP_CAP env var.
-DEFAULT_SWEEP_CAP = 60
-
-
-def sweep_cap():
-    """UNIRAT_SWEEP_CAP, a non-negative integer, or DEFAULT_SWEEP_CAP if unset.
-    At 0 no sweeps run, so only already orthogonal columns converge."""
-    raw = os.environ.get("UNIRAT_SWEEP_CAP", str(DEFAULT_SWEEP_CAP))
-    if not raw.strip().isdecimal():
-        raise InvalidInputError(
-            f"UNIRAT_SWEEP_CAP must be a non-negative integer, got {raw!r}"
-        )
-    return int(raw)
+#: Cap on Jacobi sweeps; an SVD still off orthogonal after it raises
+#: NumericalFailureError.
+SWEEP_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -78,8 +67,7 @@ class SvdResult:
         of its r_jj, so column j is A v_j / sigma_j wherever sigma_j is well
         above the noise.  Householder Q is orthonormal whatever the rank."""
         Q, R = np.linalg.qr(self._av)
-        d = np.diagonal(R)
-        return Q * _phase(np.where(d == 0.0, 1.0, d))
+        return Q * _phase(np.diagonal(R))
 
 
 @functools.lru_cache(maxsize=128)
@@ -102,27 +90,31 @@ def _round_robin(m):
 
 
 def _phase(z):
-    """z / |z| for nonzero z.
+    """z / |z|, and 1 where z = 0.
 
     Complex z is first scaled by an exact power of two: for subnormal z,
     |z| is too coarse for the quotient to have unit modulus.
     """
     if not np.iscomplexobj(z):
-        return np.sign(z)
+        return np.where(z == 0.0, 1.0, np.sign(z))
     _, e = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))
     z = _ldexp(z, -e)
-    return z / np.abs(z)
+    with np.errstate(invalid="ignore"):
+        return np.where(z == 0.0, 1.0, z / np.abs(z))
 
 
 def _ldexp(z, e):
-    """z * 2**e, exact unless the result leaves the normal range."""
+    """z * 2**e, exact unless the result leaves the normal range; signed
+    zeros keep their sign."""
     if np.iscomplexobj(z):
-        return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+        out = np.ldexp(z.real, e).astype(complex)
+        out.imag = np.ldexp(z.imag, e)
+        return out
     return np.ldexp(z, e)
 
 
-def _jacobi_orthogonalize(R, cap):
-    """One-sided Jacobi sweeps on the columns of R, at most ``cap`` of them.
+def _jacobi_orthogonalize(R):
+    """One-sided Jacobi sweeps on the columns of R, at most SWEEP_CAP of them.
 
     Returns ``(V, sweeps, rotations)``: the accumulated unitary V, so that
     R V has orthogonal columns, the number of sweeps run and the number of
@@ -134,7 +126,7 @@ def _jacobi_orthogonalize(R, cap):
     S = np.hstack([R.T, np.eye(m, dtype=R.dtype)])
     rotations = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for sweep in range(1, cap + 1):
+        for sweep in range(1, SWEEP_CAP + 1):
             rotated = 0
             for index, half in _round_robin(m):
                 P = S[index]
@@ -184,9 +176,9 @@ def _jacobi_orthogonalize(R, cap):
         residual = float(np.max(np.where(scale > 0, off / scale, 0.0)))
     if residual > 8.0 * EPS:
         raise NumericalFailureError(
-            f"Jacobi SVD did not converge within {cap} sweeps", residual
+            f"Jacobi SVD did not converge within {SWEEP_CAP} sweeps", residual
         )
-    return S[:, k:].T, cap, rotations
+    return S[:, k:].T, SWEEP_CAP, rotations
 
 
 def _pivoted_r(T):
@@ -224,7 +216,7 @@ def _pivoted_r(T):
     return R, p
 
 
-def _preconditioned(T, cap):
+def _preconditioned(T):
     """Jacobi sweeps on a square T after a pivoted QR and an LQ step.
 
     With ``T P = Q2 R2`` and ``R2^H = Q3 R3``, ``T P Q3 = Q2 R3^H``, so the
@@ -233,21 +225,10 @@ def _preconditioned(T, cap):
     """
     R2, p = _pivoted_r(T)
     Q3, R3 = np.linalg.qr(R2.conj().T)
-    W, sweeps, rotations = _jacobi_orthogonalize(R3.conj().T, cap)
+    W, sweeps, rotations = _jacobi_orthogonalize(R3.conj().T)
     V = np.empty_like(W)
     V[p] = Q3 @ W
     return V, sweeps, rotations
-
-
-def _apply_sign_convention(V, M):
-    """Make the largest-magnitude entry of each right singular vector
-    real-nonnegative, adjusting M = A V consistently."""
-    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    mag = np.abs(top)
-    phase = np.conj(top) / np.where(mag > 0.0, mag, 1.0)
-    phase[mag == 0.0] = 1.0
-    V *= phase
-    M *= phase
 
 
 def _svd(A, dtype):
@@ -257,7 +238,6 @@ def _svd(A, dtype):
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix contains non-finite entries")
     n, m = A.shape
-    cap = sweep_cap()
     # column inner products overflow above ~1e154 and lose their precision
     # below ~1e-154, so a matrix far out of range is brought near 1 by an
     # exact power of two; one in range is left untouched
@@ -266,12 +246,12 @@ def _svd(A, dtype):
     if shift:
         A = _ldexp(A, -shift)
     if n >= m:
-        V, sweeps, rotations = _preconditioned(np.linalg.qr(A, mode="r"), cap)
+        V, sweeps, rotations = _preconditioned(np.linalg.qr(A, mode="r"))
     else:
         # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
         # null space of A, Q's trailing columns, out of the sweeps
         Q, R = np.linalg.qr(A.conj().T, mode="complete")
-        W, sweeps, rotations = _preconditioned(R[:n].conj().T, cap)
+        W, sweeps, rotations = _preconditioned(R[:n].conj().T)
         V = np.hstack([Q[:, :n] @ W, Q[:, n:]])
     # rotations let the norms of V's columns drift by a few ulps; normalise
     # so that each reported singular value belongs to a unit vector
@@ -284,7 +264,11 @@ def _svd(A, dtype):
     order = np.argsort(-norms, kind="stable")
     sigma, V, M = norms[order], V[:, order], M[:, order]
 
-    _apply_sign_convention(V, M)
+    # the largest-magnitude entry of each right vector is made real and
+    # nonnegative, and A V follows
+    phase = _phase(np.conj(V[np.argmax(np.abs(V), axis=0), np.arange(m)]))
+    V *= phase
+    M *= phase
     return SvdResult(singular_values=np.ldexp(sigma, shift), right_vectors=V,
                      sweeps=sweeps, rotations=rotations, _av=M)
 

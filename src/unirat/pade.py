@@ -45,28 +45,27 @@ class PadeApproximant:
         object.__setattr__(self, "coefficients", pade_coefficients(self.degree))
 
     def _numerator(self, xv):
-        """p(ix) by Horner's rule, in place over blocks of points that stay
-        in cache."""
-        flat = xv.reshape(-1)
-        p = np.empty(flat.size, dtype=complex)
-        for start in range(0, flat.size, BLOCK_ELEMENTS):
+        """p(ix) at the flat points xv by Horner's rule, in place over blocks
+        of points that stay in cache."""
+        p = np.empty(xv.size, dtype=complex)
+        for start in range(0, xv.size, BLOCK_ELEMENTS):
             q = p[start:start + BLOCK_ELEMENTS]
-            z = 1j * flat[start:start + BLOCK_ELEMENTS]
+            z = 1j * xv[start:start + BLOCK_ELEMENTS]
             q[...] = self.coefficients[-1]
             for c in self.coefficients[-2::-1]:
                 q *= z
                 q += c
-        return p.reshape(xv.shape)
+        return p
 
     def eval(self, x):
-        xv, scalar = _prepare(x)
+        xv, shape = _prepare(x)
         p = self._numerator(xv)
         if np.any(p == 0.0):
             raise PoleEvaluationError(float(xv[np.argmax(p == 0.0)]))
         out = np.conj(p)
         np.divide(p, out, out=out)
-        return _finish(out, scalar)
+        return _finish(out, shape)
 
     def denominator(self, x):
-        xv, scalar = _prepare(x)
-        return _finish(np.conj(self._numerator(xv)), scalar)
+        xv, shape = _prepare(x)
+        return _finish(np.conj(self._numerator(xv)), shape)

@@ -180,6 +180,8 @@ class TestConfigBoundary:
         {"m_max": 2.5},
         {"m_max": 3, "tol": float("nan")},
         {"m_max": 3, "n_lawson": 1.5},
+        {"m_max": 3, "tol": "x"},
+        {"m_max": 3, "tol": None},
     ])
     def test_rejects_non_integer_counts_and_nan_tol(self, kwargs):
         with pytest.raises(InvalidInputError):

@@ -15,6 +15,7 @@ from unirat import (
     CayleyApproximant,
     NodeSet,
     NonInterpolatoryApproximant,
+    PadeApproximant,
     aaa_fit,
     bhat,
     min_singular_coefficients,
@@ -464,6 +465,20 @@ class TestSubnormalDistance:
             assert np.all(np.isfinite(grid)), name
             assert np.array_equal(bits(grid), bits([r.eval(float(v)) for v in x])), name
             assert np.array_equal(bits(den), bits([r.denominator(float(v)) for v in x]))
+
+
+class TestPointShape:
+    @pytest.mark.parametrize("name", list(FORMS) + ["pade"])
+    def test_array_keeps_its_shape(self, name):
+        # a 2-D array raised ValueError in the partial-fraction kernel
+        y, a, b = support_and_coefficients(5)
+        r = PadeApproximant(13) if name == "pade" else FORMS[name](y, a, b)
+        x = np.linspace(-12.0, 12.0, 6)
+        x[4] = y[2]  # a support hit
+        for f in (r.eval, r.denominator):
+            got = f(x.reshape(2, 3))
+            assert got.shape == (2, 3)
+            assert np.array_equal(bits(got), bits(f(x).reshape(2, 3))), name
 
 
 class TestNodeQuotient:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import unirat.linalg as linalg
 from unirat import (
     AaaConfig,
     BarycentricInterpolant,
@@ -111,23 +112,13 @@ class TestFit:
         assert len(doc["support"]) == 5
 
     def test_numerical_failure_exit_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("UNIRAT_SWEEP_CAP", "0")
+        monkeypatch.setattr(linalg, "SWEEP_CAP", 0)
         rc = main(
             ["fit", "--interval", "-3", "3", "--n-test", "40", "--m-max", "3",
              "--out", str(tmp_path)]
         )
         assert rc == 1
         assert "numerical failure:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["abc", "-5"])
-    def test_bad_sweep_cap_exit_2(self, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("UNIRAT_SWEEP_CAP", value)
-        rc = main(
-            ["fit", "--interval", "-3", "3", "--n-test", "40", "--m-max", "3",
-             "--out", str(tmp_path)]
-        )
-        assert rc == 2
-        assert "UNIRAT_SWEEP_CAP" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"0.5\n\xff\xfe\n"])
     def test_unreadable_nodes_file_exit_2(self, content, tmp_path, capsys):

@@ -126,6 +126,19 @@ class TestUnitarityDeviation:
             approx, backwards
         )
 
+    def test_two_dimensional_grid(self):
+        # diagnostics read a grid of any shape as its flat points
+        y = np.array([-3.0, 0.5, 4.0])
+        grid = np.linspace(-10.0, 10.0, 12)
+        grid[5] = y[1]
+        for approx in (CayleyApproximant(support=y, coefficients=[1.0, 1j, -0.5]),
+                       PadeApproximant(5)):
+            assert max_error(approx, grid.reshape(3, 4)) == max_error(approx, grid)
+            assert unitarity_deviation(approx, grid.reshape(3, 4)) == unitarity_deviation(
+                approx, grid)
+            assert real_axis_pole_scan(approx, grid.reshape(3, 4)) == real_axis_pole_scan(
+                approx, grid)
+
 
 class TestPoleScan:
     def test_figure_fit_unflagged(self, figure_fits):

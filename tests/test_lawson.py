@@ -15,10 +15,12 @@ from unirat import (
     lawson_fit,
     lawson_weight_update,
     min_singular_pair,
+    modified_cauchy,
     svd_complex,
     svd_real,
     unitarity_deviation,
 )
+from unirat.barycentric import node_quotient
 from unirat.errors import InvalidInputError
 from unirat.linalg import EPS
 
@@ -63,25 +65,32 @@ class TestConfig:
 
 class TestLawsonFit:
     def test_first_step_matches_expanded_svd(self):
-        # one step with unit weights reproduces, bit for bit, the pair from
-        # the expanded matrix over test nodes + appended support nodes: the
-        # fit and the node-level functions build and solve it with the same code
+        # 1, 2 and 3 steps reproduce, bit for bit, a replay through the node-level
+        # functions over test nodes + appended support nodes, weighted by mu:
+        # every step of the fit builds and solves the matrix they return
         rng = np.random.default_rng(72)
         for _ in range(5):
             x, y = separated_nodes(rng, 10, 3)
-            ns = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
-            alpha, beta = min_singular_pair(bhat(ns))
-            assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
-            g = svd_complex(expanded_loewner(ns)).right_vectors[:, -1]
-            expected = {
-                "modified": CayleyApproximant(support=y, coefficients=beta),
-                "original": NonInterpolatoryApproximant(support=y, alpha=g[:y.size],
-                                                        beta=g[y.size:]),
-            }
-            for variant, ref in expected.items():
-                approx, _ = lawson_fit(x, y, LawsonConfig(n_lawson=1, variant=variant))
-                for name in ref.COEFFICIENTS:
-                    assert np.array_equal(getattr(approx, name), getattr(ref, name))
+            xa = np.concatenate([x, y])
+            for variant in ("modified", "original"):
+                mu = np.ones(xa.size)
+                for steps in (1, 2, 3):
+                    ns = NodeSet(test_nodes=xa, support_nodes=y, weights=mu)
+                    if variant == "modified":
+                        alpha, beta = min_singular_pair(bhat(ns))
+                        assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
+                        ref = CayleyApproximant(support=y, coefficients=beta)
+                    else:
+                        g = svd_complex(expanded_loewner(ns)).right_vectors[:, -1]
+                        alpha, beta = g[:y.size], g[y.size:]
+                        ref = NonInterpolatoryApproximant(support=y, alpha=alpha,
+                                                          beta=beta)
+                    r = node_quotient(modified_cauchy(ns), alpha, beta)
+                    mu = lawson_weight_update(mu, np.exp(1j * xa) - r)
+                    approx, _ = lawson_fit(x, y, LawsonConfig(n_lawson=steps,
+                                                              variant=variant))
+                    for name in ref.COEFFICIENTS:
+                        assert np.array_equal(getattr(approx, name), getattr(ref, name))
 
     def test_modified_iterates_stay_unitary(self):
         rng = np.random.default_rng(74)

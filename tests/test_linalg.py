@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unirat.lawson as lawson
+import unirat.linalg as linalg
 from unirat import (AaaConfig, NodeSet, aaa_fit, bhat, expanded_loewner, svd_complex,
                     svd_real)
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import (DEFAULT_SWEEP_CAP, EPS, _jacobi_orthogonalize, _phase,
-                           _pivoted_r, _round_robin)
+from unirat.linalg import (EPS, SWEEP_CAP, _jacobi_orthogonalize, _phase, _pivoted_r,
+                           _round_robin)
 
 from conftest import FIT_GRID
 
@@ -111,14 +112,15 @@ class TestSvdReal:
             svd_real(np.zeros(3))
 
     def test_sweep_cap_failure(self, monkeypatch):
-        monkeypatch.setenv("UNIRAT_SWEEP_CAP", "0")
+        monkeypatch.setattr(linalg, "SWEEP_CAP", 0)
         A = np.random.default_rng(0).standard_normal((5, 5))
         with pytest.raises(NumericalFailureError) as exc:
             svd_real(A)
         assert exc.value.residual > 8 * EPS
 
     def test_sweep_cap_env_respected(self, monkeypatch):
-        monkeypatch.setenv("UNIRAT_SWEEP_CAP", "100")
+        # the cap is read when the kernel is called
+        monkeypatch.setattr(linalg, "SWEEP_CAP", 100)
         A = np.random.default_rng(0).standard_normal((5, 5))
         res = svd_real(A)
         assert_factorization(A, res)
@@ -150,12 +152,6 @@ class TestSvdReal:
         assert "left_vectors" in vars(res)
         assert res.left_vectors is U
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", "-5"])
-    def test_sweep_cap_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("UNIRAT_SWEEP_CAP", value)
-        with pytest.raises(InvalidInputError):
-            svd_real(np.eye(2))
-
     @pytest.mark.parametrize("svd, shape", [(svd_real, (9, 6)), (svd_real, (3, 7)),
                                             (svd_complex, (8, 5)),
                                             (svd_complex, (4, 9))])
@@ -166,9 +162,9 @@ class TestSvdReal:
             A = A + 1j * rng.standard_normal(shape)
         r1, r2 = svd(A), svd(A)
         assert (r1.sweeps, r1.rotations) == (r2.sweeps, r2.rotations)
-        assert 1 <= r1.sweeps <= DEFAULT_SWEEP_CAP
+        assert 1 <= r1.sweeps <= SWEEP_CAP
         assert r1.rotations >= 1
-        monkeypatch.setenv("UNIRAT_SWEEP_CAP", str(r1.sweeps))
+        monkeypatch.setattr(linalg, "SWEEP_CAP", r1.sweeps)
         r3 = svd(A)
         assert (r3.sweeps, r3.rotations) == (r1.sweeps, r1.rotations)
 
@@ -267,24 +263,14 @@ class TestSvdProperties:
         assert np.max(np.abs(recon)) <= 64 * EPS * np.max(np.abs(A)) * max(n, m)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
-    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
-    def test_subnormal_inner_products(self, shape):
-        # Gram entries of a matrix of order 1e-150 reach the subnormal range,
-        # where |apq| is too coarse to normalise the rotation phase directly
-        rng = np.random.default_rng(41)
-        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        res = svd_complex(1e-150 * A)
-        V = res.right_vectors
-        assert np.max(np.abs(V.conj().T @ V - np.eye(shape[1]))) <= 64 * EPS
-        ref = np.linalg.svd(A, compute_uv=False)
-        k = ref.size
-        assert np.max(np.abs(res.singular_values[:k] / 1e-150 - ref)) <= 64 * EPS * ref[0]
-
     @pytest.mark.parametrize("shape, dtype, scale", [
         ((6, 4), float, 1e200),    # Gram entries overflowed: sigma read inf
         ((6, 4), float, 1e-200),   # underflowed: sigma read 0
         ((6, 4), complex, 1e-156),  # no convergence within the sweep cap
         ((8, 8), complex, 1e-154),
+        ((6, 4), complex, 1e-150),
+        ((4, 6), complex, 1e-150),  # wide: the trailing value is zero
+        ((5, 5), complex, 1e-150),
     ])
     def test_out_of_range_scale(self, shape, dtype, scale):
         rng = np.random.default_rng(43)
@@ -294,7 +280,7 @@ class TestSvdProperties:
         A = scale * A
         res = (svd_complex if dtype is complex else svd_real)(A)
         ref = np.linalg.svd(A, compute_uv=False)
-        assert np.all(np.abs(res.singular_values - ref) <= 16 * EPS * ref)
+        assert np.all(np.abs(res.singular_values[:ref.size] - ref) <= 16 * EPS * ref)
         assert_factorization(A, res)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP 2(c)")
@@ -330,13 +316,13 @@ class TestSvdProperties:
         assert worst <= 64 * EPS
 
 
-def masked_jacobi(R, cap):
+def masked_jacobi(R):
     """Reference Jacobi loop: each round rotates every pair, an inactive one
     by the identity (t = 0), through masks over the whole round."""
     k, m = R.shape
     S = np.hstack([R.T, np.eye(m, dtype=R.dtype)])
     rotations = 0
-    for sweep in range(1, cap + 1):
+    for sweep in range(1, SWEEP_CAP + 1):
         rotated = 0
         for index, half in _round_robin(m):
             P = S[index]
@@ -364,7 +350,7 @@ def masked_jacobi(R, cap):
         rotations += rotated
         if not rotated:
             return S[:, k:].T, sweep, rotations
-    return S[:, k:].T, cap, rotations
+    return S[:, k:].T, SWEEP_CAP, rotations
 
 
 def kernel_input(A):
@@ -400,8 +386,8 @@ class TestKernelBits:
 
     @staticmethod
     def assert_same_bits(R):
-        V, sweeps, rotations = _jacobi_orthogonalize(R, DEFAULT_SWEEP_CAP)
-        V0, sweeps0, rotations0 = masked_jacobi(R, DEFAULT_SWEEP_CAP)
+        V, sweeps, rotations = _jacobi_orthogonalize(R)
+        V0, sweeps0, rotations0 = masked_jacobi(R)
         assert (sweeps, rotations) == (sweeps0, rotations0)
         assert V.tobytes() == V0.tobytes()
 

@@ -77,7 +77,7 @@ class TestEvaluation:
             ref = ref * z + c
         assert np.array_equal(p._numerator(x).view(np.uint64), ref.view(np.uint64))
         grid = x[:12].reshape(3, 4)
-        assert np.array_equal(p._numerator(grid), ref[:12].reshape(3, 4))
+        assert np.array_equal(p.denominator(grid), np.conj(ref[:12]).reshape(3, 4))
 
 
 class TestNonFinitePoints:

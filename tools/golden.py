@@ -1,16 +1,25 @@
-"""Capture the CLI's golden outputs, for comparing two versions bit for bit.
+"""Capture the CLI's golden outputs, and compare two captures.
 
 Usage::
 
     python3 tools/golden.py OUTDIR
+    python3 tools/golden.py --compare OLD NEW
 
-runs, from the ``src`` tree next to this script, the six ``unirat fit`` runs
-(both variants with ``--lawson 0`` and ``--lawson 5`` at ``--tol 1e-12``, and
-both variants with ``--m-max 40 --tol 0``) and ``unirat figure 1`` and ``2``,
-each into its own subdirectory of OUTDIR.  Run it once in each checkout and
-compare the two directories with ``diff -r``.
+The first form runs, from the ``src`` tree next to this script, the six
+``unirat fit`` runs (both variants with ``--lawson 0`` and ``--lawson 5`` at
+``--tol 1e-12``, and both variants with ``--m-max 40 --tol 0``) and
+``unirat figure 1`` and ``2``, each into its own subdirectory of OUTDIR.
+Run it once in each checkout.
+
+The second form prints, for each file of the two captures, ``identical``
+or the largest absolute difference per CSV column or per numeric JSON key
+(a list counts as one key); a key whose non-numeric value changed reads
+``differs``.  It exits 1 if any file differs.
 """
 
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -29,17 +38,85 @@ RUNS = {
 }
 
 
-def main(argv):
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python3 tools/golden.py OUTDIR", file=sys.stderr)
-        return 2
+def capture(outdir):
     env = dict(os.environ, PYTHONPATH=SRC)
     for name, args in RUNS.items():
-        out = os.path.join(argv[0], name)
+        out = os.path.join(outdir, name)
         subprocess.run([sys.executable, "-m", "unirat.cli", *args, "--out", out],
                        env=env, check=True)
-    return 0
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _leaves(doc, key=""):
+    """{dotted key: value} over the nested dicts of a JSON document."""
+    if isinstance(doc, dict):
+        out = {}
+        for k, v in doc.items():
+            out.update(_leaves(v, f"{key}.{k}" if key else k))
+        return out
+    return {key: doc}
+
+
+def _read(path):
+    """{key: value} of a golden file: a CSV's columns as float lists, a JSON
+    document's leaves."""
+    with open(path, newline="") as fh:
+        if path.endswith(".csv"):
+            rows = list(csv.reader(fh))
+            return {name: [float(r[i]) for r in rows[1:]] for i, name in enumerate(rows[0])}
+        return _leaves(json.load(fh))
+
+
+def _difference(a, b):
+    """0.0 for equal values, the largest absolute difference of two numbers or
+    equal-length number lists, and None where no number measures it."""
+    if a == b:
+        return 0.0
+    a, b = (v if isinstance(v, list) else [v] for v in (a, b))
+    if len(a) != len(b) or not all(map(_is_number, a + b)):
+        return None
+    diffs = [abs(x - y) for x, y in zip(a, b) if x != y and not (x != x and y != y)]
+    return max((d if not math.isnan(d) else math.inf for d in diffs), default=0.0)
+
+
+def compare(old, new):
+    """Print one line per golden file; return whether all are identical."""
+    names = set()
+    for root in (old, new):
+        for top, _, files in os.walk(root):
+            names.update(os.path.relpath(os.path.join(top, f), root) for f in files)
+    same = True
+    for name in sorted(names):
+        paths = [os.path.join(root, name) for root in (old, new)]
+        missing = [p for p in paths if not os.path.isfile(p)]
+        if missing:
+            print(f"{name}: missing in {', '.join(missing)}")
+            same = False
+            continue
+        a, b = map(_read, paths)
+        report = []
+        for key in list(a) + [k for k in b if k not in a]:
+            d = _difference(a.get(key), b.get(key))
+            if d != 0.0:
+                report.append(f"{key} {'differs' if d is None else f'{d:.3g}'}")
+        print(f"{name}: {', '.join(report) or 'identical'}")
+        same = same and not report
+    return same
+
+
+def main(argv):
+    if len(argv) == 1 and not argv[0].startswith("-"):
+        capture(argv[0])
+        return 0
+    if len(argv) == 3 and argv[0] == "--compare":
+        return 0 if compare(argv[1], argv[2]) else 1
+    print(__doc__.strip().splitlines()[0], file=sys.stderr)
+    print("usage: python3 tools/golden.py OUTDIR\n"
+          "       python3 tools/golden.py --compare OLD NEW", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
