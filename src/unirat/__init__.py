@@ -9,7 +9,7 @@ from .barycentric import (
     to_cayley,
 )
 from .diagnostics import max_error, real_axis_pole_scan, unitarity_deviation
-from .lawson import LawsonConfig, LawsonTrace, lawson_fit, lawson_weight_update
+from .lawson import FitStep, LawsonConfig, LawsonTrace, lawson_fit, lawson_weight_update
 from .linalg import SvdResult, svd_complex, svd_real
 from .loewner import (
     NodeSet,
@@ -34,7 +34,7 @@ __all__ = [
     "BarycentricInterpolant", "CayleyApproximant", "NonInterpolatoryApproximant",
     "cayley_phase_residual", "to_cayley",
     "max_error", "real_axis_pole_scan", "unitarity_deviation",
-    "LawsonConfig", "LawsonTrace", "lawson_fit", "lawson_weight_update",
+    "FitStep", "LawsonConfig", "LawsonTrace", "lawson_fit", "lawson_weight_update",
     "SvdResult", "svd_complex", "svd_real",
     "NodeSet", "PhaseDiagonals", "bhat", "cauchy", "expanded_loewner", "loewner",
     "min_singular_coefficients", "min_singular_pair", "modified_cauchy",

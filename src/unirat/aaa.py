@@ -21,7 +21,7 @@ from .barycentric import (
     node_quotient,
 )
 from .errors import InvalidInputError
-from .lawson import LawsonConfig, lawson_fit
+from .lawson import FitStep, LawsonConfig, lawson_fit
 from .loewner import (VARIANTS, PhaseDiagonals, interpolatory_coefficients,
                       interpolatory_system, phase_entries)
 
@@ -45,19 +45,9 @@ class AaaConfig:
 
 
 @dataclass
-class AaaIteration:
-    m: int
-    node: float
-    max_error: float
-    sigma_min: float
-    degenerate: bool
-
-
-@dataclass
 class AaaTrace:
     iterations: list = field(default_factory=list)
-    converged: bool = False
-    stop_reason: str = ""
+    stop_reason: str = ""  # "tol" once the max error reaches tol, else "m_max"
     lawson: object = None
 
 
@@ -108,12 +98,9 @@ def aaa_fit(test_nodes, config):
 
         max_error = float(np.max(np.abs(F - r)))
         trace.iterations.append(
-            AaaIteration(m=m, node=y[-1], max_error=max_error,
-                         sigma_min=float(res.singular_values[-1]),
-                         degenerate=res.degenerate)
-        )
+            FitStep(step=m, node=y[-1], max_error=max_error,
+                    sigma_min=float(res.singular_values[-1]), degenerate=res.degenerate))
         if max_error <= config.tol:
-            trace.converged = True
             trace.stop_reason = "tol"
             break
     else:

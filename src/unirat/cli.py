@@ -68,7 +68,7 @@ def approximant_from_dict(doc):
         coeffs = {name: _vector(doc, KEY_STEMS[name]) for name in cls.COEFFICIENTS}
     except KeyError as exc:
         raise InvalidInputError(f"approximant document lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed approximant document: {exc}") from None
     return cls(support=support, **coeffs)
 
@@ -155,19 +155,15 @@ def cmd_fit(args):
     approx, trace = aaa_fit(grid, config)
     write_json(os.path.join(args.out, "approximant.json"), approximant_to_dict(approx))
 
-    header = ["m", "node", "max_error", "sigma_min", "degenerate"]
-    rows = [
-        (it.m, it.node, it.max_error, it.sigma_min, float(it.degenerate))
-        for it in trace.iterations
-    ]
-    if trace.lawson is not None:
-        for st in trace.lawson.steps:
-            rows.append((len(trace.iterations) + st.step, st.worst_node,
-                         st.max_error, st.sigma_min, 0.0))
-    write_csv(os.path.join(args.out, "trace.csv"), header, list(zip(*rows)))
+    # one row per FitStep; the Lawson steps continue the greedy iterations' m
+    steps = trace.iterations + (trace.lawson.steps if trace.lawson else [])
+    rows = [(m, st.node, st.max_error, st.sigma_min, float(st.degenerate))
+            for m, st in enumerate(steps, 1)]
+    write_csv(os.path.join(args.out, "trace.csv"),
+              ["m", "node", "max_error", "sigma_min", "degenerate"], list(zip(*rows)))
 
     metrics = _fit_metrics(approx, grid)
-    metrics["converged"] = trace.converged
+    metrics["converged"] = trace.stop_reason == "tol"
     metrics["stop_reason"] = trace.stop_reason
     write_json(os.path.join(args.out, "metrics.json"), metrics)
     return 0
@@ -189,10 +185,11 @@ def _figure_metadata():
 
 
 def _figure_fit(grid, variant, lawson):
-    """A figure's fit: 15 AAA support nodes, or 14 refined by Lawson steps."""
+    """A figure's fit, ``(approximant, trace)``: 15 AAA support nodes, or 14
+    refined by Lawson steps."""
     config = AaaConfig(m_max=14 if lawson else 15, tol=FIGURE_TOL, variant=variant,
                        n_lawson=FIGURE_LAWSON_STEPS if lawson else 0)
-    return aaa_fit(grid, config)[0]
+    return aaa_fit(grid, config)
 
 
 def cmd_figure(args):
@@ -201,7 +198,7 @@ def cmd_figure(args):
 
     if args.which == 1:
         pade = PadeApproximant(degree=13)
-        lawson = _figure_fit(fit_grid, "modified", lawson=True)
+        lawson = _figure_fit(fit_grid, "modified", lawson=True)[0]
         target = np.exp(1j * fit_grid)
         write_csv(
             os.path.join(args.out, "figure1.csv"),
@@ -220,7 +217,7 @@ def cmd_figure(args):
                                   ("aaa_mod", "modified", False),
                                   ("lawson_orig", "original", True),
                                   ("lawson_mod", "modified", True)):
-        approx = _figure_fit(fit_grid, variant, lawson)
+        approx = _figure_fit(fit_grid, variant, lawson)[0]
         header.append("unitdev_" + name)
         columns.append(np.abs(np.abs(approx.eval(eval_grid)) - 1.0))
     write_csv(os.path.join(args.out, "figure2.csv"), header, columns)

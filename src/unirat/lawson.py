@@ -14,7 +14,7 @@ import numpy as np
 
 from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
                           is_count, node_quotient)
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .loewner import (VARIANTS, NodeSet, expanded_coefficients, expanded_system,
                       modified_cauchy, phase_diagonals)
 
@@ -32,17 +32,23 @@ class LawsonConfig:
 
 
 @dataclass
-class LawsonStep:
+class FitStep:
+    """One AAA iteration or Lawson step: the support node it added (AAA) or
+    its worst test node (Lawson), the max error at the test nodes, and the
+    smallest singular value of the step's system with its ``degenerate``
+    flag."""
+
     step: int
+    node: float
     max_error: float
-    worst_node: float
     sigma_min: float
+    degenerate: bool
 
 
 @dataclass
 class LawsonTrace:
     steps: list = field(default_factory=list)
-    exact_fit: bool = False
+    stop_reason: str = ""  # "exact" once every weighted error is 0, else "n_lawson"
 
 
 def lawson_weight_update(weights, errors):
@@ -54,6 +60,8 @@ def lawson_weight_update(weights, errors):
     errors = np.atleast_1d(np.asarray(errors))
     if weights.shape != errors.shape:
         raise InvalidInputError("weights and errors must have equal length")
+    if errors.size == 0 or not np.all(np.isfinite(errors)):
+        raise InvalidInputError("errors must be a nonempty vector of finite values")
     mu = weights * np.abs(errors)
     top = mu.max()
     if top == 0.0:
@@ -91,17 +99,22 @@ def lawson_fit(test_nodes, support_nodes, config):
         r = node_quotient(Cp, alpha, beta)
 
         eps = ph.S_F - r
+        bad = np.flatnonzero(~np.isfinite(eps))
+        if bad.size:
+            raise NumericalFailureError(
+                f"Lawson step {step}: the error at test node {float(xa[bad[0]])!r} is "
+                "not finite, a pole of the step's approximant", float(np.abs(eps[bad[0]])))
         worst = int(np.argmax(np.abs(eps)))
         trace.steps.append(
-            LawsonStep(step=step, max_error=float(np.abs(eps[worst])),
-                       worst_node=float(xa[worst]),
-                       sigma_min=float(res.singular_values[-1]))
-        )
+            FitStep(step=step, node=float(xa[worst]), max_error=float(np.abs(eps[worst])),
+                    sigma_min=float(res.singular_values[-1]), degenerate=res.degenerate))
         mu_next = lawson_weight_update(mu, eps)
         if mu_next is None:
-            trace.exact_fit = True
+            trace.stop_reason = "exact"
             break
         mu = mu_next
+    else:
+        trace.stop_reason = "n_lawson"
 
     if config.variant == "modified":
         return CayleyApproximant(support=y, coefficients=beta), trace

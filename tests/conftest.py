@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import unirat
-from unirat import AaaConfig, aaa_fit
+from unirat.cli import EVAL_INTERVAL, EVAL_NODES, FIT_INTERVAL, FIT_NODES, _figure_fit
 
 # Subprocesses started by the tests import the same package as the tests do.
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -15,8 +15,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
                   os.environ.get("PYTHONPATH")]))
 
 # Fit/evaluation setup shared by the figure-reproduction tests.
-FIT_GRID = np.linspace(-13.9, 13.9, 2000)
-EVAL_GRID = np.linspace(-40.0, 40.0, 10001)
+FIT_GRID = np.linspace(*FIT_INTERVAL, FIT_NODES)
+EVAL_GRID = np.linspace(*EVAL_INTERVAL, EVAL_NODES)
 
 
 def separated_nodes(rng, n, m, lo=-15.0, hi=15.0, spacing=1.0):
@@ -36,20 +36,18 @@ def separated_nodes(rng, n, m, lo=-15.0, hi=15.0, spacing=1.0):
 
 @pytest.fixture(scope="session")
 def figure_fits():
-    """The four fits behind the error/unitarity figures, with per-fit times.
+    """The four fits behind the error/unitarity figures, built by the CLI's
+    own ``_figure_fit``, with per-fit times.
 
     Keys map to (approximant, trace, seconds).  Built once per session; the
     acceptance tests add the relevant build times to their own budgets.
     """
     out = {}
-
-    def run(name, **kw):
+    for name, variant, lawson in (("lawson_mod", "modified", True),
+                                  ("aaa_mod", "modified", False),
+                                  ("aaa_orig", "original", False),
+                                  ("lawson_orig", "original", True)):
         t0 = time.perf_counter()
-        approx, trace = aaa_fit(FIT_GRID, AaaConfig(**kw))
+        approx, trace = _figure_fit(FIT_GRID, variant, lawson)
         out[name] = (approx, trace, time.perf_counter() - t0)
-
-    run("lawson_mod", m_max=14, tol=1e-12, variant="modified", n_lawson=20)
-    run("aaa_mod", m_max=15, tol=1e-12, variant="modified")
-    run("aaa_orig", m_max=15, tol=1e-12, variant="original")
-    run("lawson_orig", m_max=14, tol=1e-12, variant="original", n_lawson=20)
     return out

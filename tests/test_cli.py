@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, exit codes, determinism, round-trips."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -86,6 +87,27 @@ class TestFit:
         # greedy iterations count up, then the Lawson steps continue the index
         assert np.all(np.diff(m) == 1)
         assert cols["max_error"][-1] <= 1e-12
+
+    def test_degenerate_column_reads_the_svds(self, tmp_path, monkeypatch):
+        # 2 test nodes are left after 4 greedy iterations, so the Lawson
+        # systems have more columns than rows and every step is degenerate
+        loewner = importlib.import_module("unirat.loewner")
+        flags = []
+        for name in ("svd_real", "svd_complex"):
+            def record(A, svd=getattr(loewner, name)):
+                res = svd(A)
+                flags.append(res.degenerate)
+                return res
+            monkeypatch.setattr(loewner, name, record)
+        _, trace = aaa_fit(np.linspace(-3, 3, 6), AaaConfig(m_max=4, tol=0.0, n_lawson=3))
+        assert flags == [st.degenerate for st in trace.iterations + trace.lawson.steps]
+        assert flags[4:] == [True] * 3
+        flags.clear()
+        assert main(["fit", "--interval", "-3", "3", "--n-test", "6", "--m-max", "4",
+                     "--tol", "0", "--lawson", "3", "--out", str(tmp_path)]) == 0
+        _, cols = read_csv(tmp_path / "trace.csv")
+        assert cols["degenerate"].tolist() == [float(f) for f in flags]
+        assert cols["degenerate"][4:].tolist() == [1.0] * 3
 
     def test_degenerate_interval_exit_2(self, tmp_path, capsys):
         rc = main(["fit", "--interval", "0", "0", "--out", str(tmp_path)])
@@ -264,6 +286,9 @@ class TestInputBoundary:
         {"kind": "cayley", "support": [0.0], "coeff_re": ["a"], "coeff_im": [0.0]},
         {"kind": "cayley", "support": [0.0, 1.0], "coeff_re": [1.0, 2.0],
          "coeff_im": [0.0, 1.0, 2.0]},
+        # integers beyond float range
+        {"kind": "cayley", "support": [10**400], "coeff_re": [1.0], "coeff_im": [0.0]},
+        {"kind": "cayley", "support": [0.0], "coeff_re": [10**400], "coeff_im": [0.0]},
     ])
     def test_malformed_values_rejected(self, doc):
         with pytest.raises(InvalidInputError):

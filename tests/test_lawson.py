@@ -21,7 +21,7 @@ from unirat import (
     unitarity_deviation,
 )
 from unirat.barycentric import node_quotient
-from unirat.errors import InvalidInputError
+from unirat.errors import InvalidInputError, NumericalFailureError
 from unirat.linalg import EPS
 
 from conftest import separated_nodes
@@ -53,6 +53,13 @@ class TestWeightUpdate:
     def test_shape_guard(self):
         with pytest.raises(InvalidInputError):
             lawson_weight_update([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("weights, errors", [([], []), ([1.0, 1.0], [np.inf, 0.5])])
+    def test_empty_or_non_finite_errors_rejected(self, weights, errors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                lawson_weight_update(weights, errors)
 
 
 class TestConfig:
@@ -142,6 +149,26 @@ class TestLawsonFit:
         assert np.max(np.abs(X @ gamma)) <= 8 * EPS * np.linalg.norm(gamma)
         sig = svd_complex(X).singular_values
         assert sig[-1] <= 64 * EPS * sig[0]
+
+    def test_stop_reasons(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        x, y = separated_nodes(rng, 10, 3)
+        _, trace = lawson_fit(x, y, LawsonConfig(n_lawson=3))
+        assert len(trace.steps) == 3 and trace.stop_reason == "n_lawson"
+        # an exact fit (every weighted error 0) stops after the step that found it
+        monkeypatch.setattr("unirat.lawson.lawson_weight_update", lambda mu, eps: None)
+        _, trace = lawson_fit(x, y, LawsonConfig(n_lawson=3))
+        assert len(trace.steps) == 1 and trace.stop_reason == "exact"
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    @pytest.mark.parametrize("y", [[0.0, 1.0], [0.3, 1.1, 2.7]])
+    def test_pole_at_test_node_is_numerical_failure(self, variant, y):
+        # with no test nodes the system has an m-dimensional null space, and
+        # the chosen vector has a zero beta_j: a pole at the node y_j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="Lawson step 1: .* not finite"):
+                lawson_fit([], y, LawsonConfig(n_lawson=3, variant=variant))
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):

@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/golden.py OUTDIR
     python3 tools/golden.py --compare OLD NEW
+    python3 tools/golden.py --against REV
 
 The first form runs, from the ``src`` tree next to this script, the six
 ``unirat fit`` runs (both variants with ``--lawson 0`` and ``--lawson 5`` at
@@ -15,6 +16,10 @@ The second form prints, for each file of the two captures, ``identical``
 or the largest absolute difference per CSV column or per numeric JSON key
 (a list counts as one key); a key whose non-numeric value changed reads
 ``differs``.  It exits 1 if any file differs.
+
+The third form captures the ``src`` tree of the git revision REV (through
+``git archive``) and the working tree's into temporary directories, and
+compares the two captures as the second form does.
 """
 
 import csv
@@ -23,8 +28,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 RUNS = {
     **{f"fit-{variant}-lawson{steps}": ["fit", "--variant", variant,
@@ -38,8 +45,9 @@ RUNS = {
 }
 
 
-def capture(outdir):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def capture(outdir, src=None):
+    """Run RUNS from ``src`` (default: the tree next to this script)."""
+    env = dict(os.environ, PYTHONPATH=src or SRC)
     for name, args in RUNS.items():
         out = os.path.join(outdir, name)
         subprocess.run([sys.executable, "-m", "unirat.cli", *args, "--out", out],
@@ -107,15 +115,31 @@ def compare(old, new):
     return same
 
 
+def against(rev):
+    """Capture REV's ``src`` tree and the working tree's; return whether the
+    captures are identical."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        old, new = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+        capture(old, os.path.join(tmp, "src"))
+        capture(new)
+        return compare(old, new)
+
+
 def main(argv):
     if len(argv) == 1 and not argv[0].startswith("-"):
         capture(argv[0])
         return 0
     if len(argv) == 3 and argv[0] == "--compare":
         return 0 if compare(argv[1], argv[2]) else 1
+    if len(argv) == 2 and argv[0] == "--against":
+        return 0 if against(argv[1]) else 1
     print(__doc__.strip().splitlines()[0], file=sys.stderr)
     print("usage: python3 tools/golden.py OUTDIR\n"
-          "       python3 tools/golden.py --compare OLD NEW", file=sys.stderr)
+          "       python3 tools/golden.py --compare OLD NEW\n"
+          "       python3 tools/golden.py --against REV", file=sys.stderr)
     return 2
 
 
