@@ -5,10 +5,9 @@ from .barycentric import (
     BarycentricInterpolant,
     CayleyApproximant,
     NonInterpolatoryApproximant,
-    cayley_phase_residual,
-    to_cayley,
 )
-from .diagnostics import max_error, real_axis_pole_scan, unitarity_deviation
+from .diagnostics import (max_error, real_axis_pole_scan, structure_residual,
+                          unitarity_deviation)
 from .lawson import FitStep, LawsonConfig, LawsonTrace, lawson_fit, lawson_weight_update
 from .linalg import SvdResult, svd_complex, svd_real
 from .loewner import (
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AaaConfig", "AaaTrace", "aaa_fit", "greedy_select",
     "BarycentricInterpolant", "CayleyApproximant", "NonInterpolatoryApproximant",
-    "cayley_phase_residual", "to_cayley",
-    "max_error", "real_axis_pole_scan", "unitarity_deviation",
+    "max_error", "real_axis_pole_scan", "structure_residual", "unitarity_deviation",
     "FitStep", "LawsonConfig", "LawsonTrace", "lawson_fit", "lawson_weight_update",
     "SvdResult", "svd_complex", "svd_real",
     "NodeSet", "PhaseDiagonals", "bhat", "cauchy", "expanded_loewner", "loewner",

@@ -21,12 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (
-    AmbiguousEvaluationError,
-    InvalidInputError,
-    NotCayleyRepresentableError,
-    PoleEvaluationError,
-)
+from .errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
 from .linalg import EPS
 
 #: Point-node pairs per evaluation block.
@@ -138,21 +133,13 @@ def node_quotient(C, alpha, beta):
     return r
 
 
-def cayley_phase_residual(w, support):
-    """max_j |e^{i y_j} w_j - conj(w_j)|."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    support = np.atleast_1d(np.asarray(support, dtype=float))
-    if w.shape != support.shape:
-        raise InvalidInputError("coefficients and support nodes must match in length")
-    return float(np.max(np.abs(np.exp(1j * support) * w - np.conj(w))))
-
-
 class _Quotient:
     """Base of the three forms.  Each is a frozen dataclass that declares
-    ``KIND``, its JSON kind tag, and ``COEFFICIENTS``, its coefficient fields
-    with beta's last, and binds ``denominator`` in its own namespace so that
-    the method can be wrapped per form.  Construction checks the support
-    nodes and scales the coefficients jointly to unit norm.
+    ``KIND``, its JSON kind tag, and ``COEFFICIENTS``, its coefficient fields;
+    exposes ``alpha`` and ``beta`` as fields or read-only properties; and
+    binds ``denominator`` in its own namespace so that the method can be
+    wrapped per form.  Construction checks the support nodes and scales the
+    coefficients jointly to unit norm.
     """
 
     COEFFICIENTS = ("coefficients",)
@@ -183,8 +170,7 @@ class _Quotient:
     def denominator(self, x):
         """sum beta_j/(x - y_j); beta_j at a support node y_j."""
         xv, shape = _prepare(x)
-        beta = getattr(self, self.COEFFICIENTS[-1])
-        return _finish(_partial_fraction(beta, self.support, xv)[0], shape)
+        return _finish(_partial_fraction(self.beta, self.support, xv)[0], shape)
 
 
 @dataclass(frozen=True)
@@ -201,6 +187,14 @@ class BarycentricInterpolant(_Quotient):
         """f_j = exp(i y_j)."""
         return np.exp(1j * self.support)
 
+    @property
+    def alpha(self):
+        return self.values * self.coefficients
+
+    @property
+    def beta(self):
+        return self.coefficients
+
     def eval(self, x):
         return eval_interpolant(self, x)
 
@@ -209,10 +203,9 @@ class BarycentricInterpolant(_Quotient):
 
 def eval_interpolant(r, x):
     """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j)."""
-    f, w = r.values, r.coefficients
-    out, node, shape = _quotient(f * w, w, r.support, x, AmbiguousEvaluationError)
+    out, node, shape = _quotient(r.alpha, r.beta, r.support, x, AmbiguousEvaluationError)
     hits = node >= 0
-    out[hits] = f[node[hits]]
+    out[hits] = r.values[node[hits]]
     return _finish(out, shape)
 
 
@@ -220,9 +213,10 @@ def eval_interpolant(r, x):
 class CayleyApproximant(_Quotient):
     """Unitary form r = conj(xi)/xi.
 
-    ``phase_residual`` records max |f_j w_j - conj(w_j)|; it is at machine
-    precision for coefficients built as i K (real vector), in which case the
-    approximant also interpolates exp(ix) at the support nodes.
+    ``phase_residual`` is the interpolation residual max_j |f_j w_j -
+    conj(w_j)|, since r(y_j) = conj(w_j)/w_j; it is at machine precision for
+    coefficients built as i K (real vector), in which case the approximant
+    interpolates exp(ix) at the support nodes.
     """
 
     KIND = "cayley"
@@ -231,22 +225,20 @@ class CayleyApproximant(_Quotient):
     coefficients: np.ndarray
 
     @property
+    def alpha(self):
+        return np.conj(self.coefficients)
+
+    beta = BarycentricInterpolant.beta
+
+    @property
     def phase_residual(self):
-        return cayley_phase_residual(self.coefficients, self.support)
+        w = self.coefficients
+        return float(np.max(np.abs(np.exp(1j * self.support) * w - np.conj(w))))
 
     def eval(self, x):
         return eval_cayley(self, x)
 
     denominator = _Quotient.denominator
-
-
-def to_cayley(w, support, tol=1e-12):
-    """Certified construction: rejects coefficients whose conjugate-phase
-    residual exceeds ``tol``."""
-    r = CayleyApproximant(support=support, coefficients=w)
-    if r.phase_residual > tol:
-        raise NotCayleyRepresentableError(r.phase_residual, tol)
-    return r
 
 
 def eval_cayley(r, x):

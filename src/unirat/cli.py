@@ -15,9 +15,9 @@ from .barycentric import (
     BarycentricInterpolant,
     CayleyApproximant,
     NonInterpolatoryApproximant,
-    cayley_phase_residual,
 )
-from .diagnostics import max_error, real_axis_pole_scan, unitarity_deviation
+from .diagnostics import (max_error, real_axis_pole_scan, structure_residual,
+                          unitarity_deviation)
 from .errors import InvalidInputError, UniratError
 from .loewner import VARIANTS
 from .pade import PadeApproximant
@@ -130,16 +130,12 @@ def interval_grid(a, b, n):
 
 
 def _fit_metrics(approx, grid):
-    metrics = {
+    return {
         "max_error": max_error(approx, grid),
         "unitarity_deviation": unitarity_deviation(approx, grid),
         "pole_scan": dataclasses.asdict(real_axis_pole_scan(approx, grid)),
+        "structure_residual": structure_residual(approx),
     }
-    w = getattr(approx, approx.COEFFICIENTS[0])
-    if approx.COEFFICIENTS == ("alpha", "beta"):
-        w = np.conj(w)  # alpha = conj(w) in the Cayley form
-    metrics["cayley_residual"] = cayley_phase_residual(w, approx.support)
-    return metrics
 
 
 def cmd_fit(args):

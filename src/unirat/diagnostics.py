@@ -1,4 +1,5 @@
-"""Grid metrics: approximation error, unitarity deviation, pole scan."""
+"""Grid metrics (approximation error, unitarity deviation, pole scan) and
+the coefficients' structure residual."""
 
 from dataclasses import dataclass
 
@@ -6,7 +7,7 @@ import numpy as np
 
 from .barycentric import coefficient_norm
 from .errors import InvalidInputError, PoleEvaluationError
-from .linalg import EPS
+from .linalg import EPS, _phase
 
 
 def _grid(grid):
@@ -72,3 +73,15 @@ def real_axis_pole_scan(approx, grid):
         flagged=bool(d[i] < threshold),
     )
 
+
+def structure_residual(approx):
+    """max_j |alpha_j - e^{i theta} conj(beta_j)| / ||alpha|| with theta =
+    arg sum_j alpha_j beta_j, the phase that minimises the 2-norm of the
+    difference: how far a form's coefficients miss alpha = e^{i theta}
+    conj(beta), the identity that makes r unitary on the real axis.  The
+    Cayley form meets it to rounding; for the other forms of a fit it is the
+    perturbation of the minimising singular vector."""
+    alpha, beta = approx.alpha, approx.beta
+    delta = alpha - _phase(np.sum(alpha * beta, keepdims=True)) * np.conj(beta)
+    with np.errstate(divide="ignore"):
+        return float(np.max(np.abs(delta)) / np.linalg.norm(alpha))

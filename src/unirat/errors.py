@@ -43,13 +43,3 @@ class AmbiguousEvaluationError(UniratError, ArithmeticError):
         self.location = location
         super().__init__(f"zero coefficient at support node x = {location!r}")
 
-
-class NotCayleyRepresentableError(InvalidInputError):
-    """Coefficients violate the conjugate-phase identity required for ξ*/ξ interpolation."""
-
-    def __init__(self, residual, tol):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"max |f_j w_j - conj(w_j)| = {residual:.3e} exceeds tolerance {tol:.3e}"
-        )

@@ -55,6 +55,7 @@ def lawson_weight_update(weights, errors):
     """mu_k <- mu_k |eps_k|, then divide by the max entry.
 
     Returns None when every product is zero (exact fit; the caller stops).
+    The weights must be finite and nonnegative; a weight of 0 is allowed.
     """
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
     errors = np.atleast_1d(np.asarray(errors))
@@ -62,6 +63,8 @@ def lawson_weight_update(weights, errors):
         raise InvalidInputError("weights and errors must have equal length")
     if errors.size == 0 or not np.all(np.isfinite(errors)):
         raise InvalidInputError("errors must be a nonempty vector of finite values")
+    if not np.all((weights >= 0.0) & (weights < np.inf)):
+        raise InvalidInputError("weights must be finite and nonnegative")
     mu = weights * np.abs(errors)
     top = mu.max()
     if top == 0.0:

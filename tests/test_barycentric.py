@@ -22,15 +22,9 @@ from unirat import (
     min_singular_pair,
     phase_diagonals,
     rescaled_loewner,
-    to_cayley,
 )
 from unirat.cli import approximant_from_dict
-from unirat.errors import (
-    AmbiguousEvaluationError,
-    InvalidInputError,
-    NotCayleyRepresentableError,
-    PoleEvaluationError,
-)
+from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
 
 from conftest import separated_nodes
@@ -140,16 +134,13 @@ class TestCayleyApproximant:
 
 
 class TestToCayley:
+    """The Cayley form's interpolation residual on fitted coefficients."""
+
     def test_accepts_minimizing_vector(self):
         rng = np.random.default_rng(50)
         y, w = fitted_coefficients(rng, 9, 4)
-        r = to_cayley(w, y)
+        r = CayleyApproximant(support=y, coefficients=w)
         assert r.phase_residual <= 4 * EPS
-
-    def test_rejects_wrong_phase(self):
-        with pytest.raises(NotCayleyRepresentableError) as exc:
-            to_cayley([1.0], [np.pi / 2])
-        assert exc.value.residual == pytest.approx(np.sqrt(2))
 
     def test_accepts_expanded_kernel_vector(self):
         # full-overlap system: [M | -S_F M] has an m-dimensional kernel and
@@ -158,8 +149,27 @@ class TestToCayley:
         ns = NodeSet(test_nodes=y, support_nodes=y)
         alpha, beta = min_singular_pair(bhat(ns))
         assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
-        r = to_cayley(beta, y)
+        r = CayleyApproximant(support=y, coefficients=beta)
         assert r.phase_residual <= 64 * EPS
+
+
+class TestCoefficientPair:
+    """Every form is alpha/beta: the interpolant's alpha is f w, the Cayley
+    form's conj(w), and both forms' beta is w."""
+
+    @pytest.mark.parametrize("cls, alpha_of", [
+        (BarycentricInterpolant, lambda y, w: np.exp(1j * y) * w),
+        (CayleyApproximant, lambda y, w: np.conj(w)),
+    ])
+    def test_pair_defines_the_quotient(self, cls, alpha_of):
+        rng = np.random.default_rng(53)
+        y, w = fitted_coefficients(rng, 9, 4)
+        r = cls(support=y, coefficients=w)
+        assert np.array_equal(r.alpha, alpha_of(r.support, r.coefficients))
+        assert r.beta is r.coefficients
+        rb = NonInterpolatoryApproximant(support=y, alpha=r.alpha, beta=r.beta)
+        x = rng.uniform(-20, 20, size=50)
+        assert np.allclose(rb.eval(x), r.eval(x), rtol=64 * EPS, atol=0)
 
 
 class TestNonInterpolatory:

@@ -1,4 +1,6 @@
-"""Grid metrics: max error, unitarity deviation, pole scan, phase residual."""
+"""Grid metrics: max error, unitarity deviation, pole scan; structure residual."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -8,16 +10,17 @@ from unirat import (
     CayleyApproximant,
     NonInterpolatoryApproximant,
     PadeApproximant,
-    cayley_phase_residual,
     max_error,
     real_axis_pole_scan,
+    structure_residual,
     unitarity_deviation,
 )
+from unirat.cli import _figure_fit
 from unirat.diagnostics import _values
 from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
 
-from conftest import EVAL_GRID
+from conftest import EVAL_GRID, FIT_GRID
 
 
 class Constant:
@@ -162,17 +165,62 @@ class TestPoleScan:
 
 
 class TestCayleyResidual:
+    """The Cayley form's interpolation residual max_j |f_j w_j - conj(w_j)|."""
+
     def test_minimizing_vector(self, figure_fits):
         approx, _, _ = figure_fits["aaa_mod"]
-        assert cayley_phase_residual(approx.coefficients, approx.support) <= 4 * EPS
-
-    def test_original_vector_larger(self, figure_fits):
-        # the complex SVD fixes the global phase only up to its sign rule, so
-        # the residual is 2|sin(phi)| times the coefficient scale: well above
-        # machine precision but bounded
-        approx, _, _ = figure_fits["aaa_orig"]
-        res = cayley_phase_residual(approx.coefficients, approx.support)
-        assert 64 * EPS < res <= 2.0
+        assert approx.phase_residual <= 4 * EPS
 
     def test_hand_value(self):
-        assert abs(cayley_phase_residual([1.0], [np.pi / 2]) - np.sqrt(2)) <= 4 * EPS
+        r = CayleyApproximant(support=[np.pi / 2], coefficients=[1.0])
+        assert abs(r.phase_residual - np.sqrt(2)) <= 4 * EPS
+
+
+class TestStructureResidual:
+    """max_j |alpha_j - e^{i theta} conj(beta_j)| / ||alpha||, theta = arg sum alpha_j beta_j."""
+
+    def test_hand_value(self):
+        # alpha = (1, i)/sqrt(2), beta = (1, 1)/sqrt(2): theta = pi/4, and both
+        # entries miss by |1 - e^{i pi/4}|/sqrt(2) = sqrt(2) sin(pi/8)
+        r = BarycentricInterpolant(support=[0.0, np.pi / 2], coefficients=[1.0, 1.0])
+        assert abs(structure_residual(r) - np.sqrt(2) * np.sin(np.pi / 8)) <= 4 * EPS
+
+    @pytest.mark.parametrize("name", ["aaa_mod", "lawson_mod"])
+    def test_modified_figure_fits(self, figure_fits, name):
+        approx, _, _ = figure_fits[name]
+        assert structure_residual(approx) <= 4 * EPS
+
+    @pytest.mark.parametrize("name", ["aaa_orig", "lawson_orig"])
+    def test_global_phase_invariant(self, figure_fits, name):
+        # the SVD fixes the singular vector only up to a phase; the residual
+        # aligns it, so a rotated vector reads the same to rounding
+        approx, _, _ = figure_fits[name]
+        base = structure_residual(approx)
+        assert base <= 1e-5
+        for phi in (0.3, 1.0, np.pi / 2, 2.5, np.pi, -2.0):
+            fields = {f: np.exp(1j * phi) * getattr(approx, f) for f in approx.COEFFICIENTS}
+            rotated = type(approx)(support=approx.support, **fields)
+            assert abs(structure_residual(rotated) - base) <= 4 * EPS
+
+    def test_zero_numerator_is_infinite(self):
+        r = NonInterpolatoryApproximant(support=[0.0, 1.0], alpha=[0.0, 0.0], beta=[1.0, 2.0])
+        assert structure_residual(r) == np.inf
+
+    @pytest.mark.parametrize("lawson", [False, True], ids=["aaa_orig", "lawson_orig"])
+    def test_wedin_bound(self, monkeypatch, lawson):
+        # the residual is the perturbation of the fit's last singular vector,
+        # bounded by eps sigma_max / (sigma_{m-1} - sigma_m) (Wedin); the fits
+        # solve their systems in unirat.loewner, whose package attribute is the
+        # loewner function, not the module
+        loewner = importlib.import_module("unirat.loewner")
+        spectra = []
+        for svd_name in ("svd_real", "svd_complex"):
+            def record(A, svd=getattr(loewner, svd_name)):
+                res = svd(A)
+                spectra.append(res.singular_values)
+                return res
+            monkeypatch.setattr(loewner, svd_name, record)
+        approx, _ = _figure_fit(FIT_GRID, "original", lawson)
+        s = spectra[-1]
+        bound = EPS * s[0] / (s[-2] - s[-1])
+        assert structure_residual(approx) <= bound

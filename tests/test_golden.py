@@ -67,6 +67,15 @@ def test_changed_non_numeric_json_value_differs(tmp_path, capsys):
     assert lines[0] == "fit-run/metrics.json: max_error 1e-12, stop_reason differs"
 
 
+def test_key_on_one_side_named(tmp_path, capsys):
+    old = write_capture(tmp_path / "a", meta={"cayley_residual": 0.9})
+    new = write_capture(tmp_path / "b", meta={"structure_residual": 4e-7})
+    rc, lines = compare(capsys, old, new)
+    assert rc == 1
+    assert lines[0] == ("fit-run/metrics.json: cayley_residual only in OLD, "
+                        "structure_residual only in NEW")
+
+
 def test_usage_exit_2(capsys):
     assert golden.main(["--compare", "only-one"]) == 2
     assert "usage:" in capsys.readouterr().err

@@ -61,6 +61,15 @@ class TestWeightUpdate:
             with pytest.raises(InvalidInputError):
                 lawson_weight_update(weights, errors)
 
+    @pytest.mark.parametrize("weights", [[-1.0, -2.0], [1.0, -0.5], [1.0, np.nan],
+                                         [1.0, np.inf]])
+    def test_negative_or_non_finite_weights_rejected(self, weights):
+        # [-1, -2] would return [1, 2] and a NaN weight would make every weight NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                lawson_weight_update(weights, [1.0, 1.0])
+
 
 class TestConfig:
     def test_validation(self):

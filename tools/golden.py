@@ -15,7 +15,8 @@ Run it once in each checkout.
 The second form prints, for each file of the two captures, ``identical``
 or the largest absolute difference per CSV column or per numeric JSON key
 (a list counts as one key); a key whose non-numeric value changed reads
-``differs``.  It exits 1 if any file differs.
+``differs``, and a key that one capture lacks reads ``only in OLD`` or
+``only in NEW``.  It exits 1 if any file differs.
 
 The third form captures the ``src`` tree of the git revision REV (through
 ``git archive``) and the working tree's into temporary directories, and
@@ -107,7 +108,10 @@ def compare(old, new):
         a, b = map(_read, paths)
         report = []
         for key in list(a) + [k for k in b if k not in a]:
-            d = _difference(a.get(key), b.get(key))
+            if (key in a) != (key in b):
+                report.append(f"{key} only in {'OLD' if key in a else 'NEW'}")
+                continue
+            d = _difference(a[key], b[key])
             if d != 0.0:
                 report.append(f"{key} {'differs' if d is None else f'{d:.3g}'}")
         print(f"{name}: {', '.join(report) or 'identical'}")
