@@ -108,7 +108,7 @@ def interpolatory_system(C, ph, variant):
 
 def interpolatory_coefficients(A, ph, variant):
     """(alpha, w, svd): (conj(w), w = i K v) or (S_f v, v), v = last right vector."""
-    res = (svd_real if variant == "modified" else svd_complex)(A)
+    res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True)
     v = res.right_vectors[:, -1]
     if variant == "original":
         return ph.S_f * v, v, res
@@ -126,7 +126,7 @@ def expanded_system(M, ph, variant):
 def expanded_coefficients(A, variant):
     """(alpha, beta, svd): (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta]."""
     m = A.shape[1] // 2
-    res = (svd_real if variant == "modified" else svd_complex)(A)
+    res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True)
     g = res.right_vectors[:, -1]
     if variant == "original":
         return g[:m], g[m:], res
@@ -167,7 +167,11 @@ def rescaled_loewner(nodes):
 @dataclass(frozen=True)
 class MinSingularResult:
     """Minimizing coefficient vector w = i K (last right singular vector),
-    together with the singular values of the matrix it came from."""
+    together with the singular values of the matrix it came from.
+
+    They come from a fit-path SVD (``smallest_only``), which certifies only
+    sigma_min and the last vector; sigma_0 may be off by up to ~6e-7
+    relative."""
 
     coefficients: np.ndarray
     singular_values: np.ndarray

@@ -94,8 +94,8 @@ class TestFit:
         loewner = importlib.import_module("unirat.loewner")
         flags = []
         for name in ("svd_real", "svd_complex"):
-            def record(A, svd=getattr(loewner, name)):
-                res = svd(A)
+            def record(A, *args, svd=getattr(loewner, name), **kw):
+                res = svd(A, *args, **kw)
                 flags.append(res.degenerate)
                 return res
             monkeypatch.setattr(loewner, name, record)

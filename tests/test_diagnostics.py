@@ -215,8 +215,8 @@ class TestStructureResidual:
         loewner = importlib.import_module("unirat.loewner")
         spectra = []
         for svd_name in ("svd_real", "svd_complex"):
-            def record(A, svd=getattr(loewner, svd_name)):
-                res = svd(A)
+            def record(A, *args, svd=getattr(loewner, svd_name), **kw):
+                res = svd(A, *args, **kw)
                 spectra.append(res.singular_values)
                 return res
             monkeypatch.setattr(loewner, svd_name, record)

@@ -12,6 +12,7 @@ import unirat.lawson as lawson
 import unirat.linalg as linalg
 from unirat import (AaaConfig, NodeSet, aaa_fit, bhat, expanded_loewner, svd_complex,
                     svd_real)
+from unirat.cli import _figure_fit
 from unirat.errors import InvalidInputError, NumericalFailureError
 from unirat.linalg import (EPS, SWEEP_CAP, _jacobi_orthogonalize, _phase, _pivoted_r,
                            _round_robin)
@@ -473,6 +474,22 @@ def figure_support(variant):
     return aaa_fit(FIT_GRID, AaaConfig(m_max=14, tol=1e-12, variant=variant))[0].support
 
 
+def record_fit_svds(monkeypatch):
+    """Record ``(svd, A, kwargs, result)`` for every SVD the fits run.
+
+    The fits solve their systems in unirat.loewner, whose package attribute
+    is the loewner function, not the module."""
+    loewner = importlib.import_module("unirat.loewner")
+    calls = []
+    for name in ("svd_real", "svd_complex"):
+        def record(A, *args, svd=getattr(loewner, name), **kw):
+            res = svd(A, *args, **kw)
+            calls.append((svd, A, kw, res))
+            return res
+        monkeypatch.setattr(loewner, name, record)
+    return calls
+
+
 class TestSweepCounts:
     """Sweeps are deterministic; the unpreconditioned kernel needed 12-16 on
     the figure-grid Lawson systems."""
@@ -486,25 +503,72 @@ class TestSweepCounts:
         assert svd_real(bhat(nodes)).sweeps <= 8
         assert svd_complex(expanded_loewner(nodes)).sweeps <= 8
 
-    @pytest.mark.parametrize("variant, first", [("modified", 8), ("original", 9)])
-    def test_figure_lawson_fit(self, monkeypatch, variant, first):
+    @pytest.mark.parametrize("variant, first, sweeps_total, rotations_total",
+                             [("modified", 8, 80, 27332), ("original", 9, 96, 30046)])
+    def test_figure_lawson_fit(self, monkeypatch, variant, first, sweeps_total,
+                               rotations_total):
         # the first system of the original fit has twelve leading columns
         # within 0.2% in norm, and its eighth sweep only rotates pairs whose
         # cosines sit at the eps threshold; the weighted systems after it
-        # are where the column pivoting pays
-        # the fits solve their systems in unirat.loewner, whose package
-        # attribute is the loewner function, not the module; the support is
-        # fitted before patching, so only the Lawson SVDs are recorded
+        # are where the column pivoting pays.  The totals are the fit path's
+        # exact counts: the support is fitted before patching, so only the
+        # Lawson SVDs are recorded
         y = figure_support(variant)
-        loewner = importlib.import_module("unirat.loewner")
-        sweeps = []
-        for name in ("svd_real", "svd_complex"):
-            def record(A, svd=getattr(loewner, name)):
-                res = svd(A)
-                sweeps.append(res.sweeps)
-                return res
-            monkeypatch.setattr(loewner, name, record)
+        calls = record_fit_svds(monkeypatch)
         lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
                           lawson.LawsonConfig(n_lawson=20, variant=variant))
+        sweeps = [res.sweeps for *_, res in calls]
         assert len(sweeps) == 20
         assert sweeps[0] <= first and max(sweeps[1:]) <= 8, sweeps
+        assert sum(sweeps) == sweeps_total
+        assert sum(res.rotations for *_, res in calls) == rotations_total
+
+
+def spectrum_matrix(rng, n, sigma, dtype):
+    """An n x sigma.size matrix with singular values sigma and random
+    singular vectors."""
+    def gaussian(shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if dtype is complex else X
+
+    U = np.linalg.qr(gaussian((n, sigma.size)))[0]
+    V = np.linalg.qr(gaussian((sigma.size, sigma.size)))[0]
+    return (U * sigma) @ V.conj().T
+
+
+class TestSmallestOnly:
+    """The fits' SVDs stop once the smallest column is certified; what the
+    fits read stays the bits of the fully converged kernel."""
+
+    def test_figure_fits_read_full_kernel_bits(self, monkeypatch):
+        calls = record_fit_svds(monkeypatch)
+        for variant, lawson_steps in itertools.product(("modified", "original"),
+                                                       (False, True)):
+            _figure_fit(FIT_GRID, variant, lawson_steps)
+        early = 0
+        for svd, A, kw, res in calls:
+            assert kw["smallest_only"]
+            full = svd(A, **{**kw, "smallest_only": False})
+            assert np.array_equal(res.right_vectors[:, -1], full.right_vectors[:, -1])
+            assert res.singular_values[-1] == full.singular_values[-1]
+            assert res.degenerate == full.degenerate
+            early += res.sweeps < full.sweeps
+        assert early >= len(calls) // 2
+
+    @pytest.mark.parametrize("svd, dtype", [(svd_real, float), (svd_complex, complex)])
+    def test_close_smallest_pair_runs_full_sweeps(self, svd, dtype):
+        # with the two smallest singular values within 0.1% the Gershgorin
+        # bound cannot separate them, and the result is the full kernel's;
+        # well separated, the same spectrum stops a sweep early
+        sigma = np.logspace(0, -2, 12)
+        for last, stops_early in ((1.0 - 5e-4, False), (1e-8, True)):
+            sigma[-1] = sigma[-2] * last
+            A = spectrum_matrix(np.random.default_rng(0), 20, sigma, dtype)
+            res, full = svd(A, smallest_only=True), svd(A)
+            assert (res.sweeps < full.sweeps) is stops_early
+            assert np.array_equal(res.right_vectors[:, -1], full.right_vectors[:, -1])
+            assert res.singular_values[-1] == full.singular_values[-1]
+            if not stops_early:
+                assert (res.sweeps, res.rotations) == (full.sweeps, full.rotations)
+                assert np.array_equal(res.right_vectors, full.right_vectors)
+                assert np.array_equal(res.singular_values, full.singular_values)
