@@ -96,9 +96,11 @@ def lawson_fit(test_nodes, support_nodes, config):
     Cp = modified_cauchy(nodes)
 
     trace = LawsonTrace()
+    start = None  # a step's SVD starts from the right vectors of the step before
     for step in range(1, config.n_lawson + 1):
         A = expanded_system(np.sqrt(mu)[:, None] * Cp, ph, config.variant)
-        alpha, beta, res = expanded_coefficients(A, config.variant)
+        alpha, beta, res = expanded_coefficients(A, config.variant, start=start)
+        start = res.right_vectors
         r = node_quotient(Cp, alpha, beta)
 
         eps = ph.S_F - r

@@ -123,10 +123,14 @@ def expanded_system(M, ph, variant):
     return np.hstack([M, -ph.S_F[:, None] * M])
 
 
-def expanded_coefficients(A, variant):
-    """(alpha, beta, svd): (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta]."""
+def expanded_coefficients(A, variant, *, start=None):
+    """(alpha, beta, svd): (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta].
+
+    ``start`` is passed to the SVD: a Lawson step starts from the right
+    vectors of the step before."""
     m = A.shape[1] // 2
-    res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True)
+    res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True,
+                                                               start=start)
     g = res.right_vectors[:, -1]
     if variant == "original":
         return g[:m], g[m:], res

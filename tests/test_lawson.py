@@ -23,6 +23,7 @@ from unirat import (
 from unirat.barycentric import node_quotient
 from unirat.errors import InvalidInputError, NumericalFailureError
 from unirat.linalg import EPS
+from unirat.loewner import expanded_coefficients
 
 from conftest import separated_nodes
 
@@ -83,22 +84,24 @@ class TestLawsonFit:
     def test_first_step_matches_expanded_svd(self):
         # 1, 2 and 3 steps reproduce, bit for bit, a replay through the node-level
         # functions over test nodes + appended support nodes, weighted by mu:
-        # every step of the fit builds and solves the matrix they return
+        # every step of the fit builds the matrix they return and solves it
+        # from the right vectors of the step before
         rng = np.random.default_rng(72)
         for _ in range(5):
             x, y = separated_nodes(rng, 10, 3)
             xa = np.concatenate([x, y])
             for variant in ("modified", "original"):
                 mu = np.ones(xa.size)
+                start = None
                 for steps in (1, 2, 3):
                     ns = NodeSet(test_nodes=xa, support_nodes=y, weights=mu)
+                    A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
+                    alpha, beta, res = expanded_coefficients(A, variant, start=start)
+                    start = res.right_vectors
                     if variant == "modified":
-                        alpha, beta = min_singular_pair(bhat(ns))
                         assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
                         ref = CayleyApproximant(support=y, coefficients=beta)
                     else:
-                        g = svd_complex(expanded_loewner(ns)).right_vectors[:, -1]
-                        alpha, beta = g[:y.size], g[y.size:]
                         ref = NonInterpolatoryApproximant(support=y, alpha=alpha,
                                                           beta=beta)
                     r = node_quotient(modified_cauchy(ns), alpha, beta)
