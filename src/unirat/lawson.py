@@ -78,10 +78,15 @@ def lawson_fit(test_nodes, support_nodes, config):
     Returns ``(approximant, trace)``: a ``CayleyApproximant`` built from the
     beta coefficients for the modified variant, or a
     ``NonInterpolatoryApproximant`` carrying both alpha and beta for the
-    original variant.
+    original variant.  Fewer than m - 1 test nodes for m support nodes are
+    rejected: each step's system then has n + m < 2m - 1 rows for its 2m
+    unknowns, a null space of dimension at least 2, and no determined vector.
     """
     x = check_nodes(test_nodes, "test nodes", least=0)
     y = check_nodes(support_nodes, "support nodes")
+    if x.size < y.size - 1:
+        raise InvalidInputError(f"{y.size} support nodes need at least {y.size - 1} "
+                                f"test nodes, got {x.size}")
     if set(x.tolist()) & set(y.tolist()):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")

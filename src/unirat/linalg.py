@@ -7,31 +7,28 @@ Drmač & Veselić (SIMAX 29, 2008).  A LAPACK QR first reduces A to a square
 triangular T: R of A = QR for tall A, R^H of A^H = QR for wide A.  A
 Householder QR with column pivoting, T P = Q2 R2, and an LQ step,
 R2^H = Q3 R3, then leave the lower-triangular R3^H, and the sweeps rotate
-its columns: on the figure-grid Lawson systems they converge in 6-9 sweeps,
-where rotating T took 12-16.  The right vectors are V = P Q3 W, W the
-accumulated rotations, and they are applied to A itself.  Each sweep visits
-every column pair once in round-robin order (Brent & Luk, SIAM J. Sci.
-Stat. Comput. 6, 1985), whose rounds of disjoint pairs are rotated by one
-set of array operations each; a round computes the rotations of its active
-pairs only, those not yet orthogonal to roundoff, and writes back only
-their rows.  A complex pair is rotated by the Hermitian 2 x 2 rotation that
-takes out the phase of its inner product, so complex input needs no real
-embedding.  The fits read only V and the singular values, so the left
-vectors are built on first access, from a Householder QR of A V.
+its columns.  The right vectors are V = P Q3 W, W the accumulated rotations,
+and they are applied to A itself.  Each sweep visits every column pair once
+in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 1985),
+whose rounds of disjoint pairs are rotated by one set of array operations
+each; a round computes the rotations of its active pairs only, those not yet
+orthogonal to roundoff, and writes back only their rows.  A complex pair is
+rotated by the Hermitian 2 x 2 rotation that takes out the phase of its
+inner product, so complex input needs no real embedding.  The fits read only
+V and the singular values, so the left vectors are built on first access,
+from a Householder QR of A V.
 
-A fit reads only sigma_min, its right vector and the ``degenerate`` flag,
-so its SVDs (``smallest_only=True``) also stop after a sweep that left the
-smallest column of the rotated factor bit-unchanged while a Gershgorin
-bound on the Gram matrix of the other columns certifies that none of them
-hides a smaller singular value.  On the figure fits the column then has
-the bits that full convergence gives, and the figure-grid Lawson systems,
-started cold, stop after 4-5 sweeps in place of 6-9.
-
-A Lawson step's system differs from the step before only in its row
+The sweeps end after a sweep that left a pair unrotated, once one Gram
+matrix of the rotated columns, with the bits of the rounds' inner products,
+shows no active pair.  A fit reads only sigma_min, its right vector and the
+``degenerate`` flag, so its SVDs (``smallest_only=True``) also stop once the
+smallest column has no active pair and a Gershgorin bound on the Gram matrix
+of the other columns certifies that none of them hides a smaller singular
+value.  A Lawson step's system differs from the step before only in its row
 weights, so the step passes the previous right vectors as ``start``: for a
-tall A = QR the sweeps then rotate R start in place of the preconditioned
-factor, and V = start W.  This skips the pivoted QR and the LQ step, and
-the figure-grid Lawson steps run 12-20% fewer rotations than started cold.
+tall A = QR the preconditioned sweeps then factor the near column-orthogonal
+R Q_s, Q_s the Q of start's QR, and V = Q_s V'.  The four figure fits run
+280 sweeps, the Lawson steps after the first 2 each.
 """
 
 import functools
@@ -63,8 +60,8 @@ class SvdResult:
 
     A ``smallest_only`` result certifies only sigma_min and the last right
     vector; the other columns are only partly converged: on the figure fits
-    sigma_0 is off by up to ~6e-7 relative, the values between it and
-    sigma_{m-1} by up to ~3e-6.
+    sigma_0 is off by up to ~4e-6 relative, the values between it and
+    sigma_{m-1} by up to ~5e-3.
     """
 
     singular_values: np.ndarray
@@ -132,23 +129,31 @@ def _ldexp(z, e):
     return np.ldexp(z, e)
 
 
-def _smallest_certified(S, before, k):
-    """Whether the smallest-norm column c of R V (row c of ``S[:, :k]``) is
-    final: the sweep that turned ``before`` into S left its row bit-unchanged,
-    and the Gershgorin lower bound min_i (g_ii - sum_{j != i} |g_ij|) on the
-    Gram matrix G of the other columns exceeds ||c||^2, so no smaller
-    singular value hides among the columns still being rotated."""
-    unchanged = (S == before).all(axis=1)
-    if not unchanged.any():
-        return False
+def _gram(S, k):
+    """|G| and diag G, G the Gram matrix of the rotated columns ``S[:, :k]``."""
     C = S[:, :k]
-    norms = np.einsum("ij,ij->i", C.conj(), C).real
+    G = np.einsum("ik,jk->ij", C.conj(), C)
+    return np.abs(G), np.diagonal(G).real
+
+
+def _converged(S, k, smallest_only):
+    """Whether no pair is active under the rounds' test, on Gram entries with
+    the bits of the rounds' einsums, so the next sweep would rotate nothing;
+    with ``smallest_only``, whether the smallest column c has no active pair
+    and the Gershgorin bound min_i (g_ii - sum_{j != i} |g_ij|) on the Gram
+    matrix of the other columns exceeds ||c||^2: their rotations keep c
+    orthogonal to their span, and no smaller singular value hides in it."""
+    a, norms = _gram(S, k)
+    zeta = (norms - norms[:, None]) / (2.0 * a)
+    active = (a > EPS * np.sqrt(norms[:, None] * norms)) & np.isfinite(zeta)
+    np.fill_diagonal(active, False)
+    if not active.any():
+        return True
     c = int(norms.argmin())
-    if not unchanged[c]:
+    if not smallest_only or active[c].any():
         return False
     # rows of |G| over all columns, less the entries of column c
-    G = np.abs(C.conj() @ C.T)
-    bound = 2.0 * np.diagonal(G) - G.sum(axis=1) + G[:, c]
+    bound = 2.0 * np.diagonal(a) - a.sum(axis=1) + a[:, c]
     bound[c] = np.inf
     return bool(bound.min() > norms[c])
 
@@ -159,17 +164,17 @@ def _jacobi_orthogonalize(R, smallest_only=False):
     Returns ``(V, sweeps, rotations)``: the accumulated unitary V, so that
     R V has orthogonal columns, the number of sweeps run and the number of
     pair rotations applied.  With ``smallest_only`` the sweeps also stop once
-    the smallest column of R V is certified (``_smallest_certified``); only
-    that column and its right vector are then converged.
+    the smallest column of R V is certified (``_converged``); only that
+    column and its right vector are then converged.
     """
     k, m = R.shape
+    pairs = m * (m - 1) // 2
     # row j holds column j of R and then column j of V, so one gather and one
     # scatter per round move a column pair together with its right vectors
     S = np.hstack([R.T, np.eye(m, dtype=R.dtype)])
     rotations = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for sweep in range(1, SWEEP_CAP + 1):
-            before = S.copy() if smallest_only else None
             rotated = 0
             for index, half in _round_robin(m):
                 P = S[index]
@@ -207,15 +212,14 @@ def _jacobi_orthogonalize(R, smallest_only=False):
                 S[top] = c * X - s.conj() * Y
                 S[bottom] = s * X + c * Y
             rotations += rotated
-            if not rotated or smallest_only and _smallest_certified(S, before, k):
+            # a sweep that rotated every pair is far from convergence
+            if not rotated or rotated < pairs and _converged(S, k, smallest_only):
                 return S[:, k:].T, sweep, rotations
         # the cap was reached; accept the result if the last sweep actually
         # drove the column inner products to roundoff level
-        C = S[:, :k]
-        off = np.abs(C.conj() @ C.T)
+        off, norms = _gram(S, k)
         np.fill_diagonal(off, 0.0)
-        norms = np.linalg.norm(C, axis=1)
-        scale = np.outer(norms, norms)
+        scale = np.outer(np.sqrt(norms), np.sqrt(norms))
         residual = float(np.max(np.where(scale > 0, off / scale, 0.0)))
     if residual > 8.0 * EPS:
         raise NumericalFailureError(
@@ -285,6 +289,7 @@ def _svd(A, dtype, smallest_only, start):
         start = np.asarray(start, dtype=dtype)
         if start.shape != (m, m) or not np.all(np.isfinite(start)):
             raise InvalidInputError(f"start must be a finite {m} x {m} unitary matrix")
+        start = np.linalg.qr(start)[0]  # keeps V orthonormal along a chain of starts
     # column inner products overflow above ~1e154 and lose their precision
     # below ~1e-154, so a matrix far out of range is brought near 1 by an
     # exact power of two; one in range is left untouched
@@ -294,13 +299,8 @@ def _svd(A, dtype, smallest_only, start):
         A = _ldexp(A, -shift)
     if n >= m:
         T = np.linalg.qr(A, mode="r")
-        if start is None:
-            V, sweeps, rotations = _preconditioned(T, smallest_only)
-        else:
-            # T start is near column-orthogonal when start holds the right
-            # vectors of a nearby matrix, so it needs no preconditioning
-            W, sweeps, rotations = _jacobi_orthogonalize(T @ start, smallest_only)
-            V = start @ W
+        V, sweeps, rotations = _preconditioned(T if start is None else T @ start, smallest_only)
+        V = V if start is None else start @ V
     else:
         # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
         # null space of A, Q's trailing columns, out of the sweeps
@@ -334,9 +334,9 @@ def svd_real(A, *, smallest_only=False, start=None):
     and its right vector are certified, which is all a fit reads; the other
     values and vectors are then only partly converged.  ``start``, a
     cols x cols orthogonal matrix such as the right vectors of a nearby
-    matrix, replaces the preconditioning of a matrix with at least as many
-    rows as columns: the sweeps rotate R start and V = start W.  A wider
-    matrix ignores it.
+    matrix, is a change of basis for a matrix with at least as many rows as
+    columns: with Q_s the Q of its QR, the sweeps factor A Q_s and
+    V = Q_s V'; a start near V saves sweeps.  A wider matrix ignores it.
     """
     return _svd(A, float, smallest_only, start)
 

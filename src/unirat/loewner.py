@@ -174,7 +174,7 @@ class MinSingularResult:
     together with the singular values of the matrix it came from.
 
     They come from a fit-path SVD (``smallest_only``), which certifies only
-    sigma_min and the last vector; sigma_0 may be off by up to ~6e-7
+    sigma_min and the last vector; sigma_0 may be off by up to ~4e-6
     relative."""
 
     coefficients: np.ndarray

@@ -89,8 +89,9 @@ class TestFit:
         assert cols["max_error"][-1] <= 1e-12
 
     def test_degenerate_column_reads_the_svds(self, tmp_path, monkeypatch):
-        # 2 test nodes are left after 4 greedy iterations, so the Lawson
-        # systems have more columns than rows and every step is degenerate
+        # 9 support nodes resolve exp(ix) on [-3, 3] to roundoff, so from the
+        # tenth greedy iteration on, and in every Lawson step, the two
+        # smallest singular values both sit at roundoff
         loewner = importlib.import_module("unirat.loewner")
         flags = []
         for name in ("svd_real", "svd_complex"):
@@ -99,15 +100,23 @@ class TestFit:
                 flags.append(res.degenerate)
                 return res
             monkeypatch.setattr(loewner, name, record)
-        _, trace = aaa_fit(np.linspace(-3, 3, 6), AaaConfig(m_max=4, tol=0.0, n_lawson=3))
+        _, trace = aaa_fit(np.linspace(-3, 3, 21), AaaConfig(m_max=11, tol=0.0, n_lawson=3))
         assert flags == [st.degenerate for st in trace.iterations + trace.lawson.steps]
-        assert flags[4:] == [True] * 3
+        assert flags == [False] * 9 + [True] * 5
         flags.clear()
-        assert main(["fit", "--interval", "-3", "3", "--n-test", "6", "--m-max", "4",
+        assert main(["fit", "--interval", "-3", "3", "--n-test", "21", "--m-max", "11",
                      "--tol", "0", "--lawson", "3", "--out", str(tmp_path)]) == 0
         _, cols = read_csv(tmp_path / "trace.csv")
         assert cols["degenerate"].tolist() == [float(f) for f in flags]
-        assert cols["degenerate"][4:].tolist() == [1.0] * 3
+        assert cols["degenerate"][9:].tolist() == [1.0] * 5
+
+    def test_undetermined_lawson_exit_2(self, tmp_path, capsys):
+        # 2 test nodes are left after 4 greedy iterations, too few for the
+        # Lawson systems to determine their vector
+        rc = main(["fit", "--interval", "-3", "3", "--n-test", "6", "--m-max", "4",
+                   "--tol", "0", "--lawson", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "need at least 3 test nodes, got 2" in capsys.readouterr().err
 
     def test_degenerate_interval_exit_2(self, tmp_path, capsys):
         rc = main(["fit", "--interval", "0", "0", "--out", str(tmp_path)])

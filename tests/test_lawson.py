@@ -174,13 +174,28 @@ class TestLawsonFit:
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     @pytest.mark.parametrize("y", [[0.0, 1.0], [0.3, 1.1, 2.7]])
-    def test_pole_at_test_node_is_numerical_failure(self, variant, y):
-        # with no test nodes the system has an m-dimensional null space, and
-        # the chosen vector has a zero beta_j: a pole at the node y_j
+    def test_pole_at_test_node_is_numerical_failure(self, monkeypatch, variant, y):
+        # weights that vanish on every test node leave step 2 with only the
+        # support rows, a system with an m-dimensional null space, and the
+        # chosen vector has a zero beta_j: a pole at the node y_j
+        x = [4.0, 5.0][:len(y) - 1]
+        monkeypatch.setattr("unirat.lawson.lawson_weight_update",
+                            lambda mu, eps: np.where(np.arange(mu.size) < len(x), 0.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailureError, match="Lawson step 1: .* not finite"):
-                lawson_fit([], y, LawsonConfig(n_lawson=3, variant=variant))
+            with pytest.raises(NumericalFailureError, match="Lawson step 2: .* not finite"):
+                lawson_fit(x, y, LawsonConfig(n_lawson=3, variant=variant))
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_undetermined_systems_rejected(self, variant):
+        # n test nodes and m support nodes give n + m rows for 2m unknowns;
+        # with m - 1 test nodes the null space is still one-dimensional
+        y = [0.3, 1.1, 2.7, 3.5]
+        with pytest.raises(InvalidInputError, match="need at least 3 test nodes, got 2"):
+            lawson_fit([4.0, 5.0], y, LawsonConfig(n_lawson=1, variant=variant))
+        _, trace = lawson_fit([4.0, 5.0, 6.0], y, LawsonConfig(n_lawson=3, variant=variant))
+        assert trace.stop_reason == "n_lawson"
+        assert trace.steps[-1].max_error <= 1e-12
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):

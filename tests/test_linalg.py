@@ -14,8 +14,8 @@ from unirat import (AaaConfig, NodeSet, aaa_fit, bhat, expanded_loewner, svd_com
                     svd_real)
 from unirat.cli import _figure_fit
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import (EPS, SWEEP_CAP, _jacobi_orthogonalize, _phase, _pivoted_r,
-                           _round_robin)
+from unirat.linalg import (EPS, SWEEP_CAP, _gram, _jacobi_orthogonalize, _phase,
+                           _pivoted_r, _round_robin)
 
 from conftest import FIT_GRID
 
@@ -323,10 +323,14 @@ class TestSvdProperties:
 
 def masked_jacobi(R):
     """Reference Jacobi loop: each round rotates every pair, an inactive one
-    by the identity (t = 0), through masks over the whole round."""
+    by the identity (t = 0), through masks over the whole round.  It runs
+    until a sweep rotates nothing, and counts that sweep only when the sweep
+    before it rotated every pair: the kernel tests for convergence after a
+    sweep that left a pair unrotated, and stops there."""
     k, m = R.shape
+    pairs = m * (m - 1) // 2
     S = np.hstack([R.T, np.eye(m, dtype=R.dtype)])
-    rotations = 0
+    rotations, previous = 0, pairs
     for sweep in range(1, SWEEP_CAP + 1):
         rotated = 0
         for index, half in _round_robin(m):
@@ -354,7 +358,8 @@ def masked_jacobi(R):
             S[index[half:]] = sn[:, None] * X + cs[:, None] * Y
         rotations += rotated
         if not rotated:
-            return S[:, k:].T, sweep, rotations
+            return S[:, k:].T, sweep - (previous < pairs), rotations
+        previous = rotated
     return S[:, k:].T, SWEEP_CAP, rotations
 
 
@@ -404,6 +409,24 @@ class TestKernelBits:
     @pytest.mark.parametrize("name", list(bit_cases()))
     def test_edge_cases(self, name):
         self.assert_same_bits(bit_cases()[name])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graded_matrices())
+    def test_gram_matches_round_einsums(self, A):
+        # the sweep-end test reads |apq| and the squared norms off one Gram
+        # matrix of the kernel's strided factor; the rounds' einsums on
+        # their gathered pairs must give the same bits, or the test could
+        # stop where the next sweep would still rotate
+        R = kernel_input(A)
+        k, m = R.shape
+        S = np.hstack([R.T, np.eye(m, dtype=R.dtype)])
+        a, norms = _gram(S, k)
+        for index, half in _round_robin(m):
+            C = S[index][:, :k]
+            Cc = C.conj()
+            apq = np.einsum("ij,ij->i", Cc[:half], C[half:])
+            assert np.abs(apq).tobytes() == a[index[:half], index[half:]].tobytes()
+            assert np.einsum("ij,ij->i", Cc, C).real.tobytes() == norms[index].tobytes()
 
 
 def pivoted_cases():
@@ -512,8 +535,9 @@ class TestSweepCounts:
         # the first system of the original fit has twelve leading columns
         # within 0.2% in norm, and its eighth sweep only rotates pairs whose
         # cosines sit at the eps threshold; the weighted systems after it
-        # are where the column pivoting pays.  The totals are the fit path's
-        # exact counts, steps 2-20 warm-started: the support is fitted before
+        # are where the column pivoting pays.  Steps 2-20 precondition R
+        # start, whose columns are near orthogonal already.  The totals are
+        # the fit path's exact counts: the support is fitted before
         # patching, so only the Lawson SVDs are recorded
         y = figure_support(variant)
         calls = record_fit_svds(monkeypatch)
@@ -521,8 +545,8 @@ class TestSweepCounts:
                           lawson.LawsonConfig(n_lawson=20, variant=variant))
         sweeps = [res.sweeps for *_, res in calls]
         assert len(sweeps) == 20
-        assert sweeps[0] <= first and max(sweeps[1:]) <= 8, sweeps
-        totals = {"modified": (97, 24074), "original": (94, 24036)}[variant]
+        assert sweeps[0] <= first and max(sweeps[1:]) <= 3, sweeps
+        totals = {"modified": (41, 11542), "original": (41, 11527)}[variant]
         assert (sum(sweeps), sum(res.rotations for *_, res in calls)) == totals
 
 
@@ -577,8 +601,9 @@ class TestSmallestOnly:
 
 
 class TestWarmStart:
-    """``start`` replaces the preconditioning of a tall matrix: the sweeps
-    rotate R start, and V = start W."""
+    """``start`` is a change of basis in front of a tall matrix's
+    preconditioner: with Q the Q of start's QR, the preconditioned sweeps
+    factor R Q, and V = Q V'."""
 
     @pytest.mark.parametrize("svd, dtype", [(svd_real, float), (svd_complex, complex)])
     def test_random_start_matches_lapack(self, svd, dtype):
@@ -590,6 +615,18 @@ class TestWarmStart:
             assert_factorization(A, res)
             ref = np.linalg.svd(A, compute_uv=False)
             assert np.max(np.abs(res.singular_values - ref)) <= 64 * EPS * ref[0]
+
+    @pytest.mark.parametrize("svd, dtype", [(svd_real, float), (svd_complex, complex)])
+    def test_perturbed_start_gives_orthonormal_v(self, svd, dtype):
+        # a chain of warm starts passes each V on as the next start; V = start
+        # V' would carry start's distance from unitary into V
+        rng = np.random.default_rng(71)
+        A = spectrum_matrix(rng, 30, np.logspace(0, -6, 12), dtype)
+        start = spectrum_matrix(rng, 12, np.ones(12), dtype)
+        start = start + 1e-12 * rng.standard_normal((12, 12))
+        for smallest_only in (False, True):
+            V = svd(A, start=start, smallest_only=smallest_only).right_vectors
+            assert np.max(np.abs(V.conj().T @ V - np.eye(12))) <= 16 * EPS
 
     @pytest.mark.parametrize("svd, dtype", [(svd_real, float), (svd_complex, complex)])
     def test_wide_ignores_start(self, svd, dtype):
