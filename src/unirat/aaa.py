@@ -8,7 +8,7 @@ interpolatory form, reproducing the floating-point behavior of the
 unmodified method.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Real
 
 import numpy as np
@@ -79,7 +79,7 @@ def aaa_fit(test_nodes, config):
 
     y = []  # support nodes, in selection order
     fv = K = np.empty(0, dtype=complex)  # exp(i y_j) and the K diagonal
-    C = np.empty((x.size, 0))
+    C = A = np.empty((x.size, 0))  # the Cauchy block and its system
     trace = AaaTrace()
 
     for m in range(1, config.m_max + 1):
@@ -87,13 +87,16 @@ def aaa_fit(test_nodes, config):
         y.append(float(x[j]))
         fv, K = np.append(fv, F[j]), np.append(K, R[j])
         keep = np.arange(x.size) != j
-        x, F, R, C = x[keep], F[keep], R[keep], C[keep]
+        x, F, R, C, A = x[keep], F[keep], R[keep], C[keep], A[keep]
 
-        C = np.hstack([C, (1.0 / (x - y[-1]))[:, None]])
-
+        c = (1.0 / (x - y[-1]))[:, None]
+        C = np.hstack([C, c])
         ph = PhaseDiagonals(K=K, R=R, S_f=fv, S_F=F)
-        alpha, w, res = interpolatory_coefficients(
-            interpolatory_system(C, ph, config.variant), ph, config.variant)
+        # the system is elementwise in C, so the new column's entries alone
+        # extend it, with the bits of a full rebuild
+        column = interpolatory_system(c, replace(ph, K=K[-1:], S_f=fv[-1:]), config.variant)
+        A = np.hstack([A, column])
+        alpha, w, res = interpolatory_coefficients(A, ph, config.variant)
         r = node_quotient(C, alpha, w)
 
         max_error = float(np.max(np.abs(F - r)))

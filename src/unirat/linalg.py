@@ -11,12 +11,15 @@ its columns.  The right vectors are V = P Q3 W, W the accumulated rotations,
 and they are applied to A itself.  Each sweep visits every column pair once
 in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 1985),
 whose rounds of disjoint pairs are rotated by one set of array operations
-each; a round computes the rotations of its active pairs only, those not yet
-orthogonal to roundoff, and writes back only their rows.  A complex pair is
-rotated by the Hermitian 2 x 2 rotation that takes out the phase of its
-inner product, so complex input needs no real embedding.  The fits read only
-V and the singular values, so the left vectors are built on first access,
-from a Householder QR of A V.
+each.  A round rotates only its active pairs, those not yet orthogonal to
+roundoff: it computes the rotations over all its pairs, gathers the active
+rows once, rotates them in place and scatters them back once, since its cost
+is mostly its count of NumPy calls.  A complex pair is rotated by the
+Hermitian 2 x 2 rotation that takes out the phase of its inner product, so
+complex input needs no real embedding.  One pass over |A| rejects non-finite
+input and sets the power-of-two shift.  The fits read only V and the
+singular values, so the left vectors are built on first access, from a
+Householder QR of A V.
 
 The sweeps end after a sweep that left a pair unrotated, once one Gram
 matrix of the rotated columns, with the bits of the rounds' inner products,
@@ -55,8 +58,10 @@ class SvdResult:
     (for a matrix with fewer rows than columns the trailing values are the
     numerically zero ones).  ``right_vectors`` is the square cols x cols
     basis; ``left_vectors`` holds min(rows, cols) orthonormal columns, built
-    on first access from a QR of A V.  ``sweeps`` and ``rotations`` count
-    the Jacobi sweeps run and the column pair rotations applied.
+    on first access from a QR of A V: the result keeps ``(A V, order,
+    phase)``, A V unsorted, and sorts and phases its columns as V's only
+    then.  ``sweeps`` and ``rotations`` count the Jacobi sweeps run and the
+    column pair rotations applied.
 
     A ``smallest_only`` result certifies only sigma_min and the last right
     vector; the other columns are only partly converged: on the figure fits
@@ -68,7 +73,7 @@ class SvdResult:
     right_vectors: np.ndarray
     sweeps: int
     rotations: int
-    _av: np.ndarray = field(repr=False, compare=False)
+    _av: tuple = field(repr=False, compare=False)
 
     @property
     def degenerate(self):
@@ -82,7 +87,8 @@ class SvdResult:
         """The Q of a Householder QR of A V, each column turned to the phase
         of its r_jj, so column j is A v_j / sigma_j wherever sigma_j is well
         above the noise.  Householder Q is orthonormal whatever the rank."""
-        Q, R = np.linalg.qr(self._av)
+        M, order, phase = self._av
+        Q, R = np.linalg.qr(M[:, order] * phase)
         return Q * _phase(np.diagonal(R))
 
 
@@ -189,16 +195,10 @@ def _jacobi_orthogonalize(R, smallest_only=False):
                 # roundoff; a non-finite zeta means the rotation angle is below
                 # representable resolution
                 ok = (a > EPS * np.sqrt(app * aqq)) & np.isfinite(zeta)
-                active = np.flatnonzero(ok)
+                active = ok.nonzero()[0]
                 if not active.size:
                     continue
                 rotated += active.size
-                top, bottom = index[:half], index[half:]
-                X, Y = P[:half], P[half:]
-                if active.size < half:
-                    apq, a, zeta = apq[active], a[active], zeta[active]
-                    top, bottom = top[active], bottom[active]
-                    X, Y = X[active], Y[active]
                 # t = 1/(|zeta| + hypot(1, zeta)) with both sides halved, which
                 # is exact; unhalved, the sum overflows where 2|zeta| does, and
                 # a t of 0 would leave an active pair unrotated in every sweep
@@ -207,10 +207,23 @@ def _jacobi_orthogonalize(R, smallest_only=False):
                 cs = 1.0 / np.hypot(1.0, t)
                 # while a is normal, apq / a has the bits of _phase(apq), whose
                 # power-of-two prescale is exact; a tiny a keeps the prescale
-                sn = cs * t * (apq / a if a.min() >= 2.0**-960 else _phase(apq))
+                normal = np.minimum.reduce(a, where=ok, initial=np.inf) >= 2.0**-960
+                sn = cs * t * (apq / a if normal else _phase(apq))
                 c, s = cs[:, None], sn[:, None]
-                S[top] = c * X - s.conj() * Y
-                S[bottom] = s * X + c * Y
+                if active.size < half:
+                    sel = np.concatenate((active, active + half))
+                    P, index = P[sel], index[sel]
+                    c, s = c[active], s[active]
+                # rotate the gathered rows in place: X' = cX - conj(s) Y keeps
+                # the bits of that expression, and Y' = cY + sX only swaps the
+                # operands of its addition
+                X, Y = P[:active.size], P[active.size:]
+                u, v = s.conj() * Y, s * X
+                X *= c
+                X -= u
+                Y *= c
+                Y += v
+                S[index] = P
             rotations += rotated
             # a sweep that rotated every pair is far from convergence
             if not rotated or rotated < pairs and _converged(S, k, smallest_only):
@@ -282,7 +295,10 @@ def _svd(A, dtype, smallest_only, start):
     A = np.asarray(A, dtype=dtype)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    # NaN and inf propagate through the largest modulus, which also sets the
+    # shift below
+    amax = np.max(np.abs(A))
+    if not np.isfinite(amax):
         raise InvalidInputError("matrix contains non-finite entries")
     n, m = A.shape
     if start is not None:
@@ -293,7 +309,7 @@ def _svd(A, dtype, smallest_only, start):
     # column inner products overflow above ~1e154 and lose their precision
     # below ~1e-154, so a matrix far out of range is brought near 1 by an
     # exact power of two; one in range is left untouched
-    _, e = np.frexp(np.max(np.abs(A)))
+    _, e = np.frexp(amax)
     shift = int(e) if abs(e) > 256 else 0
     if shift:
         A = _ldexp(A, -shift)
@@ -316,15 +332,14 @@ def _svd(A, dtype, smallest_only, start):
     M = A @ V
     norms = np.linalg.norm(M, axis=0)
     order = np.argsort(-norms, kind="stable")
-    sigma, V, M = norms[order], V[:, order], M[:, order]
+    sigma, V = norms[order], V[:, order]
 
     # the largest-magnitude entry of each right vector is made real and
-    # nonnegative, and A V follows
+    # nonnegative; A V follows when the left vectors are built
     phase = _phase(np.conj(V[np.argmax(np.abs(V), axis=0), np.arange(m)]))
     V *= phase
-    M *= phase
     return SvdResult(singular_values=np.ldexp(sigma, shift), right_vectors=V,
-                     sweeps=sweeps, rotations=rotations, _av=M)
+                     sweeps=sweeps, rotations=rotations, _av=(M, order, phase))
 
 
 def svd_real(A, *, smallest_only=False, start=None):

@@ -20,10 +20,13 @@ from unirat import (
     svd_real,
     unitarity_deviation,
 )
+import unirat.aaa as aaa
+from unirat.cli import _figure_fit
 from unirat.errors import InvalidInputError
 from unirat.linalg import EPS
+from unirat.loewner import VARIANTS, interpolatory_coefficients, interpolatory_system
 
-from conftest import separated_nodes
+from conftest import FIT_GRID, separated_nodes
 
 
 class TestConfig:
@@ -157,6 +160,36 @@ class TestAaaFit:
         U /= np.linalg.norm(U, axis=0)
         sampled = np.min(np.linalg.norm(lhat @ U, axis=0))
         assert trace.iterations[-1].sigma_min <= sampled + 4 * EPS
+
+    def test_grown_system_matches_rebuild(self, monkeypatch):
+        # each iteration extends the previous system by its new column; the
+        # matrix solved must be the bits of the system rebuilt from that
+        # iteration's whole Cauchy block
+        systems = []
+
+        def record(A, ph, variant):
+            systems.append((A, ph, variant))
+            return interpolatory_coefficients(A, ph, variant)
+
+        monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
+        fits = [(variant, _figure_fit(FIT_GRID, variant, lawson)[1])
+                for variant in VARIANTS for lawson in (False, True)]
+        fits += [(variant, aaa_fit(FIT_GRID, AaaConfig(m_max=40, tol=0.0,
+                                                       variant=variant))[1])
+                 for variant in VARIANTS]
+        calls = iter(systems)
+        for variant, trace in fits:
+            y, x = [], FIT_GRID
+            for step in trace.iterations:
+                y.append(step.node)
+                x = x[x != step.node]
+                C = np.column_stack([1.0 / (x - node) for node in y])
+                A, ph, called = next(calls)
+                assert called == variant
+                full = interpolatory_system(C, ph, variant)
+                assert (A.dtype, A.shape) == (full.dtype, full.shape)
+                assert A.tobytes() == full.tobytes()
+        assert next(calls, None) is None
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):

@@ -115,6 +115,12 @@ class TestSvdReal:
             svd_real(np.ones((3, 2)), start=np.eye(3))
         with pytest.raises(InvalidInputError):
             svd_complex(np.ones((3, 2)), start=np.full((2, 2), np.nan))
+        # one pass over |A| finds NaN and inf in either part
+        for bad in (complex(np.nan, 1.0), complex(1.0, np.inf), complex(np.nan, np.inf)):
+            A = np.ones((3, 2), dtype=complex)
+            A[1, 1] = bad
+            with pytest.raises(InvalidInputError):
+                svd_complex(A)
 
     def test_sweep_cap_failure(self, monkeypatch):
         monkeypatch.setattr(linalg, "SWEEP_CAP", 0)
@@ -190,6 +196,21 @@ class TestSvdComplex:
         assert_factorization(A, res)
         oracle = charpoly_sigmas(A)
         assert np.max(np.abs(res.singular_values - oracle)) <= 1e-12 * oracle[0]
+
+    def test_shift_reads_the_largest_modulus(self):
+        # the largest modulus lies just above 2**256 and the largest component
+        # below it, so the matrix is shifted by 2**-257, exactly: its sigma and
+        # V are those of the matrix scaled by 2**-257 beforehand
+        rng = np.random.default_rng(73)
+        B = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        B *= 0.5 / np.max(np.abs(B))
+        B[2, 1] = 0.75 + 0.75j
+        A = linalg._ldexp(B, 256)
+        assert np.max(np.maximum(np.abs(A.real), np.abs(A.imag))) < 2.0**256
+        assert np.max(np.abs(A)) > 2.0**256
+        res, ref = svd_complex(A), svd_complex(linalg._ldexp(A, -257))
+        assert res.singular_values.tobytes() == np.ldexp(ref.singular_values, 257).tobytes()
+        assert res.right_vectors.tobytes() == ref.right_vectors.tobytes()
 
     def test_random_shapes(self):
         rng = np.random.default_rng(17)
