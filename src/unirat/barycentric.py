@@ -10,10 +10,14 @@ over distinct real support nodes y_j, with the limit alpha_j/beta_j at y_j.
 * ``NonInterpolatoryApproximant`` -- alpha and beta as given.
 
 Every form evaluates through one kernel.  It walks the points in blocks of
-``BLOCK_ELEMENTS`` point-node pairs, so its buffers (about 1 MB) stay in cache
-and do not grow with the points or nodes, and the values do not depend on the
-blocking.  Each block forms 1/(x - y_j) once for numerator and denominator,
-and finds support-node hits by exact float equality; a hit takes the limit.
+``BLOCK_POINTS`` and, inside a block, the support nodes one by one, adding
+each node's terms to running sums in NumPy's own summation order
+(``_add_terms``).  So its buffers (0.8 MB for a numerator-denominator pair
+at up to 64 nodes) stay in cache and do not grow with the points, and the
+values do not depend on the blocking.  Each node's 1/(x - y_j) serves
+numerator and denominator alike.  A point whose sum is not finite hits its
+nearest support node, exactly or at a subnormal distance, and takes the
+limit there.
 """
 
 from dataclasses import dataclass
@@ -24,8 +28,8 @@ import numpy as np
 from .errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
 from .linalg import EPS
 
-#: Point-node pairs per evaluation block.
-BLOCK_ELEMENTS = 2**16
+#: Points per evaluation block.
+BLOCK_POINTS = 2**13
 
 
 def is_count(k):
@@ -60,38 +64,91 @@ def coefficient_norm(vectors):
 
 
 def _partial_fraction(coeff, support, xv):
-    """Row sums of coeff_j / (x - y_j), and per point the index of the
-    support node it hits (-1 for none); at a hit of y_j the sum is coeff_j.
+    """Sums of coeff_j / (x - y_j) over the nodes, and per point the index of
+    the support node it hits (-1 for none); at a hit of y_j the sum is coeff_j.
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
     the reciprocals; the sums then have shape (k, xv.size).
     """
     stack = coeff.reshape(-1, support.size)
+    cols = stack.T[:, :, None]
     sums = np.empty((len(stack), xv.size), dtype=complex)
     node = np.full(xv.size, -1)
-    rows = max(1, BLOCK_ELEMENTS // support.size)
+    size = min(BLOCK_POINTS, xv.size)
     # buffers reused by every block; fresh ones leave more memory resident
-    D_buf = np.empty((min(rows, xv.size), support.size))
-    T_buf = np.empty(D_buf.shape, dtype=complex)
+    inv = np.empty(size)
+    term = np.empty((len(stack), size), dtype=complex)
+    acc = np.empty((_accumulators(support.size),) + term.shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, xv.size, rows):
-            x = xv[start:start + rows, None]
-            D = np.subtract(x, support, out=D_buf[:len(x)])
-            if not D.all():
-                i, j = np.nonzero(D == 0.0)  # distinct nodes: one hit per row
-                node[start + i] = j
-            inv = np.divide(1.0, D, out=D)
-            T = T_buf[:len(x)]
-            for c, s in zip(stack, sums):
-                np.sum(np.multiply(c, inv, out=T), axis=1, out=s[start:start + rows])
-    # 1/(x - y_j) overflows at a subnormal distance from y_j, which leaves
-    # every row sum non-finite: such a point is a hit of y_j as well
-    near = (node < 0) & ~np.isfinite(sums[0])
-    if near.any():
-        node[near] = np.argmin(np.abs(xv[near, None] - support), axis=1)
-    hits = node >= 0
-    sums[:, hits] = stack[:, node[hits]]
+        for start in range(0, xv.size, BLOCK_POINTS):
+            x = xv[start:start + BLOCK_POINTS]
+            n = len(x)
+            out = sums[:, start:start + n]
+            _add_terms(cols, support, x, out, acc[:, :, :n], term[:, :n], inv[:n])
+            out += 0.0  # NumPy adds the total to +0, which turns -0 into +0
+    # at y_j, or a subnormal distance from it, 1/(x - y_j) overflows and
+    # every sum is non-finite: such a point hits its nearest support node
+    hits = ~np.isfinite(sums[0])
+    if hits.any():
+        node[hits] = np.argmin(np.abs(xv[hits, None] - support), axis=1)
+        sums[:, hits] = stack[:, node[hits]]
     return sums.reshape(coeff.shape[:-1] + (xv.size,)), node
+
+
+def _accumulators(n):
+    """Partial-sum buffers ``_add_terms`` needs for n nodes."""
+    if n <= 64:
+        return 2 if n >= 4 else 0
+    half = (n - n % 8) // 2
+    return max(_accumulators(half), 1 + _accumulators(n - half))
+
+
+def _add_terms(cols, y, x, out, acc, term, inv):
+    """Writes to ``out`` the sums over the nodes y_j of cols[j] / (x - y_j),
+    adding the terms in the order of NumPy's pairwise sum of a contiguous
+    complex row of n = len(y) terms, so that the sums are bit for bit those
+    of ``np.sum(terms, axis=1)`` over the n-column term array:
+
+    * n < 4: in order;
+    * 4 <= n <= 64: partial sums s_r of the first 4 floor(n/4) terms with
+      j = r mod 4, combined as (s_0 + s_1) + (s_2 + s_3), then the
+      remaining terms in order;
+    * n > 64: the two halves split at (n - n mod 8)/2, each summed by this
+      rule, then added.
+
+    ``cols`` is (n, k, 1).  ``acc`` holds partial sums, ``term`` one term
+    and ``inv`` one node's reciprocals.
+    """
+    def add(j, into, fresh=False):
+        # c_j * (1/(x - y_j)): one complex-by-real cast and multiply per term
+        np.subtract(x, y[j], out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.multiply(cols[j], inv, out=into if fresh else term)
+        if not fresh:
+            into += term
+
+    n = len(y)
+    if n > 64:
+        half = (n - n % 8) // 2
+        _add_terms(cols[:half], y[:half], x, out, acc, term, inv)
+        _add_terms(cols[half:], y[half:], x, acc[0], acc[1:], term, inv)
+        out += acc[0]
+        return
+    tail = n - n % 4
+    if tail:
+        # s_0 and s_1 in out and acc[1], then s_2 and s_3 in acc[0] and acc[1]
+        for r, into in ((0, out), (2, acc[0])):
+            for first, s in ((r, into), (r + 1, acc[1])):
+                add(first, s, fresh=True)
+                for j in range(first + 4, tail, 4):
+                    add(j, s)
+            into += acc[1]
+        out += acc[0]
+    else:
+        add(0, out, fresh=True)
+        tail = 1
+    for j in range(tail, n):
+        add(j, out)
 
 
 def _prepare(x):

@@ -91,9 +91,10 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, columns):
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    """One row per index of the columns, each value as repr(float(v)); the
+    columns are formatted one at a time."""
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import BLOCK_ELEMENTS, _finish, _prepare, is_count
+from .barycentric import BLOCK_POINTS, _finish, _prepare, is_count
 from .errors import InvalidInputError, PoleEvaluationError
 
 #: Largest supported degree; the coefficient recurrence stays in range here.
@@ -48,9 +48,9 @@ class PadeApproximant:
         """p(ix) at the flat points xv by Horner's rule, in place over blocks
         of points that stay in cache."""
         p = np.empty(xv.size, dtype=complex)
-        for start in range(0, xv.size, BLOCK_ELEMENTS):
-            q = p[start:start + BLOCK_ELEMENTS]
-            z = 1j * xv[start:start + BLOCK_ELEMENTS]
+        for start in range(0, xv.size, BLOCK_POINTS):
+            q = p[start:start + BLOCK_POINTS]
+            z = 1j * xv[start:start + BLOCK_POINTS]
             q[...] = self.coefficients[-1]
             for c in self.coefficients[-2::-1]:
                 q *= z

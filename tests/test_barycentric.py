@@ -274,7 +274,7 @@ def support_and_coefficients(m):
 
 class TestBlockedEvaluation:
     M = 15
-    ROWS = barycentric.BLOCK_ELEMENTS // M
+    ROWS = barycentric.BLOCK_POINTS
 
     @pytest.mark.parametrize("size", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
     def test_block_edges(self, size):
@@ -305,9 +305,25 @@ class TestBlockedEvaluation:
             assert np.array_equal(bits(stacked), bits(single))
             assert np.array_equal(node, single_node)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 15, 40, 64, 65, 71, 130])
+    def test_sum_order(self, m):
+        # in order, four interleaved partial sums, and halving above 64
+        # nodes: NumPy's row sum bit for bit, signed zeros included
+        y, a, _ = support_and_coefficients(m)
+        zeroed = a.copy()
+        zeroed.real[::2] = 0.0
+        x = np.linspace(-40.0, 40.0, 3001)
+        x[[5, 1700]] = y[[0, -1]]
+        for coeff in (a, 1j * a.imag, zeroed):
+            sums, node = barycentric._partial_fraction(coeff, y, x)
+            plain = node < 0
+            assert np.count_nonzero(~plain) == 2
+            assert np.array_equal(bits(sums[plain]),
+                                  bits(unblocked_sums(coeff, y, x)[plain]))
+
     def test_pole_in_later_block(self):
         # the denominator (1/(x + 1) + 1/(x - 1))/sqrt(2) vanishes exactly at 0
-        rows = barycentric.BLOCK_ELEMENTS // 2
+        rows = barycentric.BLOCK_POINTS
         x = np.linspace(5.0, 6.0, 3 * rows)
         x[rows + 7] = x[2 * rows + 3] = 0.0
         for form in (BarycentricInterpolant, CayleyApproximant):
@@ -321,7 +337,7 @@ class TestBlockedEvaluation:
         rb = NonInterpolatoryApproximant(
             support=[2.0, 3.0, 4.0], alpha=[1.0, 1.0, 1.0], beta=[0.0, 0.0, 1.0]
         )
-        rows = barycentric.BLOCK_ELEMENTS // 3
+        rows = barycentric.BLOCK_POINTS
         x = np.linspace(5.0, 6.0, 3 * rows)
         x[rows + 1], x[2 * rows + 1] = 3.0, 2.0
         with pytest.raises(PoleEvaluationError) as exc:
@@ -332,7 +348,7 @@ class TestBlockedEvaluation:
         # a zero-coefficient hit early in the grid, a plain pole at x = 0 in
         # a later block: the pole is reported, as by a pointwise scan of the
         # plain points first
-        rows = barycentric.BLOCK_ELEMENTS // 3
+        rows = barycentric.BLOCK_POINTS
         x = np.linspace(5.0, 6.0, 2 * rows)
         x[3], x[rows + 5] = 2.0, 0.0
         ri = BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
@@ -366,7 +382,7 @@ class TestBlockedEvaluation:
 
 @st.composite
 def evaluation_cases(draw):
-    m = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 70))
     y = draw(st.lists(st.floats(-20, 20), min_size=m, max_size=m, unique=True))
     part = st.floats(-1, 1)
     a = [complex(draw(part), draw(part)) for _ in range(m)]
@@ -390,9 +406,9 @@ class TestBlockedEvaluationProperty:
                     pointwise.append(r.eval(float(v)))
                 except (PoleEvaluationError, AmbiguousEvaluationError):
                     assume(False)
-            # blocks of ``block`` point-node pairs put many block edges
+            # blocks of ``block`` points put many block edges
             # into a short grid
-            with mock.patch.object(barycentric, "BLOCK_ELEMENTS", block):
+            with mock.patch.object(barycentric, "BLOCK_POINTS", block):
                 grid = r.eval(x)
             assert np.array_equal(bits(grid), bits(pointwise)), name
 
@@ -469,7 +485,7 @@ class TestSubnormalDistance:
         y, a, b = [-1.0, 0.0, 1.0], [1.0, 2.0, 3j], [1j, 1.0, 2.0]
         for name, form in FORMS.items():
             r = form(y, a, b)
-            with mock.patch.object(barycentric, "BLOCK_ELEMENTS", block):
+            with mock.patch.object(barycentric, "BLOCK_POINTS", block):
                 grid = r.eval(x)
                 den = r.denominator(x)
             assert np.all(np.isfinite(grid)), name

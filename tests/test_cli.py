@@ -23,6 +23,7 @@ from unirat.cli import (
     approximant_to_dict,
     load_nodes,
     main,
+    write_csv,
 )
 from unirat.errors import InvalidInputError
 
@@ -232,6 +233,17 @@ class TestFigure2:
         for name in ("unitdev_aaa_mod", "unitdev_lawson_mod"):
             assert np.max(cols[name]) <= 1e-15
         assert cols["unitdev_aaa_orig"][k] >= 10 * cols["unitdev_aaa_mod"][k]
+
+
+class TestWriteCsv:
+    def test_matches_per_element_repr(self, tmp_path):
+        special = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -2.5e-308]
+        # an array, a list of floats and a tuple of ints, as the CLI passes
+        columns = [np.array(special), special[::-1], tuple(range(8))]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+        expected = "a,b,c\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+        assert (tmp_path / "t.csv").read_text() == expected
 
 
 class TestSubprocess:

@@ -6,7 +6,7 @@ import pytest
 from unirat import PadeApproximant
 from unirat.diagnostics import max_error, real_axis_pole_scan
 from unirat.errors import InvalidInputError
-from unirat.barycentric import BLOCK_ELEMENTS
+from unirat.barycentric import BLOCK_POINTS
 from unirat.linalg import EPS
 from unirat.pade import MAX_DEGREE, pade_coefficients
 
@@ -70,7 +70,7 @@ class TestEvaluation:
 
     def test_blocked_horner_matches_whole_array(self):
         p = PadeApproximant(degree=13)
-        x = np.linspace(-40.0, 40.0, 2 * BLOCK_ELEMENTS + 3)
+        x = np.linspace(-40.0, 40.0, 2 * BLOCK_POINTS + 3)
         z = 1j * x
         ref = np.full(x.shape, p.coefficients[-1], dtype=complex)
         for c in p.coefficients[-2::-1]:
