@@ -3,7 +3,8 @@
 The support nodes are appended to the test set so accuracy can be enforced
 there too.  Each step minimizes a weighted linearized error via the smallest
 right singular vector of the real matrix Bhat (MODIFIED variant) or of the
-complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``.
+complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``;
+each step after the first starts from the vector of the step before.
 Weights are multiplied by the current absolute errors and renormalized to
 max 1 after every step.
 """
@@ -36,7 +37,13 @@ class FitStep:
     """One AAA iteration or Lawson step: the support node it added (AAA) or
     its worst test node (Lawson), the max error at the test nodes, and the
     smallest singular value of the step's system with its ``degenerate``
-    flag."""
+    flag.
+
+    A Lawson step after the first whose vector v inverse iteration certified
+    records sigma_min = ||A v||, which is at least the smallest singular value
+    and equal to it to rounding, and degenerate = False, since its gap to
+    sigma_{m-1} is certified; every other step reads both from the Jacobi
+    kernel."""
 
     step: int
     node: float
@@ -101,11 +108,10 @@ def lawson_fit(test_nodes, support_nodes, config):
     Cp = modified_cauchy(nodes)
 
     trace = LawsonTrace()
-    start = None  # a step's SVD starts from the right vectors of the step before
+    g = None  # a step starts from the vector of the step before
     for step in range(1, config.n_lawson + 1):
         A = expanded_system(np.sqrt(mu)[:, None] * Cp, ph, config.variant)
-        alpha, beta, res = expanded_coefficients(A, config.variant, start=start)
-        start = res.right_vectors
+        alpha, beta, g, sigma_min, degenerate = expanded_coefficients(A, config.variant, g)
         r = node_quotient(Cp, alpha, beta)
 
         eps = ph.S_F - r
@@ -117,7 +123,7 @@ def lawson_fit(test_nodes, support_nodes, config):
         worst = int(np.argmax(np.abs(eps)))
         trace.steps.append(
             FitStep(step=step, node=float(xa[worst]), max_error=float(np.abs(eps[worst])),
-                    sigma_min=float(res.singular_values[-1]), degenerate=res.degenerate))
+                    sigma_min=float(sigma_min), degenerate=degenerate))
         mu_next = lawson_weight_update(mu, eps)
         if mu_next is None:
             trace.stop_reason = "exact"

@@ -27,11 +27,14 @@ shows no active pair.  A fit reads only sigma_min, its right vector and the
 ``degenerate`` flag, so its SVDs (``smallest_only=True``) also stop once the
 smallest column has no active pair and a Gershgorin bound on the Gram matrix
 of the other columns certifies that none of them hides a smaller singular
-value.  A Lawson step's system differs from the step before only in its row
-weights, so the step passes the previous right vectors as ``start``: for a
-tall A = QR the preconditioned sweeps then factor the near column-orthogonal
-R Q_s, Q_s the Q of start's QR, and V = Q_s V'.  The four figure fits run
-280 sweeps, the Lawson steps after the first 2 each.
+value.  The four figure fits run 60 SVDs, 204 sweeps and 8 688 rotations.
+
+A Lawson step's system differs from the step before only in its row
+weights, and the step reads only its smallest right vector, so the steps
+after the first skip the kernel where they can: ``smallest_right_vector``
+runs inverse iteration on the R of a tall A = QR from the previous step's
+vector and certifies the result by a lower bound on sigma_{m-1}
+(``gap_bound``); a step it does not certify runs the kernel.
 """
 
 import functools
@@ -48,6 +51,10 @@ TINY = float(np.finfo(float).tiny)
 #: Cap on Jacobi sweeps; an SVD still off orthogonal after it raises
 #: NumericalFailureError.
 SWEEP_CAP = 60
+
+#: Cap on inverse iteration steps; a vector still moving after it is not
+#: certified.
+ITERATION_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -291,7 +298,7 @@ def _preconditioned(T, smallest_only):
     return V, sweeps, rotations
 
 
-def _svd(A, dtype, smallest_only, start):
+def _svd(A, dtype, smallest_only):
     A = np.asarray(A, dtype=dtype)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
@@ -301,11 +308,6 @@ def _svd(A, dtype, smallest_only, start):
     if not np.isfinite(amax):
         raise InvalidInputError("matrix contains non-finite entries")
     n, m = A.shape
-    if start is not None:
-        start = np.asarray(start, dtype=dtype)
-        if start.shape != (m, m) or not np.all(np.isfinite(start)):
-            raise InvalidInputError(f"start must be a finite {m} x {m} unitary matrix")
-        start = np.linalg.qr(start)[0]  # keeps V orthonormal along a chain of starts
     # column inner products overflow above ~1e154 and lose their precision
     # below ~1e-154, so a matrix far out of range is brought near 1 by an
     # exact power of two; one in range is left untouched
@@ -315,8 +317,7 @@ def _svd(A, dtype, smallest_only, start):
         A = _ldexp(A, -shift)
     if n >= m:
         T = np.linalg.qr(A, mode="r")
-        V, sweeps, rotations = _preconditioned(T if start is None else T @ start, smallest_only)
-        V = V if start is None else start @ V
+        V, sweeps, rotations = _preconditioned(T, smallest_only)
     else:
         # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
         # null space of A, Q's trailing columns, out of the sweeps
@@ -342,21 +343,87 @@ def _svd(A, dtype, smallest_only, start):
                      sweeps=sweeps, rotations=rotations, _av=(M, order, phase))
 
 
-def svd_real(A, *, smallest_only=False, start=None):
+def svd_real(A, *, smallest_only=False):
     """Thin SVD of a real matrix via one-sided Jacobi.
 
     With ``smallest_only`` the sweeps stop once the smallest singular value
     and its right vector are certified, which is all a fit reads; the other
-    values and vectors are then only partly converged.  ``start``, a
-    cols x cols orthogonal matrix such as the right vectors of a nearby
-    matrix, is a change of basis for a matrix with at least as many rows as
-    columns: with Q_s the Q of its QR, the sweeps factor A Q_s and
-    V = Q_s V'; a start near V saves sweeps.  A wider matrix ignores it.
+    values and vectors are then only partly converged.
     """
-    return _svd(A, float, smallest_only, start)
+    return _svd(A, float, smallest_only)
 
 
-def svd_complex(A, *, smallest_only=False, start=None):
+def svd_complex(A, *, smallest_only=False):
     """Thin SVD of a complex matrix via one-sided Jacobi; ``smallest_only``
-    and ``start`` (unitary) as for ``svd_real``."""
-    return _svd(A, complex, smallest_only, start)
+    as for ``svd_real``."""
+    return _svd(A, complex, smallest_only)
+
+
+def gap_bound(R, v):
+    """A lower bound on sigma_{m-1} of the m x m triangle R, for a unit v.
+
+    For W an orthonormal basis of v's complement (from the complete QR of v)
+    and R' the triangle of a QR of R W, ``1 / ||R'^{-1}||_F <= sigma_min(R W)
+    <= sigma_{m-1}(R)`` (interlacing); 0 where R' is singular or its inverse
+    overflows, inf for one column.  No Gram matrix is formed: its rounding,
+    eps sigma_max^2, would swamp sigma_{m-1}^2.  The products and QRs round
+    by about m eps ||R||, which the bound leaves out.
+    """
+    m = R.shape[1]
+    if m == 1:
+        return math.inf
+    W = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
+    T = np.linalg.qr(R @ W, mode="r")
+    with np.errstate(all="ignore"):
+        try:
+            norm = np.linalg.norm(np.linalg.solve(T, np.eye(m - 1, dtype=T.dtype)))
+        except np.linalg.LinAlgError:
+            return 0.0
+    return 1.0 / norm if np.isfinite(norm) else 0.0
+
+
+def smallest_right_vector(A, v0):
+    """The smallest right singular vector of a tall A, certified, by inverse
+    iteration from a unit v0 near it; None where it is not certified.
+
+    With R from A = QR, each step solves R^H y = v and R x = y and sets
+    v = x / ||x||, until v moves by at most 8 eps, in at most ITERATION_CAP
+    steps.  The result is accepted only if ``gap_bound(R, v) - ||A v|| >
+    8 eps ||R||_F``: since ||A v|| >= sigma_min and ||R||_F >= sigma_max,
+    that is SvdResult's ``degenerate`` rule, not met, on a certified gap.
+    That margin does not cover gap_bound's rounding for every m; on the
+    figure fits the gap exceeds 4 800 eps ||R||_F.
+    Returns ``(v, ||A v||)``, v in the kernel's phase (its largest entry real
+    and nonnegative), or None for a wide A, a failed or non-finite solve, an
+    iteration that does not settle, or a gap not certified.
+    """
+    n, m = A.shape
+    if n < m:
+        return None
+    R = np.linalg.qr(A, mode="r")
+    # R^H is lower triangular; reversing its rows and columns makes it upper
+    # triangular, which LAPACK's LU leaves unpivoted, so both solves are
+    # plain substitutions
+    L = R.conj().T[::-1, ::-1]
+    v = v0
+    with np.errstate(all="ignore"):
+        for _ in range(ITERATION_CAP):
+            try:
+                x = np.linalg.solve(R, np.linalg.solve(L, v[::-1])[::-1])
+            except np.linalg.LinAlgError:
+                return None
+            norm = np.linalg.norm(x)
+            if not 0.0 < norm < np.inf:
+                return None
+            x /= norm
+            moved = np.linalg.norm(x - v)
+            v = x
+            if moved <= 8.0 * EPS:
+                break
+        else:
+            return None
+        sigma = float(np.linalg.norm(A @ v))
+    if not gap_bound(R, v) - sigma > 8.0 * EPS * np.linalg.norm(R):
+        return None
+    i = int(np.argmax(np.abs(v)))
+    return v * _phase(np.conj(v[i:i + 1])), sigma

@@ -16,7 +16,7 @@ import numpy as np
 
 from .barycentric import check_nodes
 from .errors import InvalidInputError, NodeCollisionError
-from .linalg import EPS, svd_complex, svd_real
+from .linalg import EPS, smallest_right_vector, svd_complex, svd_real
 
 #: Fitting variants: "original" solves the complex systems, "modified" the
 #: real re-scaled ones and returns the unitary Cayley form.
@@ -123,19 +123,26 @@ def expanded_system(M, ph, variant):
     return np.hstack([M, -ph.S_F[:, None] * M])
 
 
-def expanded_coefficients(A, variant, *, start=None):
-    """(alpha, beta, svd): (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta].
+def expanded_coefficients(A, variant, previous=None):
+    """(alpha, beta, g, sigma_min, degenerate) for g the last right vector of A:
+    (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta].
 
-    ``start`` is passed to the SVD: a Lawson step starts from the right
-    vectors of the step before."""
+    ``previous``, the vector of a system that differs only in its row
+    weights (a Lawson step passes the step before's), starts inverse
+    iteration (``smallest_right_vector``); where that certifies g,
+    sigma_min = ||A g|| and degenerate is False.  Otherwise g, sigma_min and
+    the flag come from the Jacobi kernel."""
     m = A.shape[1] // 2
-    res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True,
-                                                               start=start)
-    g = res.right_vectors[:, -1]
+    warm = None if previous is None else smallest_right_vector(A, previous)
+    if warm is None:
+        res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True)
+        g, sigma, degenerate = res.right_vectors[:, -1], res.singular_values[-1], res.degenerate
+    else:
+        (g, sigma), degenerate = warm, False
     if variant == "original":
-        return g[:m], g[m:], res
+        return g[:m], g[m:], g, sigma, degenerate
     beta = (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
-    return np.conj(beta), beta, res
+    return np.conj(beta), beta, g, sigma, degenerate
 
 
 def _differences(nodes, allow_overlap=False):

@@ -111,6 +111,24 @@ class TestFit:
         assert cols["degenerate"].tolist() == [float(f) for f in flags]
         assert cols["degenerate"][9:].tolist() == [1.0] * 5
 
+    def test_zeroed_weights_pole_exit_1(self, tmp_path, monkeypatch, capsys):
+        # one test node is left after 2 greedy iterations, so each step's
+        # system is 3 x 4, and the exact fit at step 1 zeroes weights: every
+        # later step runs the kernel, and step 10's vector has a pole at a
+        # test node
+        loewner = importlib.import_module("unirat.loewner")
+        warm = []
+
+        def record(A, v0, solve=loewner.smallest_right_vector):
+            warm.append(solve(A, v0))
+            return warm[-1]
+        monkeypatch.setattr(loewner, "smallest_right_vector", record)
+        rc = main(["fit", "--interval", "-3", "3", "--n-test", "3", "--m-max", "2",
+                   "--tol", "0", "--lawson", "10", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "Lawson step 10" in capsys.readouterr().err
+        assert warm == [None] * 9
+
     def test_undetermined_lawson_exit_2(self, tmp_path, capsys):
         # 2 test nodes are left after 4 greedy iterations, too few for the
         # Lawson systems to determine their vector

@@ -13,6 +13,7 @@ from unirat import (
     max_error,
     real_axis_pole_scan,
     structure_residual,
+    svd_complex,
     unitarity_deviation,
 )
 from unirat.cli import _figure_fit
@@ -211,17 +212,17 @@ class TestStructureResidual:
         # the residual is the perturbation of the fit's last singular vector,
         # bounded by eps sigma_max / (sigma_{m-1} - sigma_m) (Wedin); the fits
         # solve their systems in unirat.loewner, whose package attribute is the
-        # loewner function, not the module.  A fit's SVD certifies sigma_min
-        # alone, so the bound reads a fully converged SVD of the last system
+        # loewner function, not the module, by the kernel or, for warm Lawson
+        # steps, by inverse iteration.  Neither gives sigma_{m-1}, so the bound
+        # reads a fully converged SVD of the last system
         loewner = importlib.import_module("unirat.loewner")
-        calls = []
-        for svd_name in ("svd_real", "svd_complex"):
-            def record(A, *args, svd=getattr(loewner, svd_name), **kw):
-                calls.append((svd, A, kw))
-                return svd(A, *args, **kw)
-            monkeypatch.setattr(loewner, svd_name, record)
+        systems = []
+        for name in ("svd_real", "svd_complex", "smallest_right_vector"):
+            def record(A, *args, solve=getattr(loewner, name), **kw):
+                systems.append(A)
+                return solve(A, *args, **kw)
+            monkeypatch.setattr(loewner, name, record)
         approx, _ = _figure_fit(FIT_GRID, "original", lawson)
-        svd, A, kw = calls[-1]
-        s = svd(A, **{**kw, "smallest_only": False}).singular_values
+        s = svd_complex(systems[-1]).singular_values
         bound = EPS * s[0] / (s[-2] - s[-1])
         assert structure_residual(approx) <= bound

@@ -85,19 +85,18 @@ class TestLawsonFit:
         # 1, 2 and 3 steps reproduce, bit for bit, a replay through the node-level
         # functions over test nodes + appended support nodes, weighted by mu:
         # every step of the fit builds the matrix they return and solves it
-        # from the right vectors of the step before
+        # from the vector of the step before
         rng = np.random.default_rng(72)
         for _ in range(5):
             x, y = separated_nodes(rng, 10, 3)
             xa = np.concatenate([x, y])
             for variant in ("modified", "original"):
                 mu = np.ones(xa.size)
-                start = None
+                g = None
                 for steps in (1, 2, 3):
                     ns = NodeSet(test_nodes=xa, support_nodes=y, weights=mu)
                     A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
-                    alpha, beta, res = expanded_coefficients(A, variant, start=start)
-                    start = res.right_vectors
+                    alpha, beta, g, _, _ = expanded_coefficients(A, variant, g)
                     if variant == "modified":
                         assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
                         ref = CayleyApproximant(support=y, coefficients=beta)

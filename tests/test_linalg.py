@@ -111,10 +111,6 @@ class TestSvdReal:
             svd_real(np.zeros((0, 2)))
         with pytest.raises(InvalidInputError):
             svd_real(np.zeros(3))
-        with pytest.raises(InvalidInputError):
-            svd_real(np.ones((3, 2)), start=np.eye(3))
-        with pytest.raises(InvalidInputError):
-            svd_complex(np.ones((3, 2)), start=np.full((2, 2), np.nan))
         # one pass over |A| finds NaN and inf in either part
         for bad in (complex(np.nan, 1.0), complex(1.0, np.inf), complex(np.nan, np.inf)):
             A = np.ones((3, 2), dtype=complex)
@@ -553,22 +549,19 @@ class TestSweepCounts:
 
     @pytest.mark.parametrize("variant, first", [("modified", 8), ("original", 9)])
     def test_figure_lawson_fit(self, monkeypatch, variant, first):
-        # the first system of the original fit has twelve leading columns
-        # within 0.2% in norm, and its eighth sweep only rotates pairs whose
-        # cosines sit at the eps threshold; the weighted systems after it
-        # are where the column pivoting pays.  Steps 2-20 precondition R
-        # start, whose columns are near orthogonal already.  The totals are
-        # the fit path's exact counts: the support is fitted before
-        # patching, so only the Lawson SVDs are recorded
+        # only the first step reaches the kernel: steps 2-20 are certified
+        # by inverse iteration.  The counts are the fit path's exact ones:
+        # the support is fitted before patching, so only the Lawson SVDs are
+        # recorded
         y = figure_support(variant)
         calls = record_fit_svds(monkeypatch)
         lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
                           lawson.LawsonConfig(n_lawson=20, variant=variant))
-        sweeps = [res.sweeps for *_, res in calls]
-        assert len(sweeps) == 20
-        assert sweeps[0] <= first and max(sweeps[1:]) <= 3, sweeps
-        totals = {"modified": (41, 11542), "original": (41, 11527)}[variant]
-        assert (sum(sweeps), sum(res.rotations for *_, res in calls)) == totals
+        assert len(calls) == 1
+        res = calls[0][-1]
+        assert res.sweeps <= first
+        counts = {"modified": (3, 1109), "original": (3, 1110)}[variant]
+        assert (res.sweeps, res.rotations) == counts
 
 
 def spectrum_matrix(rng, n, sigma, dtype):
@@ -621,40 +614,122 @@ class TestSmallestOnly:
                 assert np.array_equal(res.singular_values, full.singular_values)
 
 
-class TestWarmStart:
-    """``start`` is a change of basis in front of a tall matrix's
-    preconditioner: with Q the Q of start's QR, the preconditioned sweeps
-    factor R Q, and V = Q V'."""
+def record_warm_steps(monkeypatch):
+    """Record ``(A, result)`` for every warm Lawson step's inverse iteration."""
+    loewner = importlib.import_module("unirat.loewner")
+    calls = []
 
-    @pytest.mark.parametrize("svd, dtype", [(svd_real, float), (svd_complex, complex)])
-    def test_random_start_matches_lapack(self, svd, dtype):
-        rng = np.random.default_rng(61)
-        for n, m in [(1, 1), (5, 3), (8, 8), (12, 4), (30, 12)]:
-            A = spectrum_matrix(rng, n, np.logspace(0, -rng.uniform(0, 8), m), dtype)
-            start = spectrum_matrix(rng, m, np.ones(m), dtype)  # orthogonal / unitary
-            res = svd(A, start=start)
-            assert_factorization(A, res)
-            ref = np.linalg.svd(A, compute_uv=False)
-            assert np.max(np.abs(res.singular_values - ref)) <= 64 * EPS * ref[0]
+    def record(A, v0, solve=loewner.smallest_right_vector):
+        out = solve(A, v0)
+        calls.append((A, out))
+        return out
+    monkeypatch.setattr(loewner, "smallest_right_vector", record)
+    return calls
 
-    @pytest.mark.parametrize("svd, dtype", [(svd_real, float), (svd_complex, complex)])
-    def test_perturbed_start_gives_orthonormal_v(self, svd, dtype):
-        # a chain of warm starts passes each V on as the next start; V = start
-        # V' would carry start's distance from unitary into V
-        rng = np.random.default_rng(71)
-        A = spectrum_matrix(rng, 30, np.logspace(0, -6, 12), dtype)
-        start = spectrum_matrix(rng, 12, np.ones(12), dtype)
-        start = start + 1e-12 * rng.standard_normal((12, 12))
-        for smallest_only in (False, True):
-            V = svd(A, start=start, smallest_only=smallest_only).right_vectors
-            assert np.max(np.abs(V.conj().T @ V - np.eye(12))) <= 16 * EPS
 
-    @pytest.mark.parametrize("svd, dtype", [(svd_real, float), (svd_complex, complex)])
-    def test_wide_ignores_start(self, svd, dtype):
-        rng = np.random.default_rng(67)
-        A = spectrum_matrix(rng, 9, np.ones(4), dtype).T
-        start = spectrum_matrix(rng, 9, np.ones(9), dtype)
-        res, cold = svd(A, start=start), svd(A)
-        assert (res.sweeps, res.rotations) == (cold.sweeps, cold.rotations)
-        assert np.array_equal(res.right_vectors, cold.right_vectors)
-        assert np.array_equal(res.singular_values, cold.singular_values)
+class TestInverseIteration:
+    """Warm Lawson steps take their vector from inverse iteration on the R of
+    the step's system, certified by a lower bound on sigma_{m-1}; a step it
+    does not certify runs the kernel."""
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_figure_warm_steps_within_wedin_angle(self, monkeypatch, variant):
+        # l <= sigma_{m-1} and ||R||_F >= sigma_max, so eps ||R||_F / (l - sigma)
+        # bounds the angle by which rounding of the order eps ||A|| moves the
+        # last vector (Wedin); the kernel's vector on the same system lies
+        # within it
+        y = figure_support(variant)
+        calls = record_warm_steps(monkeypatch)
+        lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
+                          lawson.LawsonConfig(n_lawson=20, variant=variant))
+        assert len(calls) == 19
+        assert all(out is not None for _, out in calls)  # every warm step certified
+        svd = svd_real if variant == "modified" else svd_complex
+        for A, (v, sigma) in calls:
+            R = np.linalg.qr(A, mode="r")
+            ell = linalg.gap_bound(R, v)
+            full = svd(A)
+            u, s = full.right_vectors[:, -1], full.singular_values
+            assert ell <= s[-2]
+            assert abs(sigma - s[-1]) <= 8 * EPS * s[0]
+            p = np.vdot(u, v)
+            angle = np.linalg.norm(v - u * (p / abs(p)))
+            assert angle <= EPS * np.linalg.norm(R) / (ell - sigma)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_systems(self, dtype):
+        # from a start 1e-2 off the smallest right vector, the iteration
+        # settles on LAPACK's, in the kernel's phase
+        rng = np.random.default_rng(83)
+        for (n, m), top in itertools.product([(12, 4), (40, 12)], (2, 6)):
+            sigma = np.logspace(0, -top, m - 1)
+            sigma = np.append(sigma, 1e-3 * sigma[-1])
+            A = spectrum_matrix(rng, n, sigma, dtype)
+            u = np.linalg.svd(A)[2][-1].conj()
+            v0 = u + 1e-2 * rng.standard_normal(m)
+            v, s = linalg.smallest_right_vector(A, v0 / np.linalg.norm(v0))
+            i = int(np.argmax(np.abs(v)))
+            assert v[i].real > 0 and abs(v[i].imag) <= EPS * v[i].real
+            p = np.vdot(u, v)
+            assert np.linalg.norm(v - u * (p / abs(p))) <= 64 * EPS * sigma[0] / sigma[-2]
+            assert abs(s - sigma[-1]) <= 8 * EPS * sigma[0]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_uncertified_systems(self, dtype):
+        # a wide system, and a double smallest singular value
+        rng = np.random.default_rng(89)
+        v0 = np.eye(8)[0].astype(dtype)
+        wide = spectrum_matrix(rng, 8, np.ones(7), dtype).T
+        assert linalg.smallest_right_vector(wide, v0) is None
+        double = spectrum_matrix(rng, 20, np.array([1.0] * 6 + [1e-3] * 2), dtype)
+        assert linalg.smallest_right_vector(double, v0) is None
+
+    def test_unsettled_iteration(self, monkeypatch):
+        # one step from a start far off the smallest vector still moves it
+        sigma = np.append(np.logspace(0, -3, 7), 1e-6)
+        A = spectrum_matrix(np.random.default_rng(97), 20, sigma, float)
+        assert linalg.smallest_right_vector(A, np.eye(8)[0]) is not None
+        monkeypatch.setattr(linalg, "ITERATION_CAP", 1)
+        assert linalg.smallest_right_vector(A, np.eye(8)[0]) is None
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_gap_bound(self, dtype):
+        # a lower bound on sigma_{m-1} for any unit v, within sqrt(m - 1) of
+        # it when v is the smallest vector; 0 for a singular complement, inf
+        # for one column
+        rng = np.random.default_rng(101)
+        sigma = np.logspace(0, -8, 10)
+        R = np.linalg.qr(spectrum_matrix(rng, 10, sigma, dtype), mode="r")
+        u = np.linalg.svd(R)[2][-1].conj()
+        ell = linalg.gap_bound(R, u)
+        assert sigma[-2] / 3 <= ell <= sigma[-2]
+        for _ in range(5):
+            v = rng.standard_normal(10).astype(dtype)
+            assert linalg.gap_bound(R, v / np.linalg.norm(v)) <= sigma[-2]
+        assert linalg.gap_bound(np.diag([1.0, 0.0, 0.0]).astype(dtype),
+                                np.eye(3, dtype=dtype)[0]) == 0.0
+        assert linalg.gap_bound(np.array([[2.0]], dtype=dtype),
+                                np.ones(1, dtype=dtype)) == np.inf
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    @pytest.mark.parametrize("wide", [True, False], ids=["wide", "degenerate"])
+    def test_lawson_cold_steps(self, monkeypatch, variant, wide):
+        # m - 1 test nodes leave each step's system one row short of square;
+        # with 11 support nodes on 41 nodes of [-3, 3] the systems are tall,
+        # and their two smallest singular values both sit at roundoff.
+        # Neither is certified: every step runs the kernel, whose flags the
+        # trace records
+        if wide:
+            x, y = [4.0, 5.0, 6.0], [0.3, 1.1, 2.7, 3.5]
+        else:
+            grid = np.linspace(-3, 3, 41)
+            y = aaa_fit(grid, AaaConfig(m_max=11, tol=0.0, variant=variant))[0].support
+            x = grid[~np.isin(grid, y)]
+        warm = record_warm_steps(monkeypatch)
+        svds = record_fit_svds(monkeypatch)
+        _, trace = lawson.lawson_fit(x, y, lawson.LawsonConfig(n_lawson=3, variant=variant))
+        assert [A.shape[0] < A.shape[1] for A, _ in warm] == [wide] * 2
+        assert [out for _, out in warm] == [None] * 2
+        flags = [res.degenerate for *_, res in svds]
+        assert flags == [st.degenerate for st in trace.steps]
+        assert wide or flags == [True] * 3
