@@ -6,7 +6,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -74,8 +73,12 @@ def approximant_from_dict(doc):
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to ``path`` through a new file in the same directory
+    and ``os.replace``; the file is created with mode 0o666 less the umask,
+    as ``open(path, "w")`` would create it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -90,12 +93,29 @@ def write_json(path, obj):
     _atomic_write(path, json.dumps(obj, indent=2) + "\n")
 
 
+def _column_text(column):
+    """``repr(float(v))`` of each value of a float64 column, formatted once
+    per distinct bit pattern: bits, not values, so that 0.0 and -0.0 keep
+    their own text (every NaN prints ``nan``)."""
+    patterns, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, patterns.view(float).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def write_csv(path, header, columns):
-    """One row per index of the columns, each value as repr(float(v)); the
-    columns are formatted one at a time."""
-    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write a header line and one row per index of the columns, each value
+    as ``repr(float(v))``. A column's values are formatted through a table of
+    its distinct bit patterns, built for this call only, so a column of a few
+    repeated values costs a few ``repr`` calls. Raises ``ValueError`` if the
+    columns are not flat, differ in length, or are not as many as the
+    header's names."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    if len({c.shape for c in columns}) > 1 or any(c.ndim != 1 for c in columns):
+        raise ValueError("columns must be flat and of equal length")
+    cells = [_column_text(c) for c in columns]
+    _atomic_write(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 def make_out_dir(path):

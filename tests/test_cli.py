@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import unirat.linalg as linalg
 from unirat import (
@@ -253,6 +253,36 @@ class TestFigure2:
         assert cols["unitdev_aaa_orig"][k] >= 10 * cols["unitdev_aaa_mod"][k]
 
 
+def _nan(sign, payload):
+    """A NaN with the given sign bit and quiet-NaN payload."""
+    return float(np.array([(sign << 63) | (0x7FF8 << 48) | payload],
+                          dtype=np.uint64).view(float)[0])
+
+
+#: Values a column's bit-pattern table must keep apart, or must print alike.
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  float(np.nan), _nan(1, 0), _nan(0, 12345), _nan(1, 1 << 40)]
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length columns: floats drawn from a small pool (so values
+    repeat) that holds both zeros and several NaNs, free floats with
+    subnormals, and int and bool columns as ``trace.csv`` passes them; each
+    as an array, a list or a tuple."""
+    n = draw(st.integers(0, 40))
+    pool = draw(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=4))
+    pool += SPECIAL_FLOATS
+    kinds = [st.sampled_from(pool), st.floats(),
+             st.integers(-2**62, 2**62), st.booleans()]
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n))
+        wrap = draw(st.sampled_from([list, tuple, np.array]))
+        columns.append(wrap(values))
+    return columns
+
+
 class TestWriteCsv:
     def test_matches_per_element_repr(self, tmp_path):
         special = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -2.5e-308]
@@ -262,6 +292,54 @@ class TestWriteCsv:
         expected = "a,b,c\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
         assert (tmp_path / "t.csv").read_text() == expected
+
+    @pytest.mark.parametrize("columns", [
+        [[1.0, 2.0, 3.0], [4.0, 5.0]],   # zip would keep the first two rows
+        [1.0, 3.0],                      # scalars are not columns
+        [[[1.0], [2.0]], [[3.0], [4.0]]],  # nor are 2-D arrays
+    ])
+    def test_ragged_columns_rejected(self, tmp_path, columns):
+        with pytest.raises(ValueError, match="flat and of equal length"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]])
+    def test_header_length_rejected(self, tmp_path, header):
+        with pytest.raises(ValueError, match="header names for 2 columns"):
+            write_csv(tmp_path / "t.csv", header, [[1.0, 2.0], [4.0, 5.0]])
+        assert not os.listdir(tmp_path)
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "t.csv"
+        old = os.umask(0o022)
+        try:
+            write_csv(path, ["a"], [[1.0]])
+            assert os.stat(path).st_mode & 0o777 == 0o644
+            os.chmod(path, 0o600)
+            write_csv(path, ["a"], [[2.0]])  # a replaced file takes the new file's mode
+            assert os.stat(path).st_mode & 0o777 == 0o644
+        finally:
+            os.umask(old)
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_failed_write_leaves_no_temporary(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write_csv(tmp_path / "t.csv", ["a"], [[1.0]])
+        assert not os.listdir(tmp_path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csv_columns())
+    @example([np.array([0.0, -0.0, 0.0, _nan(1, 0), float(np.nan), _nan(0, 7), -0.0])])
+    def test_matches_per_cell_repr(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(path, header, columns)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+        assert path.read_text() == expected
 
 
 class TestSubprocess:

@@ -1,5 +1,6 @@
 """tools/golden.py: comparing two captures of the CLI's golden outputs."""
 
+import cmath
 import importlib.util
 import json
 import os
@@ -49,6 +50,50 @@ def test_nan_against_number_differs(tmp_path, capsys):
     rc, lines = compare(capsys, write_capture(tmp_path / "a"), new)
     assert rc == 1
     assert "fit-run/trace.csv: y inf" in lines
+
+
+def test_equal_values_in_other_text_differ(tmp_path, capsys):
+    # -0.0 == 0.0 as floats, so only the text tells the captures apart
+    old = write_capture(tmp_path / "a", csv_text="x,y\n-0.0,2.0\n")
+    new = write_capture(tmp_path / "b", csv_text="x,y\n0.0,2.0\n")
+    rc, lines = compare(capsys, old, new)
+    assert rc == 1
+    assert lines == ["fit-run/metrics.json: identical", "fit-run/trace.csv: text differs"]
+
+
+def write_approximant(root, kind, g):
+    """A capture holding one approximant.json whose [alpha; beta] is g."""
+    run = root / "fit-run"
+    run.mkdir(parents=True)
+    half = len(g) // 2
+    doc = {"kind": kind, "support": list(range(half)),
+           "alpha_re": [v.real for v in g[:half]], "alpha_im": [v.imag for v in g[:half]],
+           "beta_re": [v.real for v in g[half:]], "beta_im": [v.imag for v in g[half:]]}
+    (run / "approximant.json").write_text(json.dumps(doc))
+    return root
+
+
+def test_phase_rotated_coefficients_align(tmp_path, capsys):
+    g = [0.38 + 0.1j, -0.2 + 0.3j, 0.38 - 0.1j, 0.05 - 0.2j]
+    turned = [v * cmath.exp(0.62j) for v in g]
+    turned[0] += 1e-9
+    rc, lines = compare(capsys, write_approximant(tmp_path / "a", "noninterpolatory", g),
+                        write_approximant(tmp_path / "b", "noninterpolatory", turned))
+    assert rc == 1
+    reported = dict(item.rsplit(" ", 1) for item in lines[0].split(": ", 1)[1].split(", "))
+    assert set(reported) == {"alpha_re", "alpha_im", "beta_re", "beta_im",
+                             "alpha/beta phase-aligned"}
+    assert float(reported["alpha_re"]) > 0.1
+    assert 1e-10 < float(reported["alpha/beta phase-aligned"]) < 1e-9
+
+
+def test_phase_alignment_only_for_noninterpolatory(tmp_path, capsys):
+    g = [0.38 + 0.1j, 0.38 - 0.1j]
+    turned = [v * 1j for v in g]
+    rc, lines = compare(capsys, write_approximant(tmp_path / "a", "cayley", g),
+                        write_approximant(tmp_path / "b", "cayley", turned))
+    assert rc == 1
+    assert "phase-aligned" not in lines[0]
 
 
 def test_missing_file_reported(tmp_path, capsys):

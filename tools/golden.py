@@ -16,7 +16,14 @@ The second form prints, for each file of the two captures, ``identical``
 or the largest absolute difference per CSV column or per numeric JSON key
 (a list counts as one key); a key whose non-numeric value changed reads
 ``differs``, and a key that one capture lacks reads ``only in OLD`` or
-``only in NEW``.  It exits 1 if any file differs.
+``only in NEW``.  A file whose values are all equal but whose bytes are not
+(``-0.0`` against ``0.0``, say) reads ``text differs``.  For a
+``noninterpolatory`` ``approximant.json`` whose coefficients differ, the
+line also gives ``alpha/beta phase-aligned`` and the largest difference
+once the new ``g = [alpha; beta]`` is turned by ``exp(-i theta)``,
+``theta = arg <g_old, g_new>``: the fit's phase rule picks the largest
+``|g_j|``, so a tie turns the whole vector on a rounding change.  It exits 1
+if any file differs.
 
 The third form captures the ``src`` tree of the git revision REV (through
 ``git archive``) and the working tree's into temporary directories, and
@@ -24,6 +31,7 @@ compares the two captures as the second form does.
 """
 
 import csv
+import filecmp
 import json
 import math
 import os
@@ -91,6 +99,24 @@ def _difference(a, b):
     return max((d if not math.isnan(d) else math.inf for d in diffs), default=0.0)
 
 
+def _phase_aligned(a, b):
+    """The largest difference of the real and imaginary parts of two
+    noninterpolatory documents' ``g = [alpha; beta]`` once the new one is
+    turned by ``exp(-i theta)``, ``theta = arg <g_old, g_new>``; None for
+    any other pair."""
+    if not a.get("kind") == b.get("kind") == "noninterpolatory":
+        return None
+    g_old, g_new = ([complex(re, im) for re, im in zip(doc["alpha_re"] + doc["beta_re"],
+                                                       doc["alpha_im"] + doc["beta_im"])]
+                    for doc in (a, b))
+    if len(g_old) != len(g_new):
+        return None
+    inner = sum(x.conjugate() * y for x, y in zip(g_old, g_new))
+    turn = inner.conjugate() / abs(inner) if inner else 1.0
+    diffs = (x - y * turn for x, y in zip(g_old, g_new))
+    return max((max(abs(d.real), abs(d.imag)) for d in diffs), default=0.0)
+
+
 def compare(old, new):
     """Print one line per golden file; return whether all are identical."""
     names = set()
@@ -114,6 +140,11 @@ def compare(old, new):
             d = _difference(a[key], b[key])
             if d != 0.0:
                 report.append(f"{key} {'differs' if d is None else f'{d:.3g}'}")
+        aligned = _phase_aligned(a, b)
+        if aligned is not None and any(k.startswith(("alpha_", "beta_")) for k in report):
+            report.append(f"alpha/beta phase-aligned {aligned:.3g}")
+        if not report and not filecmp.cmp(*paths, shallow=False):
+            report.append("text differs")
         print(f"{name}: {', '.join(report) or 'identical'}")
         same = same and not report
     return same
