@@ -80,6 +80,7 @@ def aaa_fit(test_nodes, config):
     y = []  # support nodes, in selection order
     fv = K = np.empty(0, dtype=complex)  # exp(i y_j) and the K diagonal
     C = A = np.empty((x.size, 0))  # the Cauchy block and its system
+    v = None  # an iteration starts from the vector of the one before, padded by 0
     trace = AaaTrace()
 
     for m in range(1, config.m_max + 1):
@@ -96,13 +97,14 @@ def aaa_fit(test_nodes, config):
         # extend it, with the bits of a full rebuild
         column = interpolatory_system(c, replace(ph, K=K[-1:], S_f=fv[-1:]), config.variant)
         A = np.hstack([A, column])
-        alpha, w, res = interpolatory_coefficients(A, ph, config.variant)
+        alpha, w, v, sigma_min, degenerate = interpolatory_coefficients(
+            A, ph, config.variant, None if v is None else np.append(v, 0.0))
         r = node_quotient(C, alpha, w)
 
         max_error = float(np.max(np.abs(F - r)))
         trace.iterations.append(
             FitStep(step=m, node=y[-1], max_error=max_error,
-                    sigma_min=float(res.singular_values[-1]), degenerate=res.degenerate))
+                    sigma_min=float(sigma_min), degenerate=degenerate))
         if max_error <= config.tol:
             trace.stop_reason = "tol"
             break

@@ -108,10 +108,13 @@ def write_csv(path, header, columns):
     its distinct bit patterns, built for this call only, so a column of a few
     repeated values costs a few ``repr`` calls. Raises ``ValueError`` if the
     columns are not flat, differ in length, or are not as many as the
-    header's names."""
+    header's names, or if a name holds a comma, a quote or a line break."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    for name in header:
+        if set(name) & set(',"\r\n'):
+            raise ValueError(f"header name {name!r} holds a comma, a quote or a line break")
     if len({c.shape for c in columns}) > 1 or any(c.ndim != 1 for c in columns):
         raise ValueError("columns must be flat and of equal length")
     cells = [_column_text(c) for c in columns]

@@ -39,11 +39,11 @@ class FitStep:
     smallest singular value of the step's system with its ``degenerate``
     flag.
 
-    A Lawson step after the first whose vector v inverse iteration certified
+    A step after its fit's first whose vector v inverse iteration certified
     records sigma_min = ||A v||, which is at least the smallest singular value
     and equal to it to rounding, and degenerate = False, since its gap to
-    sigma_{m-1} is certified; every other step reads both from the Jacobi
-    kernel."""
+    sigma_{m-1} is certified; every other step reads both from the fully
+    converged Jacobi kernel."""
 
     step: int
     node: float

@@ -23,18 +23,17 @@ Householder QR of A V.
 
 The sweeps end after a sweep that left a pair unrotated, once one Gram
 matrix of the rotated columns, with the bits of the rounds' inner products,
-shows no active pair.  A fit reads only sigma_min, its right vector and the
-``degenerate`` flag, so its SVDs (``smallest_only=True``) also stop once the
-smallest column has no active pair and a Gershgorin bound on the Gram matrix
-of the other columns certifies that none of them hides a smaller singular
-value.  The four figure fits run 60 SVDs, 204 sweeps and 8 688 rotations.
+shows no active pair.
 
-A Lawson step's system differs from the step before only in its row
-weights, and the step reads only its smallest right vector, so the steps
-after the first skip the kernel where they can: ``smallest_right_vector``
-runs inverse iteration on the R of a tall A = QR from the previous step's
-vector and certifies the result by a lower bound on sigma_{m-1}
-(``gap_bound``); a step it does not certify runs the kernel.
+A fit step reads only its smallest right vector, sigma_min and the
+``degenerate`` flag, and every step after a fit's first solves a system
+near the step before's: an AAA iteration's system gains one column, a
+Lawson step's changes its row weights.  Such a step skips the kernel where
+it can: ``smallest_right_vector`` runs inverse iteration on the R of a tall
+A = QR from the previous step's vector and certifies the result by a lower
+bound on sigma_{m-1} (``gap_bound``); a step it does not certify runs the
+kernel to full convergence.  The four figure fits run 12 SVDs, 33 sweeps
+and 3 482 rotations.
 """
 
 import functools
@@ -69,11 +68,6 @@ class SvdResult:
     phase)``, A V unsorted, and sorts and phases its columns as V's only
     then.  ``sweeps`` and ``rotations`` count the Jacobi sweeps run and the
     column pair rotations applied.
-
-    A ``smallest_only`` result certifies only sigma_min and the last right
-    vector; the other columns are only partly converged: on the figure fits
-    sigma_0 is off by up to ~4e-6 relative, the values between it and
-    sigma_{m-1} by up to ~5e-3.
     """
 
     singular_values: np.ndarray
@@ -149,36 +143,22 @@ def _gram(S, k):
     return np.abs(G), np.diagonal(G).real
 
 
-def _converged(S, k, smallest_only):
+def _converged(S, k):
     """Whether no pair is active under the rounds' test, on Gram entries with
-    the bits of the rounds' einsums, so the next sweep would rotate nothing;
-    with ``smallest_only``, whether the smallest column c has no active pair
-    and the Gershgorin bound min_i (g_ii - sum_{j != i} |g_ij|) on the Gram
-    matrix of the other columns exceeds ||c||^2: their rotations keep c
-    orthogonal to their span, and no smaller singular value hides in it."""
+    the bits of the rounds' einsums, so the next sweep would rotate nothing."""
     a, norms = _gram(S, k)
     zeta = (norms - norms[:, None]) / (2.0 * a)
     active = (a > EPS * np.sqrt(norms[:, None] * norms)) & np.isfinite(zeta)
     np.fill_diagonal(active, False)
-    if not active.any():
-        return True
-    c = int(norms.argmin())
-    if not smallest_only or active[c].any():
-        return False
-    # rows of |G| over all columns, less the entries of column c
-    bound = 2.0 * np.diagonal(a) - a.sum(axis=1) + a[:, c]
-    bound[c] = np.inf
-    return bool(bound.min() > norms[c])
+    return not active.any()
 
 
-def _jacobi_orthogonalize(R, smallest_only=False):
+def _jacobi_orthogonalize(R):
     """One-sided Jacobi sweeps on the columns of R, at most SWEEP_CAP of them.
 
     Returns ``(V, sweeps, rotations)``: the accumulated unitary V, so that
     R V has orthogonal columns, the number of sweeps run and the number of
-    pair rotations applied.  With ``smallest_only`` the sweeps also stop once
-    the smallest column of R V is certified (``_converged``); only that
-    column and its right vector are then converged.
+    pair rotations applied.
     """
     k, m = R.shape
     pairs = m * (m - 1) // 2
@@ -233,7 +213,7 @@ def _jacobi_orthogonalize(R, smallest_only=False):
                 S[index] = P
             rotations += rotated
             # a sweep that rotated every pair is far from convergence
-            if not rotated or rotated < pairs and _converged(S, k, smallest_only):
+            if not rotated or rotated < pairs and _converged(S, k):
                 return S[:, k:].T, sweep, rotations
         # the cap was reached; accept the result if the last sweep actually
         # drove the column inner products to roundoff level
@@ -283,7 +263,7 @@ def _pivoted_r(T):
     return R, p
 
 
-def _preconditioned(T, smallest_only):
+def _preconditioned(T):
     """Jacobi sweeps on a square T after a pivoted QR and an LQ step.
 
     With ``T P = Q2 R2`` and ``R2^H = Q3 R3``, ``T P Q3 = Q2 R3^H``, so the
@@ -292,13 +272,13 @@ def _preconditioned(T, smallest_only):
     """
     R2, p = _pivoted_r(T)
     Q3, R3 = np.linalg.qr(R2.conj().T)
-    W, sweeps, rotations = _jacobi_orthogonalize(R3.conj().T, smallest_only)
+    W, sweeps, rotations = _jacobi_orthogonalize(R3.conj().T)
     V = np.empty_like(W)
     V[p] = Q3 @ W
     return V, sweeps, rotations
 
 
-def _svd(A, dtype, smallest_only):
+def _svd(A, dtype):
     A = np.asarray(A, dtype=dtype)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
@@ -317,12 +297,12 @@ def _svd(A, dtype, smallest_only):
         A = _ldexp(A, -shift)
     if n >= m:
         T = np.linalg.qr(A, mode="r")
-        V, sweeps, rotations = _preconditioned(T, smallest_only)
+        V, sweeps, rotations = _preconditioned(T)
     else:
         # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
         # null space of A, Q's trailing columns, out of the sweeps
         Q, R = np.linalg.qr(A.conj().T, mode="complete")
-        W, sweeps, rotations = _preconditioned(R[:n].conj().T, smallest_only)
+        W, sweeps, rotations = _preconditioned(R[:n].conj().T)
         V = np.hstack([Q[:, :n] @ W, Q[:, n:]])
     # rotations let the norms of V's columns drift by a few ulps; normalise
     # so that each reported singular value belongs to a unit vector
@@ -343,20 +323,14 @@ def _svd(A, dtype, smallest_only):
                      sweeps=sweeps, rotations=rotations, _av=(M, order, phase))
 
 
-def svd_real(A, *, smallest_only=False):
-    """Thin SVD of a real matrix via one-sided Jacobi.
-
-    With ``smallest_only`` the sweeps stop once the smallest singular value
-    and its right vector are certified, which is all a fit reads; the other
-    values and vectors are then only partly converged.
-    """
-    return _svd(A, float, smallest_only)
+def svd_real(A):
+    """Thin SVD of a real matrix via one-sided Jacobi."""
+    return _svd(A, float)
 
 
-def svd_complex(A, *, smallest_only=False):
-    """Thin SVD of a complex matrix via one-sided Jacobi; ``smallest_only``
-    as for ``svd_real``."""
-    return _svd(A, complex, smallest_only)
+def svd_complex(A):
+    """Thin SVD of a complex matrix via one-sided Jacobi."""
+    return _svd(A, complex)
 
 
 def gap_bound(R, v):
@@ -392,7 +366,7 @@ def smallest_right_vector(A, v0):
     8 eps ||R||_F``: since ||A v|| >= sigma_min and ||R||_F >= sigma_max,
     that is SvdResult's ``degenerate`` rule, not met, on a certified gap.
     That margin does not cover gap_bound's rounding for every m; on the
-    figure fits the gap exceeds 4 800 eps ||R||_F.
+    figure fits the gap exceeds 745 eps ||R||_F.
     Returns ``(v, ||A v||)``, v in the kernel's phase (its largest entry real
     and nonnegative), or None for a wide A, a failed or non-finite solve, an
     iteration that does not settle, or a gap not certified.

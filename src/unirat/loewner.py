@@ -6,8 +6,12 @@ solved here, once, with the variant as the only switch: AAA's by
 S_F C - C S_f, over a Cauchy block C) and ``interpolatory_coefficients``,
 Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
 over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
-The node-level functions (``loewner``, ``rescaled_loewner``, ``bhat``,
-``min_singular_pair``, ...) wrap these four: the identity tests check them.
+Both extractors take their vector from one helper: inverse iteration from
+the step before's vector where that is certified, the Jacobi kernel
+otherwise.  The node-level functions (``loewner``, ``rescaled_loewner``,
+``bhat``, ``min_singular_pair``, ...) wrap these four, and
+``min_singular_coefficients`` applies AAA's w = i K v to the kernel's
+vector: the identity tests check them.
 """
 
 from dataclasses import dataclass, field
@@ -106,14 +110,29 @@ def interpolatory_system(C, ph, variant):
     return (ph.S_F[:, None] - ph.S_f[None, :]) * C
 
 
-def interpolatory_coefficients(A, ph, variant):
-    """(alpha, w, svd): (conj(w), w = i K v) or (S_f v, v), v = last right vector."""
-    res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True)
-    v = res.right_vectors[:, -1]
+def _last_right_vector(A, variant, previous):
+    """(v, sigma_min, degenerate) for v the last right vector of A.
+
+    ``previous``, the vector of a nearby system (the step before's, padded to
+    A's columns), starts inverse iteration (``smallest_right_vector``); where
+    that certifies v, sigma_min = ||A v|| and degenerate is False, since the
+    gap to sigma_{m-1} is certified.  Otherwise all three come from the fully
+    converged Jacobi kernel."""
+    warm = None if previous is None else smallest_right_vector(A, previous)
+    if warm is not None:
+        return (*warm, False)
+    res = (svd_real if variant == "modified" else svd_complex)(A)
+    return res.right_vectors[:, -1], res.singular_values[-1], res.degenerate
+
+
+def interpolatory_coefficients(A, ph, variant, previous=None):
+    """(alpha, w, v, sigma_min, degenerate) for v the last right vector of A
+    (``_last_right_vector``): (conj(w), w = i K v) or (S_f v, v)."""
+    v, sigma, degenerate = _last_right_vector(A, variant, previous)
     if variant == "original":
-        return ph.S_f * v, v, res
+        return ph.S_f * v, v, v, sigma, degenerate
     w = 1j * ph.K * v
-    return np.conj(w), w, res
+    return np.conj(w), w, v, sigma, degenerate
 
 
 def expanded_system(M, ph, variant):
@@ -124,21 +143,11 @@ def expanded_system(M, ph, variant):
 
 
 def expanded_coefficients(A, variant, previous=None):
-    """(alpha, beta, g, sigma_min, degenerate) for g the last right vector of A:
-    (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta].
-
-    ``previous``, the vector of a system that differs only in its row
-    weights (a Lawson step passes the step before's), starts inverse
-    iteration (``smallest_right_vector``); where that certifies g,
-    sigma_min = ||A g|| and degenerate is False.  Otherwise g, sigma_min and
-    the flag come from the Jacobi kernel."""
+    """(alpha, beta, g, sigma_min, degenerate) for g the last right vector of A
+    (``_last_right_vector``): (conj(b), b = (g_1 - i g_2)/sqrt2) or
+    g = [alpha; beta]."""
     m = A.shape[1] // 2
-    warm = None if previous is None else smallest_right_vector(A, previous)
-    if warm is None:
-        res = (svd_real if variant == "modified" else svd_complex)(A, smallest_only=True)
-        g, sigma, degenerate = res.right_vectors[:, -1], res.singular_values[-1], res.degenerate
-    else:
-        (g, sigma), degenerate = warm, False
+    g, sigma, degenerate = _last_right_vector(A, variant, previous)
     if variant == "original":
         return g[:m], g[m:], g, sigma, degenerate
     beta = (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
@@ -178,11 +187,8 @@ def rescaled_loewner(nodes):
 @dataclass(frozen=True)
 class MinSingularResult:
     """Minimizing coefficient vector w = i K (last right singular vector),
-    together with the singular values of the matrix it came from.
-
-    They come from a fit-path SVD (``smallest_only``), which certifies only
-    sigma_min and the last vector; sigma_0 may be off by up to ~4e-6
-    relative."""
+    together with the fully converged singular values of the matrix it came
+    from."""
 
     coefficients: np.ndarray
     singular_values: np.ndarray
@@ -197,9 +203,9 @@ def min_singular_coefficients(lhat, phases):
         raise InvalidInputError(f"need at least m-1 test nodes, got {n} for m={m}")
     if phases.K.size != m:
         raise InvalidInputError("phase diagonal K does not match the column count")
-    _, w, res = interpolatory_coefficients(lhat, phases, "modified")
-    return MinSingularResult(coefficients=w, singular_values=res.singular_values,
-                             degenerate=res.degenerate)
+    res = svd_real(lhat)
+    return MinSingularResult(coefficients=1j * phases.K * res.right_vectors[:, -1],
+                             singular_values=res.singular_values, degenerate=res.degenerate)
 
 
 def modified_cauchy(nodes):

@@ -1,5 +1,7 @@
 """Greedy AAA loop: selection rule, variants, trace semantics."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from unirat import (
     unitarity_deviation,
 )
 import unirat.aaa as aaa
+import unirat.linalg as linalg
 from unirat.cli import _figure_fit
 from unirat.errors import InvalidInputError
 from unirat.linalg import EPS
@@ -120,21 +123,61 @@ class TestAaaFit:
         assert len(set(nodes)) == 4
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
-    def test_final_coefficients_match_public_path(self, variant):
-        # the fit builds and solves its systems with the functions behind the
-        # node-level constructors and extractors, so the bits agree
+    def test_final_coefficients_match_public_path(self, monkeypatch, variant):
+        # the fit builds its systems with the functions behind the node-level
+        # constructors, so the final system has the public path's bits.  Its
+        # vector has them too where the kernel served the final iteration;
+        # where inverse iteration did, it lies within the Wedin angle
+        # eps ||R||_F / (l - sigma) of the kernel's
+        loewner_module = importlib.import_module("unirat.loewner")
+        systems, warm = [], []
+        solve, coefficients = loewner_module.smallest_right_vector, aaa.interpolatory_coefficients
+
+        def record_warm(A, v0):
+            warm.append(solve(A, v0))
+            return warm[-1]
+
+        def record(A, *args):
+            systems.append(A)
+            return coefficients(A, *args)
+        monkeypatch.setattr(loewner_module, "smallest_right_vector", record_warm)
+        monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
         rng = np.random.default_rng(64)
+        served = set()
+        fits = []
         for _ in range(5):
             x, _ = separated_nodes(rng, 16, 0)
-            approx, _ = aaa_fit(x, AaaConfig(m_max=6, tol=0.0, variant=variant))
+            fits += [(x, 1), (x, 6)]  # m_max = 1 ends on the kernel's vector
+        for x, m_max in fits:
+            warm.clear()
+            approx, _ = aaa_fit(x, AaaConfig(m_max=m_max, tol=0.0, variant=variant))
             y = approx.support
             ns = NodeSet(test_nodes=x[~np.isin(x, y)], support_nodes=y)
+            A = rescaled_loewner(ns) if variant == "modified" else loewner(ns)
+            assert systems[-1].tobytes() == A.tobytes()
             if variant == "modified":
-                w = min_singular_coefficients(rescaled_loewner(ns),
-                                              phase_diagonals(ns)).coefficients
+                u = min_singular_coefficients(A, phase_diagonals(ns)).coefficients
             else:
-                w = svd_complex(loewner(ns)).right_vectors[:, -1]
-            assert np.array_equal(approx.coefficients, w)
+                u = svd_complex(A).right_vectors[:, -1]
+            if not warm or warm[-1] is None:
+                served.add("kernel")
+                assert np.array_equal(approx.coefficients, u)
+                continue
+            served.add("inverse iteration")
+            v, sigma = warm[-1]
+            R = np.linalg.qr(A, mode="r")
+            w = approx.coefficients
+            p = np.vdot(u, w)
+            angle = np.linalg.norm(w - u * (p / abs(p)))
+            assert angle <= EPS * np.linalg.norm(R) / (linalg.gap_bound(R, v) - sigma)
+        assert served == {"kernel", "inverse iteration"}
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_degenerate_flags_past_convergence(self, variant):
+        # 16 support nodes resolve exp(ix) on the figure grid to roundoff;
+        # every later iteration's two smallest singular values sit at it
+        _, trace = aaa_fit(FIT_GRID, AaaConfig(m_max=40, tol=0.0, variant=variant))
+        assert [it.degenerate for it in trace.iterations] == [False] * 16 + [True] * 24
 
     def test_nullspace_final_iteration(self):
         # with N = 2 m_max - 1 nodes the last matrix is (m-1) x m
@@ -167,9 +210,9 @@ class TestAaaFit:
         # iteration's whole Cauchy block
         systems = []
 
-        def record(A, ph, variant):
+        def record(A, ph, variant, previous):
             systems.append((A, ph, variant))
-            return interpolatory_coefficients(A, ph, variant)
+            return interpolatory_coefficients(A, ph, variant, previous)
 
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
         fits = [(variant, _figure_fit(FIT_GRID, variant, lawson)[1])

@@ -92,7 +92,9 @@ class TestFit:
     def test_degenerate_column_reads_the_svds(self, tmp_path, monkeypatch):
         # 9 support nodes resolve exp(ix) on [-3, 3] to roundoff, so from the
         # tenth greedy iteration on, and in every Lawson step, the two
-        # smallest singular values both sit at roundoff
+        # smallest singular values both sit at roundoff.  A step's flag comes
+        # from the kernel, or is False where inverse iteration certified its
+        # vector
         loewner = importlib.import_module("unirat.loewner")
         flags = []
         for name in ("svd_real", "svd_complex"):
@@ -101,6 +103,13 @@ class TestFit:
                 flags.append(res.degenerate)
                 return res
             monkeypatch.setattr(loewner, name, record)
+
+        def record_warm(A, v0, solve=loewner.smallest_right_vector):
+            out = solve(A, v0)
+            if out is not None:
+                flags.append(False)
+            return out
+        monkeypatch.setattr(loewner, "smallest_right_vector", record_warm)
         _, trace = aaa_fit(np.linspace(-3, 3, 21), AaaConfig(m_max=11, tol=0.0, n_lawson=3))
         assert flags == [st.degenerate for st in trace.iterations + trace.lawson.steps]
         assert flags == [False] * 9 + [True] * 5
@@ -115,13 +124,15 @@ class TestFit:
         # one test node is left after 2 greedy iterations, so each step's
         # system is 3 x 4, and the exact fit at step 1 zeroes weights: every
         # later step runs the kernel, and step 10's vector has a pole at a
-        # test node
+        # test node.  Only the Lawson steps' 4-column systems are recorded
         loewner = importlib.import_module("unirat.loewner")
         warm = []
 
         def record(A, v0, solve=loewner.smallest_right_vector):
-            warm.append(solve(A, v0))
-            return warm[-1]
+            out = solve(A, v0)
+            if A.shape[1] == 4:
+                warm.append(out)
+            return out
         monkeypatch.setattr(loewner, "smallest_right_vector", record)
         rc = main(["fit", "--interval", "-3", "3", "--n-test", "3", "--m-max", "2",
                    "--tol", "0", "--lawson", "10", "--out", str(tmp_path)])
@@ -162,7 +173,10 @@ class TestFit:
         assert len(doc["support"]) == 5
 
     def test_numerical_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        # no inverse iteration step either, so that every iteration after the
+        # first reaches the kernel
         monkeypatch.setattr(linalg, "SWEEP_CAP", 0)
+        monkeypatch.setattr(linalg, "ITERATION_CAP", 0)
         rc = main(
             ["fit", "--interval", "-3", "3", "--n-test", "40", "--m-max", "3",
              "--out", str(tmp_path)]
@@ -307,6 +321,12 @@ class TestWriteCsv:
     def test_header_length_rejected(self, tmp_path, header):
         with pytest.raises(ValueError, match="header names for 2 columns"):
             write_csv(tmp_path / "t.csv", header, [[1.0, 2.0], [4.0, 5.0]])
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_header_name_needing_quotes_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match="header name"):
+            write_csv(tmp_path / "t.csv", [name], [[1.0, 2.0]])
         assert not os.listdir(tmp_path)
 
     def test_file_mode_follows_umask(self, tmp_path):

@@ -61,6 +61,13 @@ def test_equal_values_in_other_text_differ(tmp_path, capsys):
     assert lines == ["fit-run/metrics.json: identical", "fit-run/trace.csv: text differs"]
 
 
+def test_row_of_another_length_differs(tmp_path, capsys):
+    new = write_capture(tmp_path / "b", csv_text="x,y\n1.0\n")
+    rc, lines = compare(capsys, write_capture(tmp_path / "a", csv_text="x,y\n1.0,2.0\n"), new)
+    assert rc == 1
+    assert lines[1] == "fit-run/trace.csv: y differs, rows of another length only in NEW"
+
+
 def write_approximant(root, kind, g):
     """A capture holding one approximant.json whose [alpha; beta] is g."""
     run = root / "fit-run"

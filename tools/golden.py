@@ -16,8 +16,9 @@ The second form prints, for each file of the two captures, ``identical``
 or the largest absolute difference per CSV column or per numeric JSON key
 (a list counts as one key); a key whose non-numeric value changed reads
 ``differs``, and a key that one capture lacks reads ``only in OLD`` or
-``only in NEW``.  A file whose values are all equal but whose bytes are not
-(``-0.0`` against ``0.0``, say) reads ``text differs``.  For a
+``only in NEW``; a CSV whose rows are not all as long as its header reads
+``rows of another length``.  A file whose values are all equal but whose
+bytes are not (``-0.0`` against ``0.0``, say) reads ``text differs``.  For a
 ``noninterpolatory`` ``approximant.json`` whose coefficients differ, the
 line also gives ``alpha/beta phase-aligned`` and the largest difference
 once the new ``g = [alpha; beta]`` is turned by ``exp(-i theta)``,
@@ -79,11 +80,18 @@ def _leaves(doc, key=""):
 
 def _read(path):
     """{key: value} of a golden file: a CSV's columns as float lists, a JSON
-    document's leaves."""
+    document's leaves.  A CSV row shorter than its header gives None for its
+    missing cells, and the line numbers of the rows whose length differs from
+    the header's go under the key ``rows of another length``."""
     with open(path, newline="") as fh:
         if path.endswith(".csv"):
-            rows = list(csv.reader(fh))
-            return {name: [float(r[i]) for r in rows[1:]] for i, name in enumerate(rows[0])}
+            header, *rows = csv.reader(fh)
+            doc = {name: [float(r[i]) if i < len(r) else None for r in rows]
+                   for i, name in enumerate(header)}
+            ragged = [line for line, r in enumerate(rows, 2) if len(r) != len(header)]
+            if ragged:
+                doc["rows of another length"] = ragged
+            return doc
         return _leaves(json.load(fh))
 
 
