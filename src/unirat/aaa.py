@@ -66,8 +66,9 @@ def aaa_fit(test_nodes, config):
     """Fit a rational approximant to exp(ix) on the given test nodes.
 
     Returns ``(approximant, trace)``.  If ``config.n_lawson > 0`` the support
-    nodes are handed to the minimax iteration and its result is returned,
-    with the Lawson trace attached to ``trace.lawson``.
+    nodes are handed to the minimax iteration, with the last iterate as the
+    start of its first step, and its result is returned, with the Lawson
+    trace attached to ``trace.lawson``.
     """
     x = check_nodes(test_nodes, "test nodes", least=2)
     if config.m_max >= x.size:
@@ -114,7 +115,8 @@ def aaa_fit(test_nodes, config):
     y = np.asarray(y)
     if config.n_lawson > 0:
         approx, trace.lawson = lawson_fit(
-            x, y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant))
+            x, y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant),
+            start=(alpha, w))
         return approx, trace
 
     if config.variant == "modified":

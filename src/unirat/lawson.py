@@ -4,9 +4,10 @@ The support nodes are appended to the test set so accuracy can be enforced
 there too.  Each step minimizes a weighted linearized error via the smallest
 right singular vector of the real matrix Bhat (MODIFIED variant) or of the
 complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``;
-each step after the first starts from the vector of the step before.
-Weights are multiplied by the current absolute errors and renormalized to
-max 1 after every step.
+each step after the first starts from the vector of the step before, and
+step 1 from a given approximant on the same support nodes, as an AAA-Lawson
+fit gives its last AAA iterate.  Weights are multiplied by the current
+absolute errors and renormalized to max 1 after every step.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +17,8 @@ import numpy as np
 from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
                           is_count, node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
-from .loewner import (VARIANTS, NodeSet, expanded_coefficients, expanded_system,
-                      modified_cauchy, phase_diagonals)
+from .loewner import (VARIANTS, NodeSet, expanded_coefficients, expanded_start,
+                      expanded_system, modified_cauchy, phase_diagonals)
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,13 @@ class FitStep:
     smallest singular value of the step's system with its ``degenerate``
     flag.
 
-    A step after its fit's first whose vector v inverse iteration certified
-    records sigma_min = ||A v||, which is at least the smallest singular value
-    and equal to it to rounding, and degenerate = False, since its gap to
-    sigma_{m-1} is certified; every other step reads both from the fully
-    converged Jacobi kernel."""
+    A step whose vector v inverse iteration certified records sigma_min =
+    ||A v||, which is at least the smallest singular value and equal to it
+    to rounding, and degenerate = False, since its gap to sigma_{m-1} is
+    certified; every other step reads both from the fully converged Jacobi
+    kernel.  Inverse iteration serves the steps that start from a nearby
+    vector: every step after its fit's first, and step 1 of a Lawson fit
+    given a ``start``, as every AAA-Lawson fit's is."""
 
     step: int
     node: float
@@ -79,7 +82,7 @@ def lawson_weight_update(weights, errors):
     return mu / top
 
 
-def lawson_fit(test_nodes, support_nodes, config):
+def lawson_fit(test_nodes, support_nodes, config, start=None):
     """Run ``config.n_lawson`` re-weighted least-squares steps.
 
     Returns ``(approximant, trace)``: a ``CayleyApproximant`` built from the
@@ -88,6 +91,14 @@ def lawson_fit(test_nodes, support_nodes, config):
     original variant.  Fewer than m - 1 test nodes for m support nodes are
     rejected: each step's system then has n + m < 2m - 1 rows for its 2m
     unknowns, a null space of dimension at least 2, and no determined vector.
+
+    ``start``, the ``(alpha, beta)`` of an approximant on the same support
+    nodes (``aaa_fit`` passes its last iterate), starts step 1 by inverse
+    iteration, as the vector of the step before starts every later step;
+    without it step 1 runs the Jacobi kernel.  The certificate or the kernel
+    decides which vector a step uses, so a poor start costs only time.  A
+    start that is not two finite vectors of m coefficients, or that is zero,
+    is rejected.
     """
     x = check_nodes(test_nodes, "test nodes", least=0)
     y = check_nodes(support_nodes, "support nodes")
@@ -97,6 +108,9 @@ def lawson_fit(test_nodes, support_nodes, config):
     if set(x.tolist()) & set(y.tolist()):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")
+    # a step starts from the vector of the step before, step 1 from start's
+    # vector where one is given
+    g = None if start is None else expanded_start(start, config.variant, y.size)
     nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
     xa, ph = nodes.test_nodes, phase_diagonals(nodes)
     mu = np.ones(xa.size)
@@ -108,7 +122,6 @@ def lawson_fit(test_nodes, support_nodes, config):
     Cp = modified_cauchy(nodes)
 
     trace = LawsonTrace()
-    g = None  # a step starts from the vector of the step before
     for step in range(1, config.n_lawson + 1):
         A = expanded_system(np.sqrt(mu)[:, None] * Cp, ph, config.variant)
         alpha, beta, g, sigma_min, degenerate = expanded_coefficients(A, config.variant, g)

@@ -28,12 +28,14 @@ shows no active pair.
 A fit step reads only its smallest right vector, sigma_min and the
 ``degenerate`` flag, and every step after a fit's first solves a system
 near the step before's: an AAA iteration's system gains one column, a
-Lawson step's changes its row weights.  Such a step skips the kernel where
-it can: ``smallest_right_vector`` runs inverse iteration on the R of a tall
-A = QR from the previous step's vector and certifies the result by a lower
-bound on sigma_{m-1} (``gap_bound``); a step it does not certify runs the
-kernel to full convergence.  The four figure fits run 12 SVDs, 33 sweeps
-and 3 482 rotations.
+Lawson step's changes its row weights, and an AAA-Lawson fit's first Lawson
+step refines the last AAA iterate.  Such a step skips the kernel where it
+can: ``smallest_right_vector`` forms X = R^{-1} once, for the R of a tall
+A = QR, runs inverse iteration by products with X and X^H from the nearby
+vector, and certifies the result by a lower bound on sigma_{m-1}
+(``gap_bound``); a step it does not certify runs the kernel to full
+convergence.  The four figure fits run 10 SVDs, 18 sweeps and 20
+rotations, all in AAA iterations with m <= 3.
 """
 
 import functools
@@ -360,32 +362,37 @@ def smallest_right_vector(A, v0):
     """The smallest right singular vector of a tall A, certified, by inverse
     iteration from a unit v0 near it; None where it is not certified.
 
-    With R from A = QR, each step solves R^H y = v and R x = y and sets
-    v = x / ||x||, until v moves by at most 8 eps, in at most ITERATION_CAP
-    steps.  The result is accepted only if ``gap_bound(R, v) - ||A v|| >
-    8 eps ||R||_F``: since ||A v|| >= sigma_min and ||R||_F >= sigma_max,
-    that is SvdResult's ``degenerate`` rule, not met, on a certified gap.
-    That margin does not cover gap_bound's rounding for every m; on the
-    figure fits the gap exceeds 745 eps ||R||_F.
+    With R from A = QR, X = R^{-1} is formed once, by one LAPACK solve, and
+    each step sets x = X (X^H v) and v = x / ||x||, until v moves by at most
+    8 eps, in at most ITERATION_CAP steps; so a step's LAPACK work does not
+    grow with its iteration count.  The result is accepted only if
+    ``gap_bound(R, v) - ||A v|| > 8 eps ||R||_F``: since ||A v|| >= sigma_min
+    and ||R||_F >= sigma_max, that is SvdResult's ``degenerate`` rule, not
+    met, on a certified gap.  The gap is bounded from R, not from X, whose
+    rounding, eps sigma_max / sigma_min, would swamp sigma_{m-1}.  That
+    margin does not cover gap_bound's rounding for every m; on the figure
+    fits the gap exceeds 745 eps ||R||_F.
     Returns ``(v, ||A v||)``, v in the kernel's phase (its largest entry real
-    and nonnegative), or None for a wide A, a failed or non-finite solve, an
-    iteration that does not settle, or a gap not certified.
+    and nonnegative), or None for a wide A, a singular R or a non-finite X
+    or iterate, an iteration that does not settle, or a gap not certified.
     """
     n, m = A.shape
     if n < m:
         return None
     R = np.linalg.qr(A, mode="r")
-    # R^H is lower triangular; reversing its rows and columns makes it upper
-    # triangular, which LAPACK's LU leaves unpivoted, so both solves are
-    # plain substitutions
-    L = R.conj().T[::-1, ::-1]
-    v = v0
     with np.errstate(all="ignore"):
+        # LAPACK's LU leaves an upper triangle unpivoted, so this is one
+        # back substitution per column
+        try:
+            X = np.linalg.solve(R, np.eye(m, dtype=R.dtype))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(X).all():
+            return None
+        Xh = X.conj().T
+        v = v0
         for _ in range(ITERATION_CAP):
-            try:
-                x = np.linalg.solve(R, np.linalg.solve(L, v[::-1])[::-1])
-            except np.linalg.LinAlgError:
-                return None
+            x = X @ (Xh @ v)
             norm = np.linalg.norm(x)
             if not 0.0 < norm < np.inf:
                 return None

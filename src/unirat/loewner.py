@@ -8,8 +8,10 @@ Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
 over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
 Both extractors take their vector from one helper: inverse iteration from
 the step before's vector where that is certified, the Jacobi kernel
-otherwise.  The node-level functions (``loewner``, ``rescaled_loewner``,
-``bhat``, ``min_singular_pair``, ...) wrap these four, and
+otherwise; ``expanded_start`` inverts ``expanded_coefficients``' mapping, so
+that a Lawson fit's step 1 can start from a given (alpha, beta).  The
+node-level functions (``loewner``, ``rescaled_loewner``, ``bhat``,
+``min_singular_pair``, ...) wrap these four, and
 ``min_singular_coefficients`` applies AAA's w = i K v to the kernel's
 vector: the identity tests check them.
 """
@@ -136,10 +138,14 @@ def interpolatory_coefficients(A, ph, variant, previous=None):
 
 
 def expanded_system(M, ph, variant):
-    """Bhat = [Re(R) M | -Im(R) M] (modified) or [M | -S_F M]."""
-    if variant == "modified":
-        return np.hstack([ph.R.real[:, None] * M, -ph.R.imag[:, None] * M])
-    return np.hstack([M, -ph.S_F[:, None] * M])
+    """Bhat = [Re(R) M | -Im(R) M] (modified) or [M | -S_F M], for a real M,
+    in Fortran order, so that LAPACK's QR of it needs no transposing copy."""
+    n, m = M.shape
+    left, right = (ph.R.real, -ph.R.imag) if variant == "modified" else (np.ones(n), -ph.S_F)
+    A = np.empty((n, 2 * m), dtype=right.dtype, order="F")
+    np.multiply(left[:, None], M, out=A[:, :m])
+    np.multiply(right[:, None], M, out=A[:, m:])
+    return A
 
 
 def expanded_coefficients(A, variant, previous=None):
@@ -152,6 +158,25 @@ def expanded_coefficients(A, variant, previous=None):
         return g[:m], g[m:], g, sigma, degenerate
     beta = (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
     return np.conj(beta), beta, g, sigma, degenerate
+
+
+def expanded_start(start, variant, m):
+    """The unit g that ``expanded_coefficients`` maps to a multiple of
+    ``start = (alpha, beta)``, two vectors of m coefficients: [alpha; beta]
+    (original) or [Re(beta); -Im(beta)] (modified, whose alpha is
+    conj(beta)), scaled to unit norm."""
+    try:
+        alpha, beta = (np.asarray(c, dtype=complex) for c in start)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"start must be a pair of coefficient vectors: {exc}") from None
+    if alpha.shape != (m,) or beta.shape != (m,):
+        raise InvalidInputError(f"start needs two vectors of {m} coefficients, "
+                                f"got shapes {alpha.shape} and {beta.shape}")
+    g = np.concatenate([alpha, beta] if variant == "original" else [beta.real, -beta.imag])
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and g.any()):
+        raise InvalidInputError("start must be finite and nonzero")
+    g = g / np.max(np.abs(g))  # keeps the norm's squares in range
+    return g / np.linalg.norm(g)
 
 
 def _differences(nodes, allow_overlap=False):

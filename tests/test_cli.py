@@ -122,9 +122,10 @@ class TestFit:
 
     def test_zeroed_weights_pole_exit_1(self, tmp_path, monkeypatch, capsys):
         # one test node is left after 2 greedy iterations, so each step's
-        # system is 3 x 4, and the exact fit at step 1 zeroes weights: every
-        # later step runs the kernel, and step 10's vector has a pole at a
-        # test node.  Only the Lawson steps' 4-column systems are recorded
+        # system is 3 x 4, wide: every step, the first one started from the
+        # AAA iterate, runs the kernel.  The exact fit at step 1 zeroes
+        # weights, and step 10's vector has a pole at a test node.  Only the
+        # Lawson steps' 4-column systems are recorded
         loewner = importlib.import_module("unirat.loewner")
         warm = []
 
@@ -138,7 +139,7 @@ class TestFit:
                    "--tol", "0", "--lawson", "10", "--out", str(tmp_path)])
         assert rc == 1
         assert "Lawson step 10" in capsys.readouterr().err
-        assert warm == [None] * 9
+        assert warm == [None] * 10
 
     def test_undetermined_lawson_exit_2(self, tmp_path, capsys):
         # 2 test nodes are left after 4 greedy iterations, too few for the

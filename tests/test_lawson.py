@@ -1,15 +1,18 @@
 """Lawson re-weighted minimax phase: weight rule, variants, optimality."""
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
 from unirat import (
+    AaaConfig,
     CayleyApproximant,
     LawsonConfig,
     NodeSet,
     NonInterpolatoryApproximant,
+    aaa_fit,
     bhat,
     expanded_loewner,
     lawson_fit,
@@ -21,11 +24,12 @@ from unirat import (
     unitarity_deviation,
 )
 from unirat.barycentric import node_quotient
+from unirat.cli import FIGURE_LAWSON_STEPS, FIGURE_TOL
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import EPS
-from unirat.loewner import expanded_coefficients
+from unirat.linalg import EPS, gap_bound
+from unirat.loewner import expanded_coefficients, expanded_start
 
-from conftest import separated_nodes
+from conftest import FIT_GRID, separated_nodes
 
 
 class TestWeightUpdate:
@@ -206,6 +210,80 @@ class TestLawsonFit:
                      ([1.0, 2.0], [[0.5]])]:
             with pytest.raises(InvalidInputError):
                 lawson_fit(x, y, LawsonConfig(n_lawson=1))
+
+
+def figure_aaa(variant):
+    """The 14-node AAA fit that a figure's Lawson fit refines, and the
+    Lawson fit's test nodes."""
+    approx, _ = aaa_fit(FIT_GRID, AaaConfig(m_max=14, tol=FIGURE_TOL, variant=variant))
+    return approx, FIT_GRID[~np.isin(FIT_GRID, approx.support)]
+
+
+class TestStart:
+    """``start``, the (alpha, beta) of an approximant on the support nodes,
+    starts step 1 by inverse iteration, as every later step starts from the
+    step before's vector."""
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_aaa_iterate_certifies_step_1(self, monkeypatch, variant):
+        # the figure AAA iterate lies within 1e-3 of step 1's vector, whose
+        # gap is about 100 times sigma_min: the step is certified, records
+        # ||A v|| and no degeneracy, and its vector lies within the Wedin
+        # angle eps ||R||_F / (l - sigma) of the kernel's
+        loewner = importlib.import_module("unirat.loewner")
+        calls = []
+
+        def record(A, v0, solve=loewner.smallest_right_vector):
+            calls.append((A, v0, solve(A, v0)))
+            return calls[-1][-1]
+        aaa, x = figure_aaa(variant)
+        monkeypatch.setattr(loewner, "smallest_right_vector", record)
+        _, trace = lawson_fit(x, aaa.support, LawsonConfig(n_lawson=1, variant=variant),
+                              start=(aaa.alpha, aaa.beta))
+        [(A, v0, (v, sigma))] = calls
+        assert np.linalg.norm(v0 - v * np.vdot(v, v0)) <= 1e-3
+        assert (trace.steps[0].sigma_min, trace.steps[0].degenerate) == (sigma, False)
+        R = np.linalg.qr(A, mode="r")
+        ell = gap_bound(R, v)
+        full = (svd_real if variant == "modified" else svd_complex)(A)
+        u = full.right_vectors[:, -1]
+        p = np.vdot(u, v)
+        assert np.linalg.norm(v - u * (p / abs(p))) <= EPS * np.linalg.norm(R) / (ell - sigma)
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_start_inverts_expanded_coefficients(self, variant):
+        # the unit vector of a step's (alpha, beta) is the step's own g
+        rng = np.random.default_rng(78)
+        x, y = separated_nodes(rng, 10, 3)
+        ns = NodeSet(test_nodes=x, support_nodes=y)
+        A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
+        alpha, beta, g, _, _ = expanded_coefficients(A, variant)
+        assert np.max(np.abs(expanded_start((alpha, beta), variant, 3) - g)) <= 4 * EPS
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    @pytest.mark.parametrize("start", [
+        ([1.0, 2.0], [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0, 3.0]] * 2,),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
+        ([0.0] * 3, [0.0] * 3), (["a", 2.0, 3.0], [1.0, 2.0, 3.0])])
+    def test_invalid_start_rejected(self, variant, start):
+        rng = np.random.default_rng(80)
+        x, y = separated_nodes(rng, 10, 3)
+        with pytest.raises(InvalidInputError):
+            lawson_fit(x, y, LawsonConfig(n_lawson=1, variant=variant), start=start)
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_random_start(self, variant):
+        # a poor start costs only time: the certificate or the kernel
+        # decides each step's vector
+        aaa, x = figure_aaa(variant)
+        m = aaa.support.size
+        rng = np.random.default_rng(82)
+        z = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
+        z /= np.linalg.norm(z)
+        _, trace = lawson_fit(x, aaa.support,
+                              LawsonConfig(n_lawson=FIGURE_LAWSON_STEPS, variant=variant),
+                              start=(z[:m], z[m:]))
+        assert trace.steps[-1].max_error <= 1e-12
 
 
 class TestBoundary:

@@ -601,13 +601,14 @@ class TestInverseIteration:
         # bounds the angle by which rounding of the order eps ||A|| moves the
         # last vector (Wedin); the kernel's vector on the same system lies
         # within it.  All four figure fits: AAA at m = 2 (and 3, original)
-        # is not certified, every later AAA iteration and Lawson step is
+        # is not certified, every later AAA iteration and every Lawson step,
+        # the first one started from the AAA iterate, is
         calls = record_warm_steps(monkeypatch)
         for lawson_steps in (False, True):
             _figure_fit(FIT_GRID, variant, lawson_steps)
         uncertified = [A.shape[1] for A, out in calls if out is None]
         assert uncertified == {"modified": [2, 2], "original": [2, 3, 2, 3]}[variant]
-        assert sum(A.shape[1] == 28 for A, out in calls if out is not None) == 19
+        assert sum(A.shape[1] == 28 for A, out in calls if out is not None) == 20
         svd = svd_real if variant == "modified" else svd_complex
         for A, out in calls:
             if out is None:
@@ -658,6 +659,47 @@ class TestInverseIteration:
         assert linalg.smallest_right_vector(A, np.eye(8)[0]) is not None
         monkeypatch.setattr(linalg, "ITERATION_CAP", 1)
         assert linalg.smallest_right_vector(A, np.eye(8)[0]) is None
+
+    def test_lapack_calls_do_not_grow_with_iterations(self, monkeypatch):
+        # R^{-1} is formed by one solve, and each iteration only multiplies:
+        # a vector that settles after at least 5 iterations and one that runs
+        # all ITERATION_CAP of them make the same number of solves.
+        # gap_bound's own solve, made only for a settled vector, is not counted
+        calls, bounding = [], []
+
+        def counted(f):
+            def call(*args):
+                if not bounding:
+                    calls.append(f)
+                return f(*args)
+            return call
+
+        def bound(R, v, f=linalg.gap_bound):
+            bounding.append(True)
+            out = f(R, v)
+            bounding.clear()
+            return out
+        monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv))
+        monkeypatch.setattr(linalg, "gap_bound", bound)
+        # sigma_m / sigma_{m-1} is 0.6 or 0.02, and sigma_{m-2} = 10 leaves
+        # both gaps certified
+        rng = np.random.default_rng(103)
+        top = np.logspace(3, 1, 8)
+        slow = spectrum_matrix(rng, 30, np.append(top, [1.0, 0.6]), float)
+        fast = spectrum_matrix(rng, 30, np.append(top, [1.0, 0.02]), float)
+        v0 = np.ones(10) / np.sqrt(10)
+        counts = []
+        for A, settles in ((fast, True), (slow, False)):
+            calls.clear()
+            assert (linalg.smallest_right_vector(A, v0) is not None) == settles
+            counts.append(len(calls))
+        assert counts == [1, 1]
+        # the first needs more than 5 iterations, the second more than 16
+        monkeypatch.setattr(linalg, "ITERATION_CAP", 5)
+        assert linalg.smallest_right_vector(fast, v0) is None
+        monkeypatch.setattr(linalg, "ITERATION_CAP", 400)
+        assert linalg.smallest_right_vector(slow, v0) is not None
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_gap_bound(self, dtype):

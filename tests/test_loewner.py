@@ -260,6 +260,22 @@ class TestModifiedCauchy:
 
 
 class TestExpandedLoewner:
+    def test_fortran_order_same_bits(self):
+        # both expanded systems are written into one Fortran-ordered array,
+        # with the bits of the two blocks stacked side by side; a test node
+        # on a support node gives a unit row
+        rng = np.random.default_rng(20)
+        x, y = separated_nodes(rng, 12, 4)
+        x[3] = y[1]
+        ns = NodeSet(test_nodes=x, support_nodes=y, weights=10.0 ** rng.uniform(-3, 0, 12))
+        M = np.sqrt(ns.weights)[:, None] * modified_cauchy(ns)
+        ph = phase_diagonals(ns)
+        for A, ref in ((bhat(ns), np.hstack([ph.R.real[:, None] * M, -ph.R.imag[:, None] * M])),
+                       (expanded_loewner(ns), np.hstack([M, -ph.S_F[:, None] * M]))):
+            assert A.flags.f_contiguous
+            assert A.dtype == ref.dtype and np.array_equal(A, ref)
+            assert np.ascontiguousarray(A).tobytes() == ref.tobytes()
+
     def test_action_reproduces_linearized_error(self):
         rng = np.random.default_rng(22)
         x, y = separated_nodes(rng, 7, 3)
