@@ -6,6 +6,12 @@ a unitary Cayley-form approximant.  The ORIGINAL variant takes the smallest
 right singular vector of the complex Loewner matrix and returns the plain
 interpolatory form, reproducing the floating-point behavior of the
 unmodified method.
+
+A fit allocates its system and its Cauchy block once, with one column per
+iteration to come.  Each iteration drops its node's row from both, by moving
+the rows below it up one place, writes its new column into both, and solves
+and evaluates the leading blocks in place, with the bits of a system rebuilt
+from the iteration's whole Cauchy block.
 """
 
 from dataclasses import dataclass, field, replace
@@ -80,7 +86,13 @@ def aaa_fit(test_nodes, config):
 
     y = []  # support nodes, in selection order
     fv = K = np.empty(0, dtype=complex)  # exp(i y_j) and the K diagonal
-    C = A = np.empty((x.size, 0))  # the Cauchy block and its system
+    # iteration m works on the leading (test nodes left) x m blocks of two
+    # buffers: the system, in the Fortran order that LAPACK's QR reads, and
+    # the Cauchy block, complex and C-ordered, so that node_quotient's
+    # products need no cast and keep the bits of the real block's
+    shape = (x.size, config.m_max)
+    A_buf = np.empty(shape, order="F", dtype=float if config.variant == "modified" else complex)
+    C_buf = np.empty(shape, dtype=complex)
     v = None  # an iteration starts from the vector of the one before, padded by 0
     trace = AaaTrace()
 
@@ -89,15 +101,19 @@ def aaa_fit(test_nodes, config):
         y.append(float(x[j]))
         fv, K = np.append(fv, F[j]), np.append(K, R[j])
         keep = np.arange(x.size) != j
-        x, F, R, C, A = x[keep], F[keep], R[keep], C[keep], A[keep]
+        x, F, R = x[keep], F[keep], R[keep]
+        k = x.size
+        # node j's row leaves both blocks: the rows below it move up one place
+        for buf in (A_buf, C_buf):
+            buf[j:k, :m - 1] = buf[j + 1:k + 1, :m - 1]
+        A, C = A_buf[:k, :m], C_buf[:k, :m]
 
         c = (1.0 / (x - y[-1]))[:, None]
-        C = np.hstack([C, c])
+        C[:, -1:] = c
         ph = PhaseDiagonals(K=K, R=R, S_f=fv, S_F=F)
         # the system is elementwise in C, so the new column's entries alone
         # extend it, with the bits of a full rebuild
-        column = interpolatory_system(c, replace(ph, K=K[-1:], S_f=fv[-1:]), config.variant)
-        A = np.hstack([A, column])
+        A[:, -1:] = interpolatory_system(c, replace(ph, K=K[-1:], S_f=fv[-1:]), config.variant)
         alpha, w, v, sigma_min, degenerate = interpolatory_coefficients(
             A, ph, config.variant, None if v is None else np.append(v, 0.0))
         r = node_quotient(C, alpha, w)

@@ -7,7 +7,9 @@ complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``;
 each step after the first starts from the vector of the step before, and
 step 1 from a given approximant on the same support nodes, as an AAA-Lawson
 fit gives its last AAA iterate.  Weights are multiplied by the current
-absolute errors and renormalized to max 1 after every step.
+absolute errors and renormalized to max 1 after every step.  A fit forms
+each step's row-weighted block and system in the same two buffers, and takes
+its node values from one complex copy of the modified Cauchy block.
 """
 
 from dataclasses import dataclass, field
@@ -118,14 +120,20 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     # C' has unit rows for the appended support nodes.  Each step builds its
     # system from sqrt(mu) C', as bhat and expanded_loewner do for a NodeSet
     # weighted by mu; mu may reach 0, so the fit's NodeSet, whose weights must
-    # be positive, keeps unit weights.
+    # be positive, keeps unit weights.  The steps refill one buffer for
+    # sqrt(mu) C' and one for the system, which the first step's
+    # expanded_system allocates; the node values read one complex copy of C',
+    # the operand that node_quotient's products would otherwise cast C' to.
     Cp = modified_cauchy(nodes)
+    Cp_complex = Cp.astype(complex)
+    M, A = np.empty_like(Cp), None
 
     trace = LawsonTrace()
     for step in range(1, config.n_lawson + 1):
-        A = expanded_system(np.sqrt(mu)[:, None] * Cp, ph, config.variant)
+        np.multiply(np.sqrt(mu)[:, None], Cp, out=M)
+        A = expanded_system(M, ph, config.variant, out=A)
         alpha, beta, g, sigma_min, degenerate = expanded_coefficients(A, config.variant, g)
-        r = node_quotient(Cp, alpha, beta)
+        r = node_quotient(Cp_complex, alpha, beta)
 
         eps = ph.S_F - r
         bad = np.flatnonzero(~np.isfinite(eps))

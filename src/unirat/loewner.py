@@ -137,15 +137,20 @@ def interpolatory_coefficients(A, ph, variant, previous=None):
     return np.conj(w), w, v, sigma, degenerate
 
 
-def expanded_system(M, ph, variant):
+def expanded_system(M, ph, variant, out=None):
     """Bhat = [Re(R) M | -Im(R) M] (modified) or [M | -S_F M], for a real M,
-    in Fortran order, so that LAPACK's QR of it needs no transposing copy."""
+    in Fortran order, so that LAPACK's QR of it needs no transposing copy.
+
+    The system is written into ``out``, the array an earlier call returned
+    for an M of the same shape and the same variant, as a fit's steps refill
+    their one system; without it, into a new array."""
     n, m = M.shape
     left, right = (ph.R.real, -ph.R.imag) if variant == "modified" else (np.ones(n), -ph.S_F)
-    A = np.empty((n, 2 * m), dtype=right.dtype, order="F")
-    np.multiply(left[:, None], M, out=A[:, :m])
-    np.multiply(right[:, None], M, out=A[:, m:])
-    return A
+    if out is None:
+        out = np.empty((n, 2 * m), dtype=right.dtype, order="F")
+    np.multiply(left[:, None], M, out=out[:, :m])
+    np.multiply(right[:, None], M, out=out[:, m:])
+    return out
 
 
 def expanded_coefficients(A, variant, previous=None):

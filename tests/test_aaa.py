@@ -24,6 +24,7 @@ from unirat import (
 )
 import unirat.aaa as aaa
 import unirat.linalg as linalg
+from unirat.barycentric import node_quotient
 from unirat.cli import _figure_fit
 from unirat.errors import InvalidInputError
 from unirat.linalg import EPS
@@ -138,7 +139,7 @@ class TestAaaFit:
             return warm[-1]
 
         def record(A, *args):
-            systems.append(A)
+            systems.append(A.copy())
             return coefficients(A, *args)
         monkeypatch.setattr(loewner_module, "smallest_right_vector", record_warm)
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
@@ -205,34 +206,50 @@ class TestAaaFit:
         assert trace.iterations[-1].sigma_min <= sampled + 4 * EPS
 
     def test_grown_system_matches_rebuild(self, monkeypatch):
-        # each iteration extends the previous system by its new column; the
-        # matrix solved must be the bits of the system rebuilt from that
-        # iteration's whole Cauchy block
-        systems = []
+        # each iteration drops its node's row from the previous system and
+        # Cauchy block, by moving the rows below it up, and extends both by
+        # its new column; the matrices solved and evaluated must be the bits
+        # of those rebuilt from that iteration's whole Cauchy block.  Nodes
+        # 21 and 12 of [-3, 3] and [-1, 1] fitted to m_max = n - 1 pick the
+        # first and the last remaining row, so that every row or none moves,
+        # and end on a one-row, wide system
+        systems, blocks = [], []
 
         def record(A, ph, variant, previous):
-            systems.append((A, ph, variant))
+            systems.append((A.copy(), ph, variant))
             return interpolatory_coefficients(A, ph, variant, previous)
 
+        def record_quotient(C, alpha, beta):
+            blocks.append(C.copy())
+            return node_quotient(C, alpha, beta)
+
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
-        fits = [(variant, _figure_fit(FIT_GRID, variant, lawson)[1])
+        monkeypatch.setattr(aaa, "node_quotient", record_quotient)
+        fits = [(variant, FIT_GRID, _figure_fit(FIT_GRID, variant, lawson)[1])
                 for variant in VARIANTS for lawson in (False, True)]
-        fits += [(variant, aaa_fit(FIT_GRID, AaaConfig(m_max=40, tol=0.0,
-                                                       variant=variant))[1])
-                 for variant in VARIANTS]
-        calls = iter(systems)
-        for variant, trace in fits:
-            y, x = [], FIT_GRID
+        fits += [(variant, grid, aaa_fit(grid, AaaConfig(m_max=m_max, tol=0.0,
+                                                         variant=variant))[1])
+                 for variant in VARIANTS
+                 for grid, m_max in ((FIT_GRID, 40), (np.linspace(-3, 3, 21), 20),
+                                     (np.linspace(-1, 1, 12), 11))]
+        calls, quotients, picked = iter(systems), iter(blocks), set()
+        for variant, x, trace in fits:
+            y = []
             for step in trace.iterations:
                 y.append(step.node)
-                x = x[x != step.node]
+                [j] = np.flatnonzero(x == step.node)
+                picked |= {"first"} if j == 0 else {"last"} if j == x.size - 1 else set()
+                x = np.delete(x, j)
                 C = np.column_stack([1.0 / (x - node) for node in y])
                 A, ph, called = next(calls)
                 assert called == variant
                 full = interpolatory_system(C, ph, variant)
                 assert (A.dtype, A.shape) == (full.dtype, full.shape)
                 assert A.tobytes() == full.tobytes()
-        assert next(calls, None) is None
+                assert next(quotients).tobytes() == C.astype(complex).tobytes()
+            picked |= {"wide"} if A.shape[0] < A.shape[1] else set()
+        assert next(calls, None) is None and next(quotients, None) is None
+        assert picked == {"first", "last", "wide"}
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):

@@ -219,7 +219,7 @@ class TestStructureResidual:
         systems = []
         for name in ("svd_real", "svd_complex", "smallest_right_vector"):
             def record(A, *args, solve=getattr(loewner, name), **kw):
-                systems.append(A)
+                systems.append(A.copy())
                 return solve(A, *args, **kw)
             monkeypatch.setattr(loewner, name, record)
         approx, _ = _figure_fit(FIT_GRID, "original", lawson)

@@ -234,7 +234,7 @@ class TestStart:
         calls = []
 
         def record(A, v0, solve=loewner.smallest_right_vector):
-            calls.append((A, v0, solve(A, v0)))
+            calls.append((A.copy(), v0, solve(A, v0)))
             return calls[-1][-1]
         aaa, x = figure_aaa(variant)
         monkeypatch.setattr(loewner, "smallest_right_vector", record)

@@ -519,7 +519,8 @@ def figure_support(variant):
 
 
 def record_fit_svds(monkeypatch):
-    """Record ``(svd, A, kwargs, result)`` for every SVD the fits run.
+    """Record ``(svd, A, kwargs, result)`` for every SVD the fits run, with a
+    copy of A, since a fit refills its systems in place.
 
     The fits solve their systems in unirat.loewner, whose package attribute
     is the loewner function, not the module."""
@@ -528,7 +529,7 @@ def record_fit_svds(monkeypatch):
     for name in ("svd_real", "svd_complex"):
         def record(A, *args, svd=getattr(loewner, name), **kw):
             res = svd(A, *args, **kw)
-            calls.append((svd, A, kw, res))
+            calls.append((svd, A.copy(), kw, res))
             return res
         monkeypatch.setattr(loewner, name, record)
     return calls
@@ -577,13 +578,14 @@ def spectrum_matrix(rng, n, sigma, dtype):
 
 
 def record_warm_steps(monkeypatch):
-    """Record ``(A, result)`` for every warm fit step's inverse iteration."""
+    """Record ``(A, result)`` for every warm fit step's inverse iteration, with
+    a copy of A, since a fit refills its systems in place."""
     loewner = importlib.import_module("unirat.loewner")
     calls = []
 
     def record(A, v0, solve=loewner.smallest_right_vector):
         out = solve(A, v0)
-        calls.append((A, out))
+        calls.append((A.copy(), out))
         return out
     monkeypatch.setattr(loewner, "smallest_right_vector", record)
     return calls
