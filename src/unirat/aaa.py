@@ -27,7 +27,7 @@ from .barycentric import (
     node_quotient,
 )
 from .errors import InvalidInputError
-from .lawson import FitStep, LawsonConfig, lawson_fit
+from .lawson import FitStep, LawsonConfig, check_test_count, lawson_fit
 from .loewner import (VARIANTS, PhaseDiagonals, interpolatory_coefficients,
                       interpolatory_system, phase_entries)
 
@@ -74,7 +74,8 @@ def aaa_fit(test_nodes, config):
     Returns ``(approximant, trace)``.  If ``config.n_lawson > 0`` the support
     nodes are handed to the minimax iteration, with the last iterate as the
     start of its first step, and its result is returned, with the Lawson
-    trace attached to ``trace.lawson``.
+    trace attached to ``trace.lawson``; an iteration that leaves too few
+    test nodes for the Lawson steps raises InvalidInputError at once.
     """
     x = check_nodes(test_nodes, "test nodes", least=2)
     if config.m_max >= x.size:
@@ -103,6 +104,10 @@ def aaa_fit(test_nodes, config):
         keep = np.arange(x.size) != j
         x, F, R = x[keep], F[keep], R[keep]
         k = x.size
+        # the test nodes left only shrink as m grows, so a count too small for
+        # the Lawson steps is final
+        if config.n_lawson > 0:
+            check_test_count(k, m)
         # node j's row leaves both blocks: the rows below it move up one place
         for buf in (A_buf, C_buf):
             buf[j:k, :m - 1] = buf[j + 1:k + 1, :m - 1]
@@ -114,14 +119,14 @@ def aaa_fit(test_nodes, config):
         # the system is elementwise in C, so the new column's entries alone
         # extend it, with the bits of a full rebuild
         A[:, -1:] = interpolatory_system(c, replace(ph, K=K[-1:], S_f=fv[-1:]), config.variant)
-        alpha, w, v, sigma_min, degenerate = interpolatory_coefficients(
+        alpha, w, solve = interpolatory_coefficients(
             A, ph, config.variant, None if v is None else np.append(v, 0.0))
+        v = solve.vector
         r = node_quotient(C, alpha, w)
 
         max_error = float(np.max(np.abs(F - r)))
         trace.iterations.append(
-            FitStep(step=m, node=y[-1], max_error=max_error,
-                    sigma_min=float(sigma_min), degenerate=degenerate))
+            FitStep(step=m, node=y[-1], max_error=max_error, solve=solve))
         if max_error <= config.tol:
             trace.stop_reason = "tol"
             break

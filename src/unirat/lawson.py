@@ -19,6 +19,7 @@ import numpy as np
 from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
                           is_count, node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
+from .linalg import SmallestVector
 from .loewner import (VARIANTS, NodeSet, expanded_coefficients, expanded_start,
                       expanded_system, modified_cauchy, phase_diagonals)
 
@@ -38,29 +39,42 @@ class LawsonConfig:
 @dataclass
 class FitStep:
     """One AAA iteration or Lawson step: the support node it added (AAA) or
-    its worst test node (Lawson), the max error at the test nodes, and the
-    smallest singular value of the step's system with its ``degenerate``
-    flag.
+    its worst test node (Lawson), the max error at the test nodes, and
+    ``solve``, the ``linalg.SmallestVector`` of the step's system, whose
+    ``sigma_min`` and ``degenerate`` the step reads.
 
-    A step whose vector v inverse iteration certified records sigma_min =
-    ||A v||, which is at least the smallest singular value and equal to it
-    to rounding, and degenerate = False, since its gap to sigma_{m-1} is
-    certified; every other step reads both from the fully converged Jacobi
-    kernel.  Inverse iteration serves the steps that start from a nearby
-    vector: every step after its fit's first, and step 1 of a Lawson fit
-    given a ``start``, as every AAA-Lawson fit's is."""
+    Inverse iteration gives the record of a step that starts from a nearby
+    vector and is certified: every step after its fit's first, and step 1 of
+    a Lawson fit given a ``start``, as every AAA-Lawson fit's is.  Every
+    other step's record comes from the fully converged Jacobi kernel."""
 
     step: int
     node: float
     max_error: float
-    sigma_min: float
-    degenerate: bool
+    solve: SmallestVector
+
+    @property
+    def sigma_min(self):
+        return self.solve.sigma_min
+
+    @property
+    def degenerate(self):
+        return self.solve.degenerate
 
 
 @dataclass
 class LawsonTrace:
     steps: list = field(default_factory=list)
     stop_reason: str = ""  # "exact" once every weighted error is 0, else "n_lawson"
+
+
+def check_test_count(n_test, m):
+    """Reject fewer than m - 1 test nodes for m support nodes: each Lawson
+    step's system then has n + m < 2m - 1 rows for its 2m unknowns, a null
+    space of dimension at least 2, and no determined vector."""
+    if n_test < m - 1:
+        raise InvalidInputError(f"{m} support nodes need at least {m - 1} "
+                                f"test nodes, got {n_test}")
 
 
 def lawson_weight_update(weights, errors):
@@ -91,8 +105,7 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     beta coefficients for the modified variant, or a
     ``NonInterpolatoryApproximant`` carrying both alpha and beta for the
     original variant.  Fewer than m - 1 test nodes for m support nodes are
-    rejected: each step's system then has n + m < 2m - 1 rows for its 2m
-    unknowns, a null space of dimension at least 2, and no determined vector.
+    rejected (``check_test_count``).
 
     ``start``, the ``(alpha, beta)`` of an approximant on the same support
     nodes (``aaa_fit`` passes its last iterate), starts step 1 by inverse
@@ -104,9 +117,7 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     """
     x = check_nodes(test_nodes, "test nodes", least=0)
     y = check_nodes(support_nodes, "support nodes")
-    if x.size < y.size - 1:
-        raise InvalidInputError(f"{y.size} support nodes need at least {y.size - 1} "
-                                f"test nodes, got {x.size}")
+    check_test_count(x.size, y.size)
     if set(x.tolist()) & set(y.tolist()):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")
@@ -132,7 +143,8 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     for step in range(1, config.n_lawson + 1):
         np.multiply(np.sqrt(mu)[:, None], Cp, out=M)
         A = expanded_system(M, ph, config.variant, out=A)
-        alpha, beta, g, sigma_min, degenerate = expanded_coefficients(A, config.variant, g)
+        alpha, beta, solve = expanded_coefficients(A, config.variant, g)
+        g = solve.vector
         r = node_quotient(Cp_complex, alpha, beta)
 
         eps = ph.S_F - r
@@ -144,7 +156,7 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
         worst = int(np.argmax(np.abs(eps)))
         trace.steps.append(
             FitStep(step=step, node=float(xa[worst]), max_error=float(np.abs(eps[worst])),
-                    sigma_min=float(sigma_min), degenerate=degenerate))
+                    solve=solve))
         mu_next = lawson_weight_update(mu, eps)
         if mu_next is None:
             trace.stop_reason = "exact"

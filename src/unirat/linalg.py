@@ -25,17 +25,20 @@ The sweeps end after a sweep that left a pair unrotated, once one Gram
 matrix of the rotated columns, with the bits of the rounds' inner products,
 shows no active pair.
 
-A fit step reads only its smallest right vector, sigma_min and the
-``degenerate`` flag, and every step after a fit's first solves a system
-near the step before's: an AAA iteration's system gains one column, a
-Lawson step's changes its row weights, and an AAA-Lawson fit's first Lawson
-step refines the last AAA iterate.  Such a step skips the kernel where it
-can: ``smallest_right_vector`` forms X = R^{-1} once, for the R of a tall
-A = QR, runs inverse iteration by products with X and X^H from the nearby
-vector, and certifies the result by a lower bound on sigma_{m-1}
-(``gap_bound``); a step it does not certify runs the kernel to full
-convergence.  The four figure fits run 10 SVDs, 18 sweeps and 20
-rotations, all in AAA iterations with m <= 3.
+A fit step reads only a ``SmallestVector``: its smallest right vector,
+sigma_min, a lower bound on sigma_{m-1} and a scale, whose ``degenerate``
+rule says whether the vector is determined.  Every step after a fit's first
+solves a system near the step before's: an AAA iteration's system gains one
+column, a Lawson step's changes its row weights, and an AAA-Lawson fit's
+first Lawson step refines the last AAA iterate.  Such a step skips the
+kernel where it can: ``smallest_right_vector`` forms X = R^{-1} once, for
+the R of a tall A = QR, runs inverse iteration by products with X and X^H
+from the nearby vector, and keeps the result only if its record, with
+``gap_bound``'s lower bound on sigma_{m-1}, is not degenerate; a step it
+does not certify runs the kernel to full convergence.  The four figure
+fits' records read 10 kernel records, all in AAA iterations with m <= 3,
+with 18 sweeps and 20 rotations, and 88 warm records, each with a gap of at
+least 745 eps ||R||_F.
 """
 
 import functools
@@ -58,6 +61,42 @@ SWEEP_CAP = 60
 ITERATION_CAP = 16
 
 
+@dataclass(frozen=True, eq=False)
+class SmallestVector:
+    """How a fit step's system was solved: its unit smallest right vector,
+    sigma_min, a lower bound on sigma_{m-1} and a bound on sigma_max.
+
+    The Jacobi kernel (``SvdResult.smallest``) records sigma_m, sigma_{m-1}
+    (inf for one column) and sigma_max, with its ``sweeps`` and
+    ``rotations``; inverse iteration (``smallest_right_vector``) records
+    ||A v|| >= sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >=
+    sigma_max, with its ``iterations``, and returns only records that are
+    not ``degenerate``.  So ``iterations`` is 0 on a kernel record and at
+    least 1 on a warm one.
+    """
+
+    vector: np.ndarray
+    sigma_min: float
+    lower: float
+    scale: float
+    iterations: int = 0
+    sweeps: int = 0
+    rotations: int = 0
+
+    @property
+    def degenerate(self):
+        """Whether ``lower - sigma_min`` fails to exceed 8 eps ``scale``, so
+        that the vector is not determined; a NaN counts as degenerate."""
+        return not self.lower - self.sigma_min > 8.0 * EPS * self.scale
+
+    @property
+    def wedin(self):
+        """eps scale / (lower - sigma_min), which bounds the angle by which
+        rounding of order eps ||A|| moves the vector (Wedin); inf where
+        degenerate."""
+        return math.inf if self.degenerate else EPS * self.scale / (self.lower - self.sigma_min)
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD ``A V = U diag(s)``.
@@ -78,12 +117,14 @@ class SvdResult:
     rotations: int
     _av: tuple = field(repr=False, compare=False)
 
-    @property
-    def degenerate(self):
-        """Whether the two smallest singular values lie within 8 eps sigma_max
-        of each other, so that the last right vector is not determined."""
+    def smallest(self):
+        """The kernel's ``SmallestVector``: the last right vector, sigma_m,
+        sigma_{m-1} (inf for one column) and sigma_max, with the sweeps and
+        rotations run."""
         sig = self.singular_values
-        return bool(sig.size >= 2 and (sig[-2] - sig[-1]) <= 8.0 * EPS * sig[0])
+        return SmallestVector(self.right_vectors[:, -1], float(sig[-1]),
+                              float(sig[-2]) if sig.size > 1 else math.inf, float(sig[0]),
+                              sweeps=self.sweeps, rotations=self.rotations)
 
     @functools.cached_property
     def left_vectors(self):
@@ -365,16 +406,15 @@ def smallest_right_vector(A, v0):
     With R from A = QR, X = R^{-1} is formed once, by one LAPACK solve, and
     each step sets x = X (X^H v) and v = x / ||x||, until v moves by at most
     8 eps, in at most ITERATION_CAP steps; so a step's LAPACK work does not
-    grow with its iteration count.  The result is accepted only if
-    ``gap_bound(R, v) - ||A v|| > 8 eps ||R||_F``: since ||A v|| >= sigma_min
-    and ||R||_F >= sigma_max, that is SvdResult's ``degenerate`` rule, not
-    met, on a certified gap.  The gap is bounded from R, not from X, whose
-    rounding, eps sigma_max / sigma_min, would swamp sigma_{m-1}.  That
-    margin does not cover gap_bound's rounding for every m; on the figure
-    fits the gap exceeds 745 eps ||R||_F.
-    Returns ``(v, ||A v||)``, v in the kernel's phase (its largest entry real
-    and nonnegative), or None for a wide A, a singular R or a non-finite X
-    or iterate, an iteration that does not settle, or a gap not certified.
+    grow with its iteration count.  The result is certified by its
+    ``SmallestVector(v, ||A v||, gap_bound(R, v), ||R||_F)`` not being
+    ``degenerate``.  The gap is bounded from R, not from X, whose rounding,
+    eps sigma_max / sigma_min, would swamp sigma_{m-1}.  The rule's margin
+    does not cover gap_bound's rounding for every m; on the figure fits the
+    gap exceeds 745 eps ||R||_F.
+    Returns that record, v in the kernel's phase (its largest entry real and
+    nonnegative), or None for a wide A, a singular R or a non-finite X or
+    iterate, an iteration that does not settle, or a gap not certified.
     """
     n, m = A.shape
     if n < m:
@@ -391,7 +431,7 @@ def smallest_right_vector(A, v0):
             return None
         Xh = X.conj().T
         v = v0
-        for _ in range(ITERATION_CAP):
+        for iterations in range(1, ITERATION_CAP + 1):
             x = X @ (Xh @ v)
             norm = np.linalg.norm(x)
             if not 0.0 < norm < np.inf:
@@ -404,7 +444,7 @@ def smallest_right_vector(A, v0):
         else:
             return None
         sigma = float(np.linalg.norm(A @ v))
-    if not gap_bound(R, v) - sigma > 8.0 * EPS * np.linalg.norm(R):
-        return None
     i = int(np.argmax(np.abs(v)))
-    return v * _phase(np.conj(v[i:i + 1])), sigma
+    solve = SmallestVector(v * _phase(np.conj(v[i:i + 1])), sigma, gap_bound(R, v),
+                           float(np.linalg.norm(R)), iterations=iterations)
+    return None if solve.degenerate else solve

@@ -6,17 +6,18 @@ solved here, once, with the variant as the only switch: AAA's by
 S_F C - C S_f, over a Cauchy block C) and ``interpolatory_coefficients``,
 Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
 over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
-Both extractors take their vector from one helper: inverse iteration from
-the step before's vector where that is certified, the Jacobi kernel
-otherwise; ``expanded_start`` inverts ``expanded_coefficients``' mapping, so
-that a Lawson fit's step 1 can start from a given (alpha, beta).  The
+Both extractors return their coefficients with the step's
+``linalg.SmallestVector``, from one helper: inverse iteration's from the
+step before's vector where that is certified, the Jacobi kernel's
+otherwise.  ``expanded_start`` inverts ``expanded_coefficients``' mapping,
+so that a Lawson fit's step 1 can start from a given (alpha, beta).  The
 node-level functions (``loewner``, ``rescaled_loewner``, ``bhat``,
 ``min_singular_pair``, ...) wrap these four, and
 ``min_singular_coefficients`` applies AAA's w = i K v to the kernel's
 vector: the identity tests check them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,28 +114,26 @@ def interpolatory_system(C, ph, variant):
 
 
 def _last_right_vector(A, variant, previous):
-    """(v, sigma_min, degenerate) for v the last right vector of A.
-
-    ``previous``, the vector of a nearby system (the step before's, padded to
-    A's columns), starts inverse iteration (``smallest_right_vector``); where
-    that certifies v, sigma_min = ||A v|| and degenerate is False, since the
-    gap to sigma_{m-1} is certified.  Otherwise all three come from the fully
-    converged Jacobi kernel."""
+    """The ``SmallestVector`` of A: inverse iteration's from ``previous``, the
+    vector of a nearby system (the step before's, padded to A's columns),
+    where ``smallest_right_vector`` certifies it, else the fully converged
+    Jacobi kernel's."""
     warm = None if previous is None else smallest_right_vector(A, previous)
     if warm is not None:
-        return (*warm, False)
-    res = (svd_real if variant == "modified" else svd_complex)(A)
-    return res.right_vectors[:, -1], res.singular_values[-1], res.degenerate
+        return warm
+    return (svd_real if variant == "modified" else svd_complex)(A).smallest()
 
 
 def interpolatory_coefficients(A, ph, variant, previous=None):
-    """(alpha, w, v, sigma_min, degenerate) for v the last right vector of A
-    (``_last_right_vector``): (conj(w), w = i K v) or (S_f v, v)."""
-    v, sigma, degenerate = _last_right_vector(A, variant, previous)
+    """(alpha, w, solve) for ``solve`` the ``SmallestVector`` of A
+    (``_last_right_vector``) and v its vector: (conj(w), w = i K v) or
+    (S_f v, v)."""
+    solve = _last_right_vector(A, variant, previous)
+    v = solve.vector
     if variant == "original":
-        return ph.S_f * v, v, v, sigma, degenerate
+        return ph.S_f * v, v, solve
     w = 1j * ph.K * v
-    return np.conj(w), w, v, sigma, degenerate
+    return np.conj(w), w, solve
 
 
 def expanded_system(M, ph, variant, out=None):
@@ -154,15 +153,16 @@ def expanded_system(M, ph, variant, out=None):
 
 
 def expanded_coefficients(A, variant, previous=None):
-    """(alpha, beta, g, sigma_min, degenerate) for g the last right vector of A
-    (``_last_right_vector``): (conj(b), b = (g_1 - i g_2)/sqrt2) or
-    g = [alpha; beta]."""
+    """(alpha, beta, solve) for ``solve`` the ``SmallestVector`` of A
+    (``_last_right_vector``) and g its vector: (conj(b), b = (g_1 - i g_2)/sqrt2)
+    or g = [alpha; beta]."""
     m = A.shape[1] // 2
-    g, sigma, degenerate = _last_right_vector(A, variant, previous)
+    solve = _last_right_vector(A, variant, previous)
+    g = solve.vector
     if variant == "original":
-        return g[:m], g[m:], g, sigma, degenerate
+        return g[:m], g[m:], solve
     beta = (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
-    return np.conj(beta), beta, g, sigma, degenerate
+    return np.conj(beta), beta, solve
 
 
 def expanded_start(start, variant, m):
@@ -222,7 +222,6 @@ class MinSingularResult:
 
     coefficients: np.ndarray
     singular_values: np.ndarray
-    degenerate: bool = field(default=False)
 
 
 def min_singular_coefficients(lhat, phases):
@@ -235,7 +234,7 @@ def min_singular_coefficients(lhat, phases):
         raise InvalidInputError("phase diagonal K does not match the column count")
     res = svd_real(lhat)
     return MinSingularResult(coefficients=1j * phases.K * res.right_vectors[:, -1],
-                             singular_values=res.singular_values, degenerate=res.degenerate)
+                             singular_values=res.singular_values)
 
 
 def modified_cauchy(nodes):

@@ -1,7 +1,5 @@
 """Greedy AAA loop: selection rule, variants, trace semantics."""
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +21,6 @@ from unirat import (
     unitarity_deviation,
 )
 import unirat.aaa as aaa
-import unirat.linalg as linalg
 from unirat.barycentric import node_quotient
 from unirat.cli import _figure_fit
 from unirat.errors import InvalidInputError
@@ -129,19 +126,13 @@ class TestAaaFit:
         # constructors, so the final system has the public path's bits.  Its
         # vector has them too where the kernel served the final iteration;
         # where inverse iteration did, it lies within the Wedin angle
-        # eps ||R||_F / (l - sigma) of the kernel's
-        loewner_module = importlib.import_module("unirat.loewner")
-        systems, warm = [], []
-        solve, coefficients = loewner_module.smallest_right_vector, aaa.interpolatory_coefficients
-
-        def record_warm(A, v0):
-            warm.append(solve(A, v0))
-            return warm[-1]
+        # eps ||R||_F / (l - sigma) of the kernel's, which its record gives
+        systems = []
+        coefficients = aaa.interpolatory_coefficients
 
         def record(A, *args):
             systems.append(A.copy())
             return coefficients(A, *args)
-        monkeypatch.setattr(loewner_module, "smallest_right_vector", record_warm)
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
         rng = np.random.default_rng(64)
         served = set()
@@ -150,8 +141,7 @@ class TestAaaFit:
             x, _ = separated_nodes(rng, 16, 0)
             fits += [(x, 1), (x, 6)]  # m_max = 1 ends on the kernel's vector
         for x, m_max in fits:
-            warm.clear()
-            approx, _ = aaa_fit(x, AaaConfig(m_max=m_max, tol=0.0, variant=variant))
+            approx, trace = aaa_fit(x, AaaConfig(m_max=m_max, tol=0.0, variant=variant))
             y = approx.support
             ns = NodeSet(test_nodes=x[~np.isin(x, y)], support_nodes=y)
             A = rescaled_loewner(ns) if variant == "modified" else loewner(ns)
@@ -160,17 +150,16 @@ class TestAaaFit:
                 u = min_singular_coefficients(A, phase_diagonals(ns)).coefficients
             else:
                 u = svd_complex(A).right_vectors[:, -1]
-            if not warm or warm[-1] is None:
+            solve = trace.iterations[-1].solve
+            if not solve.iterations:
                 served.add("kernel")
                 assert np.array_equal(approx.coefficients, u)
                 continue
             served.add("inverse iteration")
-            v, sigma = warm[-1]
-            R = np.linalg.qr(A, mode="r")
             w = approx.coefficients
             p = np.vdot(u, w)
             angle = np.linalg.norm(w - u * (p / abs(p)))
-            assert angle <= EPS * np.linalg.norm(R) / (linalg.gap_bound(R, v) - sigma)
+            assert angle <= solve.wedin
         assert served == {"kernel", "inverse iteration"}
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
@@ -258,6 +247,28 @@ class TestAaaFit:
             aaa_fit([1.0, 1.0], AaaConfig(m_max=1))
         with pytest.raises(InvalidInputError):
             aaa_fit([1.0, 2.0], AaaConfig(m_max=2))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_too_few_lawson_test_nodes_rejected_early(self, monkeypatch, variant):
+        # iteration m leaves 41 - m test nodes, fewer than the m - 1 the
+        # Lawson steps need from m = 22 on: the fit raises there, after 21
+        # solved iterations, and not after all 30.  Without Lawson steps it
+        # runs all 30
+        solved = []
+        coefficients = aaa.interpolatory_coefficients
+
+        def count(*args):
+            solved.append(args[0].shape[1])
+            return coefficients(*args)
+        monkeypatch.setattr(aaa, "interpolatory_coefficients", count)
+        x = np.linspace(-3.0, 3.0, 41)
+        with pytest.raises(InvalidInputError,
+                           match="22 support nodes need at least 21 test nodes, got 19"):
+            aaa_fit(x, AaaConfig(m_max=30, tol=0.0, variant=variant, n_lawson=2))
+        assert solved == list(range(1, 22))
+        solved.clear()
+        _, trace = aaa_fit(x, AaaConfig(m_max=30, tol=0.0, variant=variant))
+        assert len(solved) == len(trace.iterations) == 30
 
     def test_lawson_handoff(self):
         x = np.linspace(-3.0, 3.0, 100)

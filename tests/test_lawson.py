@@ -26,7 +26,7 @@ from unirat import (
 from unirat.barycentric import node_quotient
 from unirat.cli import FIGURE_LAWSON_STEPS, FIGURE_TOL
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import EPS, gap_bound
+from unirat.linalg import EPS
 from unirat.loewner import expanded_coefficients, expanded_start
 
 from conftest import FIT_GRID, separated_nodes
@@ -100,7 +100,8 @@ class TestLawsonFit:
                 for steps in (1, 2, 3):
                     ns = NodeSet(test_nodes=xa, support_nodes=y, weights=mu)
                     A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
-                    alpha, beta, g, _, _ = expanded_coefficients(A, variant, g)
+                    alpha, beta, solve = expanded_coefficients(A, variant, g)
+                    g = solve.vector
                     if variant == "modified":
                         assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
                         ref = CayleyApproximant(support=y, coefficients=beta)
@@ -234,21 +235,22 @@ class TestStart:
         calls = []
 
         def record(A, v0, solve=loewner.smallest_right_vector):
-            calls.append((A.copy(), v0, solve(A, v0)))
-            return calls[-1][-1]
+            calls.append((A.copy(), v0))
+            return solve(A, v0)
         aaa, x = figure_aaa(variant)
         monkeypatch.setattr(loewner, "smallest_right_vector", record)
         _, trace = lawson_fit(x, aaa.support, LawsonConfig(n_lawson=1, variant=variant),
                               start=(aaa.alpha, aaa.beta))
-        [(A, v0, (v, sigma))] = calls
+        [(A, v0)] = calls
+        [step] = trace.steps
+        v = step.solve.vector
+        assert step.solve.iterations and not step.degenerate
         assert np.linalg.norm(v0 - v * np.vdot(v, v0)) <= 1e-3
-        assert (trace.steps[0].sigma_min, trace.steps[0].degenerate) == (sigma, False)
-        R = np.linalg.qr(A, mode="r")
-        ell = gap_bound(R, v)
+        assert step.sigma_min == pytest.approx(np.linalg.norm(A @ v), rel=8 * EPS)
         full = (svd_real if variant == "modified" else svd_complex)(A)
         u = full.right_vectors[:, -1]
         p = np.vdot(u, v)
-        assert np.linalg.norm(v - u * (p / abs(p))) <= EPS * np.linalg.norm(R) / (ell - sigma)
+        assert np.linalg.norm(v - u * (p / abs(p))) <= step.solve.wedin
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_start_inverts_expanded_coefficients(self, variant):
@@ -257,8 +259,8 @@ class TestStart:
         x, y = separated_nodes(rng, 10, 3)
         ns = NodeSet(test_nodes=x, support_nodes=y)
         A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
-        alpha, beta, g, _, _ = expanded_coefficients(A, variant)
-        assert np.max(np.abs(expanded_start((alpha, beta), variant, 3) - g)) <= 4 * EPS
+        alpha, beta, solve = expanded_coefficients(A, variant)
+        assert np.max(np.abs(expanded_start((alpha, beta), variant, 3) - solve.vector)) <= 4 * EPS
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     @pytest.mark.parametrize("start", [

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import mpmath as mp
@@ -70,6 +71,14 @@ class TestSvdReal:
     def test_diagonal(self):
         res = svd_real(np.diag([3.0, 2.0]))
         assert np.allclose(res.singular_values, [3.0, 2.0], atol=4 * EPS)
+        assert not res.smallest().degenerate
+        # the degeneracy rule's edges: one column is never degenerate, and its
+        # Wedin bound is 0; a zero matrix and a NaN lower bound are
+        one = svd_real(np.array([[3.0], [4.0]])).smallest()
+        assert (one.degenerate, one.wedin, one.lower) == (False, 0.0, np.inf)
+        assert svd_real(np.zeros((3, 2))).smallest().degenerate
+        assert replace(one, lower=np.nan).degenerate
+        assert replace(one, lower=np.nan).wedin == np.inf
 
     def test_golden_ratio(self):
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -284,6 +293,9 @@ class TestSvdProperties:
         recon = A @ V[:, :k] - U * s[:k]
         assert np.max(np.abs(recon)) <= 64 * EPS * np.max(np.abs(A)) * max(n, m)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+        # the kernel record's degeneracy rule, on sigma_m, sigma_{m-1} and
+        # sigma_max
+        assert res.smallest().degenerate == (m > 1 and s[-2] - s[-1] <= 8 * EPS * s[0])
 
     @pytest.mark.parametrize("shape, dtype, scale", [
         ((6, 4), float, 1e200),    # Gram entries overflowed: sigma read inf
@@ -518,23 +530,6 @@ def figure_support(variant):
     return aaa_fit(FIT_GRID, AaaConfig(m_max=14, tol=1e-12, variant=variant))[0].support
 
 
-def record_fit_svds(monkeypatch):
-    """Record ``(svd, A, kwargs, result)`` for every SVD the fits run, with a
-    copy of A, since a fit refills its systems in place.
-
-    The fits solve their systems in unirat.loewner, whose package attribute
-    is the loewner function, not the module."""
-    loewner = importlib.import_module("unirat.loewner")
-    calls = []
-    for name in ("svd_real", "svd_complex"):
-        def record(A, *args, svd=getattr(loewner, name), **kw):
-            res = svd(A, *args, **kw)
-            calls.append((svd, A.copy(), kw, res))
-            return res
-        monkeypatch.setattr(loewner, name, record)
-    return calls
-
-
 class TestSweepCounts:
     """Sweeps are deterministic; the unpreconditioned kernel needed 12-16 on
     the figure-grid Lawson systems."""
@@ -549,20 +544,18 @@ class TestSweepCounts:
         assert svd_complex(expanded_loewner(nodes)).sweeps <= 8
 
     @pytest.mark.parametrize("variant, first", [("modified", 8), ("original", 9)])
-    def test_figure_lawson_fit(self, monkeypatch, variant, first):
+    def test_figure_lawson_fit(self, variant, first):
         # only the first step reaches the kernel, which runs to full
         # convergence: steps 2-20 are certified by inverse iteration.  The
-        # counts are the fit path's exact ones: the support is fitted before
-        # patching, so only the Lawson SVDs are recorded
+        # counts are the fit path's exact ones
         y = figure_support(variant)
-        calls = record_fit_svds(monkeypatch)
-        lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
-                          lawson.LawsonConfig(n_lawson=20, variant=variant))
-        assert len(calls) == 1
-        res = calls[0][-1]
-        assert res.sweeps <= first
+        _, trace = lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
+                                     lawson.LawsonConfig(n_lawson=20, variant=variant))
+        solves = [st.solve for st in trace.steps]
+        assert [s.iterations > 0 for s in solves] == [False] + [True] * 19
+        assert solves[0].sweeps <= first
         counts = {"modified": (7, 1659), "original": (8, 1803)}[variant]
-        assert (res.sweeps, res.rotations) == counts
+        assert (solves[0].sweeps, solves[0].rotations) == counts
 
 
 def spectrum_matrix(rng, n, sigma, dtype):
@@ -615,16 +608,30 @@ class TestInverseIteration:
         for A, out in calls:
             if out is None:
                 continue
-            v, sigma = out
-            R = np.linalg.qr(A, mode="r")
-            ell = linalg.gap_bound(R, v)
             full = svd(A)
             u, s = full.right_vectors[:, -1], full.singular_values
-            assert ell <= s[-2]
-            assert abs(sigma - s[-1]) <= 8 * EPS * s[0]
-            p = np.vdot(u, v)
-            angle = np.linalg.norm(v - u * (p / abs(p)))
-            assert angle <= EPS * np.linalg.norm(R) / (ell - sigma)
+            assert out.lower <= s[-2]
+            assert abs(out.sigma_min - s[-1]) <= 8 * EPS * s[0]
+            p = np.vdot(u, out.vector)
+            angle = np.linalg.norm(out.vector - u * (p / abs(p)))
+            assert angle <= out.wedin
+
+    def test_figure_fit_records(self, figure_fits):
+        # the kernel serves AAA at m = 1 and 2 (and 3, original) alone, with
+        # 18 sweeps and 20 rotations in all; every other step's record is
+        # inverse iteration's, 745 eps ||R||_F or more clear of the rule
+        aaa_steps, lawson_steps = [], []
+        for _, trace, _ in figure_fits.values():
+            aaa_steps += trace.iterations
+            lawson_steps += trace.lawson.steps if trace.lawson else []
+        kernel = [st for st in aaa_steps if not st.solve.iterations]
+        assert len(kernel) == 10 and all(st.step <= 3 for st in kernel)
+        assert all(st.solve.iterations for st in lawson_steps)
+        assert sum(st.solve.sweeps for st in kernel) == 18
+        assert sum(st.solve.rotations for st in kernel) == 20
+        warm = [st.solve for st in aaa_steps + lawson_steps if st.solve.iterations]
+        assert len(warm) == 88
+        assert all(s.lower - s.sigma_min >= 745 * EPS * s.scale for s in warm)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_random_systems(self, dtype):
@@ -637,7 +644,8 @@ class TestInverseIteration:
             A = spectrum_matrix(rng, n, sigma, dtype)
             u = np.linalg.svd(A)[2][-1].conj()
             v0 = u + 1e-2 * rng.standard_normal(m)
-            v, s = linalg.smallest_right_vector(A, v0 / np.linalg.norm(v0))
+            out = linalg.smallest_right_vector(A, v0 / np.linalg.norm(v0))
+            v, s = out.vector, out.sigma_min
             i = int(np.argmax(np.abs(v)))
             assert v[i].real > 0 and abs(v[i].imag) <= EPS * v[i].real
             p = np.vdot(u, v)
@@ -724,23 +732,21 @@ class TestInverseIteration:
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     @pytest.mark.parametrize("wide", [True, False], ids=["wide", "degenerate"])
-    def test_lawson_cold_steps(self, monkeypatch, variant, wide):
+    def test_lawson_cold_steps(self, variant, wide):
         # m - 1 test nodes leave each step's system one row short of square;
         # with 11 support nodes on 41 nodes of [-3, 3] the systems are tall,
         # and their two smallest singular values both sit at roundoff.
-        # Neither is certified: every step runs the kernel, whose flags the
-        # trace records
+        # Neither is certified: every step, steps 2 and 3 started from the
+        # step before's vector, runs the kernel, whose flags the trace records
         if wide:
             x, y = [4.0, 5.0, 6.0], [0.3, 1.1, 2.7, 3.5]
         else:
             grid = np.linspace(-3, 3, 41)
             y = aaa_fit(grid, AaaConfig(m_max=11, tol=0.0, variant=variant))[0].support
             x = grid[~np.isin(grid, y)]
-        warm = record_warm_steps(monkeypatch)
-        svds = record_fit_svds(monkeypatch)
+        assert (len(x) + len(y) < 2 * len(y)) == wide
         _, trace = lawson.lawson_fit(x, y, lawson.LawsonConfig(n_lawson=3, variant=variant))
-        assert [A.shape[0] < A.shape[1] for A, _ in warm] == [wide] * 2
-        assert [out for _, out in warm] == [None] * 2
-        flags = [res.degenerate for *_, res in svds]
-        assert flags == [st.degenerate for st in trace.steps]
+        solves = [st.solve for st in trace.steps]
+        assert [(s.iterations, s.sweeps > 0) for s in solves] == [(0, True)] * 3
+        flags = [st.degenerate for st in trace.steps]
         assert wide or flags == [True] * 3
