@@ -27,8 +27,8 @@ from .barycentric import (
     node_quotient,
 )
 from .errors import InvalidInputError
-from .lawson import FitStep, LawsonConfig, check_test_count, lawson_fit
-from .loewner import (VARIANTS, PhaseDiagonals, interpolatory_coefficients,
+from .lawson import FitStep, LawsonConfig, lawson_fit
+from .loewner import (VARIANTS, PhaseDiagonals, check_test_count, interpolatory_coefficients,
                       interpolatory_system, phase_entries)
 
 

@@ -26,7 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
-from .linalg import EPS
+from .linalg import EPS, real_array
 
 #: Points per evaluation block.
 BLOCK_POINTS = 2**13
@@ -40,10 +40,7 @@ def is_count(k):
 def check_nodes(nodes, name="nodes", least=1):
     """``nodes`` as a 1-D float array of at least ``least`` finite, distinct
     values."""
-    try:
-        v = np.atleast_1d(np.asarray(nodes, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name} must be real numbers: {exc}") from None
+    v = np.atleast_1d(real_array(nodes, name))
     if v.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-D, got shape {v.shape}")
     if v.size < least:
@@ -153,7 +150,7 @@ def _add_terms(cols, y, x, out, acc, term, inv):
 
 def _prepare(x):
     """The points as a flat float array, and the shape of x."""
-    xv = np.asarray(x, dtype=float)
+    xv = real_array(x, "evaluation points")
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("evaluation points must be finite")
     return xv.ravel(), xv.shape

@@ -27,6 +27,18 @@ EVAL_INTERVAL = (-40.0, 40.0)
 EVAL_NODES = 10001
 FIGURE_TOL = 1e-12
 FIGURE_LAWSON_STEPS = 20
+#: Degree of figure 1's Padé comparator.
+PADE_DEGREE = 13
+#: The paper's four figure fits, in figure 2's column order: 15 AAA support
+#: nodes, or 14 refined by Lawson steps.
+FIGURE_FITS = {
+    "aaa_orig": AaaConfig(m_max=15, tol=FIGURE_TOL, variant="original"),
+    "aaa_mod": AaaConfig(m_max=15, tol=FIGURE_TOL, variant="modified"),
+    "lawson_orig": AaaConfig(m_max=14, tol=FIGURE_TOL, variant="original",
+                             n_lawson=FIGURE_LAWSON_STEPS),
+    "lawson_mod": AaaConfig(m_max=14, tol=FIGURE_TOL, variant="modified",
+                            n_lawson=FIGURE_LAWSON_STEPS),
+}
 
 
 #: Approximant classes by JSON kind tag.
@@ -197,51 +209,39 @@ def _figure_metadata():
         "eval_nodes": EVAL_NODES,
         "tol": FIGURE_TOL,
         "lawson_steps": FIGURE_LAWSON_STEPS,
-        "pade_degree": 13,
-        "aaa_support_nodes": 15,
-        "lawson_support_nodes": 14,
+        "pade_degree": PADE_DEGREE,
+        "aaa_support_nodes": FIGURE_FITS["aaa_mod"].m_max,
+        "lawson_support_nodes": FIGURE_FITS["lawson_mod"].m_max,
         "seeds": None,
     }
 
 
-def _figure_fit(grid, variant, lawson):
-    """A figure's fit, ``(approximant, trace)``: 15 AAA support nodes, or 14
-    refined by Lawson steps."""
-    config = AaaConfig(m_max=14 if lawson else 15, tol=FIGURE_TOL, variant=variant,
-                       n_lawson=FIGURE_LAWSON_STEPS if lawson else 0)
-    return aaa_fit(grid, config)
-
-
 def cmd_figure(args):
+    """Figure 1: |r - e^{ix}| on the fit grid for the Padé comparator and
+    ``FIGURE_FITS["lawson_mod"]``, of type (m - 1, m - 1) on m support nodes.
+    Figure 2: ||r| - 1| on the evaluation grid for each of ``FIGURE_FITS``."""
     make_out_dir(args.out)
     fit_grid = interval_grid(*FIT_INTERVAL, FIT_NODES)
-
     if args.which == 1:
-        pade = PadeApproximant(degree=13)
-        lawson = _figure_fit(fit_grid, "modified", lawson=True)[0]
-        target = np.exp(1j * fit_grid)
-        write_csv(
-            os.path.join(args.out, "figure1.csv"),
-            ["x", "abserr_pade13", "abserr_aaalawson_13_13"],
-            [fit_grid,
-             np.abs(pade.eval(fit_grid) - target),
-             np.abs(lawson.eval(fit_grid) - target)],
-        )
-        write_json(os.path.join(args.out, "figure1_metadata.json"), _figure_metadata())
-        return 0
+        grid, target = fit_grid, np.exp(1j * fit_grid)
+        lawson = FIGURE_FITS["lawson_mod"]
+        curves = {f"abserr_pade{PADE_DEGREE}": PadeApproximant(degree=PADE_DEGREE),
+                  "abserr_aaalawson_{0}_{0}".format(lawson.m_max - 1):
+                      aaa_fit(fit_grid, lawson)[0]}
 
-    eval_grid = interval_grid(*EVAL_INTERVAL, EVAL_NODES)
-    columns = [eval_grid]
-    header = ["x"]
-    for name, variant, lawson in (("aaa_orig", "original", False),
-                                  ("aaa_mod", "modified", False),
-                                  ("lawson_orig", "original", True),
-                                  ("lawson_mod", "modified", True)):
-        approx = _figure_fit(fit_grid, variant, lawson)[0]
-        header.append("unitdev_" + name)
-        columns.append(np.abs(np.abs(approx.eval(eval_grid)) - 1.0))
-    write_csv(os.path.join(args.out, "figure2.csv"), header, columns)
-    write_json(os.path.join(args.out, "figure2_metadata.json"), _figure_metadata())
+        def metric(values):
+            return np.abs(values - target)
+    else:
+        grid = interval_grid(*EVAL_INTERVAL, EVAL_NODES)
+        curves = {"unitdev_" + name: aaa_fit(fit_grid, config)[0]
+                  for name, config in FIGURE_FITS.items()}
+
+        def metric(values):
+            return np.abs(np.abs(values) - 1.0)
+    stem = os.path.join(args.out, f"figure{args.which}")
+    write_csv(stem + ".csv", ["x", *curves],
+              [grid, *(metric(approx.eval(grid)) for approx in curves.values())])
+    write_json(stem + "_metadata.json", _figure_metadata())
     return 0
 
 

@@ -19,9 +19,9 @@ import numpy as np
 from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
                           is_count, node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import SmallestVector
-from .loewner import (VARIANTS, NodeSet, expanded_coefficients, expanded_start,
-                      expanded_system, modified_cauchy, phase_diagonals)
+from .linalg import SmallestVector, real_array
+from .loewner import (VARIANTS, NodeSet, check_test_count, expanded_coefficients,
+                      expanded_start, expanded_system, modified_cauchy, phase_diagonals)
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,13 @@ class LawsonTrace:
     stop_reason: str = ""  # "exact" once every weighted error is 0, else "n_lawson"
 
 
-def check_test_count(n_test, m):
-    """Reject fewer than m - 1 test nodes for m support nodes: each Lawson
-    step's system then has n + m < 2m - 1 rows for its 2m unknowns, a null
-    space of dimension at least 2, and no determined vector."""
-    if n_test < m - 1:
-        raise InvalidInputError(f"{m} support nodes need at least {m - 1} "
-                                f"test nodes, got {n_test}")
-
-
 def lawson_weight_update(weights, errors):
     """mu_k <- mu_k |eps_k|, then divide by the max entry.
 
     Returns None when every product is zero (exact fit; the caller stops).
     The weights must be finite and nonnegative; a weight of 0 is allowed.
     """
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
+    weights = np.atleast_1d(real_array(weights, "weights"))
     errors = np.atleast_1d(np.asarray(errors))
     if weights.shape != errors.shape:
         raise InvalidInputError("weights and errors must have equal length")

@@ -35,10 +35,7 @@ kernel where it can: ``smallest_right_vector`` forms X = R^{-1} once, for
 the R of a tall A = QR, runs inverse iteration by products with X and X^H
 from the nearby vector, and keeps the result only if its record, with
 ``gap_bound``'s lower bound on sigma_{m-1}, is not degenerate; a step it
-does not certify runs the kernel to full convergence.  The four figure
-fits' records read 10 kernel records, all in AAA iterations with m <= 3,
-with 18 sweeps and 20 rotations, and 88 warm records, each with a gap of at
-least 745 eps ||R||_F.
+does not certify runs the kernel to full convergence.
 """
 
 import functools
@@ -59,6 +56,17 @@ SWEEP_CAP = 60
 #: Cap on inverse iteration steps; a vector still moving after it is not
 #: certified.
 ITERATION_CAP = 16
+
+
+def real_array(x, name):
+    """x as a float array, x itself where it is one.  Input that NumPy holds
+    as complex, which a plain cast to float would truncate to its real part,
+    or as anything but numbers (strings, objects, ragged lists) raises
+    InvalidInputError."""
+    try:
+        return np.asarray(x).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be real numbers: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +175,24 @@ def _phase(z):
     z = _ldexp(z, -e)
     with np.errstate(invalid="ignore"):
         return np.where(z == 0.0, 1.0, z / np.abs(z))
+
+
+def _vector_phase(V):
+    """The unit factors that make the largest-magnitude entry of each column
+    of V real and nonnegative: the phase of every right vector returned."""
+    return _phase(np.conj(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]))
+
+
+def _triangular_inverse(T):
+    """T^{-1} for a square upper triangle T, by one LAPACK solve (its LU
+    leaves an upper triangle unpivoted, so one back substitution per column);
+    None where T is singular or the inverse is not finite.  The callers
+    ignore floating-point warnings around it."""
+    try:
+        X = np.linalg.solve(T, np.eye(T.shape[1], dtype=T.dtype))
+    except np.linalg.LinAlgError:
+        return None
+    return X if np.isfinite(X).all() else None
 
 
 def _ldexp(z, e):
@@ -321,8 +347,7 @@ def _preconditioned(T):
     return V, sweeps, rotations
 
 
-def _svd(A, dtype):
-    A = np.asarray(A, dtype=dtype)
+def _svd(A):
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
     # NaN and inf propagate through the largest modulus, which also sets the
@@ -358,22 +383,22 @@ def _svd(A, dtype):
     order = np.argsort(-norms, kind="stable")
     sigma, V = norms[order], V[:, order]
 
-    # the largest-magnitude entry of each right vector is made real and
-    # nonnegative; A V follows when the left vectors are built
-    phase = _phase(np.conj(V[np.argmax(np.abs(V), axis=0), np.arange(m)]))
+    # A V follows V's phases when the left vectors are built
+    phase = _vector_phase(V)
     V *= phase
     return SvdResult(singular_values=np.ldexp(sigma, shift), right_vectors=V,
                      sweeps=sweeps, rotations=rotations, _av=(M, order, phase))
 
 
 def svd_real(A):
-    """Thin SVD of a real matrix via one-sided Jacobi."""
-    return _svd(A, float)
+    """Thin SVD of a real matrix via one-sided Jacobi; a complex matrix is
+    rejected (``real_array``), not truncated to its real part."""
+    return _svd(real_array(A, "matrix"))
 
 
 def svd_complex(A):
     """Thin SVD of a complex matrix via one-sided Jacobi."""
-    return _svd(A, complex)
+    return _svd(np.asarray(A, dtype=complex))
 
 
 def gap_bound(R, v):
@@ -392,11 +417,8 @@ def gap_bound(R, v):
     W = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
     T = np.linalg.qr(R @ W, mode="r")
     with np.errstate(all="ignore"):
-        try:
-            norm = np.linalg.norm(np.linalg.solve(T, np.eye(m - 1, dtype=T.dtype)))
-        except np.linalg.LinAlgError:
-            return 0.0
-    return 1.0 / norm if np.isfinite(norm) else 0.0
+        X = _triangular_inverse(T)
+        return 0.0 if X is None else 1.0 / np.linalg.norm(X)
 
 
 def smallest_right_vector(A, v0):
@@ -412,8 +434,8 @@ def smallest_right_vector(A, v0):
     eps sigma_max / sigma_min, would swamp sigma_{m-1}.  The rule's margin
     does not cover gap_bound's rounding for every m; on the figure fits the
     gap exceeds 745 eps ||R||_F.
-    Returns that record, v in the kernel's phase (its largest entry real and
-    nonnegative), or None for a wide A, a singular R or a non-finite X or
+    Returns that record, v in the kernel's phase (``_vector_phase``), or
+    None for a wide A, a singular R or a non-finite X or
     iterate, an iteration that does not settle, or a gap not certified.
     """
     n, m = A.shape
@@ -421,13 +443,8 @@ def smallest_right_vector(A, v0):
         return None
     R = np.linalg.qr(A, mode="r")
     with np.errstate(all="ignore"):
-        # LAPACK's LU leaves an upper triangle unpivoted, so this is one
-        # back substitution per column
-        try:
-            X = np.linalg.solve(R, np.eye(m, dtype=R.dtype))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(X).all():
+        X = _triangular_inverse(R)
+        if X is None:
             return None
         Xh = X.conj().T
         v = v0
@@ -444,7 +461,6 @@ def smallest_right_vector(A, v0):
         else:
             return None
         sigma = float(np.linalg.norm(A @ v))
-    i = int(np.argmax(np.abs(v)))
-    solve = SmallestVector(v * _phase(np.conj(v[i:i + 1])), sigma, gap_bound(R, v),
+    solve = SmallestVector(v * _vector_phase(v[:, None]), sigma, gap_bound(R, v),
                            float(np.linalg.norm(R)), iterations=iterations)
     return None if solve.degenerate else solve

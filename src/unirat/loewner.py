@@ -23,7 +23,7 @@ import numpy as np
 
 from .barycentric import check_nodes
 from .errors import InvalidInputError, NodeCollisionError
-from .linalg import EPS, smallest_right_vector, svd_complex, svd_real
+from .linalg import EPS, real_array, smallest_right_vector, svd_complex, svd_real
 
 #: Fitting variants: "original" solves the complex systems, "modified" the
 #: real re-scaled ones and returns the unitary Cayley form.
@@ -52,7 +52,7 @@ class NodeSet:
         if self.weights is None:
             mu = np.ones(x.size)
         else:
-            mu = np.atleast_1d(np.asarray(self.weights, dtype=float))
+            mu = np.atleast_1d(real_array(self.weights, "weights"))
         if mu.shape != x.shape:
             raise InvalidInputError("need one weight per test node")
         if not (np.all(np.isfinite(mu)) and np.all(mu > 0)):
@@ -113,22 +113,31 @@ def interpolatory_system(C, ph, variant):
     return (ph.S_F[:, None] - ph.S_f[None, :]) * C
 
 
-def _last_right_vector(A, variant, previous):
+def check_test_count(n_test, m):
+    """Reject fewer than m - 1 test nodes for m support nodes: an n x m
+    interpolatory system, or a Lawson step's (n + m) x 2m one, then has a
+    null space of dimension at least 2, and no determined vector."""
+    if n_test < m - 1:
+        raise InvalidInputError(f"{m} support nodes need at least {m - 1} "
+                                f"test nodes, got {n_test}")
+
+
+def _last_right_vector(A, previous):
     """The ``SmallestVector`` of A: inverse iteration's from ``previous``, the
     vector of a nearby system (the step before's, padded to A's columns),
     where ``smallest_right_vector`` certifies it, else the fully converged
-    Jacobi kernel's."""
+    Jacobi kernel's, complex for a complex A."""
     warm = None if previous is None else smallest_right_vector(A, previous)
     if warm is not None:
         return warm
-    return (svd_real if variant == "modified" else svd_complex)(A).smallest()
+    return (svd_complex if np.iscomplexobj(A) else svd_real)(A).smallest()
 
 
 def interpolatory_coefficients(A, ph, variant, previous=None):
     """(alpha, w, solve) for ``solve`` the ``SmallestVector`` of A
     (``_last_right_vector``) and v its vector: (conj(w), w = i K v) or
     (S_f v, v)."""
-    solve = _last_right_vector(A, variant, previous)
+    solve = _last_right_vector(A, previous)
     v = solve.vector
     if variant == "original":
         return ph.S_f * v, v, solve
@@ -157,7 +166,7 @@ def expanded_coefficients(A, variant, previous=None):
     (``_last_right_vector``) and g its vector: (conj(b), b = (g_1 - i g_2)/sqrt2)
     or g = [alpha; beta]."""
     m = A.shape[1] // 2
-    solve = _last_right_vector(A, variant, previous)
+    solve = _last_right_vector(A, previous)
     g = solve.vector
     if variant == "original":
         return g[:m], g[m:], solve
@@ -226,10 +235,9 @@ class MinSingularResult:
 
 def min_singular_coefficients(lhat, phases):
     """Unit-norm w with ||L w||_2 = sigma_min and f_j w_j = conj(w_j)."""
-    lhat = np.asarray(lhat, dtype=float)
+    lhat = real_array(lhat, "Lhat")
     n, m = lhat.shape
-    if n < m - 1:
-        raise InvalidInputError(f"need at least m-1 test nodes, got {n} for m={m}")
+    check_test_count(n, m)
     if phases.K.size != m:
         raise InvalidInputError("phase diagonal K does not match the column count")
     res = svd_real(lhat)
@@ -266,7 +274,7 @@ def bhat(nodes):
 def min_singular_pair(bhat_matrix):
     """(alpha, beta) from the last right singular vector of Bhat; satisfies
     alpha_j = conj(beta_j) and minimizes ||[M | -S_F M] [alpha; beta]||_2."""
-    B = np.asarray(bhat_matrix, dtype=float)
+    B = real_array(bhat_matrix, "Bhat")
     if B.shape[1] % 2 != 0:
         raise InvalidInputError("Bhat must have an even number of columns")
     return expanded_coefficients(B, "modified")[:2]

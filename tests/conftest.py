@@ -2,12 +2,14 @@
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import unirat
-from unirat.cli import EVAL_INTERVAL, EVAL_NODES, FIT_INTERVAL, FIT_NODES, _figure_fit
+from unirat import aaa_fit
+from unirat.cli import EVAL_INTERVAL, EVAL_NODES, FIGURE_FITS, FIT_INTERVAL, FIT_NODES
 
 # Subprocesses started by the tests import the same package as the tests do.
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -34,20 +36,24 @@ def separated_nodes(rng, n, m, lo=-15.0, hi=15.0, spacing=1.0):
     return pts[:n], pts[n:]
 
 
+def figure_aaa_config(variant):
+    """The AAA stage of the variant's figure AAA-Lawson fit: its entry of the
+    CLI's ``FIGURE_FITS`` without the Lawson steps."""
+    [config] = [c for c in FIGURE_FITS.values() if c.variant == variant and c.n_lawson]
+    return replace(config, n_lawson=0)
+
+
 @pytest.fixture(scope="session")
 def figure_fits():
-    """The four fits behind the error/unitarity figures, built by the CLI's
-    own ``_figure_fit``, with per-fit times.
+    """The four fits behind the error/unitarity figures, built from the CLI's
+    own ``FIGURE_FITS``, with per-fit times.
 
     Keys map to (approximant, trace, seconds).  Built once per session; the
     acceptance tests add the relevant build times to their own budgets.
     """
     out = {}
-    for name, variant, lawson in (("lawson_mod", "modified", True),
-                                  ("aaa_mod", "modified", False),
-                                  ("aaa_orig", "original", False),
-                                  ("lawson_orig", "original", True)):
+    for name, config in FIGURE_FITS.items():
         t0 = time.perf_counter()
-        approx, trace = _figure_fit(FIT_GRID, variant, lawson)
+        approx, trace = aaa_fit(FIT_GRID, config)
         out[name] = (approx, trace, time.perf_counter() - t0)
     return out

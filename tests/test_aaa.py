@@ -22,7 +22,7 @@ from unirat import (
 )
 import unirat.aaa as aaa
 from unirat.barycentric import node_quotient
-from unirat.cli import _figure_fit
+from unirat.cli import FIGURE_FITS
 from unirat.errors import InvalidInputError
 from unirat.linalg import EPS
 from unirat.loewner import VARIANTS, interpolatory_coefficients, interpolatory_system
@@ -214,8 +214,8 @@ class TestAaaFit:
 
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
         monkeypatch.setattr(aaa, "node_quotient", record_quotient)
-        fits = [(variant, FIT_GRID, _figure_fit(FIT_GRID, variant, lawson)[1])
-                for variant in VARIANTS for lawson in (False, True)]
+        fits = [(config.variant, FIT_GRID, aaa_fit(FIT_GRID, config)[1])
+                for config in FIGURE_FITS.values()]
         fits += [(variant, grid, aaa_fit(grid, AaaConfig(m_max=m_max, tol=0.0,
                                                          variant=variant))[1])
                  for variant in VARIANTS

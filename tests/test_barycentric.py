@@ -1,6 +1,7 @@
 """Approximant forms: evaluation semantics, limits, certification."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,10 +19,13 @@ from unirat import (
     PadeApproximant,
     aaa_fit,
     bhat,
+    lawson_weight_update,
+    max_error,
     min_singular_coefficients,
     min_singular_pair,
     phase_diagonals,
     rescaled_loewner,
+    svd_real,
 )
 from unirat.cli import approximant_from_dict
 from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
@@ -544,3 +548,32 @@ class TestCheckNodes:
     def test_rejects_nodes_that_are_not_real_numbers(self, nodes):
         with pytest.raises(InvalidInputError, match="real numbers"):
             NodeSet(test_nodes=nodes, support_nodes=[5.0])
+
+
+#: One call per site that converts outside numbers to float, each given a
+#: complex array, whose plain cast to float drops the imaginary part, or
+#: values that are not numbers.
+REAL_INPUT_SITES = {
+    "check_nodes": lambda: aaa_fit(np.linspace(-1, 1, 6) + 1j, AaaConfig(m_max=2)),
+    "eval points": lambda: CayleyApproximant([0, 1], [1j, 1]).eval(np.array([2 + 3j])),
+    "pade eval scalar": lambda: PadeApproximant(3).eval(1 + 1j),
+    "pade eval text": lambda: PadeApproximant(3).eval("1.5"),
+    "diagnostics grid": lambda: max_error(PadeApproximant(3), np.linspace(0, 1, 3) + 1j),
+    "NodeSet weights": lambda: NodeSet([1.0, 2.0], [0.0], weights=np.array([1.0, 1j])),
+    "lawson weights": lambda: lawson_weight_update(np.array([1.0, 1j]), [1.0, 1.0]),
+    "svd_real": lambda: svd_real(np.array([[1 + 5j, 0], [0, 2]])),
+    "svd_real objects": lambda: svd_real([[1.0, None]]),
+    "min_singular_coefficients": lambda: min_singular_coefficients(
+        np.ones((3, 2), dtype=complex), phase_diagonals(NodeSet([1.0, 2.0, 3.0], [0.0, 4.0]))),
+    "min_singular_pair": lambda: min_singular_pair(np.ones((3, 2), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("call", REAL_INPUT_SITES.values(), ids=REAL_INPUT_SITES.keys())
+def test_complex_or_non_numeric_input_rejected(call):
+    # the cast to float once warned ComplexWarning and went on with the real
+    # parts; no warning may come before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="must be real numbers"):
+            call()

@@ -19,6 +19,8 @@ from unirat import (
     aaa_fit,
 )
 from unirat.cli import (
+    FIGURE_FITS,
+    PADE_DEGREE,
     approximant_from_dict,
     approximant_to_dict,
     load_nodes,
@@ -220,6 +222,16 @@ class TestFit:
             approximant_from_dict({"kind": "mystery", "support": [0.0]})
 
 
+def check_metadata(path, figure_fits):
+    """A figure's metadata reads the Padé degree and the support counts of
+    ``FIGURE_FITS``, which are those of the fitted approximants."""
+    with open(path) as fh:
+        meta = json.load(fh)
+    assert meta["pade_degree"] == PADE_DEGREE
+    for key, name in (("aaa_support_nodes", "aaa_mod"), ("lawson_support_nodes", "lawson_mod")):
+        assert meta[key] == FIGURE_FITS[name].m_max == figure_fits[name][0].support.size
+
+
 class TestFigure1:
     def test_columns_and_error_bands(self, figure1_dir):
         header, cols = read_csv(figure1_dir / "figure1.csv")
@@ -233,6 +245,9 @@ class TestFigure1:
             meta = json.load(fh)
         assert meta["pade_degree"] == 13
         assert meta["lawson_steps"] == 20
+
+    def test_metadata_follows_the_table(self, figure1_dir, figure_fits):
+        check_metadata(figure1_dir / "figure1_metadata.json", figure_fits)
 
 
 class TestFigure2:
@@ -253,6 +268,11 @@ class TestFigure2:
         for name in ("unitdev_aaa_mod", "unitdev_lawson_mod"):
             assert np.max(cols[name]) <= 1e-15
         assert cols["unitdev_aaa_orig"][k] >= 10 * cols["unitdev_aaa_mod"][k]
+
+    def test_columns_and_metadata_follow_the_table(self, figure2_dir, figure_fits):
+        header, _ = read_csv(figure2_dir / "figure2.csv")
+        assert header == ["x"] + ["unitdev_" + name for name in FIGURE_FITS]
+        check_metadata(figure2_dir / "figure2_metadata.json", figure_fits)
 
 
 def _nan(sign, payload):

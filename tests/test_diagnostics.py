@@ -10,13 +10,14 @@ from unirat import (
     CayleyApproximant,
     NonInterpolatoryApproximant,
     PadeApproximant,
+    aaa_fit,
     max_error,
     real_axis_pole_scan,
     structure_residual,
     svd_complex,
     unitarity_deviation,
 )
-from unirat.cli import _figure_fit
+from unirat.cli import FIGURE_FITS
 from unirat.diagnostics import _values
 from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
@@ -207,8 +208,8 @@ class TestStructureResidual:
         r = NonInterpolatoryApproximant(support=[0.0, 1.0], alpha=[0.0, 0.0], beta=[1.0, 2.0])
         assert structure_residual(r) == np.inf
 
-    @pytest.mark.parametrize("lawson", [False, True], ids=["aaa_orig", "lawson_orig"])
-    def test_wedin_bound(self, monkeypatch, lawson):
+    @pytest.mark.parametrize("fit", ["aaa_orig", "lawson_orig"])
+    def test_wedin_bound(self, monkeypatch, fit):
         # the residual is the perturbation of the fit's last singular vector,
         # bounded by eps sigma_max / (sigma_{m-1} - sigma_m) (Wedin); the fits
         # solve their systems in unirat.loewner, whose package attribute is the
@@ -222,7 +223,7 @@ class TestStructureResidual:
                 systems.append(A.copy())
                 return solve(A, *args, **kw)
             monkeypatch.setattr(loewner, name, record)
-        approx, _ = _figure_fit(FIT_GRID, "original", lawson)
+        approx, _ = aaa_fit(FIT_GRID, FIGURE_FITS[fit])
         s = svd_complex(systems[-1]).singular_values
         bound = EPS * s[0] / (s[-2] - s[-1])
         assert structure_residual(approx) <= bound

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from unirat import (
-    AaaConfig,
     CayleyApproximant,
     LawsonConfig,
     NodeSet,
@@ -24,12 +23,12 @@ from unirat import (
     unitarity_deviation,
 )
 from unirat.barycentric import node_quotient
-from unirat.cli import FIGURE_LAWSON_STEPS, FIGURE_TOL
+from unirat.cli import FIGURE_LAWSON_STEPS
 from unirat.errors import InvalidInputError, NumericalFailureError
 from unirat.linalg import EPS
 from unirat.loewner import expanded_coefficients, expanded_start
 
-from conftest import FIT_GRID, separated_nodes
+from conftest import FIT_GRID, figure_aaa_config, separated_nodes
 
 
 class TestWeightUpdate:
@@ -214,9 +213,9 @@ class TestLawsonFit:
 
 
 def figure_aaa(variant):
-    """The 14-node AAA fit that a figure's Lawson fit refines, and the
-    Lawson fit's test nodes."""
-    approx, _ = aaa_fit(FIT_GRID, AaaConfig(m_max=14, tol=FIGURE_TOL, variant=variant))
+    """The AAA fit that a figure's Lawson fit refines, and the Lawson fit's
+    test nodes."""
+    approx, _ = aaa_fit(FIT_GRID, figure_aaa_config(variant))
     return approx, FIT_GRID[~np.isin(FIT_GRID, approx.support)]
 
 

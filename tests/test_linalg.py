@@ -13,12 +13,12 @@ import unirat.lawson as lawson
 import unirat.linalg as linalg
 from unirat import (AaaConfig, NodeSet, aaa_fit, bhat, expanded_loewner, svd_complex,
                     svd_real)
-from unirat.cli import _figure_fit
+from unirat.cli import FIGURE_FITS
 from unirat.errors import InvalidInputError, NumericalFailureError
 from unirat.linalg import (EPS, SWEEP_CAP, _gram, _jacobi_orthogonalize, _phase,
                            _pivoted_r, _round_robin)
 
-from conftest import FIT_GRID
+from conftest import FIT_GRID, figure_aaa_config
 
 mp.mp.dps = 50
 
@@ -526,8 +526,9 @@ class TestSmallMatrices:
 
 
 def figure_support(variant):
-    """The support nodes of the 14-node AAA fit on the figure grid."""
-    return aaa_fit(FIT_GRID, AaaConfig(m_max=14, tol=1e-12, variant=variant))[0].support
+    """The support nodes of the AAA stage of the variant's figure AAA-Lawson
+    fit."""
+    return aaa_fit(FIT_GRID, figure_aaa_config(variant))[0].support
 
 
 class TestSweepCounts:
@@ -599,8 +600,9 @@ class TestInverseIteration:
         # is not certified, every later AAA iteration and every Lawson step,
         # the first one started from the AAA iterate, is
         calls = record_warm_steps(monkeypatch)
-        for lawson_steps in (False, True):
-            _figure_fit(FIT_GRID, variant, lawson_steps)
+        for config in FIGURE_FITS.values():
+            if config.variant == variant:
+                aaa_fit(FIT_GRID, config)
         uncertified = [A.shape[1] for A, out in calls if out is None]
         assert uncertified == {"modified": [2, 2], "original": [2, 3, 2, 3]}[variant]
         assert sum(A.shape[1] == 28 for A, out in calls if out is not None) == 20
