@@ -12,12 +12,14 @@ over distinct real support nodes y_j, with the limit alpha_j/beta_j at y_j.
 Every form evaluates through one kernel.  It walks the points in blocks of
 ``BLOCK_POINTS`` and, inside a block, the support nodes one by one, adding
 each node's terms to running sums in NumPy's own summation order
-(``_add_terms``).  So its buffers (0.8 MB for a numerator-denominator pair
-at up to 64 nodes) stay in cache and do not grow with the points, and the
-values do not depend on the blocking.  Each node's 1/(x - y_j) serves
-numerator and denominator alike.  A point whose sum is not finite hits its
-nearest support node, exactly or at a subnormal distance, and takes the
-limit there.
+(``_add_terms``).  Each node's 1/(x - y_j) serves numerator and denominator
+alike.  A point whose sum is not finite hits its nearest support node,
+exactly or at a subnormal distance, and takes the limit there.  The caller
+writes each block's values (quotient, Cayley form or denominator) straight
+into its slice of the result, so beside the result evaluation holds only
+the kernel's block buffers (0.8 MB for a numerator-denominator pair at up
+to 64 nodes), which stay in cache and do not grow with the points; and the
+values do not depend on the blocking.
 """
 
 from dataclasses import dataclass
@@ -61,35 +63,41 @@ def coefficient_norm(vectors):
 
 
 def _partial_fraction(coeff, support, xv):
-    """Sums of coeff_j / (x - y_j) over the nodes, and per point the index of
-    the support node it hits (-1 for none); at a hit of y_j the sum is coeff_j.
+    """Walks the flat points xv in blocks of ``BLOCK_POINTS``.  Yields, per
+    block, its first index, the sums of coeff_j / (x - y_j) at its points,
+    the block positions that hit a support node and the nodes they hit; at
+    a hit of y_j the sum is coeff_j.
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
-    the reciprocals; the sums then have shape (k, xv.size).
+    the reciprocals; a block's sums then have shape (k, points).  Each block
+    reuses the buffers of the last, so a caller finishes a block before it
+    asks for the next.
     """
     stack = coeff.reshape(-1, support.size)
     cols = stack.T[:, :, None]
-    sums = np.empty((len(stack), xv.size), dtype=complex)
-    node = np.full(xv.size, -1)
     size = min(BLOCK_POINTS, xv.size)
     # buffers reused by every block; fresh ones leave more memory resident
     inv = np.empty(size)
-    term = np.empty((len(stack), size), dtype=complex)
-    acc = np.empty((_accumulators(support.size),) + term.shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, xv.size, BLOCK_POINTS):
-            x = xv[start:start + BLOCK_POINTS]
-            n = len(x)
-            out = sums[:, start:start + n]
+    sums = np.empty((len(stack), size), dtype=complex)
+    term = np.empty_like(sums)
+    acc = np.empty((_accumulators(support.size),) + sums.shape, dtype=complex)
+    none = np.empty(0, dtype=np.intp)
+    for start in range(0, xv.size, BLOCK_POINTS):
+        x = xv[start:start + BLOCK_POINTS]
+        n = len(x)
+        out = sums[:, :n]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _add_terms(cols, support, x, out, acc[:, :, :n], term[:, :n], inv[:n])
             out += 0.0  # NumPy adds the total to +0, which turns -0 into +0
-    # at y_j, or a subnormal distance from it, 1/(x - y_j) overflows and
-    # every sum is non-finite: such a point hits its nearest support node
-    hits = ~np.isfinite(sums[0])
-    if hits.any():
-        node[hits] = np.argmin(np.abs(xv[hits, None] - support), axis=1)
-        sums[:, hits] = stack[:, node[hits]]
-    return sums.reshape(coeff.shape[:-1] + (xv.size,)), node
+        # at y_j, or a subnormal distance from it, 1/(x - y_j) overflows and
+        # every sum is non-finite: such a point hits its nearest support node
+        hits = node = none
+        hit = ~np.isfinite(out[0])
+        if hit.any():
+            hits = np.flatnonzero(hit)
+            node = np.argmin(np.abs(x[hits, None] - support), axis=1)
+            out[:, hits] = stack[:, node]
+        yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node
 
 
 def _accumulators(n):
@@ -161,20 +169,32 @@ def _finish(out, shape):
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
-def _quotient(alpha, beta, support, x, hit_error):
-    """n/d at the points x, the limit alpha_j/beta_j at a hit of y_j; returns
-    the flat values, the hit indices and the shape of x.  A zero d raises
-    PoleEvaluationError, or ``hit_error`` at a hit."""
+def _quotient(alpha, beta, support, x, hit_error, hit_values=None):
+    """n/d at the points x in the shape of x, the limit alpha_j/beta_j at a
+    hit of y_j, or ``hit_values[j]`` if given.  A zero d raises
+    PoleEvaluationError, or ``hit_error`` at a hit; the first plain zero in
+    grid order comes before any hit zero."""
     xv, shape = _prepare(x)
-    (d, n), node = _partial_fraction(np.stack([beta, alpha]), support, xv)
-    zero = d == 0.0
-    if np.any(zero):
-        plain = zero & (node < 0)
-        if np.any(plain):
-            raise PoleEvaluationError(float(xv[np.argmax(plain)]))
-        raise hit_error(float(xv[np.argmax(zero)]))
-    with np.errstate(invalid="ignore"):
-        return n / d, node, shape
+    out = np.empty(xv.size, dtype=complex)
+    hit_zero = None
+    for start, (d, n), hits, node in _partial_fraction(np.stack([beta, alpha]), support, xv):
+        zero = d == 0.0
+        if zero.any():
+            if hit_zero is None:  # a hit's zero, unless a plain one raises below
+                hit_zero = float(xv[start + np.argmax(zero)])
+            zero[hits] = False
+            if zero.any():
+                raise PoleEvaluationError(float(xv[start + np.argmax(zero)]))
+        if hit_zero is not None:
+            continue  # no value is kept: the walk only looks for a plain pole
+        block = out[start:start + len(d)]
+        with np.errstate(invalid="ignore"):
+            np.divide(n, d, out=block)
+        if hit_values is not None:
+            block[hits] = hit_values[node]
+    if hit_zero is not None:
+        raise hit_error(hit_zero)
+    return _finish(out, shape)
 
 
 def node_quotient(C, alpha, beta):
@@ -224,7 +244,10 @@ class _Quotient:
     def denominator(self, x):
         """sum beta_j/(x - y_j); beta_j at a support node y_j."""
         xv, shape = _prepare(x)
-        return _finish(_partial_fraction(self.beta, self.support, xv)[0], shape)
+        out = np.empty(xv.size, dtype=complex)
+        for start, d, _, _ in _partial_fraction(self.beta, self.support, xv):
+            out[start:start + len(d)] = d
+        return _finish(out, shape)
 
 
 @dataclass(frozen=True)
@@ -257,10 +280,7 @@ class BarycentricInterpolant(_Quotient):
 
 def eval_interpolant(r, x):
     """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j)."""
-    out, node, shape = _quotient(r.alpha, r.beta, r.support, x, AmbiguousEvaluationError)
-    hits = node >= 0
-    out[hits] = r.values[node[hits]]
-    return _finish(out, shape)
+    return _quotient(r.alpha, r.beta, r.support, x, AmbiguousEvaluationError, r.values)
 
 
 @dataclass(frozen=True)
@@ -298,10 +318,14 @@ class CayleyApproximant(_Quotient):
 def eval_cayley(r, x):
     """conj(xi)/xi with xi = sum w_j/(x-y_j); at a support hit xi = w_j."""
     xv, shape = _prepare(x)
-    xi, _ = _partial_fraction(r.coefficients, r.support, xv)
-    if np.any(xi == 0.0):
-        raise PoleEvaluationError(float(xv[np.argmax(xi == 0.0)]))
-    return _finish(np.conj(xi) / xi, shape)
+    out = np.empty(xv.size, dtype=complex)
+    for start, xi, _, _ in _partial_fraction(r.coefficients, r.support, xv):
+        zero = xi == 0.0
+        if zero.any():
+            raise PoleEvaluationError(float(xv[start + np.argmax(zero)]))
+        block = out[start:start + len(xi)]
+        np.divide(np.conjugate(xi, out=block), xi, out=block)
+    return _finish(out, shape)
 
 
 @dataclass(frozen=True)
@@ -324,5 +348,4 @@ class NonInterpolatoryApproximant(_Quotient):
 
 def eval_noninterpolatory(r, x):
     """n_b/d_b off support; the limit alpha_j/beta_j at a support hit."""
-    out, _, shape = _quotient(r.alpha, r.beta, r.support, x, PoleEvaluationError)
-    return _finish(out, shape)
+    return _quotient(r.alpha, r.beta, r.support, x, PoleEvaluationError)

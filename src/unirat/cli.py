@@ -18,6 +18,7 @@ from .barycentric import (
 from .diagnostics import (max_error, real_axis_pole_scan, structure_residual,
                           unitarity_deviation)
 from .errors import InvalidInputError, UniratError
+from .linalg import real_array
 from .loewner import VARIANTS
 from .pade import PadeApproximant
 
@@ -120,8 +121,9 @@ def write_csv(path, header, columns):
     its distinct bit patterns, built for this call only, so a column of a few
     repeated values costs a few ``repr`` calls. Raises ``ValueError`` if the
     columns are not flat, differ in length, or are not as many as the
-    header's names, or if a name holds a comma, a quote or a line break."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    header's names, if a name holds a comma, a quote or a line break, or if
+    a column is not real numbers (``InvalidInputError``)."""
+    columns = [real_array(c, "CSV columns") for c in columns]
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     for name in header:

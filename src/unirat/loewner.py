@@ -87,8 +87,7 @@ def phase_entries(theta):
     cancellation in 1 - cos(t) near the degenerate branch and keeps the
     entry phases accurate to roundoff.
     """
-    theta = np.asarray(theta, dtype=float)
-    h = 0.5 * theta
+    h = 0.5 * real_array(theta, "angles")
     s = np.sin(h)
     c = np.cos(h)
     degenerate = 2.0 * np.abs(s) <= 4.0 * EPS

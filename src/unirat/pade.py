@@ -3,7 +3,10 @@
 For e^z the degree-k diagonal Pade numerator is p(z) = sum_j c_j z^j with
 c_j = (2k-j)! k! / ((2k)! j! (k-j)!), and the denominator is p(-z).  At
 z = ix with real x the denominator value is the conjugate of the numerator
-value (real coefficients), so the quotient has unit modulus.
+value (real coefficients), so the quotient has unit modulus.  Horner's rule
+runs over blocks of ``BLOCK_POINTS`` points in the result itself, and each
+block is finished there (p/conj(p), or conj(p)), so beside the result only
+per-block buffers are held.
 """
 
 from dataclasses import dataclass, field
@@ -44,28 +47,33 @@ class PadeApproximant:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", pade_coefficients(self.degree))
 
-    def _numerator(self, xv):
-        """p(ix) at the flat points xv by Horner's rule, in place over blocks
-        of points that stay in cache."""
-        p = np.empty(xv.size, dtype=complex)
+    def _numerator(self, xv, out):
+        """Yields, per block of ``BLOCK_POINTS`` flat points xv, the block's
+        first index and p(ix) there, computed by Horner's rule in place in
+        the block's slice of ``out``."""
         for start in range(0, xv.size, BLOCK_POINTS):
-            q = p[start:start + BLOCK_POINTS]
+            q = out[start:start + BLOCK_POINTS]
             z = 1j * xv[start:start + BLOCK_POINTS]
             q[...] = self.coefficients[-1]
             for c in self.coefficients[-2::-1]:
                 q *= z
                 q += c
-        return p
+            yield start, q
 
     def eval(self, x):
         xv, shape = _prepare(x)
-        p = self._numerator(xv)
-        if np.any(p == 0.0):
-            raise PoleEvaluationError(float(xv[np.argmax(p == 0.0)]))
-        out = np.conj(p)
-        np.divide(p, out, out=out)
+        out = np.empty(xv.size, dtype=complex)
+        conj = np.empty(min(BLOCK_POINTS, xv.size), dtype=complex)
+        for start, p in self._numerator(xv, out):
+            zero = p == 0.0
+            if zero.any():
+                raise PoleEvaluationError(float(xv[start + np.argmax(zero)]))
+            np.divide(p, np.conjugate(p, out=conj[:len(p)]), out=p)
         return _finish(out, shape)
 
     def denominator(self, x):
         xv, shape = _prepare(x)
-        return _finish(np.conj(self._numerator(xv)), shape)
+        out = np.empty(xv.size, dtype=complex)
+        for _, p in self._numerator(xv, out):
+            np.conjugate(p, out=p)
+        return _finish(out, shape)

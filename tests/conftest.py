@@ -9,6 +9,7 @@ import pytest
 
 import unirat
 from unirat import aaa_fit
+from unirat.barycentric import _partial_fraction
 from unirat.cli import EVAL_INTERVAL, EVAL_NODES, FIGURE_FITS, FIT_INTERVAL, FIT_NODES
 
 # Subprocesses started by the tests import the same package as the tests do.
@@ -34,6 +35,27 @@ def separated_nodes(rng, n, m, lo=-15.0, hi=15.0, spacing=1.0):
     pts = slots + rng.uniform(-0.25 * spacing, 0.25 * spacing, size=n + m)
     rng.shuffle(pts)
     return pts[:n], pts[n:]
+
+
+def partial_fraction(coeff, support, x):
+    """The blocks of ``barycentric._partial_fraction`` joined: the sums at
+    every point of x, and per point the index of the support node it hits
+    (-1 for none)."""
+    sums = np.empty(coeff.shape[:-1] + x.shape, dtype=complex)
+    node = np.full(x.size, -1)
+    for start, block, hits, hit_node in _partial_fraction(coeff, support, x):
+        sums[..., start:start + block.shape[-1]] = block
+        node[start + hits] = hit_node
+    return sums, node
+
+
+def pade_numerator(p, x):
+    """p(ix) of the Pade approximant p at the flat points x, from the blocks
+    of its ``_numerator``."""
+    out = np.empty(x.size, dtype=complex)
+    for _ in p._numerator(x, out):
+        pass
+    return out
 
 
 def figure_aaa_config(variant):

@@ -31,10 +31,9 @@ from unirat import (
     unitarity_deviation,
     weighted_loewner,
 )
-from unirat.barycentric import _partial_fraction
 from unirat.linalg import EPS
 
-from conftest import EVAL_GRID, FIT_GRID
+from conftest import EVAL_GRID, FIT_GRID, partial_fraction
 
 mp.mp.dps = 50
 
@@ -186,8 +185,8 @@ class TestCriterion4:
                 worst_interp,
                 float(np.max(np.abs(r.eval(x) - np.exp(1j * x)))) / (1e3 * EPS),
             )
-            nv, _ = _partial_fraction(r.values * r.coefficients, y, grid)
-            dv, _ = _partial_fraction(r.coefficients, y, grid)
+            nv, _ = partial_fraction(r.values * r.coefficients, y, grid)
+            dv, _ = partial_fraction(r.coefficients, y, grid)
             worst_mod = max(
                 worst_mod,
                 float(np.max(np.abs(np.abs(nv) - np.abs(dv))

@@ -31,7 +31,7 @@ from unirat.cli import approximant_from_dict
 from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
 
-from conftest import separated_nodes
+from conftest import partial_fraction, separated_nodes
 
 mp.mp.dps = 50
 
@@ -288,7 +288,7 @@ class TestBlockedEvaluation:
         placed = {i for i in (0, self.ROWS - 1, self.ROWS, size - 1) if i < size}
         for i in placed:
             x[i] = y[i % self.M]
-        sums, node = barycentric._partial_fraction(b, y, x)
+        sums, node = partial_fraction(b, y, x)
         hits = np.nonzero(node >= 0)[0]
         assert set(hits.tolist()) == placed
         assert np.array_equal(x[hits], y[node[hits]])
@@ -299,13 +299,17 @@ class TestBlockedEvaluation:
             r = form(y, a, b)
             pointwise = [r.eval(float(v)) for v in x]
             assert np.array_equal(bits(r.eval(x)), bits(pointwise)), name
+            d = r.denominator(x)
+            assert np.array_equal(bits(d[hits]), bits(r.beta[node[hits]])), name
+            assert np.array_equal(bits(d[plain]),
+                                  bits(unblocked_sums(r.beta, y, x)[plain])), name
 
     def test_stacked_coefficients_match_single(self):
         y, a, b = support_and_coefficients(7)
         x = np.concatenate([np.linspace(-20.0, 20.0, 30001), y])
-        (sa, sb), node = barycentric._partial_fraction(np.stack([a, b]), y, x)
+        (sa, sb), node = partial_fraction(np.stack([a, b]), y, x)
         for coeff, stacked in ((a, sa), (b, sb)):
-            single, single_node = barycentric._partial_fraction(coeff, y, x)
+            single, single_node = partial_fraction(coeff, y, x)
             assert np.array_equal(bits(stacked), bits(single))
             assert np.array_equal(node, single_node)
 
@@ -319,7 +323,7 @@ class TestBlockedEvaluation:
         x = np.linspace(-40.0, 40.0, 3001)
         x[[5, 1700]] = y[[0, -1]]
         for coeff in (a, 1j * a.imag, zeroed):
-            sums, node = barycentric._partial_fraction(coeff, y, x)
+            sums, node = partial_fraction(coeff, y, x)
             plain = node < 0
             assert np.count_nonzero(~plain) == 2
             assert np.array_equal(bits(sums[plain]),
@@ -382,6 +386,26 @@ class TestBlockedEvaluation:
             finally:
                 tracemalloc.stop()
             assert peak <= 5 * out.nbytes, name
+
+    @pytest.mark.parametrize("method", ["eval", "denominator"])
+    def test_memory_beside_output_does_not_grow(self, method):
+        # each block is written straight into the result, so what evaluation
+        # holds beside it is the same at 2e5 and at 8e5 points
+        y, a, b = support_and_coefficients(self.M)
+        forms = {name: form(y, a, b) for name, form in FORMS.items()}
+        forms["pade13"] = PadeApproximant(13)
+        for name, r in forms.items():
+            beside = []
+            for size in (200_000, 800_000):
+                x = np.linspace(-40.0, 40.0, size)
+                tracemalloc.start()
+                try:
+                    out = getattr(r, method)(x)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                beside.append(peak - out.nbytes)
+            assert abs(beside[1] - beside[0]) <= 64 * 1024, (name, beside)
 
 
 @st.composite

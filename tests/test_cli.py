@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,16 @@ class TestWriteCsv:
     def test_header_name_needing_quotes_rejected(self, tmp_path, name):
         with pytest.raises(ValueError, match="header name"):
             write_csv(tmp_path / "t.csv", [name], [[1.0, 2.0]])
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("column", [np.array([1 + 2j, 3j]), [1.0, 2j], ["1.5", "2"]])
+    def test_non_real_column_rejected(self, tmp_path, column):
+        # a plain cast to float would write a complex column's real parts,
+        # warning only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="must be real numbers"):
+                write_csv(tmp_path / "t.csv", ["a"], [column])
         assert not os.listdir(tmp_path)
 
     def test_file_mode_follows_umask(self, tmp_path):

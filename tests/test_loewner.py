@@ -1,5 +1,7 @@
 """Loewner-type matrices: constructors, distinguished vectors, identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,13 @@ class TestPhaseEntries:
 
     def test_pi(self):
         assert abs(phase_entries(np.pi) - 1.0) <= 2 * EPS
+
+    def test_complex_angles_rejected(self):
+        # a plain cast to float would keep the real parts, warning only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="must be real numbers"):
+                phase_entries(np.array([0.5 + 1j, 2.0]))
 
     def test_half_pi(self):
         k = phase_entries(np.pi / 2)

@@ -10,6 +10,8 @@ from unirat.barycentric import BLOCK_POINTS
 from unirat.linalg import EPS
 from unirat.pade import MAX_DEGREE, pade_coefficients
 
+from conftest import pade_numerator
+
 
 class TestCoefficients:
     def test_degree_one(self):
@@ -66,7 +68,7 @@ class TestEvaluation:
     def test_denominator_is_conjugate_numerator(self):
         p = PadeApproximant(degree=5)
         x = np.array([0.3, -1.7, 9.2])
-        assert np.array_equal(p.denominator(x), np.conj(p._numerator(x)))
+        assert np.array_equal(p.denominator(x), np.conj(pade_numerator(p, x)))
 
     def test_blocked_horner_matches_whole_array(self):
         p = PadeApproximant(degree=13)
@@ -75,10 +77,19 @@ class TestEvaluation:
         ref = np.full(x.shape, p.coefficients[-1], dtype=complex)
         for c in p.coefficients[-2::-1]:
             ref = ref * z + c
-        assert np.array_equal(p._numerator(x).view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(pade_numerator(p, x).view(np.uint64), ref.view(np.uint64))
         grid = x[:12].reshape(3, 4)
         assert np.array_equal(p.denominator(grid), np.conj(ref[:12]).reshape(3, 4))
 
+
+    @pytest.mark.parametrize("size", [BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1,
+                                      2 * BLOCK_POINTS + 1])
+    def test_block_edges_match_pointwise(self, size):
+        p = PadeApproximant(degree=13)
+        x = np.linspace(-40.0, 40.0, size)
+        for method in (p.eval, p.denominator):
+            pointwise = np.array([method(float(v)) for v in x])
+            assert np.array_equal(method(x).view(np.uint64), pointwise.view(np.uint64))
 
 class TestNonFinitePoints:
     """Padé rejects the points the barycentric forms reject."""
