@@ -15,14 +15,21 @@ each node's terms to running sums in NumPy's own summation order
 (``_add_terms``).  Each node's 1/(x - y_j) serves numerator and denominator
 alike.  A point whose sum is not finite hits its nearest support node,
 exactly or at a subnormal distance, and takes the limit there.  The caller
-writes each block's values (quotient, Cayley form or denominator) straight
-into its slice of the result, so beside the result evaluation holds only
-the kernel's block buffers (0.8 MB for a numerator-denominator pair at up
-to 64 nodes), which stay in cache and do not grow with the points; and the
-values do not depend on the blocking.
+writes each block's values straight into its slice of the result, so beside
+the result evaluation holds only the kernel's block buffers (0.8 MB for a
+numerator-denominator pair at up to 64 nodes), which stay in cache and do
+not grow with the points; and the values do not depend on the blocking.
+
+Three writers finish the blocks: ``_quotient`` writes n/d, and two take
+any stream of denominator blocks: ``cayley_values`` writes conj(d)/d and
+``denominator_values`` copies d.  ``eval_cayley`` and every form's
+``denominator`` feed those two the kernel's blocks of d; the Padé
+comparator (``unirat.pade``), the Cayley form of its own denominator q,
+feeds them blocks of q.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -169,6 +176,31 @@ def _finish(out, shape):
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
+def denominator_values(x, blocks):
+    """d at the points x in the shape of x.  ``blocks(xv)`` yields, per block
+    of the flat points xv, its first index and d there (and may yield more
+    after them, as ``_partial_fraction`` does)."""
+    xv, shape = _prepare(x)
+    out = np.empty(xv.size, dtype=complex)
+    for start, d, *_ in blocks(xv):
+        out[start:start + len(d)] = d
+    return _finish(out, shape)
+
+
+def cayley_values(x, blocks):
+    """The Cayley form conj(d)/d at the points x in the shape of x, from the
+    blocks of d that ``blocks`` yields as for ``denominator_values``.  The
+    first zero d in grid order raises PoleEvaluationError."""
+    xv, shape = _prepare(x)
+    out = np.empty(xv.size, dtype=complex)
+    for start, d, *_ in blocks(xv):
+        if not d.all():
+            raise PoleEvaluationError(float(xv[start + np.argmax(d == 0.0)]))
+        block = out[start:start + len(d)]
+        np.divide(np.conjugate(d, out=block), d, out=block)
+    return _finish(out, shape)
+
+
 def _quotient(alpha, beta, support, x, hit_error, hit_values=None):
     """n/d at the points x in the shape of x, the limit alpha_j/beta_j at a
     hit of y_j, or ``hit_values[j]`` if given.  A zero d raises
@@ -211,9 +243,9 @@ class _Quotient:
     """Base of the three forms.  Each is a frozen dataclass that declares
     ``KIND``, its JSON kind tag, and ``COEFFICIENTS``, its coefficient fields;
     exposes ``alpha`` and ``beta`` as fields or read-only properties; and
-    binds ``denominator`` in its own namespace so that the method can be
-    wrapped per form.  Construction checks the support nodes and scales the
-    coefficients jointly to unit norm.
+    binds ``denominator`` in its own namespace, because ``bench/tracing.py``
+    wraps the method on each form's class.  Construction checks the support
+    nodes and scales the coefficients jointly to unit norm.
     """
 
     COEFFICIENTS = ("coefficients",)
@@ -243,11 +275,7 @@ class _Quotient:
 
     def denominator(self, x):
         """sum beta_j/(x - y_j); beta_j at a support node y_j."""
-        xv, shape = _prepare(x)
-        out = np.empty(xv.size, dtype=complex)
-        for start, d, _, _ in _partial_fraction(self.beta, self.support, xv):
-            out[start:start + len(d)] = d
-        return _finish(out, shape)
+        return denominator_values(x, partial(_partial_fraction, self.beta, self.support))
 
 
 @dataclass(frozen=True)
@@ -280,7 +308,8 @@ class BarycentricInterpolant(_Quotient):
 
 def eval_interpolant(r, x):
     """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j)."""
-    return _quotient(r.alpha, r.beta, r.support, x, AmbiguousEvaluationError, r.values)
+    f, w = r.values, r.coefficients  # f formed once: alpha is f w
+    return _quotient(f * w, w, r.support, x, AmbiguousEvaluationError, f)
 
 
 @dataclass(frozen=True)
@@ -317,15 +346,7 @@ class CayleyApproximant(_Quotient):
 
 def eval_cayley(r, x):
     """conj(xi)/xi with xi = sum w_j/(x-y_j); at a support hit xi = w_j."""
-    xv, shape = _prepare(x)
-    out = np.empty(xv.size, dtype=complex)
-    for start, xi, _, _ in _partial_fraction(r.coefficients, r.support, xv):
-        zero = xi == 0.0
-        if zero.any():
-            raise PoleEvaluationError(float(xv[start + np.argmax(zero)]))
-        block = out[start:start + len(xi)]
-        np.divide(np.conjugate(xi, out=block), xi, out=block)
-    return _finish(out, shape)
+    return cayley_values(x, partial(_partial_fraction, r.coefficients, r.support))
 
 
 @dataclass(frozen=True)

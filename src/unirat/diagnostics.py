@@ -58,9 +58,10 @@ class PoleScanReport:
 
 
 def real_axis_pole_scan(approx, grid):
-    """Minimum |denominator| over the grid (|xi| for the Cayley form), with
-    its location; flags values below 1e3 * eps times the joint 2-norm of the
-    coefficient fields that ``approx.COEFFICIENTS`` names."""
+    """Minimum |denominator| over the grid, with its location; for a Cayley
+    form conj(d)/d it is |d|: |xi| for ``CayleyApproximant``, |q| =
+    |p(ix)| for Padé.  Flags values below 1e3 * eps times the joint 2-norm
+    of the coefficient fields that ``approx.COEFFICIENTS`` names."""
     g = _grid(grid)
     d = np.abs(approx.denominator(g))
     i = int(np.argmin(d))

@@ -1,20 +1,22 @@
 """Diagonal Pade approximant of exp(ix).
 
 For e^z the degree-k diagonal Pade numerator is p(z) = sum_j c_j z^j with
-c_j = (2k-j)! k! / ((2k)! j! (k-j)!), and the denominator is p(-z).  At
-z = ix with real x the denominator value is the conjugate of the numerator
-value (real coefficients), so the quotient has unit modulus.  Horner's rule
-runs over blocks of ``BLOCK_POINTS`` points in the result itself, and each
-block is finished there (p/conj(p), or conj(p)), so beside the result only
-per-block buffers are held.
+c_j = (2k-j)! k! / ((2k)! j! (k-j)!), and the denominator is p(-z).  The
+coefficients are real, so on the real axis the denominator is
+q(x) = p(-ix) = conj(p(ix)) and r = p(ix)/p(-ix) = conj(q)/q: the Cayley form
+of q, which has unit modulus by construction, as the barycentric Cayley form
+conj(xi)/xi does.  Padé evaluates through the same block writers
+(``barycentric.cayley_values`` and ``denominator_values``); it supplies q
+by Horner's rule over blocks of ``BLOCK_POINTS`` points in one reused
+buffer, so beside the result only that buffer is held.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import BLOCK_POINTS, _finish, _prepare, is_count
-from .errors import InvalidInputError, PoleEvaluationError
+from .barycentric import BLOCK_POINTS, cayley_values, denominator_values, is_count
+from .errors import InvalidInputError
 
 #: Largest supported degree; the coefficient recurrence stays in range here.
 MAX_DEGREE = 85
@@ -37,7 +39,13 @@ def pade_coefficients(k):
 @dataclass(frozen=True)
 class PadeApproximant:
     """Degree-k diagonal Pade approximant of exp(ix), evaluated on the real
-    axis as p(ix) / conj(p(ix))."""
+    axis as the Cayley form conj(q)/q of q = conj(p(ix)).
+
+    ``eval`` and ``denominator`` are bound on this class, and ``eval`` does
+    not go through ``eval_cayley``, because ``bench/tracing.py`` wraps them
+    here to time Padé apart from the barycentric forms (its ``eval_cayley``
+    counter reads a ``support`` that Padé lacks).
+    """
 
     COEFFICIENTS = ("coefficients",)  # scales the pole scan's threshold
 
@@ -47,33 +55,23 @@ class PadeApproximant:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", pade_coefficients(self.degree))
 
-    def _numerator(self, xv, out):
+    def _denominators(self, xv):
         """Yields, per block of ``BLOCK_POINTS`` flat points xv, the block's
-        first index and p(ix) there, computed by Horner's rule in place in
-        the block's slice of ``out``."""
+        first index and q = conj(p(ix)) there: Horner's rule on z = ix in one
+        reused buffer, conjugated in place.  (Horner on z = -ix would give
+        +0.0, not -0.0, for the imaginary part at x = 0.)"""
+        buffer = np.empty(min(BLOCK_POINTS, xv.size), dtype=complex)
         for start in range(0, xv.size, BLOCK_POINTS):
-            q = out[start:start + BLOCK_POINTS]
             z = 1j * xv[start:start + BLOCK_POINTS]
+            q = buffer[:len(z)]
             q[...] = self.coefficients[-1]
             for c in self.coefficients[-2::-1]:
                 q *= z
                 q += c
-            yield start, q
+            yield start, np.conjugate(q, out=q)
 
     def eval(self, x):
-        xv, shape = _prepare(x)
-        out = np.empty(xv.size, dtype=complex)
-        conj = np.empty(min(BLOCK_POINTS, xv.size), dtype=complex)
-        for start, p in self._numerator(xv, out):
-            zero = p == 0.0
-            if zero.any():
-                raise PoleEvaluationError(float(xv[start + np.argmax(zero)]))
-            np.divide(p, np.conjugate(p, out=conj[:len(p)]), out=p)
-        return _finish(out, shape)
+        return cayley_values(x, self._denominators)
 
     def denominator(self, x):
-        xv, shape = _prepare(x)
-        out = np.empty(xv.size, dtype=complex)
-        for _, p in self._numerator(xv, out):
-            np.conjugate(p, out=p)
-        return _finish(out, shape)
+        return denominator_values(x, self._denominators)

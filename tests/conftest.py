@@ -50,12 +50,9 @@ def partial_fraction(coeff, support, x):
 
 
 def pade_numerator(p, x):
-    """p(ix) of the Pade approximant p at the flat points x, from the blocks
-    of its ``_numerator``."""
-    out = np.empty(x.size, dtype=complex)
-    for _ in p._numerator(x, out):
-        pass
-    return out
+    """p(ix) of the Pade approximant p at the points x: the conjugate of its
+    denominator q = conj(p(ix))."""
+    return np.conj(p.denominator(x))
 
 
 def figure_aaa_config(variant):

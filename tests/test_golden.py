@@ -159,3 +159,13 @@ def test_against_revision(tmp_path, monkeypatch, capsys):
     cli.write_text(source.format(2))
     assert golden.main(["--against", "HEAD"]) == 1
     assert capsys.readouterr().out.splitlines() == ["run/v.json: v 1"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    monkeypatch.setattr(golden, "ROOT", str(tmp_path))
+    assert golden.main(["--against", "no-such-revision"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no-such-revision" in err  # git's own message

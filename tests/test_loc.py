@@ -2,6 +2,10 @@
 
 import importlib.util
 import os
+import shutil
+import subprocess
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "loc", os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "loc.py"))
@@ -72,3 +76,13 @@ def test_count_tree_and_report(tmp_path):
 def test_usage_exit_2(capsys):
     assert loc.main(["--bogus"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    monkeypatch.setattr(loc, "ROOT", str(tmp_path))
+    assert loc.main(["--against", "no-such-revision"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no-such-revision" in err  # git's own message

@@ -66,13 +66,18 @@ class TestEvaluation:
             assert abs(slope - (2 * k + 1)) <= 0.2
 
     def test_denominator_is_conjugate_numerator(self):
+        # q(x) = p(-ix) = conj(p(ix)), with p(z) = sum_j c_j z^j
         p = PadeApproximant(degree=5)
         x = np.array([0.3, -1.7, 9.2])
-        assert np.array_equal(p.denominator(x), np.conj(pade_numerator(p, x)))
+        numerator = np.polyval(p.coefficients[::-1], 1j * x)
+        assert np.array_equal(p.denominator(x), np.polyval(p.coefficients[::-1], -1j * x))
+        assert np.array_equal(p.denominator(x), np.conj(numerator))
+        assert np.array_equal(p.eval(x), numerator / np.conj(numerator))
 
     def test_blocked_horner_matches_whole_array(self):
         p = PadeApproximant(degree=13)
         x = np.linspace(-40.0, 40.0, 2 * BLOCK_POINTS + 3)
+        assert 0.0 in x
         z = 1j * x
         ref = np.full(x.shape, p.coefficients[-1], dtype=complex)
         for c in p.coefficients[-2::-1]:
@@ -80,6 +85,10 @@ class TestEvaluation:
         assert np.array_equal(pade_numerator(p, x).view(np.uint64), ref.view(np.uint64))
         grid = x[:12].reshape(3, 4)
         assert np.array_equal(p.denominator(grid), np.conj(ref[:12]).reshape(3, 4))
+        # eval is p/conj(p) bit for bit; the denominator conj(p) has the
+        # imaginary part -0.0 at x = 0, which Horner on -ix would make +0.0
+        assert np.array_equal(p.eval(x).view(np.uint64), (ref / np.conj(ref)).view(np.uint64))
+        assert np.signbit(p.denominator(0.0).imag)
 
 
     @pytest.mark.parametrize("size", [BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1,

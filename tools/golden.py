@@ -28,7 +28,8 @@ if any file differs.
 
 The third form captures the ``src`` tree of the git revision REV (through
 ``git archive``) and the working tree's into temporary directories, and
-compares the two captures as the second form does.
+compares the two captures as the second form does.  If git cannot archive
+REV, it prints git's message and exits 2, as a usage error does.
 """
 
 import csv
@@ -158,13 +159,19 @@ def compare(old, new):
     return same
 
 
+class RevisionError(Exception):
+    """git could not archive the revision; the message is git's."""
+
+
 def against(rev):
     """Capture REV's ``src`` tree and the working tree's; return whether the
     captures are identical."""
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
-                                 check=True, stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if archive.returncode:
+            raise RevisionError(archive.stderr.decode().strip())
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         old, new = os.path.join(tmp, "old"), os.path.join(tmp, "new")
         capture(old, os.path.join(tmp, "src"))
         capture(new)
@@ -178,7 +185,11 @@ def main(argv):
     if len(argv) == 3 and argv[0] == "--compare":
         return 0 if compare(argv[1], argv[2]) else 1
     if len(argv) == 2 and argv[0] == "--against":
-        return 0 if against(argv[1]) else 1
+        try:
+            return 0 if against(argv[1]) else 1
+        except RevisionError as err:
+            print(err, file=sys.stderr)
+            return 2
     print(__doc__.strip().splitlines()[0], file=sys.stderr)
     print("usage: python3 tools/golden.py OUTDIR\n"
           "       python3 tools/golden.py --compare OLD NEW\n"

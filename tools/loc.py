@@ -14,6 +14,7 @@ both, as ``def f(): "doc"; return 1`` does, counts as code.
 The second form counts the ``src`` tree of the git revision REV (through
 ``git archive``, as ``tools/golden.py --against`` does) and the working
 tree's, and prints both counts and their difference per module and in total.
+If git cannot archive REV, it prints git's message and exits 2.
 """
 
 import ast
@@ -96,12 +97,18 @@ def report_against(old, new):
     return rows
 
 
+class RevisionError(Exception):
+    """git could not archive the revision; the message is git's."""
+
+
 def against(rev):
     """The counts of REV's ``src`` tree and of the working tree's."""
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
-                                 check=True, stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if archive.returncode:
+            raise RevisionError(archive.stderr.decode().strip())
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         return count_tree(os.path.join(tmp, "src")), count_tree(SRC)
 
 
@@ -110,7 +117,12 @@ def main(argv):
         print("\n".join(report(count_tree(SRC))))
         return 0
     if len(argv) == 2 and argv[0] == "--against":
-        print("\n".join(report_against(*against(argv[1]))))
+        try:
+            counts = against(argv[1])
+        except RevisionError as err:
+            print(err, file=sys.stderr)
+            return 2
+        print("\n".join(report_against(*counts)))
         return 0
     print(__doc__.strip().splitlines()[0], file=sys.stderr)
     print("usage: python3 tools/loc.py\n"
