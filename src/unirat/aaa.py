@@ -28,6 +28,7 @@ from .barycentric import (
 )
 from .errors import InvalidInputError
 from .lawson import FitStep, LawsonConfig, lawson_fit
+from .linalg import number_array
 from .loewner import (VARIANTS, PhaseDiagonals, check_test_count, interpolatory_coefficients,
                       interpolatory_system, phase_entries)
 
@@ -59,8 +60,8 @@ class AaaTrace:
 
 def greedy_select(values, approx_values):
     """Index of the largest |values - approx_values|; first index on ties."""
-    values = np.atleast_1d(np.asarray(values))
-    approx_values = np.atleast_1d(np.asarray(approx_values))
+    values = np.atleast_1d(number_array(values, "values", complex))
+    approx_values = np.atleast_1d(number_array(approx_values, "approximant values", complex))
     if values.size == 0:
         raise InvalidInputError("cannot select from empty vectors")
     if values.shape != approx_values.shape:

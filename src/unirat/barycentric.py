@@ -35,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
-from .linalg import EPS, real_array
+from .linalg import EPS, number_array
 
 #: Points per evaluation block.
 BLOCK_POINTS = 2**13
@@ -49,7 +49,7 @@ def is_count(k):
 def check_nodes(nodes, name="nodes", least=1):
     """``nodes`` as a 1-D float array of at least ``least`` finite, distinct
     values."""
-    v = np.atleast_1d(real_array(nodes, name))
+    v = np.atleast_1d(number_array(nodes, name))
     if v.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-D, got shape {v.shape}")
     if v.size < least:
@@ -165,7 +165,7 @@ def _add_terms(cols, y, x, out, acc, term, inv):
 
 def _prepare(x):
     """The points as a flat float array, and the shape of x."""
-    xv = real_array(x, "evaluation points")
+    xv = number_array(x, "evaluation points")
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("evaluation points must be finite")
     return xv.ravel(), xv.shape
@@ -210,8 +210,8 @@ def _quotient(alpha, beta, support, x, hit_error, hit_values=None):
     out = np.empty(xv.size, dtype=complex)
     hit_zero = None
     for start, (d, n), hits, node in _partial_fraction(np.stack([beta, alpha]), support, xv):
-        zero = d == 0.0
-        if zero.any():
+        if not d.all():
+            zero = d == 0.0
             if hit_zero is None:  # a hit's zero, unless a plain one raises below
                 hit_zero = float(xv[start + np.argmax(zero)])
             zero[hits] = False
@@ -252,8 +252,8 @@ class _Quotient:
 
     def __post_init__(self):
         y = check_nodes(self.support, "support nodes")
-        vectors = [np.ascontiguousarray(getattr(self, name), dtype=complex)
-                   for name in self.COEFFICIENTS]
+        vectors = [np.ascontiguousarray(number_array(getattr(self, n), "coefficients", complex))
+                   for n in self.COEFFICIENTS]
         if any(c.shape != y.shape for c in vectors):
             raise InvalidInputError("coefficients must have one entry per support node")
         if not all(np.all(np.isfinite(c)) for c in vectors):

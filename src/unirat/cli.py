@@ -18,7 +18,7 @@ from .barycentric import (
 from .diagnostics import (max_error, real_axis_pole_scan, structure_residual,
                           unitarity_deviation)
 from .errors import InvalidInputError, UniratError
-from .linalg import real_array
+from .linalg import number_array
 from .loewner import VARIANTS
 from .pade import PadeApproximant
 
@@ -48,8 +48,6 @@ KINDS = {cls.KIND: cls for cls in
 #: JSON key stem of each coefficient field; a vector c is stored as the
 #: lists ``<stem>_re`` and ``<stem>_im``.
 KEY_STEMS = {"coefficients": "coeff", "alpha": "alpha", "beta": "beta"}
-#: complex(re, im) elementwise; unlike re + 1j * im, it keeps signed zeros.
-_complex = np.vectorize(complex, otypes=[complex])
 
 
 def approximant_to_dict(approx):
@@ -62,26 +60,31 @@ def approximant_to_dict(approx):
 
 
 def _vector(doc, stem):
-    """The complex vector stored as the lists ``<stem>_re`` and ``<stem>_im``."""
-    re, im = doc[stem + "_re"], doc[stem + "_im"]
-    if np.ndim(re) != 1 or np.shape(re) != np.shape(im):
+    """The complex vector stored as the lists ``<stem>_re`` and ``<stem>_im``:
+    the (re, im) pairs viewed as complex, which, unlike re + 1j * im, keeps
+    every bit, signed zeros too."""
+    re, im = (number_array(doc[stem + part], stem + part) for part in ("_re", "_im"))
+    if re.ndim != 1 or re.shape != im.shape:
         raise InvalidInputError(f"{stem}_re and {stem}_im must be flat lists of equal length")
-    return _complex(re, im)
+    return np.stack([re, im], axis=-1).view(complex).ravel()
 
 
 def approximant_from_dict(doc):
+    """The approximant that ``approximant_to_dict`` wrote as ``doc``, every
+    value with its bits.  The values go through ``linalg.number_array``:
+    the support nodes in the form's ``check_nodes``, each coefficient part
+    in ``_vector``; strings, objects and integers beyond float range raise
+    InvalidInputError, as a missing key or an unknown kind does."""
     if not isinstance(doc, dict):
         raise InvalidInputError("an approximant document must be a JSON object")
     cls = KINDS.get(str(doc.get("kind")))
     if cls is None:
         raise InvalidInputError(f"unknown approximant kind {doc.get('kind')!r}")
     try:
-        support = np.asarray(doc["support"], dtype=float)
+        support = doc["support"]  # the form's check_nodes converts it
         coeffs = {name: _vector(doc, KEY_STEMS[name]) for name in cls.COEFFICIENTS}
     except KeyError as exc:
         raise InvalidInputError(f"approximant document lacks key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed approximant document: {exc}") from None
     return cls(support=support, **coeffs)
 
 
@@ -123,7 +126,7 @@ def write_csv(path, header, columns):
     columns are not flat, differ in length, or are not as many as the
     header's names, if a name holds a comma, a quote or a line break, or if
     a column is not real numbers (``InvalidInputError``)."""
-    columns = [real_array(c, "CSV columns") for c in columns]
+    columns = [number_array(c, "CSV columns") for c in columns]
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     for name in header:
@@ -257,7 +260,9 @@ def build_parser():
     fit = sub.add_parser("fit", help="fit an approximant and write artifacts")
     src = fit.add_mutually_exclusive_group()
     src.add_argument("--interval", nargs=2, type=float, default=list(FIT_INTERVAL),
-                     metavar=("A", "B"))
+                     metavar=("A", "B"),
+                     help="fit interval [A, B]; write a negative bound in exponent form "
+                          "with a leading space, as ' -1e1', or argparse may read it as an option")
     src.add_argument("--nodes", help="file with one node per line, '#' comments")
     fit.add_argument("--n-test", type=int, default=FIT_NODES)
     fit.add_argument("--m-max", type=int, default=14)

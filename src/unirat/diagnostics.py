@@ -7,11 +7,11 @@ import numpy as np
 
 from .barycentric import coefficient_norm
 from .errors import InvalidInputError, PoleEvaluationError
-from .linalg import EPS, _phase, real_array
+from .linalg import EPS, _phase, number_array
 
 
 def _grid(grid):
-    g = real_array(grid, "grid").ravel()
+    g = number_array(grid, "grid").ravel()
     if g.size == 0:
         raise InvalidInputError("grid must be nonempty")
     return g

@@ -19,7 +19,7 @@ import numpy as np
 from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
                           is_count, node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import SmallestVector, real_array
+from .linalg import SmallestVector, number_array
 from .loewner import (VARIANTS, NodeSet, check_test_count, expanded_coefficients,
                       expanded_start, expanded_system, modified_cauchy, phase_diagonals)
 
@@ -74,8 +74,8 @@ def lawson_weight_update(weights, errors):
     Returns None when every product is zero (exact fit; the caller stops).
     The weights must be finite and nonnegative; a weight of 0 is allowed.
     """
-    weights = np.atleast_1d(real_array(weights, "weights"))
-    errors = np.atleast_1d(np.asarray(errors))
+    weights = np.atleast_1d(number_array(weights, "weights"))
+    errors = np.atleast_1d(number_array(errors, "errors", complex))
     if weights.shape != errors.shape:
         raise InvalidInputError("weights and errors must have equal length")
     if errors.size == 0 or not np.all(np.isfinite(errors)):

@@ -58,15 +58,18 @@ SWEEP_CAP = 60
 ITERATION_CAP = 16
 
 
-def real_array(x, name):
-    """x as a float array, x itself where it is one.  Input that NumPy holds
-    as complex, which a plain cast to float would truncate to its real part,
-    or as anything but numbers (strings, objects, ragged lists) raises
-    InvalidInputError."""
+def number_array(x, name, dtype=float):
+    """x as an array of ``dtype``, float or complex, x itself where it is
+    one: the one cast of outside numbers.  Input that the cast would change
+    in kind raises InvalidInputError: complex input to float, whose plain
+    cast would truncate it to its real part, and to either dtype anything
+    but numbers (strings, which a plain cast would parse, objects such as
+    integers beyond float range, ragged lists)."""
     try:
-        return np.asarray(x).astype(float, casting="same_kind", copy=False)
+        return np.asarray(x).astype(dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name} must be real numbers: {exc}") from None
+        kind = "real numbers" if dtype is float else "numbers"
+        raise InvalidInputError(f"{name} must be {kind}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,13 +395,14 @@ def _svd(A):
 
 def svd_real(A):
     """Thin SVD of a real matrix via one-sided Jacobi; a complex matrix is
-    rejected (``real_array``), not truncated to its real part."""
-    return _svd(real_array(A, "matrix"))
+    rejected (``number_array``), not truncated to its real part."""
+    return _svd(number_array(A, "matrix"))
 
 
 def svd_complex(A):
-    """Thin SVD of a complex matrix via one-sided Jacobi."""
-    return _svd(np.asarray(A, dtype=complex))
+    """Thin SVD of a complex matrix via one-sided Jacobi; a real matrix is
+    cast to complex, and strings or objects are rejected (``number_array``)."""
+    return _svd(number_array(A, "matrix", complex))
 
 
 def gap_bound(R, v):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .barycentric import check_nodes
 from .errors import InvalidInputError, NodeCollisionError
-from .linalg import EPS, real_array, smallest_right_vector, svd_complex, svd_real
+from .linalg import EPS, number_array, smallest_right_vector, svd_complex, svd_real
 
 #: Fitting variants: "original" solves the complex systems, "modified" the
 #: real re-scaled ones and returns the unitary Cayley form.
@@ -52,7 +52,7 @@ class NodeSet:
         if self.weights is None:
             mu = np.ones(x.size)
         else:
-            mu = np.atleast_1d(real_array(self.weights, "weights"))
+            mu = np.atleast_1d(number_array(self.weights, "weights"))
         if mu.shape != x.shape:
             raise InvalidInputError("need one weight per test node")
         if not (np.all(np.isfinite(mu)) and np.all(mu > 0)):
@@ -87,7 +87,7 @@ def phase_entries(theta):
     cancellation in 1 - cos(t) near the degenerate branch and keeps the
     entry phases accurate to roundoff.
     """
-    h = 0.5 * real_array(theta, "angles")
+    h = 0.5 * number_array(theta, "angles")
     s = np.sin(h)
     c = np.cos(h)
     degenerate = 2.0 * np.abs(s) <= 4.0 * EPS
@@ -177,16 +177,16 @@ def expanded_start(start, variant, m):
     """The unit g that ``expanded_coefficients`` maps to a multiple of
     ``start = (alpha, beta)``, two vectors of m coefficients: [alpha; beta]
     (original) or [Re(beta); -Im(beta)] (modified, whose alpha is
-    conj(beta)), scaled to unit norm."""
-    try:
-        alpha, beta = (np.asarray(c, dtype=complex) for c in start)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"start must be a pair of coefficient vectors: {exc}") from None
-    if alpha.shape != (m,) or beta.shape != (m,):
+    conj(beta)), scaled to unit norm.  ``start`` is cast as one (2, m)
+    complex array (``number_array``), so strings, objects and ragged pairs
+    are rejected as not numbers."""
+    pair = number_array(start, "start", complex)
+    if pair.shape != (2, m):
         raise InvalidInputError(f"start needs two vectors of {m} coefficients, "
-                                f"got shapes {alpha.shape} and {beta.shape}")
+                                f"got shape {pair.shape}")
+    alpha, beta = pair
     g = np.concatenate([alpha, beta] if variant == "original" else [beta.real, -beta.imag])
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and g.any()):
+    if not (np.isfinite(pair).all() and g.any()):
         raise InvalidInputError("start must be finite and nonzero")
     g = g / np.max(np.abs(g))  # keeps the norm's squares in range
     return g / np.linalg.norm(g)
@@ -234,7 +234,7 @@ class MinSingularResult:
 
 def min_singular_coefficients(lhat, phases):
     """Unit-norm w with ||L w||_2 = sigma_min and f_j w_j = conj(w_j)."""
-    lhat = real_array(lhat, "Lhat")
+    lhat = number_array(lhat, "Lhat")
     n, m = lhat.shape
     check_test_count(n, m)
     if phases.K.size != m:
@@ -273,7 +273,7 @@ def bhat(nodes):
 def min_singular_pair(bhat_matrix):
     """(alpha, beta) from the last right singular vector of Bhat; satisfies
     alpha_j = conj(beta_j) and minimizes ||[M | -S_F M] [alpha; beta]||_2."""
-    B = real_array(bhat_matrix, "Bhat")
+    B = number_array(bhat_matrix, "Bhat")
     if B.shape[1] % 2 != 0:
         raise InvalidInputError("Bhat must have an even number of columns")
     return expanded_coefficients(B, "modified")[:2]

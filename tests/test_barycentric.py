@@ -14,17 +14,21 @@ from unirat import (
     AaaConfig,
     BarycentricInterpolant,
     CayleyApproximant,
+    LawsonConfig,
     NodeSet,
     NonInterpolatoryApproximant,
     PadeApproximant,
     aaa_fit,
     bhat,
+    greedy_select,
+    lawson_fit,
     lawson_weight_update,
     max_error,
     min_singular_coefficients,
     min_singular_pair,
     phase_diagonals,
     rescaled_loewner,
+    svd_complex,
     svd_real,
 )
 from unirat.cli import approximant_from_dict
@@ -600,4 +604,34 @@ def test_complex_or_non_numeric_input_rejected(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="must be real numbers"):
+            call()
+
+
+#: One call per site that casts outside numbers to complex, or reads them
+#: as given, each given strings, which a plain cast parses as numbers, an
+#: object array, or an integer beyond float range, on which a plain cast
+#: overflows.
+NUMBER_INPUT_SITES = {
+    "svd_complex": lambda: svd_complex([["1+2j", "0"], ["0", "3"]]),
+    "interpolant coefficients": lambda: BarycentricInterpolant([0, 1], ["1", "2"]),
+    "cayley coefficients": lambda: CayleyApproximant([0, 1], np.array([1, 2], dtype=object)),
+    "noninterpolatory coefficients": lambda: NonInterpolatoryApproximant(
+        [0, 1], [1, 1], [10**400, 1]),
+    "lawson_fit start": lambda: lawson_fit(
+        *separated_nodes(np.random.default_rng(80), 10, 3), LawsonConfig(n_lawson=1),
+        start=(["1"] * 3, ["1"] * 3)),
+    "greedy_select": lambda: greedy_select(["1", "2"], ["1", "1"]),
+    "lawson errors": lambda: lawson_weight_update([1, 1], ["1", "2"]),
+    "approximant document support": lambda: approximant_from_dict(
+        {"kind": "cayley", "support": ["1.5", "2"], "coeff_re": [1, 2], "coeff_im": [0, 0]}),
+}
+
+
+@pytest.mark.parametrize("call", NUMBER_INPUT_SITES.values(), ids=NUMBER_INPUT_SITES.keys())
+def test_non_numeric_input_rejected(call):
+    # a site's own cast parsed strings and took object arrays, or ended in a
+    # bare TypeError or OverflowError; no warning may come before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="must be"):
             call()

@@ -139,6 +139,19 @@ class TestFit:
         assert rc == 2
         assert "need at least 3 test nodes, got 2" in capsys.readouterr().err
 
+    def test_negative_exponent_bound_as_help_says(self, tmp_path, capsys):
+        # Python 3.11's argparse reads -1e1 as an option, since its
+        # negative-number pattern has no exponent; an argument that holds a
+        # space is always a value
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        assert "' -1e1'" in " ".join(capsys.readouterr().out.split())
+        for bound, out in ((" -1e1", tmp_path / "exponent"), ("-10", tmp_path / "plain")):
+            assert main(["fit", "--interval", bound, "1e1", "--n-test", "40", "--m-max", "4",
+                         "--out", str(out)]) == 0
+        assert ((tmp_path / "exponent" / "approximant.json").read_text()
+                == (tmp_path / "plain" / "approximant.json").read_text())
+
     def test_degenerate_interval_exit_2(self, tmp_path, capsys):
         rc = main(["fit", "--interval", "0", "0", "--out", str(tmp_path)])
         assert rc == 2
