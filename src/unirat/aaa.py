@@ -29,8 +29,8 @@ from .barycentric import (
 from .errors import InvalidInputError
 from .lawson import FitStep, LawsonConfig, lawson_fit
 from .linalg import number_array
-from .loewner import (VARIANTS, PhaseDiagonals, check_test_count, interpolatory_coefficients,
-                      interpolatory_system, phase_entries)
+from .loewner import (VARIANTS, PhaseDiagonals, check_differences, check_test_count,
+                      interpolatory_coefficients, interpolatory_system, phase_entries)
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,14 @@ def aaa_fit(test_nodes, config):
     nodes are handed to the minimax iteration, with the last iterate as the
     start of its first step, and its result is returned, with the Lawson
     trace attached to ``trace.lawson``; an iteration that leaves too few
-    test nodes for the Lawson steps raises InvalidInputError at once.
+    test nodes for the Lawson steps raises InvalidInputError at once.  Test
+    nodes two of which differ by an amount that is not finite or whose
+    reciprocal is not are rejected (``check_differences``).
     """
     x = check_nodes(test_nodes, "test nodes", least=2)
     if config.m_max >= x.size:
         raise InvalidInputError("m_max must be smaller than the number of test nodes")
+    check_differences(x)
 
     F = np.exp(1j * x)
     R = phase_entries(x)

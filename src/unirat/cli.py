@@ -165,7 +165,7 @@ def load_nodes(path):
 
 
 def interval_grid(a, b, n):
-    if not (np.isfinite(a) and np.isfinite(b)) or a >= b or n < 2:
+    if not np.isfinite(b - a) or a >= b or n < 2:
         raise InvalidInputError(f"degenerate interval [{a}, {b}] with {n} nodes")
     return np.linspace(a, b, n)
 

@@ -20,8 +20,9 @@ from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_
                           is_count, node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import SmallestVector, number_array
-from .loewner import (VARIANTS, NodeSet, check_test_count, expanded_coefficients,
-                      expanded_start, expanded_system, modified_cauchy, phase_diagonals)
+from .loewner import (VARIANTS, NodeSet, check_differences, check_test_count,
+                      expanded_coefficients, expanded_start, expanded_system, modified_cauchy,
+                      phase_diagonals)
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,12 @@ class FitStep:
     ``solve``, the ``linalg.SmallestVector`` of the step's system, whose
     ``sigma_min`` and ``degenerate`` the step reads.
 
+    ``loewner`` solves every step by one call, ``smallest_right_vector``.
     Inverse iteration gives the record of a step that starts from a nearby
     vector and is certified: every step after its fit's first, and step 1 of
     a Lawson fit given a ``start``, as every AAA-Lawson fit's is.  Every
-    other step's record comes from the fully converged Jacobi kernel."""
+    other step's record comes from the fully converged Jacobi kernel, from
+    the same QR of the step's system, and reads ``iterations == 0``."""
 
     step: int
     node: float
@@ -96,7 +99,9 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     beta coefficients for the modified variant, or a
     ``NonInterpolatoryApproximant`` carrying both alpha and beta for the
     original variant.  Fewer than m - 1 test nodes for m support nodes are
-    rejected (``check_test_count``).
+    rejected (``check_test_count``), as are nodes, test and support
+    together, two of which differ by an amount that is not finite or whose
+    reciprocal is not (``check_differences``).
 
     ``start``, the ``(alpha, beta)`` of an approximant on the same support
     nodes (``aaa_fit`` passes its last iterate), starts step 1 by inverse
@@ -116,6 +121,7 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     # vector where one is given
     g = None if start is None else expanded_start(start, config.variant, y.size)
     nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+    check_differences(nodes.test_nodes)
     xa, ph = nodes.test_nodes, phase_diagonals(nodes)
     mu = np.ones(xa.size)
 

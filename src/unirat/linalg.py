@@ -30,12 +30,13 @@ sigma_min, a lower bound on sigma_{m-1} and a scale, whose ``degenerate``
 rule says whether the vector is determined.  Every step after a fit's first
 solves a system near the step before's: an AAA iteration's system gains one
 column, a Lawson step's changes its row weights, and an AAA-Lawson fit's
-first Lawson step refines the last AAA iterate.  Such a step skips the
-kernel where it can: ``smallest_right_vector`` forms X = R^{-1} once, for
-the R of a tall A = QR, runs inverse iteration by products with X and X^H
-from the nearby vector, and keeps the result only if its record, with
-``gap_bound``'s lower bound on sigma_{m-1}, is not degenerate; a step it
-does not certify runs the kernel to full convergence.
+first Lawson step refines the last AAA iterate.  One call,
+``smallest_right_vector``, solves every fit step, from one QR of a tall
+A = QR.  From a nearby vector it forms X = R^{-1} once, runs inverse
+iteration by products with X and X^H, and keeps the result only if its
+record, with ``gap_bound``'s lower bound on sigma_{m-1}, is not degenerate.
+A step it does not certify, and a step with no nearby vector, runs the
+kernel to full convergence from the same R.
 """
 
 import functools
@@ -79,11 +80,12 @@ class SmallestVector:
 
     The Jacobi kernel (``SvdResult.smallest``) records sigma_m, sigma_{m-1}
     (inf for one column) and sigma_max, with its ``sweeps`` and
-    ``rotations``; inverse iteration (``smallest_right_vector``) records
+    ``rotations``; inverse iteration (``_inverse_iteration``) records
     ||A v|| >= sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >=
-    sigma_max, with its ``iterations``, and returns only records that are
-    not ``degenerate``.  So ``iterations`` is 0 on a kernel record and at
-    least 1 on a warm one.
+    sigma_max, with its ``iterations``.  ``smallest_right_vector`` returns
+    a warm record only where it is not ``degenerate``, and the kernel's
+    otherwise.  So ``iterations`` is 0 on a kernel record and at least 1 on
+    a warm one.
     """
 
     vector: np.ndarray
@@ -350,7 +352,10 @@ def _preconditioned(T):
     return V, sweeps, rotations
 
 
-def _svd(A):
+def _svd(A, T=None):
+    """The thin SVD of A.  A tall A's sweeps start from T, the R of A = QR
+    where the caller has it; an A rescaled by a power of two is factored
+    anew."""
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
     # NaN and inf propagate through the largest modulus, which also sets the
@@ -367,7 +372,7 @@ def _svd(A):
     if shift:
         A = _ldexp(A, -shift)
     if n >= m:
-        T = np.linalg.qr(A, mode="r")
+        T = np.linalg.qr(A, mode="r") if T is None or shift else T
         V, sweeps, rotations = _preconditioned(T)
     else:
         # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
@@ -425,27 +430,21 @@ def gap_bound(R, v):
         return 0.0 if X is None else 1.0 / np.linalg.norm(X)
 
 
-def smallest_right_vector(A, v0):
-    """The smallest right singular vector of a tall A, certified, by inverse
-    iteration from a unit v0 near it; None where it is not certified.
+def _inverse_iteration(A, R, v0):
+    """The certified record of a tall A = QR by inverse iteration on R from
+    a unit v0 near its smallest right vector; None where it is not certified.
 
-    With R from A = QR, X = R^{-1} is formed once, by one LAPACK solve, and
-    each step sets x = X (X^H v) and v = x / ||x||, until v moves by at most
-    8 eps, in at most ITERATION_CAP steps; so a step's LAPACK work does not
-    grow with its iteration count.  The result is certified by its
-    ``SmallestVector(v, ||A v||, gap_bound(R, v), ||R||_F)`` not being
-    ``degenerate``.  The gap is bounded from R, not from X, whose rounding,
-    eps sigma_max / sigma_min, would swamp sigma_{m-1}.  The rule's margin
-    does not cover gap_bound's rounding for every m; on the figure fits the
-    gap exceeds 745 eps ||R||_F.
-    Returns that record, v in the kernel's phase (``_vector_phase``), or
-    None for a wide A, a singular R or a non-finite X or
-    iterate, an iteration that does not settle, or a gap not certified.
+    X = R^{-1} is formed once, by one LAPACK solve, and each step sets
+    x = X (X^H v) and v = x / ||x||, until v moves by at most 8 eps, in at
+    most ITERATION_CAP steps; so a step's LAPACK work does not grow with its
+    iteration count.  The result is certified by its ``SmallestVector(v,
+    ||A v||, gap_bound(R, v), ||R||_F)`` not being ``degenerate``.  The gap
+    is bounded from R, not from X, whose rounding, eps sigma_max /
+    sigma_min, would swamp sigma_{m-1}.  The rule's margin does not cover
+    gap_bound's rounding for every m; on the figure fits the gap exceeds
+    745 eps ||R||_F.  None also for a singular R, a non-finite X or iterate,
+    or an iteration that does not settle.
     """
-    n, m = A.shape
-    if n < m:
-        return None
-    R = np.linalg.qr(A, mode="r")
     with np.errstate(all="ignore"):
         X = _triangular_inverse(R)
         if X is None:
@@ -468,3 +467,20 @@ def smallest_right_vector(A, v0):
     solve = SmallestVector(v * _vector_phase(v[:, None]), sigma, gap_bound(R, v),
                            float(np.linalg.norm(R)), iterations=iterations)
     return None if solve.degenerate else solve
+
+
+def smallest_right_vector(A, previous=None):
+    """The ``SmallestVector`` of a fit step's system A, never None.
+
+    A tall A is factored once, A = QR.  Where ``previous``, the unit vector
+    of a nearby system, is given, inverse iteration on R starts from it, and
+    its record is returned where it is certified (``_inverse_iteration``).
+    Otherwise the Jacobi kernel runs to full convergence from the same R,
+    except that an A it rescales by a power of two is factored anew, and a
+    wide A takes the kernel's wide branch; a kernel record reads
+    ``iterations == 0``.  The vector is in the kernel's phase
+    (``_vector_phase``), complex for a complex A.
+    """
+    R = np.linalg.qr(A, mode="r") if A.shape[0] >= A.shape[1] else None
+    warm = None if previous is None or R is None else _inverse_iteration(A, R, previous)
+    return _svd(A, R).smallest() if warm is None else warm

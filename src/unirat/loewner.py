@@ -7,14 +7,17 @@ S_F C - C S_f, over a Cauchy block C) and ``interpolatory_coefficients``,
 Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
 over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
 Both extractors return their coefficients with the step's
-``linalg.SmallestVector``, from one helper: inverse iteration's from the
-step before's vector where that is certified, the Jacobi kernel's
-otherwise.  ``expanded_start`` inverts ``expanded_coefficients``' mapping,
-so that a Lawson fit's step 1 can start from a given (alpha, beta).  The
-node-level functions (``loewner``, ``rescaled_loewner``, ``bhat``,
+``linalg.SmallestVector``, from one call to ``linalg.smallest_right_vector``
+on one QR of the system: inverse iteration's from the step before's vector
+where that is certified, the Jacobi kernel's otherwise.
+``expanded_start`` inverts ``expanded_coefficients``' mapping, so that a
+Lawson fit's step 1 can start from a given (alpha, beta).  The node-level
+functions (``loewner``, ``rescaled_loewner``, ``bhat``,
 ``min_singular_pair``, ...) wrap these four, and
 ``min_singular_coefficients`` applies AAA's w = i K v to the kernel's
-vector: the identity tests check them.
+vector: the identity tests check them.  ``check_differences`` rejects, for
+the fits, nodes two of which differ by an amount whose value or reciprocal
+is not finite; the constructors and ``NodeSet`` accept such nodes.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ import numpy as np
 
 from .barycentric import check_nodes
 from .errors import InvalidInputError, NodeCollisionError
-from .linalg import EPS, number_array, smallest_right_vector, svd_complex, svd_real
+from .linalg import EPS, number_array, smallest_right_vector, svd_real
 
 #: Fitting variants: "original" solves the complex systems, "modified" the
 #: real re-scaled ones and returns the unitary Cayley form.
@@ -121,22 +124,11 @@ def check_test_count(n_test, m):
                                 f"test nodes, got {n_test}")
 
 
-def _last_right_vector(A, previous):
-    """The ``SmallestVector`` of A: inverse iteration's from ``previous``, the
-    vector of a nearby system (the step before's, padded to A's columns),
-    where ``smallest_right_vector`` certifies it, else the fully converged
-    Jacobi kernel's, complex for a complex A."""
-    warm = None if previous is None else smallest_right_vector(A, previous)
-    if warm is not None:
-        return warm
-    return (svd_complex if np.iscomplexobj(A) else svd_real)(A).smallest()
-
-
 def interpolatory_coefficients(A, ph, variant, previous=None):
     """(alpha, w, solve) for ``solve`` the ``SmallestVector`` of A
-    (``_last_right_vector``) and v its vector: (conj(w), w = i K v) or
-    (S_f v, v)."""
-    solve = _last_right_vector(A, previous)
+    (``smallest_right_vector``, from ``previous``) and v its vector:
+    (conj(w), w = i K v) or (S_f v, v)."""
+    solve = smallest_right_vector(A, previous)
     v = solve.vector
     if variant == "original":
         return ph.S_f * v, v, solve
@@ -162,10 +154,10 @@ def expanded_system(M, ph, variant, out=None):
 
 def expanded_coefficients(A, variant, previous=None):
     """(alpha, beta, solve) for ``solve`` the ``SmallestVector`` of A
-    (``_last_right_vector``) and g its vector: (conj(b), b = (g_1 - i g_2)/sqrt2)
-    or g = [alpha; beta]."""
+    (``smallest_right_vector``, from ``previous``) and g its vector:
+    (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta]."""
     m = A.shape[1] // 2
-    solve = _last_right_vector(A, previous)
+    solve = smallest_right_vector(A, previous)
     g = solve.vector
     if variant == "original":
         return g[:m], g[m:], solve
@@ -198,6 +190,20 @@ def _differences(nodes, allow_overlap=False):
         k, j = np.argwhere(D == 0.0)[0]
         raise NodeCollisionError(nodes.test_nodes[k], nodes.support_nodes[j])
     return D
+
+
+def check_differences(nodes):
+    """Reject distinct nodes two of which have a difference, or a reciprocal
+    of it, that is not finite, naming the two.  Every difference lies
+    between the sorted nodes' smallest adjacent gap and their span, so only
+    those are tested."""
+    s = np.sort(nodes)
+    with np.errstate(over="ignore", divide="ignore"):
+        bad = np.flatnonzero(~np.isfinite(1.0 / np.diff(s)))
+        if bad.size or not np.isfinite(s[-1] - s[0]):
+            a, b = (s[bad[0]], s[bad[0] + 1]) if bad.size else (s[0], s[-1])
+            raise InvalidInputError(f"nodes {float(a)!r} and {float(b)!r}: their difference "
+                                    "or its reciprocal is not finite")
 
 
 def cauchy(nodes):

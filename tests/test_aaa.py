@@ -1,5 +1,7 @@
 """Greedy AAA loop: selection rule, variants, trace semantics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +295,13 @@ class TestConfigBoundary:
     def test_integer_types_accepted(self):
         config = AaaConfig(m_max=np.int64(3), n_lawson=np.int32(0))
         assert config.m_max == 3
+
+    def test_subnormal_node_spacing_rejected(self):
+        # 1 / (x_k - y_j) would overflow to inf in the first Cauchy column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="nodes 0.0 and 5.3e-322"):
+                aaa_fit(np.linspace(0, 1e-320, 20), AaaConfig(m_max=3))
 
 
 class TestModifiedProperty:

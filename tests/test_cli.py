@@ -119,8 +119,8 @@ class TestFit:
         loewner = importlib.import_module("unirat.loewner")
         warm = []
 
-        def record(A, v0, solve=loewner.smallest_right_vector):
-            out = solve(A, v0)
+        def record(A, previous=None, solve=loewner.smallest_right_vector):
+            out = solve(A, previous)
             if A.shape[1] == 4:
                 warm.append(out)
             return out
@@ -129,7 +129,7 @@ class TestFit:
                    "--tol", "0", "--lawson", "10", "--out", str(tmp_path)])
         assert rc == 1
         assert "Lawson step 10" in capsys.readouterr().err
-        assert warm == [None] * 10
+        assert len(warm) == 10 and all(out.iterations == 0 for out in warm)
 
     def test_undetermined_lawson_exit_2(self, tmp_path, capsys):
         # 2 test nodes are left after 4 greedy iterations, too few for the
@@ -432,6 +432,31 @@ class TestInputBoundary:
         blocker.write_text("")
         assert main(["fit", "--n-test", "50", "--out", str(blocker)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes, args, pair", [
+        ("0 1e-310 2e-310 1 2 3 4 5", [], "0.0 and 1e-310"),
+        ("-1e308 0 1e308 5 6 7", [], "-1e+308 and 1e+308"),
+        ("-1e308 0 1e308 5 6 7", ["--lawson", "2"], "-1e+308 and 1e+308"),
+    ])
+    def test_node_difference_out_of_range_exit_2(self, tmp_path, capsys, nodes, args, pair):
+        # 1 / 1e-310 and 1e308 - (-1e308) overflow: the pair is named before
+        # any arithmetic warns
+        path = tmp_path / "nodes.txt"
+        path.write_text("\n".join(nodes.split()) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", "--nodes", str(path), "--m-max", "3", *args,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"nodes {pair}: their difference" in capsys.readouterr().err
+
+    def test_interval_width_out_of_range_exit_2(self, tmp_path, capsys):
+        # the width overflows, so the interval is rejected before linspace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", "--interval", " -1e308", "1e308", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "interval [-1e+308, 1e+308]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         {"kind": "cayley", "support": [0.0], "coeff_re": [1.0]},

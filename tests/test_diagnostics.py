@@ -212,17 +212,17 @@ class TestStructureResidual:
     def test_wedin_bound(self, monkeypatch, fit):
         # the residual is the perturbation of the fit's last singular vector,
         # bounded by eps sigma_max / (sigma_{m-1} - sigma_m) (Wedin); the fits
-        # solve their systems in unirat.loewner, whose package attribute is the
-        # loewner function, not the module, by the kernel or, for warm Lawson
-        # steps, by inverse iteration.  Neither gives sigma_{m-1}, so the bound
-        # reads a fully converged SVD of the last system
+        # solve every system by smallest_right_vector in unirat.loewner, whose
+        # package attribute is the loewner function, not the module.  A warm
+        # step's record does not give sigma_{m-1}, so the bound reads a fully
+        # converged SVD of the last system
         loewner = importlib.import_module("unirat.loewner")
         systems = []
-        for name in ("svd_real", "svd_complex", "smallest_right_vector"):
-            def record(A, *args, solve=getattr(loewner, name), **kw):
-                systems.append(A.copy())
-                return solve(A, *args, **kw)
-            monkeypatch.setattr(loewner, name, record)
+
+        def record(A, *args, solve=loewner.smallest_right_vector):
+            systems.append(A.copy())
+            return solve(A, *args)
+        monkeypatch.setattr(loewner, "smallest_right_vector", record)
         approx, _ = aaa_fit(FIT_GRID, FIGURE_FITS[fit])
         s = svd_complex(systems[-1]).singular_values
         bound = EPS * s[0] / (s[-2] - s[-1])

@@ -128,6 +128,54 @@ def test_key_on_one_side_named(tmp_path, capsys):
                         "structure_residual only in NEW")
 
 
+def write_blas(root, threads):
+    (root / "blas.json").write_text(json.dumps(
+        {"name": "openblas", "version": "0.3.27", "threads": threads}))
+    return root
+
+
+def test_capture_records_blas(tmp_path, monkeypatch):
+    # the record reads bench/machine.py's BLAS name, version and thread count
+    monkeypatch.setattr(golden, "RUNS", {})
+    assert golden.main([str(tmp_path / "cap")]) == 0
+    spec = importlib.util.spec_from_file_location("machine", golden.MACHINE)
+    machine = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(machine)
+    record = json.loads((tmp_path / "cap" / "blas.json").read_text())
+    assert record == {**machine.describe()["blas"], "threads": machine.blas_threads()}
+    assert os.listdir(tmp_path / "cap") == ["blas.json"]
+
+
+def test_blas_records_that_differ_printed_apart(tmp_path, capsys):
+    # the outputs alone set the exit code; the records follow the files' lines
+    old = write_blas(write_capture(tmp_path / "a"), 1)
+    new = write_blas(write_capture(tmp_path / "b"), 4)
+    rc, lines = compare(capsys, old, new)
+    assert rc == 0
+    assert lines == ["fit-run/metrics.json: identical", "fit-run/trace.csv: identical",
+                     'BLAS of OLD: {"name": "openblas", "threads": 1, "version": "0.3.27"}',
+                     'BLAS of NEW: {"name": "openblas", "threads": 4, "version": "0.3.27"}']
+    records = lines[2:]
+    changed = write_blas(write_capture(tmp_path / "c", csv_text="x,y\n1.0,2.5\n3.0,nan\n"), 4)
+    rc, lines = compare(capsys, old, changed)
+    assert rc == 1
+    assert lines == ["fit-run/metrics.json: identical", "fit-run/trace.csv: y 0.5", *records]
+
+
+def test_equal_blas_records_not_printed(tmp_path, capsys):
+    rc, lines = compare(capsys, write_blas(write_capture(tmp_path / "a"), 2),
+                        write_blas(write_capture(tmp_path / "b"), 2))
+    assert rc == 0
+    assert lines == ["fit-run/metrics.json: identical", "fit-run/trace.csv: identical"]
+
+
+def test_capture_without_blas_compares_as_before(tmp_path, capsys):
+    rc, lines = compare(capsys, write_capture(tmp_path / "a"),
+                        write_blas(write_capture(tmp_path / "b"), 2))
+    assert rc == 0
+    assert lines == ["fit-run/metrics.json: identical", "fit-run/trace.csv: identical"]
+
+
 def test_usage_exit_2(capsys):
     assert golden.main(["--compare", "only-one"]) == 2
     assert "usage:" in capsys.readouterr().err

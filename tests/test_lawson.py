@@ -302,3 +302,10 @@ class TestBoundary:
                 lawson_fit([1.0, 2.0, 3.0], [0.5, bad], LawsonConfig(n_lawson=2))
             with pytest.raises(InvalidInputError):
                 lawson_fit([1.0, bad, 3.0], [0.5], LawsonConfig(n_lawson=2))
+
+    def test_node_differences_checked_across_both_sets(self):
+        # each set alone is fine; a test node 1e-310 from a support node is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="nodes 0.0 and 1e-310"):
+                lawson_fit([1e-310, 1.0, 2.0, 3.0], [0.0, 2.5], LawsonConfig(n_lawson=2))

@@ -1,5 +1,6 @@
 """SVD kernel tests: examples, oracles, and factorization invariants."""
 
+import collections
 import importlib
 import importlib.util
 import itertools
@@ -583,17 +584,43 @@ def spectrum_matrix(rng, n, sigma, dtype):
 
 
 def record_warm_steps(monkeypatch):
-    """Record ``(A, result)`` for every warm fit step's inverse iteration, with
-    a copy of A, since a fit refills its systems in place."""
+    """Record ``(A, result)`` for every fit step started from a nearby vector,
+    with a copy of A, since a fit refills its systems in place; the result is
+    inverse iteration's record, or None where the step ran the kernel."""
     loewner = importlib.import_module("unirat.loewner")
     calls = []
 
-    def record(A, v0, solve=loewner.smallest_right_vector):
-        out = solve(A, v0)
-        calls.append((A.copy(), out))
+    def record(A, previous=None, solve=loewner.smallest_right_vector):
+        out = solve(A, previous)
+        if previous is not None:
+            calls.append((A.copy(), out if out.iterations else None))
         return out
     monkeypatch.setattr(loewner, "smallest_right_vector", record)
     return calls
+
+
+def record_factorizations(monkeypatch):
+    """Record the shape of every fit step's system, and of every matrix that
+    ``np.linalg.qr(., mode="r")`` factors, each in call order."""
+    loewner = importlib.import_module("unirat.loewner")
+    steps, factored = [], []
+
+    def qr(a, mode="reduced", factor=np.linalg.qr):
+        if mode == "r":
+            factored.append(np.shape(a))
+        return factor(a, mode)
+
+    def record(A, previous=None, solve=loewner.smallest_right_vector):
+        steps.append(A.shape)
+        return solve(A, previous)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(loewner, "smallest_right_vector", record)
+    return steps, factored
+
+
+def step_factorizations(steps, factored):
+    """The factorizations of matrices shaped as a step system, by shape."""
+    return collections.Counter(shape for shape in factored if shape in steps)
 
 
 class TestInverseIteration:
@@ -628,6 +655,28 @@ class TestInverseIteration:
             p = np.vdot(u, out.vector)
             angle = np.linalg.norm(out.vector - u * (p / abs(p)))
             assert angle <= out.wedin
+
+    def test_figure_fits_factor_each_system_once(self, monkeypatch):
+        # a warm step and the kernel share one QR of the step's system
+        steps, factored = record_factorizations(monkeypatch)
+        traces = [aaa_fit(FIT_GRID, config)[1] for config in FIGURE_FITS.values()]
+        count = sum(len(t.iterations) + (len(t.lawson.steps) if t.lawson else 0)
+                    for t in traces)
+        assert sum(step_factorizations(steps, factored).values()) == count == 98
+        assert step_factorizations(steps, factored) == collections.Counter(steps)
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_uncertified_warm_steps_factor_once(self, monkeypatch, variant):
+        # with one iteration allowed no warm attempt settles, so every step
+        # after the first runs the kernel, from the R its attempt computed
+        monkeypatch.setattr(linalg, "ITERATION_CAP", 1)
+        steps, factored = record_factorizations(monkeypatch)
+        _, trace = aaa_fit(np.linspace(-3, 3, 40),
+                           AaaConfig(m_max=8, tol=0.0, variant=variant, n_lawson=3))
+        solves = [st.solve for st in trace.iterations + trace.lawson.steps]
+        assert sum(step_factorizations(steps, factored).values()) == len(solves) == 11
+        assert step_factorizations(steps, factored) == collections.Counter(steps)
+        assert all(s.iterations == 0 and s.sweeps > 0 for s in solves)
 
     def test_figure_fit_records(self, figure_fits):
         # the kernel serves AAA at m = 1 and 2 (and 3, original) alone, with
@@ -671,17 +720,17 @@ class TestInverseIteration:
         rng = np.random.default_rng(89)
         v0 = np.eye(8)[0].astype(dtype)
         wide = spectrum_matrix(rng, 8, np.ones(7), dtype).T
-        assert linalg.smallest_right_vector(wide, v0) is None
+        assert linalg.smallest_right_vector(wide, v0).iterations == 0
         double = spectrum_matrix(rng, 20, np.array([1.0] * 6 + [1e-3] * 2), dtype)
-        assert linalg.smallest_right_vector(double, v0) is None
+        assert linalg.smallest_right_vector(double, v0).iterations == 0
 
     def test_unsettled_iteration(self, monkeypatch):
         # one step from a start far off the smallest vector still moves it
         sigma = np.append(np.logspace(0, -3, 7), 1e-6)
         A = spectrum_matrix(np.random.default_rng(97), 20, sigma, float)
-        assert linalg.smallest_right_vector(A, np.eye(8)[0]) is not None
+        assert linalg.smallest_right_vector(A, np.eye(8)[0]).iterations > 0
         monkeypatch.setattr(linalg, "ITERATION_CAP", 1)
-        assert linalg.smallest_right_vector(A, np.eye(8)[0]) is None
+        assert linalg.smallest_right_vector(A, np.eye(8)[0]).iterations == 0
 
     def test_lapack_calls_do_not_grow_with_iterations(self, monkeypatch):
         # R^{-1} is formed by one solve, and each iteration only multiplies:
@@ -715,14 +764,14 @@ class TestInverseIteration:
         counts = []
         for A, settles in ((fast, True), (slow, False)):
             calls.clear()
-            assert (linalg.smallest_right_vector(A, v0) is not None) == settles
+            assert (linalg.smallest_right_vector(A, v0).iterations > 0) == settles
             counts.append(len(calls))
         assert counts == [1, 1]
         # the first needs more than 5 iterations, the second more than 16
         monkeypatch.setattr(linalg, "ITERATION_CAP", 5)
-        assert linalg.smallest_right_vector(fast, v0) is None
+        assert linalg.smallest_right_vector(fast, v0).iterations == 0
         monkeypatch.setattr(linalg, "ITERATION_CAP", 400)
-        assert linalg.smallest_right_vector(slow, v0) is not None
+        assert linalg.smallest_right_vector(slow, v0).iterations > 0
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_gap_bound(self, dtype):

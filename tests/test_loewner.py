@@ -1,5 +1,6 @@
 """Loewner-type matrices: constructors, distinguished vectors, identities."""
 
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from unirat import (
 )
 from unirat.errors import InvalidInputError, NodeCollisionError
 from unirat.linalg import EPS
-from unirat.loewner import phase_entries
+from unirat.loewner import check_differences, phase_entries
 
 from conftest import separated_nodes
 
@@ -95,6 +96,28 @@ class TestCauchy:
         with pytest.raises(NodeCollisionError) as exc:
             cauchy(NodeSet(test_nodes=[0.0], support_nodes=[0.0]))
         assert exc.value.test_node == 0.0
+
+
+class TestCheckDifferences:
+    @pytest.mark.parametrize("nodes, pair", [
+        ([3.0, 2e-310, 1.0, 0.0], "0.0 and 2e-310"),
+        ([5.0, -1e308, 1e308], "-1e+308 and 1e+308"),
+    ])
+    def test_pair_named(self, nodes, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=re.escape(f"nodes {pair}: ")):
+                check_differences(np.array(nodes))
+
+    def test_range_edges_accepted(self):
+        # 1 / 1e-308 and 1e308 - (-7e307) are finite
+        check_differences(np.array([0.0, 1e-308, 1.0]))
+        check_differences(np.array([-7e307, 1e308]))
+
+    def test_node_sets_still_accept_close_nodes(self):
+        # the check belongs to the fits: forms and NodeSet take such nodes
+        nodes = NodeSet(test_nodes=[0.0, 1.0], support_nodes=[1e-310])
+        assert nodes.m == 1
 
 
 class TestLoewner:

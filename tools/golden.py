@@ -9,8 +9,10 @@ Usage::
 The first form runs, from the ``src`` tree next to this script, the six
 ``unirat fit`` runs (both variants with ``--lawson 0`` and ``--lawson 5`` at
 ``--tol 1e-12``, and both variants with ``--m-max 40 --tol 0``) and
-``unirat figure 1`` and ``2``, each into its own subdirectory of OUTDIR.
-Run it once in each checkout.
+``unirat figure 1`` and ``2``, each into its own subdirectory of OUTDIR,
+and writes ``blas.json`` beside them: the name, version and thread count of
+NumPy's BLAS, read as ``bench/machine.py`` reads them.  Run it once in each
+checkout.
 
 The second form prints, for each file of the two captures, ``identical``
 or the largest absolute difference per CSV column or per numeric JSON key
@@ -23,8 +25,10 @@ bytes are not (``-0.0`` against ``0.0``, say) reads ``text differs``.  For a
 line also gives ``alpha/beta phase-aligned`` and the largest difference
 once the new ``g = [alpha; beta]`` is turned by ``exp(-i theta)``,
 ``theta = arg <g_old, g_new>``: the fit's phase rule picks the largest
-``|g_j|``, so a tie turns the whole vector on a rounding change.  It exits 1
-if any file differs.
+``|g_j|``, so a tie turns the whole vector on a rounding change.  Where both
+captures hold a ``blas.json`` and the two differ, it prints both records
+after the files' lines; a capture without one compares as the files alone.
+It exits 1 if any output file differs, whatever the BLAS records say.
 
 The third form captures the ``src`` tree of the git revision REV (through
 ``git archive``) and the working tree's into temporary directories, and
@@ -34,6 +38,7 @@ REV, it prints git's message and exits 2, as a usage error does.
 
 import csv
 import filecmp
+import importlib.util
 import json
 import math
 import os
@@ -43,6 +48,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+MACHINE = os.path.join(ROOT, "bench", "machine.py")
+#: The BLAS record of a capture, beside its run directories.
+BLAS = "blas.json"
 
 RUNS = {
     **{f"fit-{variant}-lawson{steps}": ["fit", "--variant", variant,
@@ -56,8 +64,31 @@ RUNS = {
 }
 
 
+def blas_record():
+    """The name, version and thread count of the BLAS that this process's
+    NumPy loaded, which the runs, started with this environment, load too."""
+    spec = importlib.util.spec_from_file_location("bench_machine", MACHINE)
+    machine = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(machine)
+    described = machine.describe()
+    return {**described["blas"], "threads": described["blas_threads"]}
+
+
+def _blas(root):
+    """The capture's BLAS record, or None where it holds none."""
+    path = os.path.join(root, BLAS)
+    if not os.path.isfile(path):
+        return None
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def capture(outdir, src=None):
-    """Run RUNS from ``src`` (default: the tree next to this script)."""
+    """Run RUNS from ``src`` (default: the tree next to this script), and
+    write the BLAS record beside them."""
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, BLAS), "w") as fh:
+        json.dump(blas_record(), fh)
     env = dict(os.environ, PYTHONPATH=src or SRC)
     for name, args in RUNS.items():
         out = os.path.join(outdir, name)
@@ -127,11 +158,13 @@ def _phase_aligned(a, b):
 
 
 def compare(old, new):
-    """Print one line per golden file; return whether all are identical."""
+    """Print one line per golden file, then the BLAS records where they
+    differ; return whether all files are identical."""
     names = set()
     for root in (old, new):
         for top, _, files in os.walk(root):
             names.update(os.path.relpath(os.path.join(top, f), root) for f in files)
+    names.discard(BLAS)
     same = True
     for name in sorted(names):
         paths = [os.path.join(root, name) for root in (old, new)]
@@ -156,6 +189,10 @@ def compare(old, new):
             report.append("text differs")
         print(f"{name}: {', '.join(report) or 'identical'}")
         same = same and not report
+    records = [_blas(root) for root in (old, new)]
+    if None not in records and records[0] != records[1]:
+        for label, record in zip(("OLD", "NEW"), records):
+            print(f"BLAS of {label}: {json.dumps(record, sort_keys=True)}")
     return same
 
 
