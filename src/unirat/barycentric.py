@@ -26,6 +26,11 @@ any stream of denominator blocks: ``cayley_values`` writes conj(d)/d and
 ``denominator`` feed those two the kernel's blocks of d; the Padé
 comparator (``unirat.pade``), the Cayley form of its own denominator q,
 feeds them blocks of q.
+
+Every form follows one pole rule: the first zero denominator in grid order
+raises, ``AmbiguousEvaluationError`` at an interpolant's zero-coefficient
+hit and ``PoleEvaluationError`` otherwise, before any later block is
+evaluated.
 """
 
 from dataclasses import dataclass
@@ -190,7 +195,8 @@ def denominator_values(x, blocks):
 def cayley_values(x, blocks):
     """The Cayley form conj(d)/d at the points x in the shape of x, from the
     blocks of d that ``blocks`` yields as for ``denominator_values``.  The
-    first zero d in grid order raises PoleEvaluationError."""
+    first zero d in grid order raises PoleEvaluationError, at a support hit
+    as elsewhere."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
     for start, d, *_ in blocks(xv):
@@ -203,29 +209,20 @@ def cayley_values(x, blocks):
 
 def _quotient(alpha, beta, support, x, hit_error, hit_values=None):
     """n/d at the points x in the shape of x, the limit alpha_j/beta_j at a
-    hit of y_j, or ``hit_values[j]`` if given.  A zero d raises
-    PoleEvaluationError, or ``hit_error`` at a hit; the first plain zero in
-    grid order comes before any hit zero."""
+    hit of y_j, or ``hit_values[j]`` if given.  The first zero d in grid
+    order raises: ``hit_error`` at a support hit, PoleEvaluationError
+    elsewhere."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
-    hit_zero = None
     for start, (d, n), hits, node in _partial_fraction(np.stack([beta, alpha]), support, xv):
         if not d.all():
-            zero = d == 0.0
-            if hit_zero is None:  # a hit's zero, unless a plain one raises below
-                hit_zero = float(xv[start + np.argmax(zero)])
-            zero[hits] = False
-            if zero.any():
-                raise PoleEvaluationError(float(xv[start + np.argmax(zero)]))
-        if hit_zero is not None:
-            continue  # no value is kept: the walk only looks for a plain pole
+            i = np.argmax(d == 0.0)
+            raise (hit_error if i in hits else PoleEvaluationError)(float(xv[start + i]))
         block = out[start:start + len(d)]
         with np.errstate(invalid="ignore"):
             np.divide(n, d, out=block)
         if hit_values is not None:
             block[hits] = hit_values[node]
-    if hit_zero is not None:
-        raise hit_error(hit_zero)
     return _finish(out, shape)
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures and node-set helpers for the test suite."""
 
+import importlib.util
 import os
 import time
 from dataclasses import replace
@@ -16,6 +17,21 @@ from unirat.cli import EVAL_INTERVAL, EVAL_NODES, FIGURE_FITS, FIT_INTERVAL, FIT
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [os.path.dirname(os.path.dirname(unirat.__file__)),
                   os.environ.get("PYTHONPATH")]))
+
+#: The repository root, which holds the scripts under bench/ and tools/.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script(*path):
+    """The module of a script outside the package, at ``path`` below the
+    repository root (or at an absolute path), named after its file."""
+    path = os.path.join(ROOT, *path)
+    name = os.path.splitext(os.path.basename(path))[0]
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # Fit/evaluation setup shared by the figure-reproduction tests.
 FIT_GRID = np.linspace(*FIT_INTERVAL, FIT_NODES)

@@ -356,24 +356,34 @@ class TestBlockedEvaluation:
             rb.eval(x)
         assert exc.value.location == 3.0
 
-    def test_plain_pole_precedes_support_hit_errors(self):
-        # a zero-coefficient hit early in the grid, a plain pole at x = 0 in
-        # a later block: the pole is reported, as by a pointwise scan of the
-        # plain points first
+    def test_first_zero_in_grid_order_raises(self, monkeypatch):
+        # a zero-coefficient hit at y = 2 and a plain pole at x = 0 in a later
+        # block: whichever comes first in grid order raises, and no block
+        # after its own is evaluated
         rows = barycentric.BLOCK_POINTS
         x = np.linspace(5.0, 6.0, 2 * rows)
-        x[3], x[rows + 5] = 2.0, 0.0
         ri = BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
         rb = NonInterpolatoryApproximant(
             support=[-1.0, 1.0, 2.0], alpha=[1.0, 1.0, 1.0], beta=[1.0, 1.0, 0.0]
         )
+        blocks = []
+
+        def counted(*args, walk=barycentric._partial_fraction):
+            for block in walk(*args):
+                blocks.append(block[0])
+                yield block
+        monkeypatch.setattr(barycentric, "_partial_fraction", counted)
+        x[3], x[rows + 5] = 2.0, 0.0
+        for r, error in ((ri, AmbiguousEvaluationError), (rb, PoleEvaluationError)):
+            with pytest.raises(error) as exc:
+                r.eval(x)
+            assert exc.value.location == 2.0
+        assert blocks == [0, 0]
+        x[3], x[rows + 5] = 0.0, 2.0
         for r in (ri, rb):
             with pytest.raises(PoleEvaluationError) as exc:
                 r.eval(x)
             assert exc.value.location == 0.0
-        with pytest.raises(AmbiguousEvaluationError) as exc:
-            ri.eval(x[:rows])
-        assert exc.value.location == 2.0
 
     @pytest.mark.parametrize("m", [15, 60])
     def test_memory_bounded_by_output(self, m):

@@ -1,17 +1,12 @@
 """bench/workloads.py restates the paper's figure fits; its copy must agree
 with the CLI's ``FIGURE_FITS``."""
 
-import importlib.util
-import os
-
 from unirat import AaaConfig
 from unirat.cli import FIGURE_FITS, FIGURE_TOL
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_workloads",
-    os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "workloads.py"))
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+from conftest import load_script
+
+workloads = load_script("bench", "workloads.py")
 
 
 def test_figure_fits_match_the_cli_table():

@@ -1,20 +1,15 @@
 """bench/tracing.py wraps evaluation by name; each approximant method must
 reach exactly one wrapper, and Padé none of the barycentric ones."""
 
-import importlib.util
-import os
-
 import numpy as np
 import pytest
 
 from unirat import (BarycentricInterpolant, CayleyApproximant, NonInterpolatoryApproximant,
                     PadeApproximant)
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracing",
-    os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "tracing.py"))
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+from conftest import load_script
+
+tracing = load_script("bench", "tracing.py")
 
 SUPPORT = np.array([-2.0, -0.5, 1.0, 2.5])
 W = np.array([0.3 + 0.1j, -0.7, 0.4 - 0.2j, 0.5j])

@@ -288,6 +288,22 @@ class TestFigure2:
         assert header == ["x"] + ["unitdev_" + name for name in FIGURE_FITS]
         check_metadata(figure2_dir / "figure2_metadata.json", figure_fits)
 
+    def test_modified_curves_match_under_one_blas_thread(self, figure2_dir, tmp_path):
+        # LAPACK's complex tall QR rounds otherwise under one thread, which
+        # moves the original curves; the modified curves keep every byte
+        proc = subprocess.run(
+            [sys.executable, "-m", "unirat.cli", "figure", "2", "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def columns(path):
+            header, *rows = (line.split(",") for line in path.read_text().splitlines())
+            return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+        ours, child = columns(figure2_dir / "figure2.csv"), columns(tmp_path / "figure2.csv")
+        for name in ("unitdev_aaa_mod", "unitdev_lawson_mod"):
+            assert child[name] == ours[name]
+
 
 def _nan(sign, payload):
     """A NaN with the given sign bit and quiet-NaN payload."""

@@ -101,6 +101,26 @@ class TestPoleFallback:
         with pytest.raises(AmbiguousEvaluationError):
             pointwise_values(r, self.GRID)
 
+    def test_hit_before_plain_pole(self):
+        # the zero-coefficient hit at 2 comes first in grid order, the plain
+        # pole at 0 after it: the interpolant's hit propagates, the other
+        # forms read inf at both points
+        grid = np.concatenate([[2.0], self.GRID])
+        r = BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
+        with pytest.raises(AmbiguousEvaluationError) as exc:
+            max_error(r, grid)
+        assert exc.value.location == 2.0
+        for approx in (
+            CayleyApproximant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0]),
+            NonInterpolatoryApproximant(
+                support=[-1.0, 1.0, 2.0], alpha=[1.0, 2.0, 1.0], beta=[1.0, 1.0, 0.0]),
+        ):
+            vals = _values(approx, grid)
+            assert np.isinf(vals[[0, 301]]).all() and grid[301] == 0.0
+            assert np.array_equal(vals.view(np.uint64),
+                                  pointwise_values(approx, grid).view(np.uint64))
+            assert max_error(approx, grid) == np.inf
+
 
 class TestUnitarityDeviation:
     def test_cayley_is_unitary(self, figure_fits):

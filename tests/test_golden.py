@@ -1,7 +1,6 @@
 """tools/golden.py: comparing two captures of the CLI's golden outputs."""
 
 import cmath
-import importlib.util
 import json
 import os
 import shutil
@@ -9,10 +8,9 @@ import subprocess
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "golden", os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "golden.py"))
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+from conftest import load_script
+
+golden = load_script("tools", "golden.py")
 
 
 def write_capture(root, csv_text="x,y\n1.0,2.0\n3.0,nan\n", meta=None):
@@ -138,9 +136,7 @@ def test_capture_records_blas(tmp_path, monkeypatch):
     # the record reads bench/machine.py's BLAS name, version and thread count
     monkeypatch.setattr(golden, "RUNS", {})
     assert golden.main([str(tmp_path / "cap")]) == 0
-    spec = importlib.util.spec_from_file_location("machine", golden.MACHINE)
-    machine = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(machine)
+    machine = load_script(golden.MACHINE)
     record = json.loads((tmp_path / "cap" / "blas.json").read_text())
     assert record == {**machine.describe()["blas"], "threads": machine.blas_threads()}
     assert os.listdir(tmp_path / "cap") == ["blas.json"]

@@ -1,16 +1,13 @@
 """tools/loc.py: line and code-line counts of the package's modules."""
 
-import importlib.util
-import os
 import shutil
 import subprocess
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "loc", os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "loc.py"))
-loc = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(loc)
+from conftest import load_script
+
+loc = load_script("tools", "loc.py")
 
 #: A module whose code lines are marked ``# code``; its docstrings, comments
 #: and blank lines are not code.
