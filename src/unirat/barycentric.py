@@ -10,15 +10,20 @@ over distinct real support nodes y_j, with the limit alpha_j/beta_j at y_j.
 * ``NonInterpolatoryApproximant`` -- alpha and beta as given.
 
 Every form evaluates through one kernel.  It walks the points in blocks of
-``BLOCK_POINTS`` and, inside a block, the support nodes one by one, adding
-each node's terms to running sums in NumPy's own summation order
-(``_add_terms``).  Each node's 1/(x - y_j) serves numerator and denominator
-alike.  A point whose sum is not finite hits its nearest support node,
-exactly or at a subnormal distance, and takes the limit there.  The caller
-writes each block's values straight into its slice of the result, so beside
-the result evaluation holds only the kernel's block buffers (0.8 MB for a
-numerator-denominator pair at up to 64 nodes), which stay in cache and do
-not grow with the points; and the values do not depend on the blocking.
+at most ``BLOCK_POINTS`` and, inside a block, the support nodes one by one,
+adding each node's terms to running sums in NumPy's own summation order
+(``_add_terms``).  The sums run in planar real rows, the real and the
+imaginary part of each coefficient vector in rows of their own, so a term
+costs one real multiply with no complex cast; the rows are joined into
+complex sums once per block, with the bits complex arithmetic would give.
+Each node's 1/(x - y_j) serves numerator and denominator alike.  A point
+whose sum is not finite hits its nearest support node, exactly or at a
+subnormal distance, and takes the limit there.  The caller writes each
+block's values straight into its slice of the result, so beside the result
+evaluation holds only the kernel's block buffers (by tracemalloc, 1.1 MB
+for a numerator-denominator pair and 0.6 MB for one sum, at up to 64
+nodes), which stay in cache and do not grow with the points; and the values
+do not depend on the blocking.
 
 Three writers finish the blocks: ``_quotient`` writes n/d, and two take
 any stream of denominator blocks: ``cayley_values`` writes conj(d)/d and
@@ -33,6 +38,7 @@ hit and ``PoleEvaluationError`` otherwise, before any later block is
 evaluated.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -75,38 +81,53 @@ def coefficient_norm(vectors):
 
 
 def _partial_fraction(coeff, support, xv):
-    """Walks the flat points xv in blocks of ``BLOCK_POINTS``.  Yields, per
-    block, its first index, the sums of coeff_j / (x - y_j) at its points,
-    the block positions that hit a support node and the nodes they hit; at
-    a hit of y_j the sum is coeff_j.
+    """Walks the flat points xv in blocks of at most ``BLOCK_POINTS``, as
+    few as that allows and of lengths that differ by at most one.  Yields,
+    per block, its first index, the sums of coeff_j / (x - y_j) at its
+    points, the block positions that hit a support node and the nodes they
+    hit; at a hit of y_j the sum is coeff_j.
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
-    the reciprocals; a block's sums then have shape (k, points).  Each block
-    reuses the buffers of the last, so a caller finishes a block before it
-    asks for the next.
+    the reciprocals; a block's sums then have shape (k, points).  The sums
+    run in 2k planar real rows, Re c_0, Im c_0, Re c_1, ..., and are joined
+    into complex values once per block.  Each block reuses the buffers of
+    the last, so a caller finishes a block before it asks for the next.
     """
     stack = coeff.reshape(-1, support.size)
-    cols = stack.T[:, :, None]
-    size = min(BLOCK_POINTS, xv.size)
-    # buffers reused by every block; fresh ones leave more memory resident
+    k = len(stack)
+    # per node, the real column (Re c_0j, Im c_0j, Re c_1j, ...)
+    cols = np.ascontiguousarray(stack.T, dtype=complex).view(float).reshape(-1, 2 * k, 1)
+    # blocks of nearly equal length: NumPy runs a broadcast multiply of four
+    # rows over at most a third of its 8192-element buffer (2730 points)
+    # through its buffered path, at several times the cost per point, and a
+    # short last block would pay that
+    blocks = -(-xv.size // BLOCK_POINTS)
+    size = -(-xv.size // max(blocks, 1))
+    # buffers reused by every block, each block's (2k, n) rows contiguous
+    # in them; fresh ones leave more memory resident
     inv = np.empty(size)
-    sums = np.empty((len(stack), size), dtype=complex)
-    term = np.empty_like(sums)
-    acc = np.empty((_accumulators(support.size),) + sums.shape, dtype=complex)
+    planes = np.empty((2 + _accumulators(support.size)) * 2 * k * size)
     none = np.empty(0, dtype=np.intp)
-    for start in range(0, xv.size, BLOCK_POINTS):
-        x = xv[start:start + BLOCK_POINTS]
+    for b in range(blocks):
+        start = b * xv.size // blocks
+        x = xv[start:(b + 1) * xv.size // blocks]
         n = len(x)
-        out = sums[:, :n]
+        rows, term, *acc = planes[:planes.size // size * n].reshape(-1, 2 * k, n)
+        # the complex sums take the term rows' place once the terms are added
+        out = term.reshape(k, 2 * n).view(complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _add_terms(cols, support, x, out, acc[:, :, :n], term[:, :n], inv[:n])
-            out += 0.0  # NumPy adds the total to +0, which turns -0 into +0
+            _add_terms(cols, support, x, rows, acc, term, inv[:n])
+            # NumPy's row sum adds its total to +0, which turns -0 into +0
+            np.add(rows[0::2], 0.0, out=out.real)
+            np.add(rows[1::2], 0.0, out=out.imag)
+            total = np.add.reduce(rows[:2], axis=None)
         # at y_j, or a subnormal distance from it, 1/(x - y_j) overflows and
-        # every sum is non-finite: such a point hits its nearest support node
+        # every sum is non-finite: such a point hits its nearest support node.
+        # A finite total of the first sum's rows rules out any hit in the
+        # block; a total that overflows from finite parts rules out none
         hits = node = none
-        hit = ~np.isfinite(out[0])
-        if hit.any():
-            hits = np.flatnonzero(hit)
+        if not math.isfinite(total):
+            hits = np.flatnonzero(~np.isfinite(out[0]))
             node = np.argmin(np.abs(x[hits, None] - support), axis=1)
             out[:, hits] = stack[:, node]
         yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node
@@ -123,8 +144,8 @@ def _accumulators(n):
 def _add_terms(cols, y, x, out, acc, term, inv):
     """Writes to ``out`` the sums over the nodes y_j of cols[j] / (x - y_j),
     adding the terms in the order of NumPy's pairwise sum of a contiguous
-    complex row of n = len(y) terms, so that the sums are bit for bit those
-    of ``np.sum(terms, axis=1)`` over the n-column term array:
+    row of n = len(y) terms, so that the sums are bit for bit those of
+    ``np.sum(terms, axis=1)`` over the n-column term array:
 
     * n < 4: in order;
     * 4 <= n <= 64: partial sums s_r of the first 4 floor(n/4) terms with
@@ -133,11 +154,15 @@ def _add_terms(cols, y, x, out, acc, term, inv):
     * n > 64: the two halves split at (n - n mod 8)/2, each summed by this
       rule, then added.
 
-    ``cols`` is (n, k, 1).  ``acc`` holds partial sums, ``term`` one term
-    and ``inv`` one node's reciprocals.
+    ``cols`` is (n, rows, 1) and real.  ``acc`` holds partial sums,
+    ``term`` one term and ``inv`` one node's reciprocals.  A complex
+    coefficient enters as its two parts in two rows: complex addition works
+    part by part, and c * (r + 0i) with r = 1/(x - y_j) has the bits of
+    (Re c * r, Im c * r) up to the sign of a zero, which the caller's
+    final + 0.0 erases.
     """
     def add(j, into, fresh=False):
-        # c_j * (1/(x - y_j)): one complex-by-real cast and multiply per term
+        # cols[j] * (1/(x - y_j)): one real broadcast multiply per term
         np.subtract(x, y[j], out=inv)
         np.divide(1.0, inv, out=inv)
         np.multiply(cols[j], inv, out=into if fresh else term)

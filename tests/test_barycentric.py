@@ -320,13 +320,16 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 15, 40, 64, 65, 71, 130])
     def test_sum_order(self, m):
         # in order, four interleaved partial sums, and halving above 64
-        # nodes: NumPy's row sum bit for bit, signed zeros included
+        # nodes: NumPy's row sum bit for bit, signed zeros included; each
+        # part is summed in its own real row, so a coefficient kind with a
+        # zero part makes rows of zero terms
         y, a, _ = support_and_coefficients(m)
-        zeroed = a.copy()
-        zeroed.real[::2] = 0.0
+        zeroed_real, zeroed_imag = a.copy(), a.copy()
+        zeroed_real.real[::2] = 0.0
+        zeroed_imag.imag[::2] = 0.0
         x = np.linspace(-40.0, 40.0, 3001)
         x[[5, 1700]] = y[[0, -1]]
-        for coeff in (a, 1j * a.imag, zeroed):
+        for coeff in (a, 1j * a.imag, a.real + 0j, zeroed_real, zeroed_imag):
             sums, node = partial_fraction(coeff, y, x)
             plain = node < 0
             assert np.count_nonzero(~plain) == 2
@@ -533,6 +536,51 @@ class TestSubnormalDistance:
             assert np.all(np.isfinite(grid)), name
             assert np.array_equal(bits(grid), bits([r.eval(float(v)) for v in x])), name
             assert np.array_equal(bits(den), bits([r.denominator(float(v)) for v in x]))
+
+
+class TestHitRule:
+    """A point hits a support node where its first sum is non-finite in
+    either part, and nowhere else.  Two support nodes a few 1e-309 below
+    x = 0 give terms near 1.5e308 there, so that sums of two finite terms
+    overflow."""
+
+    X = np.array([-2.0, 0.0, 0.5, 3.0])
+
+    @staticmethod
+    def parts(coeff, y, x):
+        """The real and imaginary parts of sum c_j (1/(x - y_j)) at x."""
+        inv = 1.0 / (x - np.asarray(y))
+        with np.errstate(over="ignore"):
+            return np.sum(coeff.real * inv), np.sum(coeff.imag * inv)
+
+    def forms(self, y, b):
+        return [form(y, [0.0, 0.0], b) for form in FORMS.values()]
+
+    def test_imaginary_overflow_is_a_hit(self):
+        y = [-5.7e-309, -5.6e-309]
+        for r in self.forms(y, [1j, 1j]):
+            re, im = self.parts(r.beta, y, 0.0)
+            assert np.isfinite(re) and np.isinf(im)
+            d = r.denominator(self.X)
+            assert np.array_equal(bits(d[1:2]), bits(r.beta[1:2])), type(r)
+            assert np.array_equal(bits(d), bits([r.denominator(float(v)) for v in self.X]))
+            assert np.array_equal(bits(r.eval(self.X)), bits([r.eval(float(v)) for v in self.X]))
+
+    def test_finite_parts_whose_sum_overflows_are_not_a_hit(self):
+        y = [-6.7e-309, -6.6e-309]
+        for r in self.forms(y, [1 + 1j, 1 + 1j]):
+            re, im = self.parts(r.beta, y, 0.0)
+            assert np.isfinite(re) and np.isfinite(im)
+            with np.errstate(over="ignore"):
+                assert np.isinf(re + im)
+            d = r.denominator(self.X)
+            assert np.array_equal(bits(d[1:2]), bits([complex(re, im)])), type(r)
+            assert np.array_equal(bits(d), bits([r.denominator(float(v)) for v in self.X]))
+            # the quotient of sums near 1e308 overflows (ROADMAP item 18)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = r.eval(self.X)
+                pointwise = [r.eval(float(v)) for v in self.X]
+            assert np.array_equal(bits(grid), bits(pointwise)), type(r)
 
 
 class TestPointShape:
