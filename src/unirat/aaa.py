@@ -43,7 +43,8 @@ class AaaConfig:
     def __post_init__(self):
         if not is_count(self.m_max) or self.m_max < 1:
             raise InvalidInputError("m_max must be an integer of at least 1")
-        if not (isinstance(self.tol, Real) and self.tol >= 0):  # also rejects NaN
+        # also rejects NaN and a bool, as is_count does for the counts
+        if not (isinstance(self.tol, Real) and not isinstance(self.tol, bool) and self.tol >= 0):
             raise InvalidInputError("tol must be nonnegative")
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")

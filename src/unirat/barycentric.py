@@ -33,9 +33,9 @@ comparator (``unirat.pade``), the Cayley form of its own denominator q,
 feeds them blocks of q.
 
 Every form follows one pole rule: the first zero denominator in grid order
-raises, ``AmbiguousEvaluationError`` at an interpolant's zero-coefficient
-hit and ``PoleEvaluationError`` otherwise, before any later block is
-evaluated.
+raises ``PoleEvaluationError``, before any later block is evaluated.  A hit
+of a support node whose denominator coefficient is 0 is such a zero, so
+``eval`` raises exactly where ``denominator`` reads 0.
 """
 
 import math
@@ -45,7 +45,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
+from .errors import InvalidInputError, PoleEvaluationError
 from .linalg import EPS, number_array
 
 #: Points per evaluation block.
@@ -232,17 +232,15 @@ def cayley_values(x, blocks):
     return _finish(out, shape)
 
 
-def _quotient(alpha, beta, support, x, hit_error, hit_values=None):
+def _quotient(alpha, beta, support, x, hit_values=None):
     """n/d at the points x in the shape of x, the limit alpha_j/beta_j at a
     hit of y_j, or ``hit_values[j]`` if given.  The first zero d in grid
-    order raises: ``hit_error`` at a support hit, PoleEvaluationError
-    elsewhere."""
+    order raises PoleEvaluationError, at a support hit as elsewhere."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
     for start, (d, n), hits, node in _partial_fraction(np.stack([beta, alpha]), support, xv):
         if not d.all():
-            i = np.argmax(d == 0.0)
-            raise (hit_error if i in hits else PoleEvaluationError)(float(xv[start + i]))
+            raise PoleEvaluationError(float(xv[start + np.argmax(d == 0.0)]))
         block = out[start:start + len(d)]
         with np.errstate(invalid="ignore"):
             np.divide(n, d, out=block)
@@ -329,9 +327,10 @@ class BarycentricInterpolant(_Quotient):
 
 
 def eval_interpolant(r, x):
-    """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j)."""
+    """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j), or
+    raises PoleEvaluationError there if w_j = 0."""
     f, w = r.values, r.coefficients  # f formed once: alpha is f w
-    return _quotient(f * w, w, r.support, x, AmbiguousEvaluationError, f)
+    return _quotient(f * w, w, r.support, x, f)
 
 
 @dataclass(frozen=True)
@@ -391,4 +390,4 @@ class NonInterpolatoryApproximant(_Quotient):
 
 def eval_noninterpolatory(r, x):
     """n_b/d_b off support; the limit alpha_j/beta_j at a support hit."""
-    return _quotient(r.alpha, r.beta, r.support, x, PoleEvaluationError)
+    return _quotient(r.alpha, r.beta, r.support, x)

@@ -18,20 +18,18 @@ def _grid(grid):
 
 
 def _values(approx, grid):
-    """Evaluate on the grid; a pole yields inf at that point instead of raising."""
+    """Evaluate on the grid; a pole yields inf at that point instead of raising.
+
+    Relies on ``eval`` raising PoleEvaluationError exactly where
+    ``denominator`` reads 0: so, once the grid raises, the zero-denominator
+    points read inf and the rest evaluate in one call, and any other error
+    propagates."""
     try:
         return approx.eval(grid)
     except PoleEvaluationError:
-        # only points with a zero denominator can raise; evaluating those one
-        # at a time turns a pole into inf and lets any other error propagate
         zero = approx.denominator(grid) == 0.0
-        out = np.empty(grid.size, dtype=complex)
+        out = np.full(grid.size, np.inf, dtype=complex)
         out[~zero] = approx.eval(grid[~zero])
-        for i in np.nonzero(zero)[0]:
-            try:
-                out[i] = approx.eval(float(grid[i]))
-            except PoleEvaluationError:
-                out[i] = np.inf
         return out
 
 
@@ -43,7 +41,7 @@ def max_error(approx, grid):
 
 
 def unitarity_deviation(approx, grid):
-    """max over the grid of ||r(x)| - 1|."""
+    """max over the grid of ||r(x)| - 1|; poles count as +inf."""
     g = _grid(grid)
     vals = _values(approx, g)
     return float(np.max(np.abs(np.abs(vals) - 1.0)))
@@ -82,6 +80,8 @@ def structure_residual(approx):
     conj(beta), the identity that makes r unitary on the real axis.  The
     Cayley form meets it to rounding; for the other forms of a fit it is the
     perturbation of the minimising singular vector."""
+    if not (hasattr(approx, "alpha") and hasattr(approx, "beta")):
+        raise InvalidInputError(f"{type(approx).__name__} has no alpha/beta coefficient pair")
     alpha, beta = approx.alpha, approx.beta
     delta = alpha - _phase(np.sum(alpha * beta, keepdims=True)) * np.conj(beta)
     with np.errstate(divide="ignore"):

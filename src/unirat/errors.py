@@ -29,17 +29,10 @@ class NumericalFailureError(UniratError, RuntimeError):
 
 
 class PoleEvaluationError(UniratError, ArithmeticError):
-    """The denominator of a rational approximant vanished at an evaluation point."""
+    """The denominator of a rational approximant vanished at an evaluation
+    point, a support node whose denominator coefficient is 0 included."""
 
     def __init__(self, location):
         self.location = location
         super().__init__(f"denominator vanishes at x = {location!r}")
-
-
-class AmbiguousEvaluationError(UniratError, ArithmeticError):
-    """Evaluation at a support node whose coefficient is zero (removable ambiguity)."""
-
-    def __init__(self, location):
-        self.location = location
-        super().__init__(f"zero coefficient at support node x = {location!r}")
 

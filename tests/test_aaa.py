@@ -287,6 +287,7 @@ class TestConfigBoundary:
         {"m_max": 3, "n_lawson": 1.5},
         {"m_max": 3, "tol": "x"},
         {"m_max": 3, "tol": None},
+        {"m_max": 3, "tol": True},
     ])
     def test_rejects_non_integer_counts_and_nan_tol(self, kwargs):
         with pytest.raises(InvalidInputError):

@@ -32,7 +32,7 @@ from unirat import (
     svd_real,
 )
 from unirat.cli import approximant_from_dict
-from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
+from unirat.errors import InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
 
 from conftest import partial_fraction, separated_nodes
@@ -81,9 +81,11 @@ class TestBarycentricInterpolant:
         with pytest.raises(PoleEvaluationError) as exc:
             r.eval(0.0)
         assert exc.value.location == 0.0
+        # a zero weight at the support node 1 is a zero denominator there
         r2 = BarycentricInterpolant(support=[-1.0, 1.0], coefficients=[1.0, 0.0])
-        with pytest.raises(AmbiguousEvaluationError):
+        with pytest.raises(PoleEvaluationError) as exc:
             r2.eval(1.0)
+        assert exc.value.location == 1.0
 
     def test_normalization(self):
         r = BarycentricInterpolant(support=[0.0, 1.0], coefficients=[3.0, 4.0])
@@ -377,8 +379,8 @@ class TestBlockedEvaluation:
                 yield block
         monkeypatch.setattr(barycentric, "_partial_fraction", counted)
         x[3], x[rows + 5] = 2.0, 0.0
-        for r, error in ((ri, AmbiguousEvaluationError), (rb, PoleEvaluationError)):
-            with pytest.raises(error) as exc:
+        for r in (ri, rb):
+            with pytest.raises(PoleEvaluationError) as exc:
                 r.eval(x)
             assert exc.value.location == 2.0
         assert blocks == [0, 0]
@@ -434,6 +436,9 @@ def evaluation_cases(draw):
     b = [complex(draw(part), draw(part)) for _ in range(m)]
     x = draw(st.lists(st.floats(-25, 25) | st.sampled_from(y), min_size=1, max_size=40))
     block = draw(st.integers(1, 64))
+    # zero denominator coefficients: a hit of their node is a pole
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=3)):
+        b[j] = 0j
     return np.array(y), np.array(a), np.array(b), np.array(x), block
 
 
@@ -441,20 +446,29 @@ class TestBlockedEvaluationProperty:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(evaluation_cases())
     def test_grid_equals_pointwise(self, case):
+        # the pole rule under blocking: the grid raises at the first point
+        # whose one-point eval raises, the denominator reads 0 at exactly
+        # those points, and every other point keeps its one-point bits
         y, a, b, x, block = case
         assume(np.linalg.norm(b) > 0.0)
         for name, form in FORMS.items():
             r = form(y, a, b)
             pointwise = []
-            for v in x:
+            raises = np.zeros(x.size, dtype=bool)
+            for i, v in enumerate(x):
                 try:
                     pointwise.append(r.eval(float(v)))
-                except (PoleEvaluationError, AmbiguousEvaluationError):
-                    assume(False)
+                except PoleEvaluationError:
+                    raises[i] = True
             # blocks of ``block`` points put many block edges
             # into a short grid
             with mock.patch.object(barycentric, "BLOCK_POINTS", block):
-                grid = r.eval(x)
+                assert np.array_equal(r.denominator(x) == 0.0, raises), name
+                if raises.any():
+                    with pytest.raises(PoleEvaluationError) as exc:
+                        r.eval(x)
+                    assert exc.value.location == x[np.argmax(raises)], name
+                grid = r.eval(x[~raises])
             assert np.array_equal(bits(grid), bits(pointwise)), name
 
 

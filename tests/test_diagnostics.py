@@ -19,7 +19,7 @@ from unirat import (
 )
 from unirat.cli import FIGURE_FITS
 from unirat.diagnostics import _values
-from unirat.errors import AmbiguousEvaluationError, InvalidInputError, PoleEvaluationError
+from unirat.errors import InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
 
 from conftest import EVAL_GRID, FIT_GRID
@@ -94,23 +94,26 @@ class TestPoleFallback:
                               pointwise_values(approx, self.GRID).view(np.uint64))
 
     def test_zero_weight_interpolant_hit_propagates(self):
+        # d(2) = 0 at the zero-weight support node 2: eval raises a pole
+        # error there, and the fallback reads inf at it like any pole
         r = BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
-        with pytest.raises(AmbiguousEvaluationError) as exc:
-            _values(r, self.GRID)
+        with pytest.raises(PoleEvaluationError) as exc:
+            r.eval(self.GRID)
+        assert exc.value.location == 0.0
+        with pytest.raises(PoleEvaluationError) as exc:
+            r.eval(2.0)
         assert exc.value.location == 2.0
-        with pytest.raises(AmbiguousEvaluationError):
-            pointwise_values(r, self.GRID)
+        vals = _values(r, self.GRID)
+        assert np.isinf(vals[[300, -1]]).all() and self.GRID[-1] == 2.0
+        assert np.array_equal(vals.view(np.uint64),
+                              pointwise_values(r, self.GRID).view(np.uint64))
 
     def test_hit_before_plain_pole(self):
         # the zero-coefficient hit at 2 comes first in grid order, the plain
-        # pole at 0 after it: the interpolant's hit propagates, the other
-        # forms read inf at both points
+        # pole at 0 after it: every form reads inf at both points
         grid = np.concatenate([[2.0], self.GRID])
-        r = BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
-        with pytest.raises(AmbiguousEvaluationError) as exc:
-            max_error(r, grid)
-        assert exc.value.location == 2.0
         for approx in (
+            BarycentricInterpolant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0]),
             CayleyApproximant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0]),
             NonInterpolatoryApproximant(
                 support=[-1.0, 1.0, 2.0], alpha=[1.0, 2.0, 1.0], beta=[1.0, 1.0, 0.0]),
@@ -120,6 +123,25 @@ class TestPoleFallback:
             assert np.array_equal(vals.view(np.uint64),
                                   pointwise_values(approx, grid).view(np.uint64))
             assert max_error(approx, grid) == np.inf
+
+    def test_cost_does_not_grow_with_poles(self, monkeypatch):
+        # 1 002 poles: the zero-weight hit at 2, a thousand copies of it and
+        # the plain pole at 0; the fallback evaluates them in one call, not
+        # one call each
+        approx = CayleyApproximant(support=[-1.0, 1.0, 2.0], coefficients=[1.0, 1.0, 0.0])
+        grid = np.concatenate([np.linspace(-3.0, 3.0, 601), np.full(1000, 2.0)])
+        calls = []
+        for method in ("eval", "denominator"):
+            def counted(self, x, method=method, call=getattr(CayleyApproximant, method)):
+                calls.append(method)
+                return call(self, x)
+            monkeypatch.setattr(CayleyApproximant, method, counted)
+        vals = _values(approx, grid)
+        assert calls.count("eval") <= 2 and calls.count("denominator") <= 1
+        assert np.isinf(vals).sum() == 1002
+        monkeypatch.undo()
+        assert np.array_equal(vals.view(np.uint64),
+                              pointwise_values(approx, grid).view(np.uint64))
 
 
 class TestUnitarityDeviation:
@@ -223,6 +245,10 @@ class TestStructureResidual:
             fields = {f: np.exp(1j * phi) * getattr(approx, f) for f in approx.COEFFICIENTS}
             rotated = type(approx)(support=approx.support, **fields)
             assert abs(structure_residual(rotated) - base) <= 4 * EPS
+
+    def test_pade_has_no_coefficient_pair(self):
+        with pytest.raises(InvalidInputError, match="alpha/beta"):
+            structure_residual(PadeApproximant(5))
 
     def test_zero_numerator_is_infinite(self):
         r = NonInterpolatoryApproximant(support=[0.0, 1.0], alpha=[0.0, 0.0], beta=[1.0, 2.0])
