@@ -4,7 +4,9 @@ One one-sided Jacobi iteration factors real and complex matrices; it keeps
 good relative accuracy for the small singular values that carry the
 approximant coefficients.  It follows the preconditioned Jacobi SVD of
 Drmač & Veselić (SIMAX 29, 2008).  A LAPACK QR first reduces A to a square
-triangular T: R of A = QR for tall A, R^H of A^H = QR for wide A.  A
+triangular T: R of A = QR for tall A, R^H of A^H = QR for wide A.  Every R
+that no Q goes with (``_r_factor``) comes from LAPACK's ``?geqrf`` run in
+place on one Fortran-ordered copy of its matrix, which is left untouched.  A
 Householder QR with column pivoting, T P = Q2 R2, and an LQ step,
 R2^H = Q3 R3, then leave the lower-triangular R3^H, and the sweeps rotate
 its columns.  The right vectors are V = P Q3 W, W the accumulated rotations,
@@ -44,6 +46,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -186,6 +189,29 @@ def _vector_phase(V):
     """The unit factors that make the largest-magnitude entry of each column
     of V real and nonnegative: the phase of every right vector returned."""
     return _phase(np.conj(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]))
+
+
+def _r_factor(A):
+    """The R of A = QR for a tall or square A, real or complex, with the bits
+    of the R that ``np.linalg.qr`` returns alone.
+
+    A is copied once, in the Fortran order LAPACK reads, and ``?geqrf`` runs
+    in place on the copy through NumPy's own binding, with the workspace it
+    asks for; A itself is not written.  ``np.linalg.qr`` makes two more
+    copies on every call, whose pages glibc maps and returns each time, so
+    each of its calls touches fresh zeroed pages.
+    """
+    n, m = A.shape
+    dtype = complex if np.iscomplexobj(A) else float
+    geqrf = lapack_lite.zgeqrf if dtype is complex else lapack_lite.dgeqrf
+    B = np.array(A.T, dtype=dtype, order="C")  # A^T in C order is A in Fortran order
+    tau, query = np.empty(m, dtype=dtype), np.empty(1, dtype=dtype)
+    geqrf(n, m, B, n, tau, query, -1, 0)
+    lwork = int(query[0].real)
+    info = geqrf(n, m, B, n, tau, np.empty(lwork, dtype=dtype), lwork, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK geqrf failed with info = {info}")
+    return np.triu(B[:, :m].T)
 
 
 def _triangular_inverse(T):
@@ -372,7 +398,7 @@ def _svd(A, T=None):
     if shift:
         A = _ldexp(A, -shift)
     if n >= m:
-        T = np.linalg.qr(A, mode="r") if T is None or shift else T
+        T = _r_factor(A) if T is None or shift else T
         V, sweeps, rotations = _preconditioned(T)
     else:
         # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
@@ -416,15 +442,17 @@ def gap_bound(R, v):
     For W an orthonormal basis of v's complement (from the complete QR of v)
     and R' the triangle of a QR of R W, ``1 / ||R'^{-1}||_F <= sigma_min(R W)
     <= sigma_{m-1}(R)`` (interlacing); 0 where R' is singular or its inverse
-    overflows, inf for one column.  No Gram matrix is formed: its rounding,
-    eps sigma_max^2, would swamp sigma_{m-1}^2.  The products and QRs round
-    by about m eps ||R||, which the bound leaves out.
+    overflows, inf for one column.  R' comes from ``_r_factor``, LAPACK's
+    ``?geqrf`` in place on a copy of R W, so neither R nor R W is written.
+    No Gram matrix is formed: its rounding, eps sigma_max^2, would swamp
+    sigma_{m-1}^2.  The products and QRs round by about m eps ||R||, which
+    the bound leaves out.
     """
     m = R.shape[1]
     if m == 1:
         return math.inf
     W = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
-    T = np.linalg.qr(R @ W, mode="r")
+    T = _r_factor(R @ W)
     with np.errstate(all="ignore"):
         X = _triangular_inverse(T)
         return 0.0 if X is None else 1.0 / np.linalg.norm(X)
@@ -472,15 +500,17 @@ def _inverse_iteration(A, R, v0):
 def smallest_right_vector(A, previous=None):
     """The ``SmallestVector`` of a fit step's system A, never None.
 
-    A tall A is factored once, A = QR.  Where ``previous``, the unit vector
-    of a nearby system, is given, inverse iteration on R starts from it, and
-    its record is returned where it is certified (``_inverse_iteration``).
-    Otherwise the Jacobi kernel runs to full convergence from the same R,
-    except that an A it rescales by a power of two is factored anew, and a
-    wide A takes the kernel's wide branch; a kernel record reads
-    ``iterations == 0``.  The vector is in the kernel's phase
-    (``_vector_phase``), complex for a complex A.
+    A tall A is factored once, A = QR, by ``_r_factor``: LAPACK's ``?geqrf``
+    in place on one Fortran-ordered copy, so A is left as it is for inverse
+    iteration's ``A v`` and the kernel's ``A V`` to read.  Where
+    ``previous``, the unit vector of a nearby system, is given, inverse
+    iteration on R starts from it, and its record is returned where it is
+    certified (``_inverse_iteration``).  Otherwise the Jacobi kernel runs to
+    full convergence from the same R, except that an A it rescales by a
+    power of two is factored anew, and a wide A takes the kernel's wide
+    branch; a kernel record reads ``iterations == 0``.  The vector is in the
+    kernel's phase (``_vector_phase``), complex for a complex A.
     """
-    R = np.linalg.qr(A, mode="r") if A.shape[0] >= A.shape[1] else None
+    R = _r_factor(A) if A.shape[0] >= A.shape[1] else None
     warm = None if previous is None or R is None else _inverse_iteration(A, R, previous)
     return _svd(A, R).smallest() if warm is None else warm
