@@ -14,7 +14,7 @@ and evaluates the leading blocks in place, with the bits of a system rebuilt
 from the iteration's whole Cauchy block.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -91,21 +91,23 @@ def aaa_fit(test_nodes, config):
     r = np.full(x.size, F.mean(), dtype=complex)
 
     y = []  # support nodes, in selection order
-    fv = K = np.empty(0, dtype=complex)  # exp(i y_j) and the K diagonal
     # iteration m works on the leading (test nodes left) x m blocks of two
     # buffers: the system, in the Fortran order that LAPACK's QR reads, and
     # the Cauchy block, complex and C-ordered, so that node_quotient's
-    # products need no cast and keep the bits of the real block's
+    # products need no cast and keep the bits of the real block's; and on the
+    # leading m entries of exp(i y_j) and of the K diagonal
     shape = (x.size, config.m_max)
     A_buf = np.empty(shape, order="F", dtype=float if config.variant == "modified" else complex)
     C_buf = np.empty(shape, dtype=complex)
+    fv_buf, K_buf = np.empty(config.m_max, dtype=complex), np.empty(config.m_max, dtype=complex)
     v = None  # an iteration starts from the vector of the one before, padded by 0
     trace = AaaTrace()
 
+    j = greedy_select(F, r)
     for m in range(1, config.m_max + 1):
-        j = greedy_select(F, r)
         y.append(float(x[j]))
-        fv, K = np.append(fv, F[j]), np.append(K, R[j])
+        fv_buf[m - 1], K_buf[m - 1] = F[j], R[j]
+        fv, K = fv_buf[:m], K_buf[:m]
         keep = np.arange(x.size) != j
         x, F, R = x[keep], F[keep], R[keep]
         k = x.size
@@ -123,13 +125,18 @@ def aaa_fit(test_nodes, config):
         ph = PhaseDiagonals(K=K, R=R, S_f=fv, S_F=F)
         # the system is elementwise in C, so the new column's entries alone
         # extend it, with the bits of a full rebuild
-        A[:, -1:] = interpolatory_system(c, replace(ph, K=K[-1:], S_f=fv[-1:]), config.variant)
+        A[:, -1:] = interpolatory_system(c, PhaseDiagonals(K=K[-1:], R=R, S_f=fv[-1:], S_F=F),
+                                         config.variant)
         alpha, w, solve = interpolatory_coefficients(
             A, ph, config.variant, None if v is None else np.append(v, 0.0))
         v = solve.vector
         r = node_quotient(C, alpha, w)
 
-        max_error = float(np.max(np.abs(F - r)))
+        # one |F - r| gives the max error and, by greedy_select's rule, the
+        # next node
+        err = np.abs(F - r)
+        j = int(np.argmax(err))
+        max_error = float(err[j])
         trace.iterations.append(
             FitStep(step=m, node=y[-1], max_error=max_error, solve=solve))
         if max_error <= config.tol:

@@ -39,6 +39,14 @@ iteration by products with X and X^H, and keeps the result only if its
 record, with ``gap_bound``'s lower bound on sigma_{m-1}, is not degenerate.
 A step it does not certify, and a step with no nearby vector, runs the
 kernel to full convergence from the same R.
+
+A warm step's cost is its LAPACK work, not NumPy's wrappers around it.
+Its QRs, R^{-1} and the complement of v that ``gap_bound`` reads are made
+by LAPACK routines called as directly as NumPy allows (``?geqrf`` and
+``?orgqr`` in place through ``lapack_lite``, ``?gesv`` against the
+identity through ``np.linalg.inv``), its triangles by the ``np.where``
+that ``np.triu`` evaluates, and its norms by ``np.linalg.norm``'s own
+formula; each with the bits of the NumPy call it replaces.
 """
 
 import functools
@@ -211,19 +219,72 @@ def _r_factor(A):
     info = geqrf(n, m, B, n, tau, np.empty(lwork, dtype=dtype), lwork, 0)["info"]
     if info:
         raise np.linalg.LinAlgError(f"LAPACK geqrf failed with info = {info}")
-    return np.triu(B[:, :m].T)
+    return _triu(B[:, :m].T)
+
+
+@functools.lru_cache(maxsize=128)
+def _strict_lower(m):
+    """The mask of the m x m strict lower triangle, ``np.tri(m, k=-1)``,
+    shared between calls, so read-only."""
+    mask = np.tri(m, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _triu(T):
+    """``np.triu(T)`` for a square T, by the ``np.where`` that np.triu
+    evaluates, with the bits and layout of its result, but with its mask
+    made once per size."""
+    return np.where(_strict_lower(T.shape[0]), 0.0, T)
 
 
 def _triangular_inverse(T):
-    """T^{-1} for a square upper triangle T, by one LAPACK solve (its LU
-    leaves an upper triangle unpivoted, so one back substitution per column);
-    None where T is singular or the inverse is not finite.  The callers
-    ignore floating-point warnings around it."""
+    """T^{-1} for a square upper triangle T, by ``np.linalg.inv``: one LAPACK
+    ``?gesv`` against the identity, as ``np.linalg.solve(T, I)`` runs it
+    (its LU leaves an upper triangle unpivoted, so one back substitution per
+    column), without solve's wrapping; None where T is singular or the
+    inverse is not finite.  The callers ignore floating-point warnings
+    around it."""
     try:
-        X = np.linalg.solve(T, np.eye(T.shape[1], dtype=T.dtype))
+        X = np.linalg.inv(T)
     except np.linalg.LinAlgError:
         return None
     return X if np.isfinite(X).all() else None
+
+
+def _norm(x):
+    """``np.linalg.norm(x)`` for ord=None, by its own formula and with its
+    bits: sqrt(x . x) over x raveled in memory order, Re . Re + Im . Im for
+    complex x, without its checks of x.  The result is a NumPy scalar, so a
+    zero or overflowed norm divides to inf or 0 under ``np.errstate``."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
+
+
+def _complement(v):
+    """The m x (m - 1) orthonormal basis of the complement of a unit m-vector
+    v that ``np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]`` gives,
+    with its bits: the same ``?geqrf`` and then ``?orgqr`` (``?ungqr`` for
+    complex v), run in place on one m x m buffer through NumPy's own
+    binding.  The buffer holds Q^T in C order, and the basis is returned
+    C-ordered, as qr's Q is, since a product's bits can depend on its
+    operands' layout."""
+    m = v.size
+    dtype = complex if np.iscomplexobj(v) else float
+    geqrf = lapack_lite.zgeqrf if dtype is complex else lapack_lite.dgeqrf
+    orgqr = lapack_lite.zungqr if dtype is complex else lapack_lite.dorgqr
+    B = np.zeros((m, m), dtype=dtype)
+    B[0] = v
+    # one reflector: both routines run unblocked and need m entries of work
+    tau, work = np.empty(1, dtype=dtype), np.empty(m, dtype=dtype)
+    info = geqrf(m, 1, B, m, tau, work, m, 0)["info"]
+    info = info or orgqr(m, m, 1, B, m, tau, work, m, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK QR of a vector failed with info = {info}")
+    return np.ascontiguousarray(B[1:].T)
 
 
 def _ldexp(z, e):
@@ -439,11 +500,15 @@ def svd_complex(A):
 def gap_bound(R, v):
     """A lower bound on sigma_{m-1} of the m x m triangle R, for a unit v.
 
-    For W an orthonormal basis of v's complement (from the complete QR of v)
-    and R' the triangle of a QR of R W, ``1 / ||R'^{-1}||_F <= sigma_min(R W)
-    <= sigma_{m-1}(R)`` (interlacing); 0 where R' is singular or its inverse
-    overflows, inf for one column.  R' comes from ``_r_factor``, LAPACK's
-    ``?geqrf`` in place on a copy of R W, so neither R nor R W is written.
+    For W an orthonormal basis of v's complement and R' the triangle of a QR
+    of R W, ``1 / ||R'^{-1}||_F <= sigma_min(R W) <= sigma_{m-1}(R)``
+    (interlacing); 0 where R' is singular or its inverse overflows, inf for
+    one column.  W is the trailing columns of the complete Q of v, which
+    ``_complement`` forms by ``?geqrf`` and ``?orgqr`` in place on one m x m
+    buffer; R' comes from ``_r_factor``, ``?geqrf`` in place on a copy of
+    R W, so neither R nor R W is written; and R'^{-1} from
+    ``_triangular_inverse``.  Each has the bits of the NumPy call it stands
+    for (``np.linalg.qr`` and ``np.linalg.solve``).
     No Gram matrix is formed: its rounding, eps sigma_max^2, would swamp
     sigma_{m-1}^2.  The products and QRs round by about m eps ||R||, which
     the bound leaves out.
@@ -451,19 +516,19 @@ def gap_bound(R, v):
     m = R.shape[1]
     if m == 1:
         return math.inf
-    W = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
-    T = _r_factor(R @ W)
+    T = _r_factor(R @ _complement(v))
     with np.errstate(all="ignore"):
         X = _triangular_inverse(T)
-        return 0.0 if X is None else 1.0 / np.linalg.norm(X)
+        return 0.0 if X is None else 1.0 / _norm(X)
 
 
 def _inverse_iteration(A, R, v0):
     """The certified record of a tall A = QR by inverse iteration on R from
     a unit v0 near its smallest right vector; None where it is not certified.
 
-    X = R^{-1} is formed once, by one LAPACK solve, and each step sets
-    x = X (X^H v) and v = x / ||x||, until v moves by at most 8 eps, in at
+    X = R^{-1} is formed once, by one LAPACK ``?gesv`` against the identity
+    (``_triangular_inverse``), and each step sets x = X (X^H v) and
+    v = x / ||x||, until v moves by at most 8 eps, in at
     most ITERATION_CAP steps; so a step's LAPACK work does not grow with its
     iteration count.  The result is certified by its ``SmallestVector(v,
     ||A v||, gap_bound(R, v), ||R||_F)`` not being ``degenerate``.  The gap
@@ -471,7 +536,11 @@ def _inverse_iteration(A, R, v0):
     sigma_min, would swamp sigma_{m-1}.  The rule's margin does not cover
     gap_bound's rounding for every m; on the figure fits the gap exceeds
     745 eps ||R||_F.  None also for a singular R, a non-finite X or iterate,
-    or an iteration that does not settle.
+    or an iteration that does not settle.  The norms are ``_norm``'s, with
+    the bits of ``np.linalg.norm``, and every field of the record is formed
+    under one ``np.errstate`` and stored as a Python float, so that an
+    overflowed sigma_min beside an infinite lower bound makes
+    ``degenerate``'s inf - inf a NaN, with no warning.
     """
     with np.errstate(all="ignore"):
         X = _triangular_inverse(R)
@@ -481,19 +550,18 @@ def _inverse_iteration(A, R, v0):
         v = v0
         for iterations in range(1, ITERATION_CAP + 1):
             x = X @ (Xh @ v)
-            norm = np.linalg.norm(x)
+            norm = _norm(x)
             if not 0.0 < norm < np.inf:
                 return None
             x /= norm
-            moved = np.linalg.norm(x - v)
+            moved = _norm(x - v)
             v = x
             if moved <= 8.0 * EPS:
                 break
         else:
             return None
-        sigma = float(np.linalg.norm(A @ v))
-    solve = SmallestVector(v * _vector_phase(v[:, None]), sigma, gap_bound(R, v),
-                           float(np.linalg.norm(R)), iterations=iterations)
+        solve = SmallestVector(v * _vector_phase(v[:, None]), float(_norm(A @ v)),
+                               float(gap_bound(R, v)), float(_norm(R)), iterations=iterations)
     return None if solve.degenerate else solve
 
 

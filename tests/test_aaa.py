@@ -242,6 +242,38 @@ class TestAaaFit:
         assert next(calls, None) is None and next(quotients, None) is None
         assert picked == {"first", "last", "wide"}
 
+    def test_one_error_pass_picks_as_greedy_select(self, monkeypatch):
+        # each iteration's |F - r| gives both its max error and the next
+        # node; at every iteration of the four figure fits and of the two
+        # tol = 0 fits to m_max = 40 the pick is greedy_select's and the
+        # error np.max's, and the caller's test nodes are left as they were
+        values = []
+
+        def record_quotient(C, alpha, beta):
+            values.append(node_quotient(C, alpha, beta))
+            return values[-1]
+
+        monkeypatch.setattr(aaa, "node_quotient", record_quotient)
+        configs = list(FIGURE_FITS.values())
+        configs += [AaaConfig(m_max=40, tol=0.0, variant=variant) for variant in VARIANTS]
+        picks = 0
+        for config in configs:
+            values.clear()
+            x = FIT_GRID.copy()
+            before = x.tobytes()
+            trace = aaa_fit(x, config)[1]
+            assert x.tobytes() == before
+            r = np.full(x.size, np.exp(1j * x).mean())
+            for step, r_next in zip(trace.iterations, values):
+                F = np.exp(1j * x)
+                assert x[greedy_select(F, r)] == step.node
+                x, r = x[x != step.node], r_next
+                assert step.max_error == float(np.max(np.abs(np.exp(1j * x) - r)))
+                picks += 1
+            assert len(values) == len(trace.iterations)
+        # every fit runs to its m_max
+        assert picks == sum(config.m_max for config in configs) == 138
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             aaa_fit([1.0], AaaConfig(m_max=1))

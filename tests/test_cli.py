@@ -422,6 +422,21 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(tmp_path / "metrics.json")
 
+    @pytest.mark.parametrize("variant", ["original", "modified"])
+    def test_tiny_interval_warns_nothing(self, tmp_path, variant):
+        # nodes near 1e-300 overflow the warm Lawson step's norms; its record
+        # is formed under one errstate and reads degenerate (inf - inf is a
+        # NaN), so the step runs the kernel and no warning escapes
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "unirat.cli", "fit",
+             "--interval", "1e-310", "1e-300", "--n-test", "5", "--m-max", "3",
+             "--lawson", "1", "--variant", variant, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 
 class TestInputBoundary:
     def test_nan_tol_exit_2(self, tmp_path, capsys):

@@ -1,0 +1,42 @@
+"""tools/fittime.py: the four figure fits of two trees, timed in one process."""
+
+import shutil
+import subprocess
+
+import pytest
+
+from conftest import load_script
+from unirat.cli import FIGURE_FITS
+
+fittime = load_script("tools", "fittime.py")
+
+needs_git = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+
+
+@needs_git
+def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    monkeypatch.setattr(fittime, "ROOT", str(tmp_path))
+    assert fittime.main(["--against", "no-such-revision"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no-such-revision" in err  # git's own message
+
+
+@needs_git
+def test_one_round(capsys):
+    assert fittime.main(["--against", "HEAD", "--rounds", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["fit", "HEAD", "ms", "tree", "ms", "change", "wins"]
+    assert [row.split()[0] for row in rows] == [*FIGURE_FITS, "pass"]
+    for row in rows:
+        old, new = map(float, row.split()[1:3])
+        assert old > 0 and new > 0
+        assert row.split()[-1] in ("0/1", "1/1")
+
+
+def test_rounds_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        fittime.main(["--rounds", "0"])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err

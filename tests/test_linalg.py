@@ -3,6 +3,7 @@
 import collections
 import importlib
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -515,8 +516,7 @@ class TestRFactor:
         before = A.tobytes()
         R = linalg._r_factor(A)
         expected = np.linalg.qr(A, mode="r")
-        assert (R.shape, R.dtype) == (expected.shape, expected.dtype)
-        assert R.tobytes() == expected.tobytes()
+        assert same_bits(R, expected)
         assert A.tobytes() == before
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -550,6 +550,95 @@ class TestRFactor:
         if dtype is float:
             with pytest.raises(InvalidInputError, match="non-finite"):
                 svd_real(A)
+
+
+#: The sizes of the helper checks: a step system's columns run from 1 to
+#: m_max, or twice that in a Lawson fit's system.
+HELPER_SIZES = [1, 2, 12, 28, 56, 64]
+
+
+def unit_vector(rng, m, dtype):
+    v = gaussian_matrix(rng, m, dtype)
+    return v / np.linalg.norm(v)
+
+
+def same_bits(a, b):
+    """Whether a and b hold the same bytes, with the same dtype, shape and
+    strides (a product's bits can depend on its operands' layout)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return ((a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+            and a.tobytes() == b.tobytes())
+
+
+class TestNumpyCallBits:
+    """Each helper a warm step calls in place of a NumPy call gives that
+    call's bits: the step pays for LAPACK's work, not for NumPy's wrappers."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", HELPER_SIZES)
+    def test_complement(self, dtype, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            v = unit_vector(rng, m, dtype)
+            expected = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
+            W = linalg._complement(v)
+            assert W.shape == expected.shape == (m, m - 1)
+            assert W.dtype == expected.dtype and W.tobytes() == expected.tobytes()
+            # gap_bound's product with R keeps its bits only in qr's layout
+            R = np.triu(gaussian_matrix(rng, (m, m), dtype))
+            assert same_bits(R @ W, R @ expected)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", HELPER_SIZES)
+    def test_triangular_inverse(self, dtype, m):
+        rng = np.random.default_rng(m + 1)
+        T = np.triu(gaussian_matrix(rng, (m, m), dtype)) + 4.0 * np.eye(m)
+        assert same_bits(linalg._triangular_inverse(T),
+                         np.linalg.solve(T, np.eye(m, dtype=dtype)))
+        T[-1, -1] = 0.0
+        assert linalg._triangular_inverse(T) is None
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", HELPER_SIZES)
+    def test_triu(self, dtype, m):
+        # C-ordered, and the transposed C buffer that _r_factor passes
+        rng = np.random.default_rng(m + 2)
+        for T in (gaussian_matrix(rng, (m, m), dtype),
+                  gaussian_matrix(rng, (m, m + 3), dtype)[:, :m].T):
+            assert same_bits(linalg._triu(T), np.triu(T))
+        assert not linalg._strict_lower(m).flags.writeable
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", HELPER_SIZES)
+    def test_norm(self, dtype, m):
+        rng = np.random.default_rng(m + 3)
+        M = gaussian_matrix(rng, (m, m + 1), dtype)
+        Z = gaussian_matrix(rng, (m, m), complex)
+        cases = [M, np.asfortranarray(M), M[:, 0], M[0], M.T,
+                 Z.real, Z.imag[:, 0], Z.real[0]]
+        # zero, subnormal (its square underflows to 0) and overflowing input
+        cases += [np.zeros(m, dtype), np.full(m, 1e-310, dtype), np.full(m, 1e200, dtype)]
+        with np.errstate(all="ignore"):
+            for x in cases:
+                norm = linalg._norm(x)
+                assert type(norm) is np.float64
+                assert same_bits(norm, np.linalg.norm(x))
+            # a NumPy scalar, so a zero or overflowed norm divides without
+            # ZeroDivisionError
+            assert 1.0 / linalg._norm(cases[-2]) == np.inf
+            assert 1.0 / linalg._norm(cases[-1]) == 0.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", HELPER_SIZES[1:])
+    def test_gap_bound_of_singular_complement(self, dtype, m):
+        # R W has rank m - 2 at most, so R' is singular: 0.0, with nothing
+        # raised or warned
+        R = np.diag(np.append(np.ones(m - 1), 0.0)).astype(dtype)
+        R[0, 0] = 0.0
+        v = np.eye(m, dtype=dtype)[m // 2 if m > 2 else 0]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert linalg.gap_bound(R, v) == 0.0
 
 
 def small_cases():

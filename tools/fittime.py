@@ -1,0 +1,129 @@
+"""Time the four figure fits of the working tree against a git revision's,
+in one process.
+
+Usage::
+
+    python3 tools/fittime.py [--against REV] [--rounds N]
+
+It loads the working tree's ``src/unirat`` and REV's (default ``HEAD``,
+taken through ``git archive`` as ``tools/golden.py --against`` takes it)
+under two package names, which works because the package imports its own
+modules only relatively.  Each tree fits each of its own
+``cli.FIGURE_FITS`` on its own figure fit grid.  After one untimed warm-up
+of every fit of both trees, each of N rounds (default 30) runs the four
+fits in turn, each fit once for each tree, REV's first in even rounds and
+the working tree's first in odd ones.  It prints, for each fit and for the
+pass of all four, the median wall milliseconds of each tree, the change,
+and in how many rounds the working tree was the faster.  Both trees run on
+the same host at the same time, so a drift of the host's speed reaches both
+alike, which separate processes do not promise.
+
+If git cannot archive REV, it prints git's message and exits 2.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PACKAGE = "unirat"
+
+
+class RevisionError(Exception):
+    """git could not archive the revision; the message is git's."""
+
+
+def extract(rev, dest):
+    """Write REV's ``src`` tree below ``dest``, and return its path."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if archive.returncode:
+        raise RevisionError(archive.stderr.decode().strip())
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    return os.path.join(dest, "src")
+
+
+def load(src, name):
+    """The ``cli`` module of the package in ``src``, imported as ``name``."""
+    path = os.path.join(src, PACKAGE)
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def figure_fits(cli):
+    """{fit name: a call that runs the fit} of one tree's ``cli``."""
+    grid = cli.interval_grid(*cli.FIT_INTERVAL, cli.FIT_NODES)
+    return {name: (lambda config=config: cli.aaa_fit(grid, config))
+            for name, config in cli.FIGURE_FITS.items()}
+
+
+def time_rounds(old, new, rounds):
+    """{fit name: ([old ms], [new ms])}, one entry per round, after one
+    warm-up of each fit; ``old`` and ``new`` map the same names to calls."""
+    for fit in (*old.values(), *new.values()):
+        fit()
+    times = {name: ([], []) for name in old}
+    for r in range(rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        for name, runs in times.items():
+            for side in order:
+                fit = (old, new)[side][name]
+                start = time.perf_counter()
+                fit()
+                runs[side].append(1e3 * (time.perf_counter() - start))
+    return times
+
+
+def report(times, rev):
+    """Lines of a table of each fit's and the pass's median ms, their change
+    and the working tree's wins."""
+    # a round's pass is the sum of its four fits, per tree
+    passes = tuple([sum(round_ms) for round_ms in zip(*(runs[side] for runs in times.values()))]
+                   for side in (0, 1))
+    rows = {**times, "pass": passes}
+    lines = [f"{'fit':<12} {rev + ' ms':>12} {'tree ms':>9} {'change':>8} {'wins':>7}"]
+    for name, (old, new) in rows.items():
+        a, b = statistics.median(old), statistics.median(new)
+        wins = sum(n < o for o, n in zip(old, new))
+        lines.append(f"{name:<12} {a:>12.2f} {b:>9.2f} {(b - a) / a:>+8.1%} {wins:>3}/{len(old)}")
+    return lines
+
+
+def positive(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return n
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("--against", default="HEAD", metavar="REV")
+    parser.add_argument("--rounds", type=positive, default=30, metavar="N")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            old_src = extract(args.against, tmp)
+        except RevisionError as err:
+            print(err, file=sys.stderr)
+            return 2
+        old = figure_fits(load(old_src, f"{PACKAGE}_against"))
+        new = figure_fits(load(SRC, f"{PACKAGE}_tree"))
+        times = time_rounds(old, new, args.rounds)
+    print("\n".join(report(times, args.against)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
