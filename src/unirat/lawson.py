@@ -45,11 +45,13 @@ class FitStep:
     ``sigma_min`` and ``degenerate`` the step reads.
 
     ``loewner`` solves every step by one call, ``smallest_right_vector``.
-    Inverse iteration gives the record of a step that starts from a nearby
-    vector and is certified: every step after its fit's first, and step 1 of
-    a Lawson fit given a ``start``, as every AAA-Lawson fit's is.  Every
-    other step's record comes from the fully converged Jacobi kernel, from
-    the same QR of the step's system, and reads ``iterations == 0``."""
+    Inverse iteration, on repeated squares of (R^H R)^{-1}, gives the record
+    of a step that starts from a nearby vector and is certified: every step
+    after its fit's first, and step 1 of a Lawson fit given a ``start``, as
+    every AAA-Lawson fit's is.  Every other step's record comes from the
+    fully converged Jacobi kernel, from the same QR of the step's system,
+    and reads ``iterations == 0``; on the four figure fits that is each
+    fit's first AAA iteration alone."""
 
     step: int
     node: float

@@ -35,8 +35,9 @@ column, a Lawson step's changes its row weights, and an AAA-Lawson fit's
 first Lawson step refines the last AAA iterate.  One call,
 ``smallest_right_vector``, solves every fit step, from one QR of a tall
 A = QR.  From a nearby vector it forms X = R^{-1} once, runs inverse
-iteration by products with X and X^H, and keeps the result only if its
-record, with ``gap_bound``'s lower bound on sigma_{m-1}, is not degenerate.
+iteration on Z = X X^H = (R^H R)^{-1} and its repeated squares, and keeps
+the result only if its record, with ``gap_bound``'s lower bound on
+sigma_{m-1}, net of that bound's own rounding, is not degenerate.
 A step it does not certify, and a step with no nearby vector, runs the
 kernel to full convergence from the same R.
 
@@ -498,20 +499,46 @@ def svd_complex(A):
 
 
 def gap_bound(R, v):
-    """A lower bound on sigma_{m-1} of the m x m triangle R, for a unit v.
+    """A lower bound on sigma_{m-1} of the m x m triangle R, for a unit v:
+    l - 4 m eps ||R||_F, the rounding term derived below, and 0 where that
+    is negative, where R' is singular or its inverse overflows; inf for one
+    column.
 
     For W an orthonormal basis of v's complement and R' the triangle of a QR
-    of R W, ``1 / ||R'^{-1}||_F <= sigma_min(R W) <= sigma_{m-1}(R)``
-    (interlacing); 0 where R' is singular or its inverse overflows, inf for
-    one column.  W is the trailing columns of the complete Q of v, which
+    of R W, ``l = 1 / ||R'^{-1}||_F <= sigma_min(R W) <= sigma_{m-1}(R)``
+    (interlacing).  W is the trailing columns of the complete Q of v, which
     ``_complement`` forms by ``?geqrf`` and ``?orgqr`` in place on one m x m
     buffer; R' comes from ``_r_factor``, ``?geqrf`` in place on a copy of
     R W, so neither R nor R W is written; and R'^{-1} from
     ``_triangular_inverse``.  Each has the bits of the NumPy call it stands
     for (``np.linalg.qr`` and ``np.linalg.solve``).
     No Gram matrix is formed: its rounding, eps sigma_max^2, would swamp
-    sigma_{m-1}^2.  The products and QRs round by about m eps ||R||, which
-    the bound leaves out.
+    sigma_{m-1}^2.
+
+    The computed l exceeds sigma_{m-1}(R) by at most the sum of these terms,
+    by Weyl's inequality, with u = eps / 2 and gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.):
+    (1) interlacing holds for every W with orthonormal columns, so it may be
+    read for the trailing columns of an exactly unitary reflector, which the
+    computed ones lie within gamma_m of (Lemmas 19.1-19.3): gamma_m ||R||;
+    (2) the product rounds by at most gamma_m |R| |W|, and |W| <= I +
+    |tau| |u| |u|^H has 2-norm at most 3: 3 gamma_m ||R||_F;
+    (3) R' is the exact triangle of R W + E with ||e_j|| <= gamma_{m(m-1)}
+    ||(R W)_j|| (Theorem 19.4): gamma_{m(m-1)} ||R||_F;
+    (4) ?gesv's LU of a triangle is exact, and each back substitution solves
+    (R' + D_j) x_j = e_j with |D_j| <= gamma_m |R'| (Theorem 8.5), so for
+    R' z = s y, s = sigma_min(R') and unit y, z,
+    ||X y - z / s|| <= gamma_m ||R'||_F ||X||_F / s, whence
+    1 / ||X||_F <= s + gamma_m ||R'||_F;
+    (5) the norm and the quotient round l by gamma_{m^2}: gamma_{m^2} l.
+    Terms (1), (2) and (4) sum to 5 m u ||R||_F.  Terms (3) and (5), at
+    their worst-case constants, would take 225 eps ||R||_F at m = 15, where
+    the figure fits' AAA steps have 745 to spare; rounding errors that are
+    independent add like the square root of their count (Section 2.8), which
+    leaves at most 2 m u ||R||_F for the two.  The bound subtracts
+    4 m eps ||R||_F = 8 m u ||R||_F, above that 7 m u ||R||_F, so it is not
+    a worst-case bound.  R's own rounding as the R of a system A, which the
+    kernel's record shares, is A's backward error and is left out.
     """
     m = R.shape[1]
     if m == 1:
@@ -519,7 +546,7 @@ def gap_bound(R, v):
     T = _r_factor(R @ _complement(v))
     with np.errstate(all="ignore"):
         X = _triangular_inverse(T)
-        return 0.0 if X is None else 1.0 / _norm(X)
+        return 0.0 if X is None else max(0.0, float(1.0 / _norm(X) - 4 * m * EPS * _norm(R)))
 
 
 def _inverse_iteration(A, R, v0):
@@ -527,29 +554,39 @@ def _inverse_iteration(A, R, v0):
     a unit v0 near its smallest right vector; None where it is not certified.
 
     X = R^{-1} is formed once, by one LAPACK ``?gesv`` against the identity
-    (``_triangular_inverse``), and each step sets x = X (X^H v) and
-    v = x / ||x||, until v moves by at most 8 eps, in at
-    most ITERATION_CAP steps; so a step's LAPACK work does not grow with its
-    iteration count.  The result is certified by its ``SmallestVector(v,
-    ||A v||, gap_bound(R, v), ||R||_F)`` not being ``degenerate``.  The gap
-    is bounded from R, not from X, whose rounding, eps sigma_max /
-    sigma_min, would swamp sigma_{m-1}.  The rule's margin does not cover
-    gap_bound's rounding for every m; on the figure fits the gap exceeds
-    745 eps ||R||_F.  None also for a singular R, a non-finite X or iterate,
-    or an iteration that does not settle.  The norms are ``_norm``'s, with
-    the bits of ``np.linalg.norm``, and every field of the record is formed
-    under one ``np.errstate`` and stored as a Python float, so that an
-    overflowed sigma_min beside an infinite lower bound makes
-    ``degenerate``'s inf - inf a NaN, with no warning.
+    (``_triangular_inverse``).  Step 1 sets Z = X X^H = (R^H R)^{-1}, every
+    later step Z = Z Z^H, each scaled to ||Z||_F = 1, and then
+    v = Z v / ||Z v||, until v moves by at most 8 eps, in at most
+    ITERATION_CAP steps.  So step i multiplies by the 2^(i-1)-th power of
+    (R^H R)^{-1} and does the work of 2^(i-1) plain steps v = X (X^H v),
+    each of which contracts the error only by (sigma_m / sigma_{m-1})^2, and
+    a step's LAPACK work does not grow with its iteration count.  The square
+    is Z Z^H, not Z Z: a complex Z is Hermitian only to rounding, and the
+    phase of the dominant eigenvalue of its plain squares doubles with each
+    square, so that v would turn by 2^i eps a step and never settle.  v is
+    Z's dominant eigenvector, whose rounding is about
+    eps / (1 - (sigma_m / sigma_{m-1})^2); forming Z squares R's condition,
+    but neither sigma_min nor the gap is read from it.  The result is
+    certified by its ``SmallestVector(v, ||A v||, gap_bound(R, v), ||R||_F)``
+    not being ``degenerate``; ``gap_bound`` takes off its own rounding, and
+    on the figure fits the gap then exceeds 685 eps ||R||_F.  The gap is
+    bounded from R, not from X, whose rounding, eps sigma_max / sigma_min,
+    would swamp sigma_{m-1}.  None also for a singular R, a non-finite X or
+    iterate, or an iteration that does not settle.  The norms are
+    ``_norm``'s, with the bits of ``np.linalg.norm``, and every field of the
+    record is formed under one ``np.errstate`` and stored as a Python float,
+    so that an overflowed sigma_min or scale makes the record degenerate,
+    with no warning.
     """
     with np.errstate(all="ignore"):
         X = _triangular_inverse(R)
         if X is None:
             return None
-        Xh = X.conj().T
-        v = v0
+        Z, v = X, v0
         for iterations in range(1, ITERATION_CAP + 1):
-            x = X @ (Xh @ v)
+            Z = Z @ Z.conj().T
+            Z /= _norm(Z)
+            x = Z @ v
             norm = _norm(x)
             if not 0.0 < norm < np.inf:
                 return None
@@ -561,7 +598,7 @@ def _inverse_iteration(A, R, v0):
         else:
             return None
         solve = SmallestVector(v * _vector_phase(v[:, None]), float(_norm(A @ v)),
-                               float(gap_bound(R, v)), float(_norm(R)), iterations=iterations)
+                               gap_bound(R, v), float(_norm(R)), iterations=iterations)
     return None if solve.degenerate else solve
 
 

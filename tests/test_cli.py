@@ -424,9 +424,10 @@ class TestSubprocess:
 
     @pytest.mark.parametrize("variant", ["original", "modified"])
     def test_tiny_interval_warns_nothing(self, tmp_path, variant):
-        # nodes near 1e-300 overflow the warm Lawson step's norms; its record
-        # is formed under one errstate and reads degenerate (inf - inf is a
-        # NaN), so the step runs the kernel and no warning escapes
+        # nodes near 1e-300 overflow the warm step's norms; its record is
+        # formed under one errstate and reads degenerate (an infinite
+        # ||R||_F leaves gap_bound's bound at 0), so the step runs the kernel
+        # and no warning escapes
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "unirat.cli", "fit",
              "--interval", "1e-310", "1e-300", "--n-test", "5", "--m-max", "3",
