@@ -11,7 +11,11 @@ A fit allocates its system and its Cauchy block once, with one column per
 iteration to come.  Each iteration drops its node's row from both, by moving
 the rows below it up one place, writes its new column into both, and solves
 and evaluates the leading blocks in place, with the bits of a system rebuilt
-from the iteration's whole Cauchy block.
+from the iteration's whole Cauchy block.  Each iteration's solve starts from
+a nearby vector, the one before's with a 0 appended, and the first from
+e_1, which its one-column system certifies at once, so the Jacobi kernel
+runs only where inverse iteration cannot certify.  The modified variant's
+node values conj(C w) / (C w) take one product with the Cauchy block.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +26,7 @@ import numpy as np
 from .barycentric import (
     BarycentricInterpolant,
     CayleyApproximant,
+    cayley_node_quotient,
     check_nodes,
     is_count,
     node_quotient,
@@ -100,7 +105,9 @@ def aaa_fit(test_nodes, config):
     A_buf = np.empty(shape, order="F", dtype=float if config.variant == "modified" else complex)
     C_buf = np.empty(shape, dtype=complex)
     fv_buf, K_buf = np.empty(config.m_max, dtype=complex), np.empty(config.m_max, dtype=complex)
-    v = None  # an iteration starts from the vector of the one before, padded by 0
+    # iteration 1 starts from e_1, the vector of its one-column system; every
+    # later one from the vector of the one before, padded by 0
+    start = np.ones(1)
     trace = AaaTrace()
 
     j = greedy_select(F, r)
@@ -127,10 +134,10 @@ def aaa_fit(test_nodes, config):
         # extend it, with the bits of a full rebuild
         A[:, -1:] = interpolatory_system(c, PhaseDiagonals(K=K[-1:], R=R, S_f=fv[-1:], S_F=F),
                                          config.variant)
-        alpha, w, solve = interpolatory_coefficients(
-            A, ph, config.variant, None if v is None else np.append(v, 0.0))
-        v = solve.vector
-        r = node_quotient(C, alpha, w)
+        alpha, w, solve = interpolatory_coefficients(A, ph, config.variant, start)
+        start = np.append(solve.vector, 0.0)
+        r = (node_quotient(C, alpha, w) if config.variant == "original"
+             else cayley_node_quotient(C, w))
 
         # one |F - r| gives the max error and, by greedy_select's rule, the
         # next node

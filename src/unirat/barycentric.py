@@ -253,8 +253,23 @@ def node_quotient(C, alpha, beta):
     """(C alpha) / (C beta) for a Cauchy-type matrix C, inf where C beta = 0:
     the approximant's values at the test nodes during a fit."""
     den = C @ beta
+    return _node_ratio(C @ alpha, den)
+
+
+def cayley_node_quotient(C, beta):
+    """``node_quotient(C, conj(beta), beta)`` from one product, for a complex
+    C whose imaginary parts are all +0, as a fit's complex copy of its real
+    Cauchy block is: a modified fit's node values.  Each term of C conj(beta)
+    is then the exact conjugate of the same term of C beta, rounded alike,
+    so C conj(beta) is conj(C beta) bit for bit."""
+    den = C @ beta
+    return _node_ratio(np.conj(den), den)
+
+
+def _node_ratio(num, den):
+    """num / den, inf where den = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (C @ alpha) / den
+        r = num / den
     r[den == 0.0] = np.inf
     return r
 

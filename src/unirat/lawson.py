@@ -8,16 +8,17 @@ each step after the first starts from the vector of the step before, and
 step 1 from a given approximant on the same support nodes, as an AAA-Lawson
 fit gives its last AAA iterate.  Weights are multiplied by the current
 absolute errors and renormalized to max 1 after every step.  A fit forms
-each step's row-weighted block and system in the same two buffers, and takes
-its node values from one complex copy of the modified Cauchy block.
+each step's row-weighted block and system in the same two Fortran-ordered
+buffers, and takes its node values from one complex copy of the modified
+Cauchy block, by one product in the modified variant.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
-                          is_count, node_quotient)
+from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant,
+                          cayley_node_quotient, check_nodes, is_count, node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import SmallestVector, number_array
 from .loewner import (VARIANTS, NodeSet, check_differences, check_test_count,
@@ -46,12 +47,12 @@ class FitStep:
 
     ``loewner`` solves every step by one call, ``smallest_right_vector``.
     Inverse iteration, on repeated squares of (R^H R)^{-1}, gives the record
-    of a step that starts from a nearby vector and is certified: every step
-    after its fit's first, and step 1 of a Lawson fit given a ``start``, as
-    every AAA-Lawson fit's is.  Every other step's record comes from the
-    fully converged Jacobi kernel, from the same QR of the step's system,
-    and reads ``iterations == 0``; on the four figure fits that is each
-    fit's first AAA iteration alone."""
+    of a step that starts from a nearby vector and is certified: every AAA
+    iteration, the first from e_1, every Lawson step after its fit's first,
+    and step 1 of a Lawson fit given a ``start``, as every AAA-Lawson fit's
+    is.  Every other step's record comes from the fully converged Jacobi
+    kernel, from the same QR of the step's system, and reads
+    ``iterations == 0``; on the four figure fits no step's does."""
 
     step: int
     node: float
@@ -132,10 +133,14 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     # weighted by mu; mu may reach 0, so the fit's NodeSet, whose weights must
     # be positive, keeps unit weights.  The steps refill one buffer for
     # sqrt(mu) C' and one for the system, which the first step's
-    # expanded_system allocates; the node values read one complex copy of C',
-    # the operand that node_quotient's products would otherwise cast C' to.
+    # expanded_system allocates, all three in the Fortran order of the
+    # system, so that each elementwise product runs down whole columns, with
+    # the bits of any order.  The node values read one complex copy of C',
+    # the operand that node_quotient's products would otherwise cast C' to,
+    # in C order, since a product's bits depend on its operands' layout.
     Cp = modified_cauchy(nodes)
     Cp_complex = Cp.astype(complex)
+    Cp = np.asfortranarray(Cp)
     M, A = np.empty_like(Cp), None
 
     trace = LawsonTrace()
@@ -144,7 +149,8 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
         A = expanded_system(M, ph, config.variant, out=A)
         alpha, beta, solve = expanded_coefficients(A, config.variant, g)
         g = solve.vector
-        r = node_quotient(Cp_complex, alpha, beta)
+        r = (node_quotient(Cp_complex, alpha, beta) if config.variant == "original"
+             else cayley_node_quotient(Cp_complex, beta))
 
         eps = ph.S_F - r
         bad = np.flatnonzero(~np.isfinite(eps))

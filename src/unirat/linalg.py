@@ -29,25 +29,28 @@ shows no active pair.
 
 A fit step reads only a ``SmallestVector``: its smallest right vector,
 sigma_min, a lower bound on sigma_{m-1} and a scale, whose ``degenerate``
-rule says whether the vector is determined.  Every step after a fit's first
-solves a system near the step before's: an AAA iteration's system gains one
-column, a Lawson step's changes its row weights, and an AAA-Lawson fit's
-first Lawson step refines the last AAA iterate.  One call,
-``smallest_right_vector``, solves every fit step, from one QR of a tall
-A = QR.  From a nearby vector it forms X = R^{-1} once, runs inverse
+rule says whether the vector is determined.  Every step starts from a
+nearby vector: an AAA iteration's system gains one column, so it starts
+from the vector before with a 0 appended, and the first, of one column,
+from e_1, its exact vector; a Lawson step's system changes its row weights,
+and an AAA-Lawson fit's first Lawson step refines the last AAA iterate.
+One call, ``smallest_right_vector``, solves every fit step, from one QR of
+a tall A = QR.  From a nearby vector it forms X = R^{-1} once, runs inverse
 iteration on Z = X X^H = (R^H R)^{-1} and its repeated squares, and keeps
 the result only if its record, with ``gap_bound``'s lower bound on
-sigma_{m-1}, net of that bound's own rounding, is not degenerate.
-A step it does not certify, and a step with no nearby vector, runs the
-kernel to full convergence from the same R.
+sigma_{m-1}, net of that bound's own rounding, is not degenerate.  The
+Jacobi kernel is the fallback: a step it does not certify, a wide step and
+a step given no nearby vector run it to full convergence from the same R.
 
 A warm step's cost is its LAPACK work, not NumPy's wrappers around it.
 Its QRs, R^{-1} and the complement of v that ``gap_bound`` reads are made
 by LAPACK routines called as directly as NumPy allows (``?geqrf`` and
 ``?orgqr`` in place through ``lapack_lite``, ``?gesv`` against the
-identity through ``np.linalg.inv``), its triangles by the ``np.where``
-that ``np.triu`` evaluates, and its norms by ``np.linalg.norm``'s own
-formula; each with the bits of the NumPy call it replaces.
+identity through the gufunc that ``np.linalg.inv`` wraps), its triangles
+by the ``np.where`` that ``np.triu`` evaluates, its norms by
+``np.linalg.norm``'s own formula and its phase from its one largest entry;
+each with the bits of the NumPy call it replaces.  The step, ``gap_bound``
+included, runs under one ``np.errstate``.
 """
 
 import functools
@@ -55,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import lapack_lite
+from numpy.linalg import _umath_linalg, lapack_lite
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -200,6 +203,14 @@ def _vector_phase(V):
     return _phase(np.conj(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]))
 
 
+def _entry_phase(v):
+    """``_vector_phase(v[:, None])`` for a vector v, with its bits, from the
+    one largest-magnitude entry, the first of equals, without the 2-D
+    gather."""
+    i = np.argmax(np.abs(v))
+    return _phase(np.conj(v[i:i + 1]))
+
+
 def _r_factor(A):
     """The R of A = QR for a tall or square A, real or complex, with the bits
     of the R that ``np.linalg.qr`` returns alone.
@@ -240,16 +251,15 @@ def _triu(T):
 
 
 def _triangular_inverse(T):
-    """T^{-1} for a square upper triangle T, by ``np.linalg.inv``: one LAPACK
-    ``?gesv`` against the identity, as ``np.linalg.solve(T, I)`` runs it
-    (its LU leaves an upper triangle unpivoted, so one back substitution per
-    column), without solve's wrapping; None where T is singular or the
-    inverse is not finite.  The callers ignore floating-point warnings
-    around it."""
-    try:
-        X = np.linalg.inv(T)
-    except np.linalg.LinAlgError:
-        return None
+    """T^{-1} for a square upper triangle T, float or complex, with the bits
+    of ``np.linalg.inv(T)``: one LAPACK ``?gesv`` against the identity, as
+    ``np.linalg.solve(T, I)`` runs it (its LU leaves an upper triangle
+    unpivoted, so one back substitution per column), by the gufunc that
+    ``np.linalg.inv`` wraps, with its signature but without its wrapper;
+    None where T is singular, which the gufunc reports by filling its result
+    with NaN and raising the invalid flag, or the inverse is not finite.
+    The callers ignore floating-point warnings around it."""
+    X = _umath_linalg.inv(T, signature="D->D" if T.dtype.kind == "c" else "d->d")
     return X if np.isfinite(X).all() else None
 
 
@@ -540,13 +550,18 @@ def gap_bound(R, v):
     a worst-case bound.  R's own rounding as the R of a system A, which the
     kernel's record shares, is A's backward error and is left out.
     """
+    with np.errstate(all="ignore"):
+        return _gap_bound(R, v)
+
+
+def _gap_bound(R, v):
+    """``gap_bound(R, v)``, under the caller's ``np.errstate``, which must
+    ignore floating-point warnings."""
     m = R.shape[1]
     if m == 1:
         return math.inf
-    T = _r_factor(R @ _complement(v))
-    with np.errstate(all="ignore"):
-        X = _triangular_inverse(T)
-        return 0.0 if X is None else max(0.0, float(1.0 / _norm(X) - 4 * m * EPS * _norm(R)))
+    X = _triangular_inverse(_r_factor(R @ _complement(v)))
+    return 0.0 if X is None else max(0.0, float(1.0 / _norm(X) - 4 * m * EPS * _norm(R)))
 
 
 def _inverse_iteration(A, R, v0):
@@ -574,9 +589,10 @@ def _inverse_iteration(A, R, v0):
     would swamp sigma_{m-1}.  None also for a singular R, a non-finite X or
     iterate, or an iteration that does not settle.  The norms are
     ``_norm``'s, with the bits of ``np.linalg.norm``, and every field of the
-    record is formed under one ``np.errstate`` and stored as a Python float,
-    so that an overflowed sigma_min or scale makes the record degenerate,
-    with no warning.
+    record, ``gap_bound``'s too, is formed under one ``np.errstate`` and
+    stored as a Python float, so that an overflowed sigma_min or scale makes
+    the record degenerate, with no warning.  The vector is turned to the
+    kernel's phase by ``_entry_phase``.
     """
     with np.errstate(all="ignore"):
         X = _triangular_inverse(R)
@@ -597,8 +613,8 @@ def _inverse_iteration(A, R, v0):
                 break
         else:
             return None
-        solve = SmallestVector(v * _vector_phase(v[:, None]), float(_norm(A @ v)),
-                               gap_bound(R, v), float(_norm(R)), iterations=iterations)
+        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)),
+                               _gap_bound(R, v), float(_norm(R)), iterations=iterations)
     return None if solve.degenerate else solve
 
 

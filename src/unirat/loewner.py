@@ -8,8 +8,9 @@ Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
 over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
 Both extractors return their coefficients with the step's
 ``linalg.SmallestVector``, from one call to ``linalg.smallest_right_vector``
-on one QR of the system: inverse iteration's from the step before's vector
-where that is certified, the Jacobi kernel's otherwise.
+on one QR of the system: inverse iteration's from a nearby vector (the
+step before's, or e_1 for AAA's first) where that is certified, the Jacobi
+kernel's otherwise.
 ``expanded_start`` inverts ``expanded_coefficients``' mapping, so that a
 Lawson fit's step 1 can start from a given (alpha, beta).  The node-level
 functions (``loewner``, ``rescaled_loewner``, ``bhat``,

@@ -1,5 +1,6 @@
 """Greedy AAA loop: selection rule, variants, trace semantics."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -23,7 +24,8 @@ from unirat import (
     unitarity_deviation,
 )
 import unirat.aaa as aaa
-from unirat.barycentric import node_quotient
+import unirat.linalg as linalg
+from unirat.barycentric import cayley_node_quotient, node_quotient
 from unirat.cli import FIGURE_FITS
 from unirat.errors import InvalidInputError
 from unirat.linalg import EPS
@@ -96,6 +98,28 @@ class TestAaaFit:
         )
         assert abs(approx.eval(float(node)) - np.exp(1j * node)) <= 4 * EPS
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_first_iteration_certified_with_kernel_bits(self, variant):
+        # iteration 1 starts from e_1, the vector of its one-column system,
+        # which settles at once and is certified, since gap_bound is inf for
+        # one column: one iteration, no kernel run, and the kernel's vector
+        # bit for bit.  Its sigma_min is the column's norm either way
+        rng = np.random.default_rng(109)
+        grids = [FIT_GRID, np.array([-1.0, 0.5, 2.0])]
+        grids += [np.sort(separated_nodes(rng, n, 0)[0]) for n in (4, 16, 30)]
+        svd = svd_real if variant == "modified" else svd_complex
+        for x in grids:
+            approx, trace = aaa_fit(x, AaaConfig(m_max=1, tol=0.0, variant=variant))
+            y = approx.support
+            ns = NodeSet(test_nodes=x[~np.isin(x, y)], support_nodes=y)
+            kernel = svd(rescaled_loewner(ns) if variant == "modified" else loewner(ns)).smallest()
+            solve = trace.iterations[0].solve
+            assert (solve.iterations, solve.sweeps, solve.lower) == (1, 0, np.inf)
+            assert not solve.degenerate
+            assert solve.vector.dtype == kernel.vector.dtype
+            assert solve.vector.tobytes() == kernel.vector.tobytes()
+            assert abs(solve.sigma_min - kernel.sigma_min) <= 2 * EPS * kernel.sigma_min
+
     def test_variants_agree(self):
         x = np.linspace(-4.0, 4.0, 120)
         rm, _ = aaa_fit(x, AaaConfig(m_max=6, tol=0.0, variant="modified"))
@@ -126,9 +150,11 @@ class TestAaaFit:
     def test_final_coefficients_match_public_path(self, monkeypatch, variant):
         # the fit builds its systems with the functions behind the node-level
         # constructors, so the final system has the public path's bits.  Its
-        # vector has them too where the kernel served the final iteration;
-        # where inverse iteration did, it lies within the Wedin angle
-        # eps ||R||_F / (l - sigma) of the kernel's, which its record gives
+        # vector has them too where the kernel served the final iteration,
+        # and where that iteration's system has one column, whose certified
+        # e_1 is the kernel's vector; where inverse iteration served a larger
+        # system, it lies within the Wedin angle eps ||R||_F / (l - sigma) of
+        # the kernel's, which its record gives
         systems = []
         coefficients = aaa.interpolatory_coefficients
 
@@ -138,11 +164,13 @@ class TestAaaFit:
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
         rng = np.random.default_rng(64)
         served = set()
-        fits = []
+        fits, cap = [], linalg.ITERATION_CAP
         for _ in range(5):
             x, _ = separated_nodes(rng, 16, 0)
-            fits += [(x, 1), (x, 6)]  # m_max = 1 ends on the kernel's vector
-        for x, m_max in fits:
+            # with one iteration allowed, m_max = 6 ends on the kernel's vector
+            fits += [(x, 1, cap), (x, 6, cap), (x, 6, 1)]
+        for x, m_max, cap in fits:
+            monkeypatch.setattr(linalg, "ITERATION_CAP", cap)
             approx, trace = aaa_fit(x, AaaConfig(m_max=m_max, tol=0.0, variant=variant))
             y = approx.support
             ns = NodeSet(test_nodes=x[~np.isin(x, y)], support_nodes=y)
@@ -153,8 +181,8 @@ class TestAaaFit:
             else:
                 u = svd_complex(A).right_vectors[:, -1]
             solve = trace.iterations[-1].solve
-            if not solve.iterations:
-                served.add("kernel")
+            if not solve.iterations or y.size == 1:
+                served.add("one column" if solve.iterations else "kernel")
                 assert np.array_equal(approx.coefficients, u)
                 continue
             served.add("inverse iteration")
@@ -162,7 +190,7 @@ class TestAaaFit:
             p = np.vdot(u, w)
             angle = np.linalg.norm(w - u * (p / abs(p)))
             assert angle <= solve.wedin
-        assert served == {"kernel", "inverse iteration"}
+        assert served == {"kernel", "one column", "inverse iteration"}
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_degenerate_flags_past_convergence(self, variant):
@@ -210,12 +238,14 @@ class TestAaaFit:
             systems.append((A.copy(), ph, variant))
             return interpolatory_coefficients(A, ph, variant, previous)
 
-        def record_quotient(C, alpha, beta):
+        def record_quotient(C, *coefficients, quotient=node_quotient):
             blocks.append(C.copy())
-            return node_quotient(C, alpha, beta)
+            return quotient(C, *coefficients)
 
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
         monkeypatch.setattr(aaa, "node_quotient", record_quotient)
+        monkeypatch.setattr(aaa, "cayley_node_quotient",
+                            functools.partial(record_quotient, quotient=cayley_node_quotient))
         fits = [(config.variant, FIT_GRID, aaa_fit(FIT_GRID, config)[1])
                 for config in FIGURE_FITS.values()]
         fits += [(variant, grid, aaa_fit(grid, AaaConfig(m_max=m_max, tol=0.0,
@@ -249,11 +279,13 @@ class TestAaaFit:
         # error np.max's, and the caller's test nodes are left as they were
         values = []
 
-        def record_quotient(C, alpha, beta):
-            values.append(node_quotient(C, alpha, beta))
+        def record_quotient(C, *coefficients, quotient=node_quotient):
+            values.append(quotient(C, *coefficients))
             return values[-1]
 
         monkeypatch.setattr(aaa, "node_quotient", record_quotient)
+        monkeypatch.setattr(aaa, "cayley_node_quotient",
+                            functools.partial(record_quotient, quotient=cayley_node_quotient))
         configs = list(FIGURE_FITS.values())
         configs += [AaaConfig(m_max=40, tol=0.0, variant=variant) for variant in VARIANTS]
         picks = 0

@@ -630,6 +630,21 @@ class TestNodeQuotient:
         C = np.array([[1.0, 1.0], [1.0, 2.0]])
         r = barycentric.node_quotient(C, np.array([1.0, 0.0]), np.array([1.0, -1.0]))
         assert r[0] == np.inf and r[1] == -1.0
+        r = barycentric.cayley_node_quotient(C.astype(complex), np.array([1.0, -1.0 + 0j]))
+        assert r[0] == np.inf and r[1] == 1.0
+
+    def test_cayley_quotient_from_one_product(self):
+        # the modified fits' node values: conj(C w) / (C w) has the bits of
+        # node_quotient(C, conj(w), w) for a complex block whose imaginary
+        # parts are +0, in C and in Fortran order
+        rng = np.random.default_rng(13)
+        for rows, m in ((10, 2), (333, 7), (2000, 15)):
+            C = 1.0 / (rng.uniform(-10, 10, (rows, 1)) - rng.uniform(-10, 10, m))
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            for block in (C.astype(complex), np.asfortranarray(C, dtype=complex)):
+                got = barycentric.cayley_node_quotient(block, w)
+                expected = barycentric.node_quotient(block, np.conj(w), w)
+                assert np.array_equal(bits(got), bits(expected))
 
 
 class TestCheckNodes:

@@ -1,4 +1,5 @@
-"""tools/fittime.py: the four figure fits of two trees, timed in one process."""
+"""tools/fittime.py: the four figure fits, or the small-systems fits, of two
+trees, timed in one process."""
 
 import shutil
 import subprocess
@@ -33,6 +34,29 @@ def test_one_round(capsys):
         old, new = map(float, row.split()[1:3])
         assert old > 0 and new > 0
         assert row.split()[-1] in ("0/1", "1/1")
+
+
+@needs_git
+def test_one_round_small(capsys):
+    assert fittime.main(["--against", "HEAD", "--rounds", "1", "--fits", "small"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["fit", "HEAD", "ms", "tree", "ms", "change", "wins"]
+    assert [row.split()[0] for row in rows] == ["fit.modified", "fit.original", "pass"]
+    for row in rows:
+        old, new = map(float, row.split()[1:3])
+        assert old > 0 and new > 0
+        assert row.split()[-1] in ("0/1", "1/1")
+
+
+def test_small_schedule_matches_workload():
+    # the 16 node sets of the small-systems workload at seed 1, each with
+    # its m_max, as the benchmark draws them
+    workloads = load_script("bench", "workloads.py")
+    expected = workloads.SmallSystems().setup(1, None)["fits"]
+    schedule = fittime.small_schedule()
+    assert len(schedule) == workloads.FIT_CONFIGS_PER_CYCLE == 16
+    for (nodes, m_max), (x, m) in zip(schedule, expected):
+        assert m_max == m and nodes.tobytes() == x.tobytes()
 
 
 def test_rounds_must_be_positive(capsys):

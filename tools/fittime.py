@@ -1,27 +1,35 @@
-"""Time the four figure fits of the working tree against a git revision's,
-in one process.
+"""Time the figure fits, or the small-systems fits, of the working tree
+against a git revision's, in one process.
 
 Usage::
 
-    python3 tools/fittime.py [--against REV] [--rounds N]
+    python3 tools/fittime.py [--against REV] [--rounds N] [--fits figure|small]
 
 It loads the working tree's ``src/unirat`` and REV's (default ``HEAD``,
 taken through ``git archive`` as ``tools/golden.py --against`` takes it)
 under two package names, which works because the package imports its own
-modules only relatively.  Each tree fits each of its own
-``cli.FIGURE_FITS`` on its own figure fit grid.  After one untimed warm-up
-of every fit of both trees, each of N rounds (default 30) runs the four
-fits in turn, each fit once for each tree, REV's first in even rounds and
-the working tree's first in odd ones.  It prints, for each fit and for the
-pass of all four, the median wall milliseconds of each tree, the change,
-and in how many rounds the working tree was the faster.  Both trees run on
-the same host at the same time, so a drift of the host's speed reaches both
-alike, which separate processes do not promise.
+modules only relatively.  With ``--fits figure`` (the default) each tree
+fits each of its own ``cli.FIGURE_FITS`` on its own figure fit grid, one
+row per fit.  With ``--fits small`` each tree runs the fit schedule of the
+benchmark's small-systems workload: the 16 node sets that
+``SmallSystems().setup(1)`` in ``bench/workloads.py`` draws, each fitted to
+its ``m_max`` with ``tol=0`` in both variants.  The workload file is read,
+not changed, and its node sets are made once and shared by both trees.  Its
+rows, ``fit.modified`` and ``fit.original``, each time the 16 fits of one
+variant in turn.  After one untimed warm-up of every row of both trees,
+each of N rounds (default 30) runs the rows in turn, each once for each
+tree, REV's first in even rounds and the working tree's first in odd ones.
+It prints, for each row and for the pass of all of them, the median wall
+milliseconds of each tree, the change, and in how many rounds the working
+tree was the faster.  Both trees run on the same host at the same time, so
+a drift of the host's speed reaches both alike, which separate processes do
+not promise.
 
 If git cannot archive REV, it prints git's message and exits 2.
 """
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import os
@@ -34,6 +42,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = "unirat"
+#: The benchmark's workload definitions, whose small-systems schedule
+#: ``--fits small`` times.
+WORKLOADS = os.path.join(ROOT, "bench", "workloads.py")
 
 
 class RevisionError(Exception):
@@ -68,9 +79,32 @@ def figure_fits(cli):
             for name, config in cli.FIGURE_FITS.items()}
 
 
+def small_schedule():
+    """[(nodes, m_max)], the 16 fits of ``bench/workloads.py``'s
+    small-systems workload at seed 1.  The workload module imports the
+    package as ``unirat``, so the working tree's ``src`` is put on the path
+    first if no ``unirat`` is importable."""
+    if importlib.util.find_spec(PACKAGE) is None:
+        sys.path.insert(0, SRC)
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.SmallSystems().setup(1, None)["fits"]
+
+
+def small_fits(cli, schedule):
+    """{row name: a call that runs the schedule's fits of one variant} of
+    one tree's ``cli``."""
+    def run(variant):
+        for nodes, m_max in schedule:
+            cli.aaa_fit(nodes, cli.AaaConfig(m_max=m_max, tol=0.0, variant=variant))
+    return {f"fit.{variant}": (lambda variant=variant: run(variant))
+            for variant in ("modified", "original")}
+
+
 def time_rounds(old, new, rounds):
-    """{fit name: ([old ms], [new ms])}, one entry per round, after one
-    warm-up of each fit; ``old`` and ``new`` map the same names to calls."""
+    """{row name: ([old ms], [new ms])}, one entry per round, after one
+    warm-up of each row; ``old`` and ``new`` map the same names to calls."""
     for fit in (*old.values(), *new.values()):
         fit()
     times = {name: ([], []) for name in old}
@@ -86,9 +120,9 @@ def time_rounds(old, new, rounds):
 
 
 def report(times, rev):
-    """Lines of a table of each fit's and the pass's median ms, their change
+    """Lines of a table of each row's and the pass's median ms, their change
     and the working tree's wins."""
-    # a round's pass is the sum of its four fits, per tree
+    # a round's pass is the sum of its rows, per tree
     passes = tuple([sum(round_ms) for round_ms in zip(*(runs[side] for runs in times.values()))]
                    for side in (0, 1))
     rows = {**times, "pass": passes}
@@ -111,6 +145,7 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("--against", default="HEAD", metavar="REV")
     parser.add_argument("--rounds", type=positive, default=30, metavar="N")
+    parser.add_argument("--fits", choices=("figure", "small"), default="figure")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -118,8 +153,10 @@ def main(argv):
         except RevisionError as err:
             print(err, file=sys.stderr)
             return 2
-        old = figure_fits(load(old_src, f"{PACKAGE}_against"))
-        new = figure_fits(load(SRC, f"{PACKAGE}_tree"))
+        fits = (figure_fits if args.fits == "figure"
+                else functools.partial(small_fits, schedule=small_schedule()))
+        old = fits(load(old_src, f"{PACKAGE}_against"))
+        new = fits(load(SRC, f"{PACKAGE}_tree"))
         times = time_rounds(old, new, args.rounds)
     print("\n".join(report(times, args.against)))
     return 0
