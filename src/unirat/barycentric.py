@@ -11,7 +11,7 @@ over distinct real support nodes y_j, with the limit alpha_j/beta_j at y_j.
 
 Every form evaluates through one kernel.  It walks the points in blocks of
 at most ``BLOCK_POINTS`` and, inside a block, the support nodes one by one,
-adding each node's terms to running sums in NumPy's own summation order
+adding each node's terms, in node order, to running sums that start at +0
 (``_add_terms``).  The sums run in planar real rows, the real and the
 imaginary part of each coefficient vector in rows of their own, so a term
 costs one real multiply with no complex cast; the rows are joined into
@@ -20,9 +20,9 @@ Each node's 1/(x - y_j) serves numerator and denominator alike.  A point
 whose sum is not finite hits its nearest support node, exactly or at a
 subnormal distance, and takes the limit there.  The caller writes each
 block's values straight into its slice of the result, so beside the result
-evaluation holds only the kernel's block buffers (by tracemalloc, 1.1 MB
-for a numerator-denominator pair and 0.6 MB for one sum, at up to 64
-nodes), which stay in cache and do not grow with the points; and the values
+evaluation holds only the kernel's block buffers (by tracemalloc, 0.6 MB
+for a numerator-denominator pair and 0.3 MB for one sum), which stay in
+cache and grow neither with the points nor with the nodes; and the values
 do not depend on the blocking.
 
 Three writers finish the blocks: ``_quotient`` writes n/d, and two take
@@ -89,9 +89,10 @@ def _partial_fraction(coeff, support, xv):
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
     the reciprocals; a block's sums then have shape (k, points).  The sums
-    run in 2k planar real rows, Re c_0, Im c_0, Re c_1, ..., and are joined
-    into complex values once per block.  Each block reuses the buffers of
-    the last, so a caller finishes a block before it asks for the next.
+    add the nodes in order in 2k planar real rows, Re c_0, Im c_0, Re c_1,
+    ..., and are copied into complex values once per block.  Each block
+    reuses the buffers of the last, so a caller finishes a block before it
+    asks for the next.
     """
     stack = coeff.reshape(-1, support.size)
     k = len(stack)
@@ -106,20 +107,19 @@ def _partial_fraction(coeff, support, xv):
     # buffers reused by every block, each block's (2k, n) rows contiguous
     # in them; fresh ones leave more memory resident
     inv = np.empty(size)
-    planes = np.empty((2 + _accumulators(support.size)) * 2 * k * size)
+    planes = np.empty(4 * k * size)
     none = np.empty(0, dtype=np.intp)
     for b in range(blocks):
         start = b * xv.size // blocks
         x = xv[start:(b + 1) * xv.size // blocks]
         n = len(x)
-        rows, term, *acc = planes[:planes.size // size * n].reshape(-1, 2 * k, n)
+        rows, term = planes[:4 * k * n].reshape(2, 2 * k, n)
         # the complex sums take the term rows' place once the terms are added
         out = term.reshape(k, 2 * n).view(complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _add_terms(cols, support, x, rows, acc, term, inv[:n])
-            # NumPy's row sum adds its total to +0, which turns -0 into +0
-            np.add(rows[0::2], 0.0, out=out.real)
-            np.add(rows[1::2], 0.0, out=out.imag)
+            _add_terms(cols, support, x, rows, term, inv[:n])
+            out.real = rows[0::2]
+            out.imag = rows[1::2]
             total = np.add.reduce(rows[:2], axis=None)
         # at y_j, or a subnormal distance from it, 1/(x - y_j) overflows and
         # every sum is non-finite: such a point hits its nearest support node.
@@ -133,64 +133,23 @@ def _partial_fraction(coeff, support, xv):
         yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node
 
 
-def _accumulators(n):
-    """Partial-sum buffers ``_add_terms`` needs for n nodes."""
-    if n <= 64:
-        return 2 if n >= 4 else 0
-    half = (n - n % 8) // 2
-    return max(_accumulators(half), 1 + _accumulators(n - half))
-
-
-def _add_terms(cols, y, x, out, acc, term, inv):
+def _add_terms(cols, y, x, out, term, inv):
     """Writes to ``out`` the sums over the nodes y_j of cols[j] / (x - y_j),
-    adding the terms in the order of NumPy's pairwise sum of a contiguous
-    row of n = len(y) terms, so that the sums are bit for bit those of
-    ``np.sum(terms, axis=1)`` over the n-column term array:
+    adding the terms in node order to sums that start at +0.
 
-    * n < 4: in order;
-    * 4 <= n <= 64: partial sums s_r of the first 4 floor(n/4) terms with
-      j = r mod 4, combined as (s_0 + s_1) + (s_2 + s_3), then the
-      remaining terms in order;
-    * n > 64: the two halves split at (n - n mod 8)/2, each summed by this
-      rule, then added.
-
-    ``cols`` is (n, rows, 1) and real.  ``acc`` holds partial sums,
-    ``term`` one term and ``inv`` one node's reciprocals.  A complex
-    coefficient enters as its two parts in two rows: complex addition works
-    part by part, and c * (r + 0i) with r = 1/(x - y_j) has the bits of
-    (Re c * r, Im c * r) up to the sign of a zero, which the caller's
-    final + 0.0 erases.
+    ``cols`` is (n, rows, 1) and real, ``term`` holds one term and ``inv``
+    one node's reciprocals.  A complex coefficient enters as its two parts
+    in two rows: complex addition works part by part, and c * (r + 0i) with
+    r = 1/(x - y_j) has the bits of (Re c * r, Im c * r) up to the sign of a
+    zero, which a sum that starts at +0 erases: no such sum is -0.
     """
-    def add(j, into, fresh=False):
-        # cols[j] * (1/(x - y_j)): one real broadcast multiply per term
-        np.subtract(x, y[j], out=inv)
+    out.fill(0.0)
+    for col, yj in zip(cols, y):
+        # col * (1/(x - y_j)): one real broadcast multiply per term
+        np.subtract(x, yj, out=inv)
         np.divide(1.0, inv, out=inv)
-        np.multiply(cols[j], inv, out=into if fresh else term)
-        if not fresh:
-            into += term
-
-    n = len(y)
-    if n > 64:
-        half = (n - n % 8) // 2
-        _add_terms(cols[:half], y[:half], x, out, acc, term, inv)
-        _add_terms(cols[half:], y[half:], x, acc[0], acc[1:], term, inv)
-        out += acc[0]
-        return
-    tail = n - n % 4
-    if tail:
-        # s_0 and s_1 in out and acc[1], then s_2 and s_3 in acc[0] and acc[1]
-        for r, into in ((0, out), (2, acc[0])):
-            for first, s in ((r, into), (r + 1, acc[1])):
-                add(first, s, fresh=True)
-                for j in range(first + 4, tail, 4):
-                    add(j, s)
-            into += acc[1]
-        out += acc[0]
-    else:
-        add(0, out, fresh=True)
-        tail = 1
-    for j in range(tail, n):
-        add(j, out)
+        np.multiply(col, inv, out=term)
+        out += term
 
 
 def _prepare(x):
