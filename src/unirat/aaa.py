@@ -8,14 +8,15 @@ interpolatory form, reproducing the floating-point behavior of the
 unmodified method.
 
 A fit allocates its system and its Cauchy block once, with one column per
-iteration to come.  Each iteration drops its node's row from both, by moving
-the rows below it up one place, writes its new column into both, and solves
-and evaluates the leading blocks in place, with the bits of a system rebuilt
-from the iteration's whole Cauchy block.  Each iteration's solve starts from
-a nearby vector, the one before's with a 0 appended, and the first from
-e_1, which its one-column system certifies at once, so the Jacobi kernel
-runs only where inverse iteration cannot certify.  The modified variant's
-node values conj(C w) / (C w) take one product with the Cauchy block.
+iteration to come, and keeps its test nodes, exp(i x_k) and the R diagonal
+in buffers of its own.  Each iteration drops its node from all five, by
+moving the entries and rows below it up one place, writes its new column
+into both blocks, and solves and evaluates the leading blocks in place, with
+the bits of a system rebuilt from the iteration's whole Cauchy block.  Each
+iteration's vector comes from one Hermitian eigensolve where that is
+certified, so the Jacobi kernel runs only where it is not.  The modified
+variant's node values conj(C w) / (C w) take one product with the Cauchy
+block.
 """
 
 from dataclasses import dataclass, field
@@ -79,20 +80,20 @@ def aaa_fit(test_nodes, config):
     """Fit a rational approximant to exp(ix) on the given test nodes.
 
     Returns ``(approximant, trace)``.  If ``config.n_lawson > 0`` the support
-    nodes are handed to the minimax iteration, with the last iterate as the
-    start of its first step, and its result is returned, with the Lawson
-    trace attached to ``trace.lawson``; an iteration that leaves too few
-    test nodes for the Lawson steps raises InvalidInputError at once.  Test
-    nodes two of which differ by an amount that is not finite or whose
-    reciprocal is not are rejected (``check_differences``).
+    nodes are handed to the minimax iteration, and its result is returned,
+    with the Lawson trace attached to ``trace.lawson``; an iteration that
+    leaves too few test nodes for the Lawson steps raises InvalidInputError
+    at once.  Test nodes two of which differ by an amount that is not finite
+    or whose reciprocal is not are rejected (``check_differences``).
     """
     x = check_nodes(test_nodes, "test nodes", least=2)
     if config.m_max >= x.size:
         raise InvalidInputError("m_max must be smaller than the number of test nodes")
     check_differences(x)
 
-    F = np.exp(1j * x)
-    R = phase_entries(x)
+    # the test nodes, exp(i x_k) and the R diagonal, in per-fit buffers whose
+    # leading entries are the test nodes left; the caller's nodes are copied
+    x, F, R = x.copy(), np.exp(1j * x), phase_entries(x)
     r = np.full(x.size, F.mean(), dtype=complex)
 
     y = []  # support nodes, in selection order
@@ -105,43 +106,38 @@ def aaa_fit(test_nodes, config):
     A_buf = np.empty(shape, order="F", dtype=float if config.variant == "modified" else complex)
     C_buf = np.empty(shape, dtype=complex)
     fv_buf, K_buf = np.empty(config.m_max, dtype=complex), np.empty(config.m_max, dtype=complex)
-    # iteration 1 starts from e_1, the vector of its one-column system; every
-    # later one from the vector of the one before, padded by 0
-    start = np.ones(1)
     trace = AaaTrace()
 
     j = greedy_select(F, r)
     for m in range(1, config.m_max + 1):
         y.append(float(x[j]))
         fv_buf[m - 1], K_buf[m - 1] = F[j], R[j]
-        fv, K = fv_buf[:m], K_buf[:m]
-        keep = np.arange(x.size) != j
-        x, F, R = x[keep], F[keep], R[keep]
-        k = x.size
+        k = x.size - m
         # the test nodes left only shrink as m grows, so a count too small for
         # the Lawson steps is final
         if config.n_lawson > 0:
             check_test_count(k, m)
-        # node j's row leaves both blocks: the rows below it move up one place
+        # node j leaves the test nodes and its row both blocks: the entries
+        # and rows below it move up one place
+        for buf in (x, F, R):
+            buf[j:k] = buf[j + 1:k + 1]
         for buf in (A_buf, C_buf):
             buf[j:k, :m - 1] = buf[j + 1:k + 1, :m - 1]
         A, C = A_buf[:k, :m], C_buf[:k, :m]
 
-        c = (1.0 / (x - y[-1]))[:, None]
+        c = (1.0 / (x[:k] - y[-1]))[:, None]
         C[:, -1:] = c
-        ph = PhaseDiagonals(K=K, R=R, S_f=fv, S_F=F)
+        ph = PhaseDiagonals(K=K_buf[:m], R=R[:k], S_f=fv_buf[:m], S_F=F[:k])
         # the system is elementwise in C, so the new column's entries alone
         # extend it, with the bits of a full rebuild
-        A[:, -1:] = interpolatory_system(c, PhaseDiagonals(K=K[-1:], R=R, S_f=fv[-1:], S_F=F),
-                                         config.variant)
-        alpha, w, solve = interpolatory_coefficients(A, ph, config.variant, start)
-        start = np.append(solve.vector, 0.0)
+        A[:, -1:] = interpolatory_system(c, ph, config.variant)
+        alpha, w, solve = interpolatory_coefficients(A, ph, config.variant)
         r = (node_quotient(C, alpha, w) if config.variant == "original"
              else cayley_node_quotient(C, w))
 
         # one |F - r| gives the max error and, by greedy_select's rule, the
         # next node
-        err = np.abs(F - r)
+        err = np.abs(F[:k] - r)
         j = int(np.argmax(err))
         max_error = float(err[j])
         trace.iterations.append(
@@ -155,8 +151,7 @@ def aaa_fit(test_nodes, config):
     y = np.asarray(y)
     if config.n_lawson > 0:
         approx, trace.lawson = lawson_fit(
-            x, y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant),
-            start=(alpha, w))
+            x[:k], y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant))
         return approx, trace
 
     if config.variant == "modified":

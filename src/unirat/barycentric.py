@@ -46,7 +46,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidInputError, PoleEvaluationError
-from .linalg import EPS, number_array
+from .linalg import EPS, _ldexp, number_array
 
 #: Points per evaluation block.
 BLOCK_POINTS = 2**13
@@ -180,14 +180,22 @@ def cayley_values(x, blocks):
     """The Cayley form conj(d)/d at the points x in the shape of x, from the
     blocks of d that ``blocks`` yields as for ``denominator_values``.  The
     first zero d in grid order raises PoleEvaluationError, at a support hit
-    as elsewhere."""
+    as elsewhere.  A subnormal d overflows the complex division, so a block
+    whose quotients are not all finite is divided again with d scaled by
+    2^-e, e the exponent of max(|Re d|, |Im d|): the quotient is scale-free,
+    and the exact power of two leaves the bits of every quotient whose d is
+    normal."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
     for start, d, *_ in blocks(xv):
         if not d.all():
             raise PoleEvaluationError(float(xv[start + np.argmax(d == 0.0)]))
         block = out[start:start + len(d)]
-        np.divide(np.conjugate(d, out=block), d, out=block)
+        with np.errstate(over="ignore"):
+            np.divide(np.conjugate(d, out=block), d, out=block)
+        if not np.isfinite(block).all():
+            d = _ldexp(d, -np.frexp(np.maximum(np.abs(d.real), np.abs(d.imag)))[1])
+            np.divide(np.conjugate(d, out=block), d, out=block)
     return _finish(out, shape)
 
 

@@ -3,14 +3,12 @@
 The support nodes are appended to the test set so accuracy can be enforced
 there too.  Each step minimizes a weighted linearized error via the smallest
 right singular vector of the real matrix Bhat (MODIFIED variant) or of the
-complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``;
-each step after the first starts from the vector of the step before, and
-step 1 from a given approximant on the same support nodes, as an AAA-Lawson
-fit gives its last AAA iterate.  Weights are multiplied by the current
-absolute errors and renormalized to max 1 after every step.  A fit forms
-each step's row-weighted block and system in the same two Fortran-ordered
-buffers, and takes its node values from one complex copy of the modified
-Cauchy block, by one product in the modified variant.
+complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``,
+each step on its own, with no start vector.  Weights are multiplied by the
+current absolute errors and renormalized to max 1 after every step.  A fit
+forms each step's row-weighted block and system in the same two
+Fortran-ordered buffers, and takes its node values from one complex copy of
+the modified Cauchy block, by one product in the modified variant.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +20,7 @@ from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant,
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import SmallestVector, number_array
 from .loewner import (VARIANTS, NodeSet, check_differences, check_test_count,
-                      expanded_coefficients, expanded_start, expanded_system, modified_cauchy,
-                      phase_diagonals)
+                      expanded_coefficients, expanded_system, modified_cauchy, phase_diagonals)
 
 
 @dataclass(frozen=True)
@@ -46,13 +43,11 @@ class FitStep:
     ``sigma_min`` and ``degenerate`` the step reads.
 
     ``loewner`` solves every step by one call, ``smallest_right_vector``.
-    Inverse iteration, on repeated squares of (R^H R)^{-1}, gives the record
-    of a step that starts from a nearby vector and is certified: every AAA
-    iteration, the first from e_1, every Lawson step after its fit's first,
-    and step 1 of a Lawson fit given a ``start``, as every AAA-Lawson fit's
-    is.  Every other step's record comes from the fully converged Jacobi
-    kernel, from the same QR of the step's system, and reads
-    ``iterations == 0``; on the four figure fits no step's does."""
+    One Hermitian eigensolve of (R^H R)^{-1} gives the record of every step
+    whose tall system it certifies, and the record reads
+    ``iterations == 1``.  Every other step's record comes from the fully
+    converged Jacobi kernel, from the same QR of the step's system, and
+    reads ``iterations == 0``; on the four figure fits no step's does."""
 
     step: int
     node: float
@@ -95,7 +90,7 @@ def lawson_weight_update(weights, errors):
     return mu / top
 
 
-def lawson_fit(test_nodes, support_nodes, config, start=None):
+def lawson_fit(test_nodes, support_nodes, config):
     """Run ``config.n_lawson`` re-weighted least-squares steps.
 
     Returns ``(approximant, trace)``: a ``CayleyApproximant`` built from the
@@ -105,14 +100,6 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     rejected (``check_test_count``), as are nodes, test and support
     together, two of which differ by an amount that is not finite or whose
     reciprocal is not (``check_differences``).
-
-    ``start``, the ``(alpha, beta)`` of an approximant on the same support
-    nodes (``aaa_fit`` passes its last iterate), starts step 1 by inverse
-    iteration, as the vector of the step before starts every later step;
-    without it step 1 runs the Jacobi kernel.  The certificate or the kernel
-    decides which vector a step uses, so a poor start costs only time.  A
-    start that is not two finite vectors of m coefficients, or that is zero,
-    is rejected.
     """
     x = check_nodes(test_nodes, "test nodes", least=0)
     y = check_nodes(support_nodes, "support nodes")
@@ -120,9 +107,6 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     if set(x.tolist()) & set(y.tolist()):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")
-    # a step starts from the vector of the step before, step 1 from start's
-    # vector where one is given
-    g = None if start is None else expanded_start(start, config.variant, y.size)
     nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
     check_differences(nodes.test_nodes)
     xa, ph = nodes.test_nodes, phase_diagonals(nodes)
@@ -147,8 +131,7 @@ def lawson_fit(test_nodes, support_nodes, config, start=None):
     for step in range(1, config.n_lawson + 1):
         np.multiply(np.sqrt(mu)[:, None], Cp, out=M)
         A = expanded_system(M, ph, config.variant, out=A)
-        alpha, beta, solve = expanded_coefficients(A, config.variant, g)
-        g = solve.vector
+        alpha, beta, solve = expanded_coefficients(A, config.variant)
         r = (node_quotient(Cp_complex, alpha, beta) if config.variant == "original"
              else cayley_node_quotient(Cp_complex, beta))
 

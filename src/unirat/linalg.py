@@ -29,28 +29,26 @@ shows no active pair.
 
 A fit step reads only a ``SmallestVector``: its smallest right vector,
 sigma_min, a lower bound on sigma_{m-1} and a scale, whose ``degenerate``
-rule says whether the vector is determined.  Every step starts from a
-nearby vector: an AAA iteration's system gains one column, so it starts
-from the vector before with a 0 appended, and the first, of one column,
-from e_1, its exact vector; a Lawson step's system changes its row weights,
-and an AAA-Lawson fit's first Lawson step refines the last AAA iterate.
-One call, ``smallest_right_vector``, solves every fit step, from one QR of
-a tall A = QR.  From a nearby vector it forms X = R^{-1} once, runs inverse
-iteration on Z = X X^H = (R^H R)^{-1} and its repeated squares, and keeps
-the result only if its record, with ``gap_bound``'s lower bound on
-sigma_{m-1}, net of that bound's own rounding, is not degenerate.  The
-Jacobi kernel is the fallback: a step it does not certify, a wide step and
-a step given no nearby vector run it to full convergence from the same R.
+rule says whether the vector is determined.  One call,
+``smallest_right_vector``, solves every fit step, from one QR of a tall
+A = QR.  It forms X = R^{-1} once, takes the dominant eigenvector of
+Z = X X^H = (R^H R)^{-1} from one LAPACK Hermitian eigensolve and one
+product with Z, and keeps the result only if its record, with
+``gap_bound``'s lower bound on sigma_{m-1}, net of that bound's own
+rounding, is not degenerate.  The eigensolve needs no start vector.  The
+Jacobi kernel is the fallback: a step it does not certify and a wide step
+run it to full convergence from the same R.
 
 A warm step's cost is its LAPACK work, not NumPy's wrappers around it.
-Its QRs, R^{-1} and the complement of v that ``gap_bound`` reads are made
-by LAPACK routines called as directly as NumPy allows (``?geqrf`` and
-``?orgqr`` in place through ``lapack_lite``, ``?gesv`` against the
-identity through the gufunc that ``np.linalg.inv`` wraps), its triangles
-by the ``np.where`` that ``np.triu`` evaluates, its norms by
-``np.linalg.norm``'s own formula and its phase from its one largest entry;
-each with the bits of the NumPy call it replaces.  The step, ``gap_bound``
-included, runs under one ``np.errstate``.
+Its QRs, R^{-1}, eigensolve and the complement of v that ``gap_bound``
+reads are made by LAPACK routines called as directly as NumPy allows
+(``?geqrf`` and ``?orgqr`` in place through ``lapack_lite``, ``?gesv``
+against the identity and ``?syevd``/``?heevd`` through the gufuncs that
+``np.linalg.inv`` and ``np.linalg.eigh`` wrap), its triangles by the
+``np.where`` that ``np.triu`` evaluates, its norms by ``np.linalg.norm``'s
+own formula and its phase from its one largest entry; each with the bits of
+the NumPy call it replaces.  The step, ``gap_bound`` included, runs under
+one ``np.errstate``.
 """
 
 import functools
@@ -68,10 +66,6 @@ TINY = float(np.finfo(float).tiny)
 #: Cap on Jacobi sweeps; an SVD still off orthogonal after it raises
 #: NumericalFailureError.
 SWEEP_CAP = 60
-
-#: Cap on inverse iteration steps; a vector still moving after it is not
-#: certified.
-ITERATION_CAP = 16
 
 
 def number_array(x, name, dtype=float):
@@ -95,12 +89,11 @@ class SmallestVector:
 
     The Jacobi kernel (``SvdResult.smallest``) records sigma_m, sigma_{m-1}
     (inf for one column) and sigma_max, with its ``sweeps`` and
-    ``rotations``; inverse iteration (``_inverse_iteration``) records
-    ||A v|| >= sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >=
-    sigma_max, with its ``iterations``.  ``smallest_right_vector`` returns
-    a warm record only where it is not ``degenerate``, and the kernel's
-    otherwise.  So ``iterations`` is 0 on a kernel record and at least 1 on
-    a warm one.
+    ``rotations``; the eigensolve (``_eigensolve``) records ||A v|| >=
+    sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >= sigma_max.
+    ``smallest_right_vector`` returns a warm record only where it is not
+    ``degenerate``, and the kernel's otherwise.  ``iterations`` reads 1 on
+    a warm record and 0 on a kernel record.
     """
 
     vector: np.ndarray
@@ -564,74 +557,61 @@ def _gap_bound(R, v):
     return 0.0 if X is None else max(0.0, float(1.0 / _norm(X) - 4 * m * EPS * _norm(R)))
 
 
-def _inverse_iteration(A, R, v0):
-    """The certified record of a tall A = QR by inverse iteration on R from
-    a unit v0 near its smallest right vector; None where it is not certified.
+def _eigensolve(A, R):
+    """The certified record of a tall A = QR from one Hermitian eigensolve;
+    None where it is not certified.
 
-    X = R^{-1} is formed once, by one LAPACK ``?gesv`` against the identity
-    (``_triangular_inverse``).  Step 1 sets Z = X X^H = (R^H R)^{-1}, every
-    later step Z = Z Z^H, each scaled to ||Z||_F = 1, and then
-    v = Z v / ||Z v||, until v moves by at most 8 eps, in at most
-    ITERATION_CAP steps.  So step i multiplies by the 2^(i-1)-th power of
-    (R^H R)^{-1} and does the work of 2^(i-1) plain steps v = X (X^H v),
-    each of which contracts the error only by (sigma_m / sigma_{m-1})^2, and
-    a step's LAPACK work does not grow with its iteration count.  The square
-    is Z Z^H, not Z Z: a complex Z is Hermitian only to rounding, and the
-    phase of the dominant eigenvalue of its plain squares doubles with each
-    square, so that v would turn by 2^i eps a step and never settle.  v is
-    Z's dominant eigenvector, whose rounding is about
-    eps / (1 - (sigma_m / sigma_{m-1})^2); forming Z squares R's condition,
+    X = R^{-1}, formed by one LAPACK ``?gesv`` against the identity
+    (``_triangular_inverse``), is scaled to ||X||_F = 1, and Z = X X^H is
+    (R^H R)^{-1} so scaled: its eigenvector u of largest eigenvalue is R's,
+    and A's, smallest right vector.  u comes from the gufunc behind
+    ``np.linalg.eigh`` (LAPACK ``?syevd``/``?heevd`` on Z's lower triangle),
+    called as ``_triangular_inverse`` calls ``inv``, and the vector is
+    v = Z u / ||Z u||: the one product takes a further factor
+    (sigma_m / sigma_{m-1})^2 off the eigensolver's error, which is about
+    eps / (1 - (sigma_m / sigma_{m-1})^2).  Forming Z squares R's condition,
     but neither sigma_min nor the gap is read from it.  The result is
     certified by its ``SmallestVector(v, ||A v||, gap_bound(R, v), ||R||_F)``
     not being ``degenerate``; ``gap_bound`` takes off its own rounding, and
     on the figure fits the gap then exceeds 685 eps ||R||_F.  The gap is
     bounded from R, not from X, whose rounding, eps sigma_max / sigma_min,
-    would swamp sigma_{m-1}.  None also for a singular R, a non-finite X or
-    iterate, or an iteration that does not settle.  The norms are
-    ``_norm``'s, with the bits of ``np.linalg.norm``, and every field of the
-    record, ``gap_bound``'s too, is formed under one ``np.errstate`` and
-    stored as a Python float, so that an overflowed sigma_min or scale makes
-    the record degenerate, with no warning.  The vector is turned to the
-    kernel's phase by ``_entry_phase``.
+    would swamp sigma_{m-1}.  None also for a singular R, a non-finite X, or
+    a non-finite u or v.  The norms are ``_norm``'s, with the bits of
+    ``np.linalg.norm``, and every field of the record, ``gap_bound``'s too,
+    is formed under one ``np.errstate`` and stored as a Python float, so that
+    an overflowed sigma_min or scale makes the record degenerate, with no
+    warning.  The vector is turned to the kernel's phase by ``_entry_phase``.
     """
     with np.errstate(all="ignore"):
         X = _triangular_inverse(R)
         if X is None:
             return None
-        Z, v = X, v0
-        for iterations in range(1, ITERATION_CAP + 1):
-            Z = Z @ Z.conj().T
-            Z /= _norm(Z)
-            x = Z @ v
-            norm = _norm(x)
-            if not 0.0 < norm < np.inf:
-                return None
-            x /= norm
-            moved = _norm(x - v)
-            v = x
-            if moved <= 8.0 * EPS:
-                break
-        else:
+        X /= _norm(X)
+        Z = X @ X.conj().T
+        u = _umath_linalg.eigh_lo(Z, signature="D->dD" if Z.dtype.kind == "c" else "d->dd")[1]
+        x = Z @ u[:, -1]
+        norm = _norm(x)
+        if not 0.0 < norm < np.inf:  # a NaN in u or x fails it too
             return None
+        v = x / norm
         solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)),
-                               _gap_bound(R, v), float(_norm(R)), iterations=iterations)
+                               _gap_bound(R, v), float(_norm(R)), iterations=1)
     return None if solve.degenerate else solve
 
 
-def smallest_right_vector(A, previous=None):
+def smallest_right_vector(A):
     """The ``SmallestVector`` of a fit step's system A, never None.
 
     A tall A is factored once, A = QR, by ``_r_factor``: LAPACK's ``?geqrf``
-    in place on one Fortran-ordered copy, so A is left as it is for inverse
-    iteration's ``A v`` and the kernel's ``A V`` to read.  Where
-    ``previous``, the unit vector of a nearby system, is given, inverse
-    iteration on R starts from it, and its record is returned where it is
-    certified (``_inverse_iteration``).  Otherwise the Jacobi kernel runs to
-    full convergence from the same R, except that an A it rescales by a
-    power of two is factored anew, and a wide A takes the kernel's wide
-    branch; a kernel record reads ``iterations == 0``.  The vector is in the
-    kernel's phase (``_vector_phase``), complex for a complex A.
+    in place on one Fortran-ordered copy, so A is left as it is for the
+    eigensolve's ``A v`` and the kernel's ``A V`` to read.  The eigensolve
+    on R (``_eigensolve``) gives the record where it is certified.
+    Otherwise the Jacobi kernel runs to full convergence from the same R,
+    except that an A it rescales by a power of two is factored anew, and a
+    wide A takes the kernel's wide branch; a kernel record reads
+    ``iterations == 0``.  The vector is in the kernel's phase
+    (``_vector_phase``), complex for a complex A.
     """
     R = _r_factor(A) if A.shape[0] >= A.shape[1] else None
-    warm = None if previous is None or R is None else _inverse_iteration(A, R, previous)
+    warm = None if R is None else _eigensolve(A, R)
     return _svd(A, R).smallest() if warm is None else warm

@@ -8,17 +8,15 @@ Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
 over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
 Both extractors return their coefficients with the step's
 ``linalg.SmallestVector``, from one call to ``linalg.smallest_right_vector``
-on one QR of the system: inverse iteration's from a nearby vector (the
-step before's, or e_1 for AAA's first) where that is certified, the Jacobi
-kernel's otherwise.
-``expanded_start`` inverts ``expanded_coefficients``' mapping, so that a
-Lawson fit's step 1 can start from a given (alpha, beta).  The node-level
-functions (``loewner``, ``rescaled_loewner``, ``bhat``,
-``min_singular_pair``, ...) wrap these four, and
-``min_singular_coefficients`` applies AAA's w = i K v to the kernel's
-vector: the identity tests check them.  ``check_differences`` rejects, for
-the fits, nodes two of which differ by an amount whose value or reciprocal
-is not finite; the constructors and ``NodeSet`` accept such nodes.
+on one QR of the system: one Hermitian eigensolve's where that is
+certified, the Jacobi kernel's otherwise.  The node-level functions
+(``loewner``, ``rescaled_loewner``, ``bhat``, ...) wrap the two builders;
+``min_singular_coefficients`` and ``min_singular_pair`` read the kernel's
+vector (``svd_real(...).smallest()``) and apply AAA's w = i K v or
+Lawson's (alpha, beta) mapping to it: the identity tests check them.
+``check_differences`` rejects, for the fits, nodes two of which differ by
+an amount whose value or reciprocal is not finite; the constructors and
+``NodeSet`` accept such nodes.
 """
 
 from dataclasses import dataclass
@@ -110,10 +108,13 @@ def phase_diagonals(nodes):
 
 
 def interpolatory_system(C, ph, variant):
-    """Lhat = 2 Im(R C K*) (modified) or the Loewner matrix S_F C - C S_f."""
+    """Lhat = 2 Im(R C K*) (modified) or the Loewner matrix S_F C - C S_f,
+    for C the columns of ph's last C.shape[1] support nodes, so that a fit
+    extends its system by its new node's column alone."""
+    last = slice(ph.K.size - C.shape[1], None)
     if variant == "modified":
-        return 2.0 * np.imag(ph.R[:, None] * C * np.conj(ph.K)[None, :])
-    return (ph.S_F[:, None] - ph.S_f[None, :]) * C
+        return 2.0 * np.imag(ph.R[:, None] * C * np.conj(ph.K[last])[None, :])
+    return (ph.S_F[:, None] - ph.S_f[last][None, :]) * C
 
 
 def check_test_count(n_test, m):
@@ -125,11 +126,11 @@ def check_test_count(n_test, m):
                                 f"test nodes, got {n_test}")
 
 
-def interpolatory_coefficients(A, ph, variant, previous=None):
+def interpolatory_coefficients(A, ph, variant):
     """(alpha, w, solve) for ``solve`` the ``SmallestVector`` of A
-    (``smallest_right_vector``, from ``previous``) and v its vector:
-    (conj(w), w = i K v) or (S_f v, v)."""
-    solve = smallest_right_vector(A, previous)
+    (``smallest_right_vector``) and v its vector: (conj(w), w = i K v) or
+    (S_f v, v)."""
+    solve = smallest_right_vector(A)
     v = solve.vector
     if variant == "original":
         return ph.S_f * v, v, solve
@@ -153,36 +154,21 @@ def expanded_system(M, ph, variant, out=None):
     return out
 
 
-def expanded_coefficients(A, variant, previous=None):
+def expanded_coefficients(A, variant):
     """(alpha, beta, solve) for ``solve`` the ``SmallestVector`` of A
-    (``smallest_right_vector``, from ``previous``) and g its vector:
-    (conj(b), b = (g_1 - i g_2)/sqrt2) or g = [alpha; beta]."""
-    m = A.shape[1] // 2
-    solve = smallest_right_vector(A, previous)
-    g = solve.vector
+    (``smallest_right_vector``) and ``_expanded_pair`` of its vector."""
+    solve = smallest_right_vector(A)
+    return (*_expanded_pair(solve.vector, variant), solve)
+
+
+def _expanded_pair(g, variant):
+    """(alpha, beta) of a Lawson system's unit vector g: (conj(b),
+    b = (g_1 - i g_2)/sqrt2) (modified) or g = [alpha; beta]."""
+    m = g.size // 2
     if variant == "original":
-        return g[:m], g[m:], solve
+        return g[:m], g[m:]
     beta = (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
-    return np.conj(beta), beta, solve
-
-
-def expanded_start(start, variant, m):
-    """The unit g that ``expanded_coefficients`` maps to a multiple of
-    ``start = (alpha, beta)``, two vectors of m coefficients: [alpha; beta]
-    (original) or [Re(beta); -Im(beta)] (modified, whose alpha is
-    conj(beta)), scaled to unit norm.  ``start`` is cast as one (2, m)
-    complex array (``number_array``), so strings, objects and ragged pairs
-    are rejected as not numbers."""
-    pair = number_array(start, "start", complex)
-    if pair.shape != (2, m):
-        raise InvalidInputError(f"start needs two vectors of {m} coefficients, "
-                                f"got shape {pair.shape}")
-    alpha, beta = pair
-    g = np.concatenate([alpha, beta] if variant == "original" else [beta.real, -beta.imag])
-    if not (np.isfinite(pair).all() and g.any()):
-        raise InvalidInputError("start must be finite and nonzero")
-    g = g / np.max(np.abs(g))  # keeps the norm's squares in range
-    return g / np.linalg.norm(g)
+    return np.conj(beta), beta
 
 
 def _differences(nodes, allow_overlap=False):
@@ -278,9 +264,10 @@ def bhat(nodes):
 
 
 def min_singular_pair(bhat_matrix):
-    """(alpha, beta) from the last right singular vector of Bhat; satisfies
-    alpha_j = conj(beta_j) and minimizes ||[M | -S_F M] [alpha; beta]||_2."""
+    """(alpha, beta) from the kernel's last right singular vector of Bhat;
+    satisfies alpha_j = conj(beta_j) and minimizes ||[M | -S_F M]
+    [alpha; beta]||_2."""
     B = number_array(bhat_matrix, "Bhat")
     if B.shape[1] % 2 != 0:
         raise InvalidInputError("Bhat must have an even number of columns")
-    return expanded_coefficients(B, "modified")[:2]
+    return _expanded_pair(svd_real(B).smallest().vector, "modified")

@@ -1,5 +1,6 @@
 """Greedy AAA loop: selection rule, variants, trace semantics."""
 
+import dataclasses
 import functools
 import warnings
 
@@ -100,10 +101,10 @@ class TestAaaFit:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_first_iteration_certified_with_kernel_bits(self, variant):
-        # iteration 1 starts from e_1, the vector of its one-column system,
-        # which settles at once and is certified, since gap_bound is inf for
-        # one column: one iteration, no kernel run, and the kernel's vector
-        # bit for bit.  Its sigma_min is the column's norm either way
+        # iteration 1's one-column system is certified by the eigensolve,
+        # since gap_bound is inf for one column: a warm record, no kernel
+        # run, and the kernel's vector bit for bit.  Its sigma_min is the
+        # column's norm either way
         rng = np.random.default_rng(109)
         grids = [FIT_GRID, np.array([-1.0, 0.5, 2.0])]
         grids += [np.sort(separated_nodes(rng, n, 0)[0]) for n in (4, 16, 30)]
@@ -152,7 +153,7 @@ class TestAaaFit:
         # constructors, so the final system has the public path's bits.  Its
         # vector has them too where the kernel served the final iteration,
         # and where that iteration's system has one column, whose certified
-        # e_1 is the kernel's vector; where inverse iteration served a larger
+        # vector is the kernel's; where the eigensolve served a larger
         # system, it lies within the Wedin angle eps ||R||_F / (l - sigma) of
         # the kernel's, which its record gives
         systems = []
@@ -164,13 +165,13 @@ class TestAaaFit:
         monkeypatch.setattr(aaa, "interpolatory_coefficients", record)
         rng = np.random.default_rng(64)
         served = set()
-        fits, cap = [], linalg.ITERATION_CAP
+        fits, eigensolve = [], linalg._eigensolve
         for _ in range(5):
             x, _ = separated_nodes(rng, 16, 0)
-            # with one iteration allowed, m_max = 6 ends on the kernel's vector
-            fits += [(x, 1, cap), (x, 6, cap), (x, 6, 1)]
-        for x, m_max, cap in fits:
-            monkeypatch.setattr(linalg, "ITERATION_CAP", cap)
+            # with the eigensolve refused, m_max = 6 ends on the kernel's vector
+            fits += [(x, 1, eigensolve), (x, 6, eigensolve), (x, 6, lambda A, R: None)]
+        for x, m_max, solver in fits:
+            monkeypatch.setattr(linalg, "_eigensolve", solver)
             approx, trace = aaa_fit(x, AaaConfig(m_max=m_max, tol=0.0, variant=variant))
             y = approx.support
             ns = NodeSet(test_nodes=x[~np.isin(x, y)], support_nodes=y)
@@ -185,12 +186,12 @@ class TestAaaFit:
                 served.add("one column" if solve.iterations else "kernel")
                 assert np.array_equal(approx.coefficients, u)
                 continue
-            served.add("inverse iteration")
+            served.add("eigensolve")
             w = approx.coefficients
             p = np.vdot(u, w)
             angle = np.linalg.norm(w - u * (p / abs(p)))
             assert angle <= solve.wedin
-        assert served == {"kernel", "one column", "inverse iteration"}
+        assert served == {"kernel", "one column", "eigensolve"}
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_degenerate_flags_past_convergence(self, variant):
@@ -231,12 +232,15 @@ class TestAaaFit:
         # of those rebuilt from that iteration's whole Cauchy block.  Nodes
         # 21 and 12 of [-3, 3] and [-1, 1] fitted to m_max = n - 1 pick the
         # first and the last remaining row, so that every row or none moves,
-        # and end on a one-row, wide system
+        # and end on a one-row, wide system.  The fit's R and S_F diagonals
+        # are views of buffers that later iterations overwrite, so the
+        # recorder copies them
         systems, blocks = [], []
 
-        def record(A, ph, variant, previous):
-            systems.append((A.copy(), ph, variant))
-            return interpolatory_coefficients(A, ph, variant, previous)
+        def record(A, ph, variant):
+            systems.append((A.copy(), dataclasses.replace(ph, R=ph.R.copy(), S_F=ph.S_F.copy()),
+                            variant))
+            return interpolatory_coefficients(A, ph, variant)
 
         def record_quotient(C, *coefficients, quotient=node_quotient):
             blocks.append(C.copy())

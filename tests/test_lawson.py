@@ -23,10 +23,9 @@ from unirat import (
     unitarity_deviation,
 )
 from unirat.barycentric import node_quotient
-from unirat.cli import FIGURE_LAWSON_STEPS
 from unirat.errors import InvalidInputError, NumericalFailureError
 from unirat.linalg import EPS
-from unirat.loewner import expanded_coefficients, expanded_start
+from unirat.loewner import expanded_coefficients
 
 from conftest import FIT_GRID, figure_aaa_config, separated_nodes
 
@@ -88,19 +87,17 @@ class TestLawsonFit:
         # 1, 2 and 3 steps reproduce, bit for bit, a replay through the node-level
         # functions over test nodes + appended support nodes, weighted by mu:
         # every step of the fit builds the matrix they return and solves it
-        # from the vector of the step before
+        # on its own
         rng = np.random.default_rng(72)
         for _ in range(5):
             x, y = separated_nodes(rng, 10, 3)
             xa = np.concatenate([x, y])
             for variant in ("modified", "original"):
                 mu = np.ones(xa.size)
-                g = None
                 for steps in (1, 2, 3):
                     ns = NodeSet(test_nodes=xa, support_nodes=y, weights=mu)
                     A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
-                    alpha, beta, solve = expanded_coefficients(A, variant, g)
-                    g = solve.vector
+                    alpha, beta, solve = expanded_coefficients(A, variant)
                     if variant == "modified":
                         assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
                         ref = CayleyApproximant(support=y, coefficients=beta)
@@ -220,31 +217,34 @@ def figure_aaa(variant):
 
 
 class TestStart:
-    """``start``, the (alpha, beta) of an approximant on the support nodes,
-    starts step 1 by inverse iteration, as every later step starts from the
-    step before's vector."""
+    """A Lawson fit's step 1 needs no start vector: the eigensolve certifies
+    it as it certifies every later step."""
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_aaa_iterate_certifies_step_1(self, monkeypatch, variant):
-        # the figure AAA iterate lies within 1e-3 of step 1's vector, whose
-        # gap is about 100 times sigma_min: the step is certified, records
+        # on the figure AAA fit's support nodes step 1's gap is about 100
+        # times sigma_min: the step is certified by the eigensolve, records
         # ||A v|| and no degeneracy, and its vector lies within the Wedin
-        # angle eps ||R||_F / (l - sigma) of the kernel's
+        # angle eps ||R||_F / (l - sigma) of the kernel's, and within 1e-3 of
+        # the unit vector of the AAA iterate, [alpha; beta] (original) or
+        # [Re beta; -Im beta] (modified)
         loewner = importlib.import_module("unirat.loewner")
         calls = []
 
-        def record(A, v0, solve=loewner.smallest_right_vector):
-            calls.append((A.copy(), v0))
-            return solve(A, v0)
+        def record(A, solve=loewner.smallest_right_vector):
+            calls.append(A.copy())
+            return solve(A)
         aaa, x = figure_aaa(variant)
         monkeypatch.setattr(loewner, "smallest_right_vector", record)
-        _, trace = lawson_fit(x, aaa.support, LawsonConfig(n_lawson=1, variant=variant),
-                              start=(aaa.alpha, aaa.beta))
-        [(A, v0)] = calls
+        _, trace = lawson_fit(x, aaa.support, LawsonConfig(n_lawson=1, variant=variant))
+        [A] = calls
         [step] = trace.steps
         v = step.solve.vector
-        assert step.solve.iterations and not step.degenerate
-        assert np.linalg.norm(v0 - v * np.vdot(v, v0)) <= 1e-3
+        assert step.solve.iterations == 1 and not step.degenerate
+        g = np.concatenate([aaa.alpha, aaa.beta] if variant == "original"
+                           else [aaa.beta.real, -aaa.beta.imag])
+        g /= np.linalg.norm(g)
+        assert np.linalg.norm(g - v * np.vdot(v, g)) <= 1e-3
         assert step.sigma_min == pytest.approx(np.linalg.norm(A @ v), rel=8 * EPS)
         full = (svd_real if variant == "modified" else svd_complex)(A)
         u = full.right_vectors[:, -1]
@@ -252,39 +252,25 @@ class TestStart:
         assert np.linalg.norm(v - u * (p / abs(p))) <= step.solve.wedin
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
-    def test_start_inverts_expanded_coefficients(self, variant):
-        # the unit vector of a step's (alpha, beta) is the step's own g
-        rng = np.random.default_rng(78)
-        x, y = separated_nodes(rng, 10, 3)
-        ns = NodeSet(test_nodes=x, support_nodes=y)
-        A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
-        alpha, beta, solve = expanded_coefficients(A, variant)
-        assert np.max(np.abs(expanded_start((alpha, beta), variant, 3) - solve.vector)) <= 4 * EPS
-
-    @pytest.mark.parametrize("variant", ["modified", "original"])
-    @pytest.mark.parametrize("start", [
-        ([1.0, 2.0], [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0, 3.0]] * 2,),
-        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
-        ([0.0] * 3, [0.0] * 3), (["a", 2.0, 3.0], [1.0, 2.0, 3.0])])
-    def test_invalid_start_rejected(self, variant, start):
-        rng = np.random.default_rng(80)
-        x, y = separated_nodes(rng, 10, 3)
-        with pytest.raises(InvalidInputError):
-            lawson_fit(x, y, LawsonConfig(n_lawson=1, variant=variant), start=start)
-
-    @pytest.mark.parametrize("variant", ["modified", "original"])
-    def test_random_start(self, variant):
-        # a poor start costs only time: the certificate or the kernel
-        # decides each step's vector
-        aaa, x = figure_aaa(variant)
-        m = aaa.support.size
-        rng = np.random.default_rng(82)
-        z = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
-        z /= np.linalg.norm(z)
-        _, trace = lawson_fit(x, aaa.support,
-                              LawsonConfig(n_lawson=FIGURE_LAWSON_STEPS, variant=variant),
-                              start=(z[:m], z[m:]))
-        assert trace.steps[-1].max_error <= 1e-12
+    def test_step_1_warm_off_the_figure_grid(self, variant):
+        # a Lawson fit on random nodes, with no AAA fit before it: its step 1
+        # is a warm record wherever its system is tall and its gap certified,
+        # within the record's Wedin angle of the kernel's vector
+        rng = np.random.default_rng(84)
+        warm = 0
+        for _ in range(10):
+            x, y = separated_nodes(rng, 12, 4)
+            _, trace = lawson_fit(x, y, LawsonConfig(n_lawson=1, variant=variant))
+            solve = trace.steps[0].solve
+            if not solve.iterations:
+                continue
+            warm += 1
+            ns = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+            kernel = (svd_real(bhat(ns)) if variant == "modified"
+                      else svd_complex(expanded_loewner(ns))).smallest()
+            p = np.vdot(kernel.vector, solve.vector)
+            assert np.linalg.norm(solve.vector - kernel.vector * (p / abs(p))) <= solve.wedin
+        assert warm >= 5
 
 
 class TestBoundary:

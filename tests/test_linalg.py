@@ -541,10 +541,7 @@ class TestRFactor:
     def test_non_finite_systems_rejected(self, dtype, bad):
         A = gaussian_matrix(np.random.default_rng(41), (20, 4), dtype)
         A[3, 2] = bad
-        start = np.full(4, 0.5)
-        for solve in (lambda: linalg.smallest_right_vector(A),
-                      lambda: linalg.smallest_right_vector(A, start),
-                      lambda: svd_complex(A)):
+        for solve in (lambda: linalg.smallest_right_vector(A), lambda: svd_complex(A)):
             with pytest.raises(InvalidInputError, match="non-finite"):
                 solve()
         if dtype is float:
@@ -605,13 +602,12 @@ class TestNumpyCallBits:
             warnings.simplefilter("error")
             assert linalg._triangular_inverse(singular) is None
             assert linalg._triangular_inverse(overflowing) is None
-        # inverse iteration and gap_bound set that errstate themselves
+        # the eigensolve and gap_bound set that errstate themselves
         A = np.vstack([singular, np.zeros((2, m), dtype)])
-        v = np.ones(m, dtype) / np.sqrt(m)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            assert linalg._inverse_iteration(A, singular, v) is None
-            assert linalg._inverse_iteration(A, overflowing, v) is None
+            assert linalg._eigensolve(A, singular) is None
+            assert linalg._eigensolve(A, overflowing) is None
             if m > 1:
                 assert linalg.gap_bound(np.diag(np.append(np.ones(m - 1), 1e-310)),
                                         np.eye(m)[0]) == 0.0
@@ -727,20 +723,22 @@ class TestSweepCounts:
 
     @pytest.mark.parametrize("variant, first", [("modified", 8), ("original", 9)])
     def test_figure_lawson_fit(self, variant, first):
-        # only the first step reaches the kernel, which runs to full
-        # convergence: steps 2-20 are certified by inverse iteration.  The
-        # counts are the fit path's exact ones
+        # the eigensolve certifies all 20 steps, step 1 included, so the fit
+        # reaches no kernel.  On step 1's system, the unit-weight one, the
+        # kernel runs to full convergence in these exact counts
         y = figure_support(variant)
-        _, trace = lawson.lawson_fit(FIT_GRID[~np.isin(FIT_GRID, y)], y,
-                                     lawson.LawsonConfig(n_lawson=20, variant=variant))
-        solves = [st.solve for st in trace.steps]
-        assert [s.iterations > 0 for s in solves] == [False] + [True] * 19
-        assert solves[0].sweeps <= first
+        x = FIT_GRID[~np.isin(FIT_GRID, y)]
+        _, trace = lawson.lawson_fit(x, y, lawson.LawsonConfig(n_lawson=20, variant=variant))
+        assert [st.solve.iterations for st in trace.steps] == [1] * 20
+        nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+        kernel = svd_real(bhat(nodes)) if variant == "modified" else svd_complex(
+            expanded_loewner(nodes))
+        assert kernel.sweeps <= first
         # under one BLAS thread LAPACK's complex tall QR rounds the original
         # system differently; the real QR of the modified one does not
         one_thread = machine.blas_threads() == 1
         counts = {"modified": (7, 1659), "original": (8, 1804 if one_thread else 1803)}[variant]
-        assert (solves[0].sweeps, solves[0].rotations) == counts
+        assert (kernel.sweeps, kernel.rotations) == counts
 
 
 def spectrum_matrix(rng, n, sigma, dtype):
@@ -752,16 +750,15 @@ def spectrum_matrix(rng, n, sigma, dtype):
 
 
 def record_warm_steps(monkeypatch):
-    """Record ``(A, result)`` for every fit step started from a nearby vector,
-    with a copy of A, since a fit refills its systems in place; the result is
-    inverse iteration's record, or None where the step ran the kernel."""
+    """Record ``(A, result)`` for every fit step, with a copy of A, since a
+    fit refills its systems in place; the result is the eigensolve's record,
+    or None where the step ran the kernel."""
     loewner = importlib.import_module("unirat.loewner")
     calls = []
 
-    def record(A, previous=None, solve=loewner.smallest_right_vector):
-        out = solve(A, previous)
-        if previous is not None:
-            calls.append((A.copy(), out if out.iterations else None))
+    def record(A, solve=loewner.smallest_right_vector):
+        out = solve(A)
+        calls.append((A.copy(), out if out.iterations else None))
         return out
     monkeypatch.setattr(loewner, "smallest_right_vector", record)
     return calls
@@ -777,9 +774,9 @@ def record_factorizations(monkeypatch):
         factored.append(A.shape)
         return factor(A)
 
-    def record(A, previous=None, solve=loewner.smallest_right_vector):
+    def record(A, solve=loewner.smallest_right_vector):
         steps.append(A.shape)
-        return solve(A, previous)
+        return solve(A)
     monkeypatch.setattr(linalg, "_r_factor", r_factor)
     monkeypatch.setattr(loewner, "smallest_right_vector", record)
     return steps, factored
@@ -791,19 +788,17 @@ def step_factorizations(steps, factored):
 
 
 class TestInverseIteration:
-    """Fit steps take their vector from inverse iteration on the R of the
-    step's system, from the vector of the step before (AAA's first from
-    e_1), certified by a lower bound on sigma_{m-1}; a step it does not
-    certify runs the kernel."""
+    """Fit steps take their vector from one Hermitian eigensolve of
+    (R^H R)^{-1}, R that of the step's system, certified by a lower bound on
+    sigma_{m-1}; a step it does not certify runs the kernel."""
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_figure_warm_steps_within_wedin_angle(self, monkeypatch, variant):
         # l <= sigma_{m-1} and ||R||_F >= sigma_max, so eps ||R||_F / (l - sigma)
         # bounds the angle by which rounding of the order eps ||A|| moves the
         # last vector (Wedin); the kernel's vector on the same system lies
-        # within it.  All four figure fits: every AAA iteration, the first
-        # one started from e_1, and every Lawson step, the first one started
-        # from the AAA iterate, is certified
+        # within it.  All four figure fits: every AAA iteration and every
+        # Lawson step is certified
         calls = record_warm_steps(monkeypatch)
         for config in FIGURE_FITS.values():
             if config.variant == variant:
@@ -833,45 +828,42 @@ class TestInverseIteration:
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_uncertified_warm_steps_factor_once(self, monkeypatch, variant):
-        # with one iteration allowed no warm attempt settles but the first
-        # AAA iteration's, whose e_1 does not move, so every later step runs
-        # the kernel, from the R its attempt computed
-        monkeypatch.setattr(linalg, "ITERATION_CAP", 1)
+        # with the eigensolve refusing every step, every step runs the
+        # kernel, from the R that smallest_right_vector computed for it
+        monkeypatch.setattr(linalg, "_eigensolve", lambda A, R: None)
         steps, factored = record_factorizations(monkeypatch)
         _, trace = aaa_fit(np.linspace(-3, 3, 40),
                            AaaConfig(m_max=8, tol=0.0, variant=variant, n_lawson=3))
         solves = [st.solve for st in trace.iterations + trace.lawson.steps]
         assert sum(step_factorizations(steps, factored).values()) == len(solves) == 11
         assert step_factorizations(steps, factored) == collections.Counter(steps)
-        assert [s.iterations for s in solves] == [1] + [0] * 10
-        assert all(s.sweeps > 0 for s in solves[1:])
+        assert [s.iterations for s in solves] == [0] * 11
+        assert all(s.sweeps > 0 for s in solves)
 
     def test_figure_fit_records(self, figure_fits):
-        # the kernel serves no step: every record is inverse iteration's,
-        # AAA at m = 1 in one iteration from e_1, and each is 685 eps ||R||_F
-        # or more clear of the rule once gap_bound has taken off its rounding
-        # term (745 before)
+        # the kernel serves no step: every record is the eigensolve's, and
+        # each is 685 eps ||R||_F or more clear of the rule once gap_bound has
+        # taken off its rounding term (745 before)
         steps = []
         for _, trace, _ in figure_fits.values():
             steps += trace.iterations + (trace.lawson.steps if trace.lawson else [])
         warm = [st.solve for st in steps if st.solve.iterations]
         assert len(steps) == len(warm) == 98
-        first = [st.solve for st in steps if st.step == 1 and st.solve.vector.size == 1]
-        assert len(first) == 4 and all(s.iterations == 1 for s in first)
+        assert all(s.iterations == 1 for s in warm)
         assert all(s.lower - s.sigma_min >= 685 * EPS * s.scale for s in warm)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_random_systems(self, dtype):
-        # from a start 1e-2 off the smallest right vector, the iteration
-        # settles on LAPACK's, in the kernel's phase
+        # the eigensolve gives LAPACK's smallest right vector, in the
+        # kernel's phase
         rng = np.random.default_rng(83)
         for (n, m), top in itertools.product([(12, 4), (40, 12)], (2, 6)):
             sigma = np.logspace(0, -top, m - 1)
             sigma = np.append(sigma, 1e-3 * sigma[-1])
             A = spectrum_matrix(rng, n, sigma, dtype)
             u = np.linalg.svd(A)[2][-1].conj()
-            v0 = u + 1e-2 * rng.standard_normal(m)
-            out = linalg.smallest_right_vector(A, v0 / np.linalg.norm(v0))
+            out = linalg.smallest_right_vector(A)
+            assert out.iterations == 1
             v, s = out.vector, out.sigma_min
             i = int(np.argmax(np.abs(v)))
             assert v[i].real > 0 and abs(v[i].imag) <= EPS * v[i].real
@@ -880,94 +872,53 @@ class TestInverseIteration:
             assert abs(s - sigma[-1]) <= 8 * EPS * sigma[0]
 
     @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_column_has_kernel_bits(self, dtype):
+        # a one-column system, AAA's first: the eigensolve's record is warm,
+        # with gap_bound's inf, and its vector is the kernel's bit for bit;
+        # a column of 1e-300 or 1e300 overflows ||R^{-1}||_F or leaves Z
+        # zero and runs the kernel
+        rng = np.random.default_rng(113)
+        svd = svd_real if dtype is float else svd_complex
+        for n, scale in itertools.product((1, 2, 40, 2000), (1.0, 1e-300, 1e300)):
+            A = scale * gaussian_matrix(rng, (n, 1), dtype)
+            out = linalg.smallest_right_vector(A)
+            assert (out.iterations, out.lower) == (int(scale == 1.0), np.inf)
+            assert same_bits(out.vector, svd(A).smallest().vector)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
     def test_uncertified_systems(self, dtype):
         # a wide system, and a double smallest singular value
         rng = np.random.default_rng(89)
-        v0 = np.eye(8)[0].astype(dtype)
         wide = spectrum_matrix(rng, 8, np.ones(7), dtype).T
-        assert linalg.smallest_right_vector(wide, v0).iterations == 0
+        assert linalg.smallest_right_vector(wide).iterations == 0
         double = spectrum_matrix(rng, 20, np.array([1.0] * 6 + [1e-3] * 2), dtype)
-        assert linalg.smallest_right_vector(double, v0).iterations == 0
+        assert linalg.smallest_right_vector(double).iterations == 0
 
     def test_large_condition_settles(self):
         # a complex 60 x 30 system with sigma_max / sigma_{m-1} = 1e10 and
-        # sigma_m = 1e-3 sigma_{m-1}: under plain inverse iteration v kept
-        # moving by 10-20 eps a step, limited by the rounding of the solves,
-        # and ran all ITERATION_CAP steps.  On repeated squares of
-        # (R^H R)^{-1} each of 10 seeded systems, started 1e-2 off LAPACK's
-        # vector, is certified in a few iterations (3 under OpenBLAS 0.3.31)
+        # sigma_m = 1e-3 sigma_{m-1}: forming (R^H R)^{-1} squares that
+        # condition, but the eigensolve certifies each of 10 seeded systems,
+        # within the record's Wedin angle of LAPACK's vector
         for seed in range(10):
             rng = np.random.default_rng(seed)
             sigma = np.logspace(0, -10, 29)
             A = spectrum_matrix(rng, 60, np.append(sigma, 1e-3 * sigma[-1]), complex)
             u = np.linalg.svd(A)[2][-1].conj()
-            v0 = u + 1e-2 * rng.standard_normal(30)
-            out = linalg.smallest_right_vector(A, v0 / np.linalg.norm(v0))
-            assert 0 < out.iterations <= 4
+            out = linalg.smallest_right_vector(A)
+            assert out.iterations == 1
             p = np.vdot(u, out.vector)
             assert np.linalg.norm(out.vector - u * (p / abs(p))) <= out.wedin
             assert abs(out.sigma_min - 1e-13) <= 8 * EPS
 
-    def test_unsettled_iteration(self, monkeypatch):
-        # one step from a start far off the smallest vector still moves it
-        sigma = np.append(np.logspace(0, -3, 7), 1e-6)
-        A = spectrum_matrix(np.random.default_rng(97), 20, sigma, float)
-        assert linalg.smallest_right_vector(A, np.eye(8)[0]).iterations > 0
-        monkeypatch.setattr(linalg, "ITERATION_CAP", 1)
-        assert linalg.smallest_right_vector(A, np.eye(8)[0]).iterations == 0
-
-    def test_lapack_calls_do_not_grow_with_iterations(self, monkeypatch):
-        # R^{-1} is formed by one solve, and each iteration only multiplies:
-        # a vector that settles after more than 5 iterations and one that
-        # runs all ITERATION_CAP of them make the same number of solves.
-        # gap_bound's own solve, made only for a settled vector, is not counted
-        calls, bounding = [], []
-
-        def counted(f):
-            def call(*args):
-                if not bounding:
-                    calls.append(f)
-                return f(*args)
-            return call
-
-        def bound(R, v, f=linalg._gap_bound):
-            bounding.append(True)
-            out = f(R, v)
-            bounding.clear()
-            return out
-        monkeypatch.setattr(linalg, "_triangular_inverse", counted(linalg._triangular_inverse))
-        monkeypatch.setattr(linalg, "_gap_bound", bound)
-        # sigma_m / sigma_{m-1} is 0.9999 or 0.6, and sigma_{m-2} = 1000
-        # leaves both gaps certified: 0.9999 takes 19 iterations, the work of
-        # 2^19 - 1 plain ones, and 0.6 takes 7
-        rng = np.random.default_rng(103)
-        top = np.logspace(4, 3, 8)
-        slow = spectrum_matrix(rng, 30, np.append(top, [1.0, 0.9999]), float)
-        fast = spectrum_matrix(rng, 30, np.append(top, [1.0, 0.6]), float)
-        v0 = np.ones(10) / np.sqrt(10)
-        counts = []
-        for A, settles in ((fast, True), (slow, False)):
-            calls.clear()
-            assert (linalg.smallest_right_vector(A, v0).iterations > 0) == settles
-            counts.append(len(calls))
-        assert counts == [1, 1]
-        # the first needs more than 5 iterations, the second more than 16
-        monkeypatch.setattr(linalg, "ITERATION_CAP", 5)
-        assert linalg.smallest_right_vector(fast, v0).iterations == 0
-        monkeypatch.setattr(linalg, "ITERATION_CAP", 400)
-        assert linalg.smallest_right_vector(slow, v0).iterations > 0
-
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_small_gap_certified_within_cap(self, dtype):
-        # sigma_m / sigma_{m-1} = 0.99: plain inverse iteration from
-        # ones / sqrt(10) contracts by 0.99^2 a step and would need about
-        # 1 700 steps, but iteration i runs on the 2^(i-1)-th power of
-        # (R^H R)^{-1}, so it settles within ITERATION_CAP, on LAPACK's vector
-        # to within the record's Wedin angle
+        # sigma_m / sigma_{m-1} = 0.99, a gap that plain inverse iteration
+        # closes only in about 1 700 steps: the eigensolve certifies the
+        # vector, on LAPACK's to within the record's Wedin angle
         rng = np.random.default_rng(103)
         A = spectrum_matrix(rng, 30, np.append(np.logspace(3, 1, 8), [1.0, 0.99]), dtype)
-        out = linalg.smallest_right_vector(A, np.ones(10, dtype) / np.sqrt(10))
-        assert 0 < out.iterations <= linalg.ITERATION_CAP
+        out = linalg.smallest_right_vector(A)
+        assert out.iterations == 1
         u = np.linalg.svd(A)[2][-1].conj()
         p = np.vdot(u, out.vector)
         assert np.linalg.norm(out.vector - u * (p / abs(p))) <= out.wedin
@@ -997,8 +948,8 @@ class TestInverseIteration:
         # m - 1 test nodes leave each step's system one row short of square;
         # with 11 support nodes on 41 nodes of [-3, 3] the systems are tall,
         # and their two smallest singular values both sit at roundoff.
-        # Neither is certified: every step, steps 2 and 3 started from the
-        # step before's vector, runs the kernel, whose flags the trace records
+        # Neither is certified: every step runs the kernel, whose flags the
+        # trace records
         if wide:
             x, y = [4.0, 5.0, 6.0], [0.3, 1.1, 2.7, 3.5]
         else:
