@@ -23,6 +23,7 @@ from unirat import (
     unitarity_deviation,
 )
 from unirat.barycentric import node_quotient
+from unirat.cli import FIGURE_LAWSON_STEPS
 from unirat.errors import InvalidInputError, NumericalFailureError
 from unirat.linalg import EPS
 from unirat.loewner import expanded_coefficients
@@ -271,6 +272,35 @@ class TestStart:
             p = np.vdot(kernel.vector, solve.vector)
             assert np.linalg.norm(solve.vector - kernel.vector * (p / abs(p))) <= solve.wedin
         assert warm >= 5
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_start_inverts_expanded_coefficients(self, variant):
+        # a step's (alpha, beta) keep its whole unit vector g: [alpha; beta]
+        # (original) or [Re beta; -Im beta] (modified, whose alpha is
+        # conj(beta)), scaled to unit norm, is g again, so the unit vector
+        # test_aaa_iterate_certifies_step_1 forms from an approximant is the
+        # one its step would give
+        rng = np.random.default_rng(78)
+        x, y = separated_nodes(rng, 10, 3)
+        ns = NodeSet(test_nodes=x, support_nodes=y)
+        A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
+        alpha, beta, solve = expanded_coefficients(A, variant)
+        assert variant == "original" or np.array_equal(alpha, np.conj(beta))
+        g = np.concatenate([alpha, beta] if variant == "original" else [beta.real, -beta.imag])
+        assert np.max(np.abs(g / np.linalg.norm(g) - solve.vector)) <= 4 * EPS
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_random_start(self, variant):
+        # step 1 reads nothing of the AAA iterate but its support nodes, so
+        # their order, drawn at random here, costs nothing: the eigensolve or
+        # the kernel decides each step's vector from its system alone, and
+        # the figure Lawson fit still reaches 1e-12
+        aaa, x = figure_aaa(variant)
+        support = np.random.default_rng(82).permutation(aaa.support)
+        assert not np.array_equal(support, aaa.support)
+        _, trace = lawson_fit(x, support,
+                              LawsonConfig(n_lawson=FIGURE_LAWSON_STEPS, variant=variant))
+        assert trace.steps[-1].max_error <= 1e-12
 
 
 class TestBoundary:

@@ -3,6 +3,7 @@
 import collections
 import importlib
 import itertools
+import types
 import warnings
 from dataclasses import replace
 
@@ -909,6 +910,67 @@ class TestInverseIteration:
             p = np.vdot(u, out.vector)
             assert np.linalg.norm(out.vector - u * (p / abs(p))) <= out.wedin
             assert abs(out.sigma_min - 1e-13) <= 8 * EPS
+
+    def test_unsettled_iteration(self, monkeypatch):
+        # the eigensolve settles this system's vector; where its u holds a
+        # NaN or an inf, so that Z u is not finite, nothing is settled and
+        # the step runs the kernel, with the kernel's bits
+        sigma = np.append(np.logspace(0, -3, 7), 1e-6)
+        A = spectrum_matrix(np.random.default_rng(97), 20, sigma, float)
+        assert linalg.smallest_right_vector(A).iterations == 1
+        gufuncs = linalg._umath_linalg
+        kernel = svd_real(A).smallest().vector
+        for bad in (np.nan, np.inf):
+            def unsettled(Z, signature, bad=bad):
+                w, u = gufuncs.eigh_lo(Z, signature=signature)
+                u[0, -1] = bad
+                return w, u
+            monkeypatch.setattr(linalg, "_umath_linalg",
+                                types.SimpleNamespace(inv=gufuncs.inv, eigh_lo=unsettled))
+            out = linalg.smallest_right_vector(A)
+            assert out.iterations == 0 and out.sweeps > 0
+            assert same_bits(out.vector, kernel)
+
+    def test_lapack_calls_do_not_grow_with_iterations(self, monkeypatch):
+        # a warm step forms R^{-1} by one solve and makes one eigensolve,
+        # however many iterations inverse iteration would need: from
+        # ones / sqrt(10), sigma_m / sigma_{m-1} = 0.6 took 7 squarings and
+        # 0.9999 took 19, the work of 2^19 - 1 plain iterations.  Every
+        # iteration of a fit makes the same two calls.  gap_bound's own
+        # solve is not counted
+        calls, bounding = [], []
+        gufuncs = linalg._umath_linalg
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                if not bounding:
+                    calls.append(name)
+                return f(*args, **kwargs)
+            return call
+
+        def bound(R, v, f=linalg._gap_bound):
+            bounding.append(True)
+            out = f(R, v)
+            bounding.clear()
+            return out
+        monkeypatch.setattr(linalg, "_triangular_inverse",
+                            counted("inverse", linalg._triangular_inverse))
+        monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
+            inv=gufuncs.inv, eigh_lo=counted("eigh", gufuncs.eigh_lo)))
+        monkeypatch.setattr(linalg, "_gap_bound", bound)
+        rng = np.random.default_rng(103)
+        top = np.logspace(4, 3, 8)
+        for last in (0.6, 0.9999):
+            A = spectrum_matrix(rng, 30, np.append(top, [1.0, last]), float)
+            calls.clear()
+            assert linalg.smallest_right_vector(A).iterations == 1
+            assert calls == ["inverse", "eigh"]
+        steps = record_warm_steps(monkeypatch)
+        calls.clear()
+        _, trace = aaa_fit(FIT_GRID, FIGURE_FITS["lawson_mod"])
+        assert len(steps) == len(trace.iterations) + len(trace.lawson.steps) == 34
+        assert all(out is not None for _, out in steps)
+        assert calls == ["inverse", "eigh"] * 34
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_small_gap_certified_within_cap(self, dtype):
