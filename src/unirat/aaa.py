@@ -94,7 +94,6 @@ def aaa_fit(test_nodes, config):
     # the test nodes, exp(i x_k) and the R diagonal, in per-fit buffers whose
     # leading entries are the test nodes left; the caller's nodes are copied
     x, F, R = x.copy(), np.exp(1j * x), phase_entries(x)
-    r = np.full(x.size, F.mean(), dtype=complex)
 
     y = []  # support nodes, in selection order
     # iteration m works on the leading (test nodes left) x m blocks of two
@@ -102,13 +101,19 @@ def aaa_fit(test_nodes, config):
     # the Cauchy block, complex and C-ordered, so that node_quotient's
     # products need no cast and keep the bits of the real block's; and on the
     # leading m entries of exp(i y_j) and of the K diagonal
-    shape = (x.size, config.m_max)
+    width = config.m_max
+    shape = (x.size, width)
     A_buf = np.empty(shape, order="F", dtype=float if config.variant == "modified" else complex)
     C_buf = np.empty(shape, dtype=complex)
     fv_buf, K_buf = np.empty(config.m_max, dtype=complex), np.empty(config.m_max, dtype=complex)
+    # C_buf's rows end to end: moving whole rows up is then one overlapping
+    # 1-D copy, which NumPy makes in place, where the overlapping 2-D slices
+    # of their leading columns would be copied through a temporary
+    C_flat = C_buf.reshape(-1)
     trace = AaaTrace()
 
-    j = greedy_select(F, r)
+    # the first node is greedy_select's for the constant approximant F.mean()
+    j = int(np.argmax(np.abs(F - F.mean())))
     for m in range(1, config.m_max + 1):
         y.append(float(x[j]))
         fv_buf[m - 1], K_buf[m - 1] = F[j], R[j]
@@ -121,8 +126,8 @@ def aaa_fit(test_nodes, config):
         # and rows below it move up one place
         for buf in (x, F, R):
             buf[j:k] = buf[j + 1:k + 1]
-        for buf in (A_buf, C_buf):
-            buf[j:k, :m - 1] = buf[j + 1:k + 1, :m - 1]
+        A_buf[j:k, :m - 1] = A_buf[j + 1:k + 1, :m - 1]
+        C_flat[j * width:k * width] = C_flat[(j + 1) * width:(k + 1) * width]
         A, C = A_buf[:k, :m], C_buf[:k, :m]
 
         c = (1.0 / (x[:k] - y[-1]))[:, None]

@@ -67,9 +67,16 @@ def check_nodes(nodes, name="nodes", least=1):
         raise InvalidInputError(f"need at least {least} {name}")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError(f"{name} must be finite")
-    if len(set(v.tolist())) != v.size:
+    if has_duplicates(v):
         raise InvalidInputError(f"{name} must be pairwise distinct")
     return v
+
+
+def has_duplicates(v):
+    """Whether two entries of the 1-D v are equal, by one sort; -0.0 and 0.0
+    are equal, as they are in a set of the values."""
+    s = np.sort(v)
+    return bool((s[1:] == s[:-1]).any())
 
 
 def coefficient_norm(vectors):
@@ -237,7 +244,8 @@ def _node_ratio(num, den):
     """num / den, inf where den = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r = num / den
-    r[den == 0.0] = np.inf
+    if not den.all():
+        r[den == 0.0] = np.inf
     return r
 
 

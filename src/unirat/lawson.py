@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant,
-                          cayley_node_quotient, check_nodes, is_count, node_quotient)
+                          cayley_node_quotient, check_nodes, has_duplicates, is_count,
+                          node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import SmallestVector, number_array
 from .loewner import (VARIANTS, NodeSet, check_differences, check_test_count,
@@ -70,13 +71,16 @@ class LawsonTrace:
 
 
 def lawson_weight_update(weights, errors):
-    """mu_k <- mu_k |eps_k|, then divide by the max entry.
+    """mu_k <- mu_k |eps_k|, then divide by the max entry; the errors may be
+    given as their moduli.
 
     Returns None when every product is zero (exact fit; the caller stops).
     The weights must be finite and nonnegative; a weight of 0 is allowed.
     """
     weights = np.atleast_1d(number_array(weights, "weights"))
-    errors = np.atleast_1d(number_array(errors, "errors", complex))
+    # real errors, such as their moduli, stay real
+    errors = np.atleast_1d(number_array(errors, "errors",
+                                        complex if np.iscomplexobj(errors) else float))
     if weights.shape != errors.shape:
         raise InvalidInputError("weights and errors must have equal length")
     if errors.size == 0 or not np.all(np.isfinite(errors)):
@@ -104,12 +108,14 @@ def lawson_fit(test_nodes, support_nodes, config):
     x = check_nodes(test_nodes, "test nodes", least=0)
     y = check_nodes(support_nodes, "support nodes")
     check_test_count(x.size, y.size)
-    if set(x.tolist()) & set(y.tolist()):
+    xa = np.concatenate([x, y])
+    # each set is distinct, so two equal nodes of both are in both
+    if has_duplicates(xa):
         raise InvalidInputError("support nodes are appended internally; "
                                 "pass disjoint test nodes")
-    nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+    nodes = NodeSet(test_nodes=xa, support_nodes=y)
     check_differences(nodes.test_nodes)
-    xa, ph = nodes.test_nodes, phase_diagonals(nodes)
+    ph = phase_diagonals(nodes)
     mu = np.ones(xa.size)
 
     # C' has unit rows for the appended support nodes.  Each step builds its
@@ -136,16 +142,20 @@ def lawson_fit(test_nodes, support_nodes, config):
              else cayley_node_quotient(Cp_complex, beta))
 
         eps = ph.S_F - r
-        bad = np.flatnonzero(~np.isfinite(eps))
-        if bad.size:
-            raise NumericalFailureError(
-                f"Lawson step {step}: the error at test node {float(xa[bad[0]])!r} is "
-                "not finite, a pole of the step's approximant", float(np.abs(eps[bad[0]])))
-        worst = int(np.argmax(np.abs(eps)))
+        err = np.abs(eps)
+        worst = int(np.argmax(err))
+        max_error = float(err[worst])
+        # the largest |eps| is finite where every eps is, unless a finite eps
+        # overflows its modulus, so only a non-finite one needs the search
+        if not max_error < np.inf:
+            bad = np.flatnonzero(~np.isfinite(eps))
+            if bad.size:
+                raise NumericalFailureError(
+                    f"Lawson step {step}: the error at test node {float(xa[bad[0]])!r} is "
+                    "not finite, a pole of the step's approximant", float(err[bad[0]]))
         trace.steps.append(
-            FitStep(step=step, node=float(xa[worst]), max_error=float(np.abs(eps[worst])),
-                    solve=solve))
-        mu_next = lawson_weight_update(mu, eps)
+            FitStep(step=step, node=float(xa[worst]), max_error=max_error, solve=solve))
+        mu_next = lawson_weight_update(mu, err)
         if mu_next is None:
             trace.stop_reason = "exact"
             break

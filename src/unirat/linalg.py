@@ -67,6 +67,12 @@ TINY = float(np.finfo(float).tiny)
 #: NumericalFailureError.
 SWEEP_CAP = 60
 
+#: Workspace entries per column that ``?geqrf``'s workspace query asks for:
+#: its block size, which LAPACK's ``ilaenv`` sets to 32.  A smaller
+#: workspace would shrink the blocks, and change the bits, of a QR of more
+#: than 128 columns, where the blocked path starts.
+_GEQRF_BLOCK = 32
+
 
 def number_array(x, name, dtype=float):
     """x as an array of ``dtype``, float or complex, x itself where it is
@@ -197,11 +203,27 @@ def _vector_phase(V):
 
 
 def _entry_phase(v):
-    """``_vector_phase(v[:, None])`` for a vector v, with its bits, from the
-    one largest-magnitude entry, the first of equals, without the 2-D
-    gather."""
-    i = np.argmax(np.abs(v))
-    return _phase(np.conj(v[i:i + 1]))
+    """``_vector_phase(v[:, None])`` for a finite vector v, with its bits,
+    from the one largest-magnitude entry, the first of equals, as a
+    one-element array.
+
+    The entry's phase is formed in Python floats by ``_phase``'s steps: the
+    power-of-two scaling, the modulus from NumPy's complex abs (CPython's
+    ``abs`` of a complex rounds differently) and NumPy's complex division by
+    a real, whose ``rat`` and ``scl`` terms fix the signs of zero parts."""
+    i = int(np.abs(v).argmax())
+    if v.dtype.kind != "c":
+        return np.array([-1.0 if v[i] < 0.0 else 1.0])
+    z = complex(v[i])
+    re, im = z.real, -z.imag
+    if re == 0.0 and im == 0.0:
+        return np.array([1.0 + 0.0j])
+    e = math.frexp(max(abs(re), abs(im)))[1]
+    re, im = math.ldexp(re, -e), math.ldexp(im, -e)
+    r = float(np.abs(np.array([complex(re, im)]))[0])
+    rat = 0.0 / r
+    scl = 1.0 / (r + 0.0 * rat)
+    return np.array([complex((re + im * rat) * scl, (im - re * rat) * scl)])
 
 
 def _r_factor(A):
@@ -209,19 +231,21 @@ def _r_factor(A):
     of the R that ``np.linalg.qr`` returns alone.
 
     A is copied once, in the Fortran order LAPACK reads, and ``?geqrf`` runs
-    in place on the copy through NumPy's own binding, with the workspace it
-    asks for; A itself is not written.  ``np.linalg.qr`` makes two more
-    copies on every call, whose pages glibc maps and returns each time, so
-    each of its calls touches fresh zeroed pages.
+    in place on the copy through NumPy's own binding; A itself is not
+    written.  Its workspace holds ``_GEQRF_BLOCK`` entries per column, what
+    a workspace query returns, so ``?geqrf`` keeps the block size, and with
+    it the bits, that ``np.linalg.qr``'s query gives it, without the query.
+    ``np.linalg.qr`` makes two more copies on every call, whose pages glibc
+    maps and returns each time, so each of its calls touches fresh zeroed
+    pages.
     """
     n, m = A.shape
     dtype = complex if np.iscomplexobj(A) else float
     geqrf = lapack_lite.zgeqrf if dtype is complex else lapack_lite.dgeqrf
     B = np.array(A.T, dtype=dtype, order="C")  # A^T in C order is A in Fortran order
-    tau, query = np.empty(m, dtype=dtype), np.empty(1, dtype=dtype)
-    geqrf(n, m, B, n, tau, query, -1, 0)
-    lwork = int(query[0].real)
-    info = geqrf(n, m, B, n, tau, np.empty(lwork, dtype=dtype), lwork, 0)["info"]
+    lwork = _GEQRF_BLOCK * m
+    info = geqrf(n, m, B, n, np.empty(m, dtype=dtype), np.empty(lwork, dtype=dtype),
+                 lwork, 0)["info"]
     if info:
         raise np.linalg.LinAlgError(f"LAPACK geqrf failed with info = {info}")
     return _triu(B[:, :m].T)
@@ -544,17 +568,19 @@ def gap_bound(R, v):
     kernel's record shares, is A's backward error and is left out.
     """
     with np.errstate(all="ignore"):
-        return _gap_bound(R, v)
+        return _gap_bound(R, v)[0]
 
 
 def _gap_bound(R, v):
-    """``gap_bound(R, v)``, under the caller's ``np.errstate``, which must
-    ignore floating-point warnings."""
+    """``(gap_bound(R, v), ||R||_F)``, under the caller's ``np.errstate``,
+    which must ignore floating-point warnings: a warm step's record reads
+    both, and R's norm is formed once."""
     m = R.shape[1]
+    scale = float(_norm(R))
     if m == 1:
-        return math.inf
+        return math.inf, scale
     X = _triangular_inverse(_r_factor(R @ _complement(v)))
-    return 0.0 if X is None else max(0.0, float(1.0 / _norm(X) - 4 * m * EPS * _norm(R)))
+    return 0.0 if X is None else max(0.0, float(1.0 / _norm(X) - 4 * m * EPS * scale)), scale
 
 
 def _eigensolve(A, R):
@@ -594,8 +620,8 @@ def _eigensolve(A, R):
         if not 0.0 < norm < np.inf:  # a NaN in u or x fails it too
             return None
         v = x / norm
-        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)),
-                               _gap_bound(R, v), float(_norm(R)), iterations=1)
+        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), *_gap_bound(R, v),
+                               iterations=1)
     return None if solve.degenerate else solve
 
 

@@ -146,11 +146,16 @@ def expanded_system(M, ph, variant, out=None):
     for an M of the same shape and the same variant, as a fit's steps refill
     their one system; without it, into a new array."""
     n, m = M.shape
-    left, right = (ph.R.real, -ph.R.imag) if variant == "modified" else (np.ones(n), -ph.S_F)
+    modified = variant == "modified"
     if out is None:
-        out = np.empty((n, 2 * m), dtype=right.dtype, order="F")
-    np.multiply(left[:, None], M, out=out[:, :m])
-    np.multiply(right[:, None], M, out=out[:, m:])
+        out = np.empty((n, 2 * m), dtype=float if modified else complex, order="F")
+    if modified:
+        np.multiply(ph.R.real[:, None], M, out=out[:, :m])
+        np.multiply(-ph.R.imag[:, None], M, out=out[:, m:])
+    else:
+        # M cast to complex: for a finite M, the bits of 1 M
+        out[:, :m] = M
+        np.multiply(-ph.S_F[:, None], M, out=out[:, m:])
     return out
 
 
@@ -242,10 +247,10 @@ def modified_cauchy(nodes):
     j-th unit row."""
     D = _differences(nodes, allow_overlap=True)
     hit = D == 0.0
-    hit_rows = np.any(hit, axis=1)
-    C = np.zeros_like(D)
+    # the reciprocals in place of the differences, a hit's row then cleared
     with np.errstate(divide="ignore"):
-        C[~hit_rows] = 1.0 / D[~hit_rows]
+        C = np.divide(1.0, D, out=D)
+    C[hit.any(axis=1)] = 0.0
     C[hit] = 1.0
     return C
 

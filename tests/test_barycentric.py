@@ -14,12 +14,14 @@ from unirat import (
     AaaConfig,
     BarycentricInterpolant,
     CayleyApproximant,
+    LawsonConfig,
     NodeSet,
     NonInterpolatoryApproximant,
     PadeApproximant,
     aaa_fit,
     bhat,
     greedy_select,
+    lawson_fit,
     lawson_weight_update,
     max_error,
     min_singular_coefficients,
@@ -693,6 +695,31 @@ class TestCheckNodes:
     def test_rejects_nodes_that_are_not_real_numbers(self, nodes):
         with pytest.raises(InvalidInputError, match="real numbers"):
             NodeSet(test_nodes=nodes, support_nodes=[5.0])
+
+    @pytest.mark.parametrize("nodes", [[2.0, -1.0, 2.0], [0.0, 1.0, -0.0], [-0.0, 0.0],
+                                       [5e-324, 3.0, 5e-324]])
+    def test_rejects_equal_nodes(self, nodes):
+        # -0.0 == 0.0: the two are one node, as they were in a set of the values
+        with pytest.raises(InvalidInputError, match="^nodes must be pairwise distinct$"):
+            barycentric.check_nodes(nodes)
+        assert barycentric.check_nodes(np.unique(nodes)).size == np.unique(nodes).size
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_fits_reject_equal_nodes_first(self, variant):
+        # two equal nodes also differ by 0, whose reciprocal is not finite:
+        # the fits name them as equal, before check_differences would
+        x = np.append(np.linspace(1.0, 5.0, 8), -0.0)
+        x[0] = 0.0
+        with pytest.raises(InvalidInputError, match="^test nodes must be pairwise distinct$"):
+            aaa_fit(x, AaaConfig(m_max=2, variant=variant))
+        config = LawsonConfig(n_lawson=1, variant=variant)
+        with pytest.raises(InvalidInputError, match="^test nodes must be pairwise distinct$"):
+            lawson_fit(x, [7.0, 8.0], config)
+        with pytest.raises(InvalidInputError, match="^support nodes must be pairwise distinct$"):
+            lawson_fit(x[1:], [-0.0, 8.0, 0.0], config)
+        # a node in both sets, 0.0 and -0.0 included
+        with pytest.raises(InvalidInputError, match="^support nodes are appended internally"):
+            lawson_fit(x[1:], [7.0, 0.0], config)
 
 
 #: One call per site that converts outside numbers to float, each given a

@@ -59,6 +59,31 @@ def test_small_schedule_matches_workload():
         assert m_max == m and nodes.tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("seed", [2, 6])
+def test_small_schedule_at_seed(seed):
+    # of seeds 1-10, the kernel runs at 1 and 6 only, so one seed does not
+    # show the schedule's cost
+    workloads = load_script("bench", "workloads.py")
+    expected = workloads.SmallSystems().setup(seed, None)["fits"]
+    schedule = fittime.small_schedule(seed)
+    assert len(schedule) == len(expected) == 16
+    for (nodes, m_max), (x, m) in zip(schedule, expected):
+        assert m_max == m and nodes.tobytes() == x.tobytes()
+
+
+@needs_git
+def test_seed_option_selects_schedule(monkeypatch, capsys):
+    seeds = []
+
+    def schedule(seed=1, draw=fittime.small_schedule):
+        seeds.append(seed)
+        return draw(seed)[:1]
+    monkeypatch.setattr(fittime, "small_schedule", schedule)
+    for argv in ([], ["--seed", "6"]):
+        assert fittime.main(["--rounds", "1", "--fits", "small", *argv]) == 0
+    assert seeds == [1, 6]
+
+
 def test_rounds_must_be_positive(capsys):
     with pytest.raises(SystemExit) as exc:
         fittime.main(["--rounds", "0"])

@@ -522,11 +522,24 @@ class TestRFactor:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("order", ["C", "F"])
-    # more than 32 columns take LAPACK's blocked path
-    @pytest.mark.parametrize("shape", [(40, 1), (12, 12), (2000, 28), (300, 56), (2000, 64)])
+    # LAPACK's blocked path, 32 columns to a block, starts above 128 columns
+    # (ilaenv's crossover): (300, 56) and (2000, 64) run unblocked, (300, 129)
+    # and (400, 160) blocked, with _r_factor's workspace in place of the one
+    # that geqrf's query asks for
+    @pytest.mark.parametrize("shape", [(40, 1), (12, 12), (2000, 28), (300, 56), (2000, 64),
+                                       (300, 129), (400, 160)])
     def test_bits_of_numpy_qr(self, dtype, order, shape):
         rng = np.random.default_rng(31)
         self.assert_numpy_bits(np.asarray(gaussian_matrix(rng, shape, dtype), order=order))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_workspace_is_the_query_answer(self, dtype):
+        # the workspace _r_factor passes is the one geqrf's query returns
+        geqrf = linalg.lapack_lite.zgeqrf if dtype is complex else linalg.lapack_lite.dgeqrf
+        for n, m in [(40, 1), (2000, 28), (300, 129), (400, 160)]:
+            query = np.empty(1, dtype)
+            geqrf(n, m, np.zeros((m, n), dtype), n, np.empty(m, dtype), query, -1, 0)
+            assert int(query[0].real) == linalg._GEQRF_BLOCK * m
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_leading_block_of_fortran_buffer(self, dtype):
@@ -625,9 +638,26 @@ class TestNumpyCallBits:
         cases += [np.zeros(5, dtype), np.array([0.0, -3e-320, 1e-323], dtype) * z,
                   np.array([1e-310, -2e-310, 5e-311], dtype) * z,
                   np.array([0.5, -2.0, 2.0, -2.0], dtype) * z, np.array([-0.0, 0.0], dtype)]
+        # a largest entry whose imaginary part is a zero of either sign, in a
+        # modified fit's real vector and an original fit's complex one: the
+        # phase is formed by NumPy's complex division, whose steps keep the
+        # sign of each zero part
+        cases += [np.array([0.5, -3.0, -0.0, 1.0], dtype), np.array([-0.0, 3.0, -1.0], dtype)]
         if dtype is complex:
             cases += [np.array([3.0, 3j, -3.0, 0.6 + 0.8j]), np.array([1e-310 + 2e-310j, 0.0]),
                       np.array([3 + 4j, -5.0, 4 - 3j])]
+            cases += [np.array([0.1 * abs(re) * (1 + 1j), complex(re, im), -0.5 * re])
+                      for re in (3.0, -3.0, 1e-310, -1e-310) for im in (0.0, -0.0)]
+            cases += [np.array([complex(re, im), 0.1j]) for re in (0.0, -0.0) for im in (2.0, -2.0)]
+        # random vectors over the whole range, with real or imaginary parts
+        # of the largest entry zeroed
+        for scale in 10.0 ** rng.uniform(-320, 300, 200):
+            v = scale * gaussian_matrix(rng, int(rng.integers(1, 30)), dtype)
+            i = np.argmax(np.abs(v))
+            if dtype is complex:
+                v[i] = [complex(v[i].real, 0.0), complex(v[i].real, -0.0),
+                        complex(0.0, v[i].imag), v[i]][int(rng.integers(4))]
+            cases.append(v)
         for v in cases:
             assert same_bits(linalg._entry_phase(v), linalg._vector_phase(v[:, None]))
 

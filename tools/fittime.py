@@ -4,6 +4,7 @@ against a git revision's, in one process.
 Usage::
 
     python3 tools/fittime.py [--against REV] [--rounds N] [--fits figure|small]
+                             [--seed S]
 
 It loads the working tree's ``src/unirat`` and REV's (default ``HEAD``,
 taken through ``git archive`` as ``tools/golden.py --against`` takes it)
@@ -12,8 +13,10 @@ modules only relatively.  With ``--fits figure`` (the default) each tree
 fits each of its own ``cli.FIGURE_FITS`` on its own figure fit grid, one
 row per fit.  With ``--fits small`` each tree runs the fit schedule of the
 benchmark's small-systems workload: the 16 node sets that
-``SmallSystems().setup(1)`` in ``bench/workloads.py`` draws, each fitted to
-its ``m_max`` with ``tol=0`` in both variants.  The workload file is read,
+``SmallSystems().setup(S)`` in ``bench/workloads.py`` draws for the seed S
+(default 1; the benchmark runs seeds 1-10), each fitted to its ``m_max``
+with ``tol=0`` in both variants.  The figure fits draw nothing, and take no
+seed.  The workload file is read,
 not changed, and its node sets are made once and shared by both trees.  Its
 rows, ``fit.modified`` and ``fit.original``, each time the 16 fits of one
 variant in turn.  After one untimed warm-up of every row of both trees,
@@ -79,9 +82,9 @@ def figure_fits(cli):
             for name, config in cli.FIGURE_FITS.items()}
 
 
-def small_schedule():
+def small_schedule(seed=1):
     """[(nodes, m_max)], the 16 fits of ``bench/workloads.py``'s
-    small-systems workload at seed 1.  The workload module imports the
+    small-systems workload at ``seed``.  The workload module imports the
     package as ``unirat``, so the working tree's ``src`` is put on the path
     first if no ``unirat`` is importable."""
     if importlib.util.find_spec(PACKAGE) is None:
@@ -89,7 +92,7 @@ def small_schedule():
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return workloads.SmallSystems().setup(1, None)["fits"]
+    return workloads.SmallSystems().setup(seed, None)["fits"]
 
 
 def small_fits(cli, schedule):
@@ -146,6 +149,8 @@ def main(argv):
     parser.add_argument("--against", default="HEAD", metavar="REV")
     parser.add_argument("--rounds", type=positive, default=30, metavar="N")
     parser.add_argument("--fits", choices=("figure", "small"), default="figure")
+    parser.add_argument("--seed", type=int, default=1, metavar="S",
+                        help="the small-systems schedule's seed")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -154,7 +159,7 @@ def main(argv):
             print(err, file=sys.stderr)
             return 2
         fits = (figure_fits if args.fits == "figure"
-                else functools.partial(small_fits, schedule=small_schedule()))
+                else functools.partial(small_fits, schedule=small_schedule(args.seed)))
         old = fits(load(old_src, f"{PACKAGE}_against"))
         new = fits(load(SRC, f"{PACKAGE}_tree"))
         times = time_rounds(old, new, args.rounds)
