@@ -40,15 +40,17 @@ Jacobi kernel is the fallback: a step it does not certify and a wide step
 run it to full convergence from the same R.
 
 A warm step's cost is its LAPACK work, not NumPy's wrappers around it.
-Its QRs, R^{-1}, eigensolve and the complement of v that ``gap_bound``
-reads are made by LAPACK routines called as directly as NumPy allows
-(``?geqrf`` and ``?orgqr`` in place through ``lapack_lite``, ``?gesv``
-against the identity and ``?syevd``/``?heevd`` through the gufuncs that
-``np.linalg.inv`` and ``np.linalg.eigh`` wrap), its triangles by the
-``np.where`` that ``np.triu`` evaluates, its norms by ``np.linalg.norm``'s
-own formula and its phase from its one largest entry; each with the bits of
-the NumPy call it replaces.  The step, ``gap_bound`` included, runs under
-one ``np.errstate``.
+Its QRs, R^{-1} and eigensolve are made by LAPACK routines called as
+directly as NumPy allows (``?geqrf`` in place through ``lapack_lite``, the
+one routine taken from it, ``?gesv`` against the identity and
+``?syevd``/``?heevd`` through the gufuncs that ``np.linalg.inv`` and
+``np.linalg.eigh`` wrap), its triangles by the ``np.where`` that
+``np.triu`` evaluates, its norms by ``np.linalg.norm``'s own formula and
+its phase from its one largest entry; each with the bits of the NumPy call
+it replaces.  The complement of v that ``gap_bound`` reads is not formed:
+one Householder reflector, made by ``_reflector`` as the pivoted QR makes
+its own, enters R W as a rank-one update.  The step, ``gap_bound``
+included, runs under one ``np.errstate``.
 """
 
 import functools
@@ -292,29 +294,6 @@ def _norm(x):
     return np.sqrt(x.dot(x))
 
 
-def _complement(v):
-    """The m x (m - 1) orthonormal basis of the complement of a unit m-vector
-    v that ``np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]`` gives,
-    with its bits: the same ``?geqrf`` and then ``?orgqr`` (``?ungqr`` for
-    complex v), run in place on one m x m buffer through NumPy's own
-    binding.  The buffer holds Q^T in C order, and the basis is returned
-    C-ordered, as qr's Q is, since a product's bits can depend on its
-    operands' layout."""
-    m = v.size
-    dtype = complex if np.iscomplexobj(v) else float
-    geqrf = lapack_lite.zgeqrf if dtype is complex else lapack_lite.dgeqrf
-    orgqr = lapack_lite.zungqr if dtype is complex else lapack_lite.dorgqr
-    B = np.zeros((m, m), dtype=dtype)
-    B[0] = v
-    # one reflector: both routines run unblocked and need m entries of work
-    tau, work = np.empty(1, dtype=dtype), np.empty(m, dtype=dtype)
-    info = geqrf(m, 1, B, m, tau, work, m, 0)["info"]
-    info = info or orgqr(m, m, 1, B, m, tau, work, m, 0)["info"]
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK QR of a vector failed with info = {info}")
-    return np.ascontiguousarray(B[1:].T)
-
-
 def _ldexp(z, e):
     """z * 2**e, exact unless the result leaves the normal range; signed
     zeros keep their sign."""
@@ -417,6 +396,20 @@ def _jacobi_orthogonalize(R):
     return S[:, k:].T, SWEEP_CAP, rotations
 
 
+def _reflector(x, alpha):
+    """The Householder vector v = (x + s alpha e_1) / sqrt(alpha (alpha +
+    |x_0|)) of x, alpha = ||x||, and s the phase of x_0: ||v||^2 = 2, and
+    (I - v v^H) x = -s alpha e_1.  The pivoted QR passes the computed
+    ||x||, at least 1e-162, and ``gap_bound`` 1 for its unit v.  A
+    subnormal x_0 is too coarse for x_0 / |x_0| to have unit modulus; beside
+    alpha it is negligible, and s = 1 serves."""
+    mag = abs(x[0])
+    v = x.copy()
+    v[0] += alpha * (x[0] / mag if mag >= TINY else 1.0)
+    v /= math.sqrt(alpha) * math.sqrt(alpha + mag)
+    return v
+
+
 def _pivoted_r(T):
     """``(R, p)`` with ``T[:, p] = Q R`` for a unitary Q, for square T.
 
@@ -438,15 +431,7 @@ def _pivoted_r(T):
         if i:
             R[:, [j, j + i]] = R[:, [j + i, j]]
             p[[j, j + i]] = p[[j + i, j]]
-        # v = x + s ||x|| e_1 with |s| = 1 in the phase of x_0, scaled to
-        # ||v||^2 = 2, so that B - v (v^H B) reflects x onto e_1.  A subnormal
-        # x_0 is too coarse for x_0 / |x_0| to have unit modulus; beside
-        # ||x|| >= 1e-162 it is negligible, and s = 1 serves.
-        alpha, x0 = math.sqrt(norms[i]), B[0, 0]
-        mag = abs(x0)
-        v = B[:, 0].copy()
-        v[0] += alpha * (x0 / mag if mag >= TINY else 1.0)
-        v /= math.sqrt(alpha) * math.sqrt(alpha + mag)
+        v = _reflector(B[:, 0], math.sqrt(norms[i]))
         B -= np.outer(v, v.conj() @ B)
         B[1:, 0] = 0.0
     return R, p
@@ -527,29 +512,36 @@ def svd_complex(A):
 
 def gap_bound(R, v):
     """A lower bound on sigma_{m-1} of the m x m triangle R, for a unit v:
-    l - 4 m eps ||R||_F, the rounding term derived below, and 0 where that
-    is negative, where R' is singular or its inverse overflows; inf for one
-    column.
+    l - 4 max(m, 4) eps ||R||_F, the rounding term derived below, and 0
+    where that is negative, where R' is singular or its inverse overflows;
+    inf for one column.
 
     For W an orthonormal basis of v's complement and R' the triangle of a QR
     of R W, ``l = 1 / ||R'^{-1}||_F <= sigma_min(R W) <= sigma_{m-1}(R)``
-    (interlacing).  W is the trailing columns of the complete Q of v, which
-    ``_complement`` forms by ``?geqrf`` and ``?orgqr`` in place on one m x m
-    buffer; R' comes from ``_r_factor``, ``?geqrf`` in place on a copy of
-    R W, so neither R nor R W is written; and R'^{-1} from
-    ``_triangular_inverse``.  Each has the bits of the NumPy call it stands
+    (interlacing).  W is the trailing columns of the reflector I - h h^H
+    that takes v to a multiple of e_1, h = ``_reflector(v, 1)``, and is not
+    formed: R W = R[:, 1:] - (R h) h[1:]^H, a rank-one update.  R' comes from
+    ``_r_factor``, ``?geqrf`` in place on a copy of R W, and R'^{-1} from
+    ``_triangular_inverse``, each with the bits of the NumPy call it stands
     for (``np.linalg.qr`` and ``np.linalg.solve``).
     No Gram matrix is formed: its rounding, eps sigma_max^2, would swamp
     sigma_{m-1}^2.
 
     The computed l exceeds sigma_{m-1}(R) by at most the sum of these terms,
     by Weyl's inequality, with u = eps / 2 and gamma_k = k u / (1 - k u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.):
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.), to
+    first order and for real arithmetic:
     (1) interlacing holds for every W with orthonormal columns, so it may be
-    read for the trailing columns of an exactly unitary reflector, which the
-    computed ones lie within gamma_m of (Lemmas 19.1-19.3): gamma_m ||R||;
-    (2) the product rounds by at most gamma_m |R| |W|, and |W| <= I +
-    |tau| |u| |u|^H has 2-norm at most 3: 3 gamma_m ||R||_F;
+    read for the polar factor of the computed h's W = I[:, 1:] - h b^H,
+    b = h[1:]: W^H W = I + (||h||^2 - 2) b b^H with ||b|| <= 1, so W lies
+    within | ||h||^2 - 2 | / 2 of it.  h takes ||v|| as 1 for a v that is
+    unit only to rounding, | ||v||^2 - 1 | <= gamma_{m+4} for v = x / ||x||,
+    which moves ||h||^2 by at most as much, and h's own four roundings move
+    it by at most 14 u: (m / 2 + 9) u ||R||_F;
+    (2) R h rounds by gamma_m |R| |h|, its product with conj(b_j) and the
+    subtraction by one u each, so the update rounds by at most
+    gamma_{m+1} |R| |h| |b|^T + u |R W|, with ||h|| ||b|| <= sqrt(2):
+    (sqrt(2) gamma_{m+1} + u) ||R||_F <= (3 m / 2 + 3) u ||R||_F;
     (3) R' is the exact triangle of R W + E with ||e_j|| <= gamma_{m(m-1)}
     ||(R W)_j|| (Theorem 19.4): gamma_{m(m-1)} ||R||_F;
     (4) ?gesv's LU of a triangle is exact, and each back substitution solves
@@ -558,13 +550,16 @@ def gap_bound(R, v):
     ||X y - z / s|| <= gamma_m ||R'||_F ||X||_F / s, whence
     1 / ||X||_F <= s + gamma_m ||R'||_F;
     (5) the norm and the quotient round l by gamma_{m^2}: gamma_{m^2} l.
-    Terms (1), (2) and (4) sum to 5 m u ||R||_F.  Terms (3) and (5), at
-    their worst-case constants, would take 225 eps ||R||_F at m = 15, where
-    the figure fits' AAA steps have 745 to spare; rounding errors that are
-    independent add like the square root of their count (Section 2.8), which
-    leaves at most 2 m u ||R||_F for the two.  The bound subtracts
-    4 m eps ||R||_F = 8 m u ||R||_F, above that 7 m u ||R||_F, so it is not
-    a worst-case bound.  R's own rounding as the R of a system A, which the
+    Terms (1), (2) and (4) sum to (3 m + 12) u ||R||_F.  Terms (3) and (5),
+    at their worst-case constants, would take 225 eps ||R||_F at m = 15,
+    where the figure fits' AAA steps have 745 to spare; rounding errors that
+    are independent add like the square root of their count (Section 2.8),
+    which leaves at most 2 m u ||R||_F for the two.  The bound subtracts
+    4 max(m, 4) eps ||R||_F = 8 max(m, 4) u ||R||_F, at least the
+    (5 m + 12) u ||R||_F of the five for every m >= 2, so it is not a
+    worst-case bound; 4 m eps ||R||_F alone falls short of that at m = 2
+    and 3.  Complex arithmetic raises each constant by a small factor
+    (Section 3.6).  R's own rounding as the R of a system A, which the
     kernel's record shares, is A's backward error and is left out.
     """
     with np.errstate(all="ignore"):
@@ -579,8 +574,10 @@ def _gap_bound(R, v):
     scale = float(_norm(R))
     if m == 1:
         return math.inf, scale
-    X = _triangular_inverse(_r_factor(R @ _complement(v)))
-    return 0.0 if X is None else max(0.0, float(1.0 / _norm(X) - 4 * m * EPS * scale)), scale
+    h = _reflector(v, 1.0)
+    X = _triangular_inverse(_r_factor(R[:, 1:] - (R @ h)[:, None] * h[1:].conj()))
+    ell = 0.0 if X is None else float(1.0 / _norm(X) - 4 * max(m, 4) * EPS * scale)
+    return max(0.0, ell), scale
 
 
 def _eigensolve(A, R):

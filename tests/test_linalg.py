@@ -3,6 +3,7 @@
 import collections
 import importlib
 import itertools
+import math
 import types
 import warnings
 from dataclasses import replace
@@ -581,23 +582,70 @@ def same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
+def edge_vectors(m, dtype):
+    """Unit vectors at the reflector's edges: +-e_1, and for m > 1 a first
+    entry that is zero, subnormal of either sign or, complex, purely
+    imaginary."""
+    firsts = [1.0, -1.0] + ([1j] if dtype is complex else [])
+    if m > 1:
+        firsts += [0.0, 1e-310, -1e-310] + ([0.6j, -0.6j] if dtype is complex else [])
+    tail = np.linspace(1.0, 2.0, m - 1)
+    for v0 in firsts:
+        v = np.zeros(m, dtype)
+        v[0] = v0
+        v[1:] = math.sqrt(1.0 - abs(v0) ** 2) * tail / np.linalg.norm(tail)
+        yield v
+
+
+def mp_sigmas(R):
+    """The singular values of R from a 30-digit mpmath SVD, descending."""
+    with mp.workdps(30):
+        svd = mp.svd_c if np.iscomplexobj(R) else mp.svd_r
+        s = svd(mp.matrix(R.tolist()), compute_uv=False)
+        return sorted((s[i] for i in range(R.shape[1])), reverse=True)
+
+
 class TestNumpyCallBits:
     """Each helper a warm step calls in place of a NumPy call gives that
-    call's bits: the step pays for LAPACK's work, not for NumPy's wrappers."""
+    call's bits: the step pays for LAPACK's work, not for NumPy's wrappers.
+    The complement of v that ``gap_bound`` reads replaces no NumPy call; it
+    is checked for what the bound needs of it."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("m", HELPER_SIZES)
     def test_complement(self, dtype, m):
+        # _reflector(v, 1) gives h with ||h||^2 = 2 and (I - h h^H) v =
+        # -s e_1, s the phase of v_0 (1 where v_0 is subnormal), so the
+        # reflector's trailing columns are an orthonormal basis of v's
+        # complement, for random unit vectors and at the edges
         rng = np.random.default_rng(m)
-        for _ in range(5):
-            v = unit_vector(rng, m, dtype)
-            expected = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
-            W = linalg._complement(v)
-            assert W.shape == expected.shape == (m, m - 1)
-            assert W.dtype == expected.dtype and W.tobytes() == expected.tobytes()
-            # gap_bound's product with R keeps its bits only in qr's layout
-            R = np.triu(gaussian_matrix(rng, (m, m), dtype))
-            assert same_bits(R @ W, R @ expected)
+        tol = 4 * (m + 2) * EPS
+        e = np.eye(m, dtype=dtype)
+        for v in [unit_vector(rng, m, dtype) for _ in range(5)] + list(edge_vectors(m, dtype)):
+            h = linalg._reflector(v, 1.0)
+            assert h.dtype == v.dtype and h.shape == (m,)
+            assert abs(np.vdot(h, h).real - 2.0) <= tol
+            s = v[0] / abs(v[0]) if abs(v[0]) >= linalg.TINY else 1.0
+            assert np.linalg.norm(v - h * np.vdot(h, v) + s * e[0]) <= tol
+            W = e[:, 1:] - np.outer(h, h[1:].conj())
+            assert np.max(np.abs(W.conj().T @ W - e[1:, 1:]), initial=0.0) <= tol
+            assert np.max(np.abs(v.conj() @ W), initial=0.0) <= tol
+        # gap_bound, which reads that complement, stays below sigma_{m-1} of
+        # 30-digit SVDs: of a triangle whose sigma_{m-1} is isolated, where
+        # l lies within a relative 1e-6 of it for the smallest right vector,
+        # and of that triangle with graded columns, for the smallest right
+        # vector and a random one
+        if not 1 < m <= 28:
+            return
+        sigma = np.append(np.logspace(0, -2, m - 2), [1e-6, 1e-9])
+        R = np.linalg.qr(spectrum_matrix(rng, m, sigma, dtype), mode="r")
+        for T in (R, R * np.logspace(0, -8, m)):
+            reference = mp_sigmas(T)[m - 2]
+            smallest = np.linalg.svd(T)[2][-1].conj()
+            for v in (smallest, unit_vector(rng, m, dtype)):
+                assert 0.0 <= mp.mpf(linalg.gap_bound(T, v)) <= reference
+            if T is R:
+                assert linalg.gap_bound(R, smallest) >= (1 - 1e-6) * float(reference)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("m", HELPER_SIZES)
@@ -1001,6 +1049,25 @@ class TestInverseIteration:
         assert len(steps) == len(trace.iterations) + len(trace.lawson.steps) == 34
         assert all(out is not None for _, out in steps)
         assert calls == ["inverse", "eigh"] * 34
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_lapack_lite_calls_of_a_warm_step(self, monkeypatch, dtype):
+        # a warm step takes two QRs from lapack_lite, of its system and of
+        # gap_bound's R W, and forms no Q: no ?orgqr or ?ungqr
+        lite, calls = linalg.lapack_lite, []
+
+        def counted(name):
+            def call(*args):
+                calls.append(name)
+                return getattr(lite, name)(*args)
+            return call
+        names = [name for name in dir(lite) if name[0] in "dz"]
+        monkeypatch.setattr(linalg, "lapack_lite",
+                            types.SimpleNamespace(**{name: counted(name) for name in names}))
+        sigma = np.append(np.logspace(3, 1, 8), [1.0, 0.6])
+        A = spectrum_matrix(np.random.default_rng(109), 30, sigma, dtype)
+        assert linalg.smallest_right_vector(A).iterations == 1
+        assert calls == ["zgeqrf" if dtype is complex else "dgeqrf"] * 2
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_small_gap_certified_within_cap(self, dtype):

@@ -37,7 +37,6 @@ import importlib
 import importlib.util
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -49,19 +48,10 @@ PACKAGE = "unirat"
 #: ``--fits small`` times.
 WORKLOADS = os.path.join(ROOT, "bench", "workloads.py")
 
-
-class RevisionError(Exception):
-    """git could not archive the revision; the message is git's."""
-
-
-def extract(rev, dest):
-    """Write REV's ``src`` tree below ``dest``, and return its path."""
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    if archive.returncode:
-        raise RevisionError(archive.stderr.decode().strip())
-    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
-    return os.path.join(dest, "src")
+# tools/golden.py, whose ``extract`` takes REV's ``src`` tree out of git
+_spec = importlib.util.spec_from_file_location("golden", os.path.join(ROOT, "tools", "golden.py"))
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def load(src, name):
@@ -154,8 +144,8 @@ def main(argv):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            old_src = extract(args.against, tmp)
-        except RevisionError as err:
+            old_src = golden.extract(args.against, tmp)
+        except golden.RevisionError as err:
             print(err, file=sys.stderr)
             return 2
         fits = (figure_fits if args.fits == "figure"

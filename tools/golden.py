@@ -200,17 +200,24 @@ class RevisionError(Exception):
     """git could not archive the revision; the message is git's."""
 
 
+def extract(rev, dest):
+    """Write REV's ``src`` tree below ``dest``, and return its path.
+    ``tools/loc.py`` and ``tools/fittime.py`` load this file for it."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if archive.returncode:
+        raise RevisionError(archive.stderr.decode().strip())
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    return os.path.join(dest, "src")
+
+
 def against(rev):
     """Capture REV's ``src`` tree and the working tree's; return whether the
     captures are identical."""
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        if archive.returncode:
-            raise RevisionError(archive.stderr.decode().strip())
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        src = extract(rev, tmp)
         old, new = os.path.join(tmp, "old"), os.path.join(tmp, "new")
-        capture(old, os.path.join(tmp, "src"))
+        capture(old, src)
         capture(new)
         return compare(old, new)
 

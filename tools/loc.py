@@ -18,9 +18,9 @@ If git cannot archive REV, it prints git's message and exits 2.
 """
 
 import ast
+import importlib.util
 import io
 import os
-import subprocess
 import sys
 import tempfile
 import tokenize
@@ -28,6 +28,11 @@ import tokenize
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = "unirat"
+
+# tools/golden.py, whose ``extract`` takes REV's ``src`` tree out of git
+_spec = importlib.util.spec_from_file_location("golden", os.path.join(ROOT, "tools", "golden.py"))
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 #: Tokens that make no line a code line.
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -97,19 +102,10 @@ def report_against(old, new):
     return rows
 
 
-class RevisionError(Exception):
-    """git could not archive the revision; the message is git's."""
-
-
 def against(rev):
     """The counts of REV's ``src`` tree and of the working tree's."""
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        if archive.returncode:
-            raise RevisionError(archive.stderr.decode().strip())
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        return count_tree(os.path.join(tmp, "src")), count_tree(SRC)
+        return count_tree(golden.extract(rev, tmp)), count_tree(SRC)
 
 
 def main(argv):
@@ -119,7 +115,7 @@ def main(argv):
     if len(argv) == 2 and argv[0] == "--against":
         try:
             counts = against(argv[1])
-        except RevisionError as err:
+        except golden.RevisionError as err:
             print(err, file=sys.stderr)
             return 2
         print("\n".join(report_against(*counts)))
