@@ -165,9 +165,16 @@ def load_nodes(path):
 
 
 def interval_grid(a, b, n):
-    if not np.isfinite(b - a) or a >= b or n < 2:
-        raise InvalidInputError(f"degenerate interval [{a}, {b}] with {n} nodes")
-    return np.linspace(a, b, n)
+    """n equispaced nodes on [a, b].  An interval whose grid has adjacent
+    nodes without a finite reciprocal difference, as a subnormal step gives,
+    is rejected here by name; the fit's ``check_differences`` would name two
+    grid nodes that the user never wrote."""
+    if np.isfinite(b - a) and a < b and n >= 2:
+        grid = np.linspace(a, b, n)
+        with np.errstate(divide="ignore", over="ignore"):
+            if np.isfinite(1.0 / np.diff(grid)).all():
+                return grid
+    raise InvalidInputError(f"degenerate interval [{a}, {b}] with {n} nodes")
 
 
 def _fit_metrics(approx, grid):

@@ -452,12 +452,17 @@ def _preconditioned(T):
     return V, sweeps, rotations
 
 
+def check_matrix(A):
+    """Reject an A that is not a nonempty 2-D matrix."""
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
+
+
 def _svd(A, T=None):
     """The thin SVD of A.  A tall A's sweeps start from T, the R of A = QR
     where the caller has it; an A rescaled by a power of two is factored
     anew."""
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
+    check_matrix(A)
     # NaN and inf propagate through the largest modulus, which also sets the
     # shift below
     amax = np.max(np.abs(A))

@@ -11,9 +11,10 @@ Both extractors return their coefficients with the step's
 on one QR of the system: one Hermitian eigensolve's where that is
 certified, the Jacobi kernel's otherwise.  The node-level functions
 (``loewner``, ``rescaled_loewner``, ``bhat``, ...) wrap the two builders;
-``min_singular_coefficients`` and ``min_singular_pair`` read the kernel's
-vector (``svd_real(...).smallest()``) and apply AAA's w = i K v or
-Lawson's (alpha, beta) mapping to it: the identity tests check them.
+``min_singular_pair`` takes a modified Lawson step's (alpha, beta) from
+``expanded_coefficients``, with its bits, and ``min_singular_coefficients``
+applies AAA's w = i K v to the kernel's last right vector, whose full
+spectrum it returns: the identity tests check them.
 ``check_differences`` rejects, for the fits, nodes two of which differ by
 an amount whose value or reciprocal is not finite; the constructors and
 ``NodeSet`` accept such nodes.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .barycentric import check_nodes
 from .errors import InvalidInputError, NodeCollisionError
-from .linalg import EPS, number_array, smallest_right_vector, svd_real
+from .linalg import EPS, check_matrix, number_array, smallest_right_vector, svd_real
 
 #: Fitting variants: "original" solves the complex systems, "modified" the
 #: real re-scaled ones and returns the unitary Cayley form.
@@ -269,10 +270,13 @@ def bhat(nodes):
 
 
 def min_singular_pair(bhat_matrix):
-    """(alpha, beta) from the kernel's last right singular vector of Bhat;
-    satisfies alpha_j = conj(beta_j) and minimizes ||[M | -S_F M]
+    """(alpha, beta) from the smallest right singular vector of Bhat, as a
+    modified Lawson step takes them (``expanded_coefficients``): the
+    eigensolve's vector where it is certified, else the kernel's.  They
+    satisfy alpha_j = conj(beta_j) and minimize ||[M | -S_F M]
     [alpha; beta]||_2."""
     B = number_array(bhat_matrix, "Bhat")
+    check_matrix(B)
     if B.shape[1] % 2 != 0:
         raise InvalidInputError("Bhat must have an even number of columns")
-    return _expanded_pair(svd_real(B).smallest().vector, "modified")
+    return expanded_coefficients(B, "modified")[:2]

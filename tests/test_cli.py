@@ -693,21 +693,17 @@ class TestCliProperty:
     def test_exit_codes_and_messages(self, case):
         # whatever the arguments, main exits 0, 1 or 2 and lets no exception
         # or warning out, and an exit-2 message names one of the options
-        # given.  The one known exception, an --interval whose grid step is
-        # subnormal, is pinned by test_tiny_interval_message_names_interval
+        # given
         argv, lines = case
         code, caught, message = run_main(argv, lines)
         assert code in (0, 1, 2)
         assert caught == []
-        known = "--interval" in argv and "difference or its reciprocal" in message
-        assert code != 2 or known or names_an_option(argv, message), message
+        assert code != 2 or names_an_option(argv, message), message
 
-    @pytest.mark.xfail(strict=True, reason="the message names two grid nodes, not the interval")
     def test_tiny_interval_message_names_interval(self):
-        # 2000 nodes on [0, 2.2e-308] lie a subnormal step apart, so the
-        # fit exits 2 with "nodes 0.0 and 1.113093475992e-311: their
-        # difference or its reciprocal is not finite": nodes the user did
-        # not write, from an --interval that the message does not name
+        # 2000 nodes on [0, 2.2e-308] lie a subnormal step apart, whose
+        # reciprocal overflows: interval_grid rejects the interval by name,
+        # not the fit by two grid nodes that the user did not write
         argv = ["fit", "--interval", "0", "2.2250738585072014e-308"]
         code, caught, message = run_main(argv, None)
         assert (code, caught) == (2, [])

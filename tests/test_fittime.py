@@ -1,5 +1,5 @@
-"""tools/fittime.py: the four figure fits, or the small-systems fits, of two
-trees, timed in one process."""
+"""tools/fittime.py: the four figure fits, or the small-systems operations,
+of two trees, timed in one process."""
 
 import shutil
 import subprocess
@@ -24,28 +24,57 @@ def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
     assert "no-such-revision" in err  # git's own message
 
 
+HEADER = ["fit", "HEAD", "ms", "iqr", "tree", "ms", "iqr", "change", "wins"]
+
+
+def check_one_round_rows(rows):
+    # each tree's median and, over one round, an interquartile range of 0
+    for row in rows:
+        old, old_iqr, new, new_iqr = map(float, row.split()[1:5])
+        assert old > 0 and new > 0
+        assert old_iqr == new_iqr == 0.0
+        assert row.split()[-1] in ("0/1", "1/1")
+
+
 @needs_git
 def test_one_round(capsys):
     assert fittime.main(["--against", "HEAD", "--rounds", "1"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["fit", "HEAD", "ms", "tree", "ms", "change", "wins"]
+    assert header.split() == HEADER
     assert [row.split()[0] for row in rows] == [*FIGURE_FITS, "pass"]
-    for row in rows:
-        old, new = map(float, row.split()[1:3])
-        assert old > 0 and new > 0
-        assert row.split()[-1] in ("0/1", "1/1")
+    check_one_round_rows(rows)
 
 
 @needs_git
 def test_one_round_small(capsys):
     assert fittime.main(["--against", "HEAD", "--rounds", "1", "--fits", "small"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["fit", "HEAD", "ms", "tree", "ms", "change", "wins"]
-    assert [row.split()[0] for row in rows] == ["fit.modified", "fit.original", "pass"]
-    for row in rows:
-        old, new = map(float, row.split()[1:3])
-        assert old > 0 and new > 0
-        assert row.split()[-1] in ("0/1", "1/1")
+    assert header.split() == HEADER
+    assert [row.split()[0] for row in rows] == ["system", "fit.modified", "fit.original",
+                                                "pass"]
+    check_one_round_rows(rows)
+
+
+def test_report_iqr():
+    # the quartiles of 1..5 ms are 2 and 4; the working tree's rounds are
+    # each a millisecond faster, so it wins all five
+    times = {"system": ([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, 2.0, 3.0, 4.0])}
+    header, row, passes = fittime.report(times, "HEAD")
+    assert header.split() == HEADER
+    for line in (row, passes):
+        assert line.split()[1:] == ["3.00", "2.00", "2.00", "2.00", "-33.3%", "5/5"]
+
+
+def test_system_row_matches_workload():
+    # the working tree's system row makes the workload's system operations'
+    # outputs, bit for bit
+    workloads = load_script("bench", "workloads.py")
+    systems = workloads.SmallSystems().setup(1, None)["systems"]
+    package = fittime.load(fittime.SRC, "unirat_tree")
+    got = fittime.small_fits(package, [], fittime.small_systems(1))["system"]()
+    expected = [workloads.SmallSystems._system(*s)() for s in systems]
+    assert len(got) == len(expected) == workloads.SYSTEMS_PER_CYCLE
+    assert [workloads.digest(out) for out in got] == [workloads.digest(out) for out in expected]
 
 
 def test_small_schedule_matches_workload():

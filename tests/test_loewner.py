@@ -21,11 +21,13 @@ from unirat import (
     svd_real,
     weighted_loewner,
 )
+from unirat import lawson, linalg
 from unirat.errors import InvalidInputError, NodeCollisionError
-from unirat.linalg import EPS
-from unirat.loewner import check_differences, phase_entries
+from unirat.lawson import LawsonConfig, lawson_fit
+from unirat.linalg import EPS, smallest_right_vector
+from unirat.loewner import _expanded_pair, check_differences, phase_entries
 
-from conftest import separated_nodes
+from conftest import load_script, separated_nodes
 
 
 class TestNodeSet:
@@ -418,3 +420,80 @@ class TestMinSingularPair:
     def test_odd_columns_rejected(self):
         with pytest.raises(InvalidInputError):
             min_singular_pair(np.ones((2, 3)))
+
+
+def small_systems_bhat(seed):
+    """The Bhat of each of the 40 systems that the benchmark's small-systems
+    workload draws at ``seed``."""
+    workloads = load_script("bench", "workloads.py")
+    return [bhat(NodeSet(test_nodes=x, support_nodes=y, weights=mu))
+            for x, y, mu in workloads.SmallSystems().setup(seed, None)["systems"]]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMinSingularPairSolve:
+    """``min_singular_pair`` is a modified Lawson step's solve: the
+    eigensolve's certified vector, else the kernel's."""
+
+    @pytest.mark.parametrize("n, m", [(11, 3), (8, 4), (5, 4)], ids=["tall", "square", "wide"])
+    def test_kernel_fallback_keeps_the_kernel_bits(self, monkeypatch, n, m):
+        # with no step certified, the pair is the kernel's last right vector
+        # of svd_real, mapped, bit for bit
+        rng = np.random.default_rng(40 + n)
+        x, y = separated_nodes(rng, n, m)
+        B = bhat(NodeSet(test_nodes=x, support_nodes=y, weights=10.0 ** rng.uniform(-3, 0, n)))
+        assert B.shape == (n, 2 * m)
+        monkeypatch.setattr(linalg, "_eigensolve", lambda A, R: None)
+        expected = _expanded_pair(svd_real(B).smallest().vector, "modified")
+        for got, want in zip(min_singular_pair(B), expected):
+            assert same_bits(got, want)
+
+    def test_equals_the_first_lawson_step(self, monkeypatch):
+        # the fit's first step solves bhat of its nodes, the support nodes
+        # appended to the test nodes, at unit weights
+        rng = np.random.default_rng(41)
+        x, y = separated_nodes(rng, 12, 4)
+        steps, solve_step = [], lawson.expanded_coefficients
+
+        def record(A, variant):
+            steps.append(solve_step(A, variant))
+            return steps[-1]
+        monkeypatch.setattr(lawson, "expanded_coefficients", record)
+        lawson_fit(x, y, LawsonConfig(n_lawson=1, variant="modified"))
+        [(alpha, beta, solve)] = steps
+        assert solve.iterations == 1  # certified, so the eigensolve's vector
+        got = min_singular_pair(bhat(NodeSet(test_nodes=np.concatenate([x, y]),
+                                             support_nodes=y)))
+        assert same_bits(got[0], alpha) and same_bits(got[1], beta)
+
+    def test_certified_vectors_lie_within_wedin(self):
+        # on the benchmark's seed-1 systems, each certified vector is within
+        # its Wedin angle of the kernel's, and its pair is the one returned;
+        # both vectors are real and in the kernel's phase, so ||u - v|| is
+        # 2 sin of half their angle
+        certified = 0
+        for B in small_systems_bhat(1):
+            solve = smallest_right_vector(B)
+            if solve.iterations == 0:
+                continue
+            certified += 1
+            u, v = solve.vector, svd_real(B).smallest().vector
+            assert np.linalg.norm(u - v) <= solve.wedin
+            for got, want in zip(min_singular_pair(B), _expanded_pair(u, "modified")):
+                assert same_bits(got, want)
+        assert certified >= 20
+
+    @pytest.mark.parametrize("B", [
+        np.ones(4), np.zeros((0, 4)), np.zeros((4, 0)), np.ones((4, 3)),
+        np.array([[1.0, 2.0], [np.nan, 1.0], [3.0, 4.0]]),
+        np.array([[1.0, 2.0], [3.0, np.inf]]),
+        np.array([[1.0, 2.0, -np.inf, 4.0]]),
+    ], ids=["1-D", "no rows", "no columns", "odd columns", "NaN", "inf", "-inf wide"])
+    def test_invalid_input_rejected(self, B):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                min_singular_pair(B)

@@ -1,5 +1,5 @@
-"""Time the figure fits, or the small-systems fits, of the working tree
-against a git revision's, in one process.
+"""Time the figure fits, or the small-systems operations, of the working
+tree against a git revision's, in one process.
 
 Usage::
 
@@ -11,22 +11,23 @@ taken through ``git archive`` as ``tools/golden.py --against`` takes it)
 under two package names, which works because the package imports its own
 modules only relatively.  With ``--fits figure`` (the default) each tree
 fits each of its own ``cli.FIGURE_FITS`` on its own figure fit grid, one
-row per fit.  With ``--fits small`` each tree runs the fit schedule of the
-benchmark's small-systems workload: the 16 node sets that
+row per fit.  With ``--fits small`` each tree runs the operations of the
+benchmark's small-systems workload on the inputs that
 ``SmallSystems().setup(S)`` in ``bench/workloads.py`` draws for the seed S
-(default 1; the benchmark runs seeds 1-10), each fitted to its ``m_max``
-with ``tol=0`` in both variants.  The figure fits draw nothing, and take no
-seed.  The workload file is read,
-not changed, and its node sets are made once and shared by both trees.  Its
-rows, ``fit.modified`` and ``fit.original``, each time the 16 fits of one
-variant in turn.  After one untimed warm-up of every row of both trees,
-each of N rounds (default 30) runs the rows in turn, each once for each
-tree, REV's first in even rounds and the working tree's first in odd ones.
-It prints, for each row and for the pass of all of them, the median wall
-milliseconds of each tree, the change, and in how many rounds the working
-tree was the faster.  Both trees run on the same host at the same time, so
-a drift of the host's speed reaches both alike, which separate processes do
-not promise.
+(default 1; the benchmark runs seeds 1-10), one row per kind of the
+workload: ``system`` runs, for each of the 40 systems, the public calls of
+the workload's ``system`` operation; ``fit.modified`` and ``fit.original``
+each fit the 16 node sets to their ``m_max`` with ``tol=0`` in one
+variant.  The figure fits draw nothing, and take no seed.  The workload
+file is read, not changed, and its inputs are made once and shared by both
+trees.  After one untimed warm-up of every row of both trees, each of N
+rounds (default 30) runs the rows in turn, each once for each tree, REV's
+first in even rounds and the working tree's first in odd ones.  It prints,
+for each row and for the pass of all of them, the median wall milliseconds
+of each tree with its interquartile range over the rounds, the change of
+the medians, and in how many rounds the working tree was the faster.  Both
+trees run on the same host at the same time, so a drift of the host's
+speed reaches both alike, which separate processes do not promise.
 
 If git cannot archive REV, it prints git's message and exits 2.
 """
@@ -55,44 +56,69 @@ _spec.loader.exec_module(golden)
 
 
 def load(src, name):
-    """The ``cli`` module of the package in ``src``, imported as ``name``."""
+    """The package in ``src``, imported as ``name``, with its ``cli``."""
     path = os.path.join(src, PACKAGE)
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.cli")
+    importlib.import_module(f"{name}.cli")
+    return package
 
 
-def figure_fits(cli):
-    """{fit name: a call that runs the fit} of one tree's ``cli``."""
+def figure_fits(package):
+    """{fit name: a call that runs the fit} of one tree's package."""
+    cli = package.cli
     grid = cli.interval_grid(*cli.FIT_INTERVAL, cli.FIT_NODES)
     return {name: (lambda config=config: cli.aaa_fit(grid, config))
             for name, config in cli.FIGURE_FITS.items()}
 
 
-def small_schedule(seed=1):
-    """[(nodes, m_max)], the 16 fits of ``bench/workloads.py``'s
-    small-systems workload at ``seed``.  The workload module imports the
-    package as ``unirat``, so the working tree's ``src`` is put on the path
-    first if no ``unirat`` is importable."""
+@functools.cache
+def _workloads():
+    """``bench/workloads.py``, loaded once.  It imports the package as
+    ``unirat``, so the working tree's ``src`` is put on the path first if no
+    ``unirat`` is importable."""
     if importlib.util.find_spec(PACKAGE) is None:
         sys.path.insert(0, SRC)
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return workloads.SmallSystems().setup(seed, None)["fits"]
+    return workloads
 
 
-def small_fits(cli, schedule):
-    """{row name: a call that runs the schedule's fits of one variant} of
-    one tree's ``cli``."""
+def small_schedule(seed=1):
+    """[(nodes, m_max)], the 16 fits of ``bench/workloads.py``'s
+    small-systems workload at ``seed``."""
+    return _workloads().SmallSystems().setup(seed, None)["fits"]
+
+
+def small_systems(seed=1):
+    """[(x, y, mu)], the 40 systems of ``bench/workloads.py``'s
+    small-systems workload at ``seed``."""
+    return _workloads().SmallSystems().setup(seed, None)["systems"]
+
+
+def small_fits(package, schedule, systems):
+    """{row name: a call that runs one kind of the small-systems operations}
+    of one tree's package: ``system`` on each of ``systems``, returning
+    their outputs, and ``fit.<variant>`` on each fit of ``schedule``."""
+    def system(x, y, mu):
+        # the calls of SmallSystems._system, made on this tree's package
+        nodes = package.NodeSet(test_nodes=x, support_nodes=y, weights=mu)
+        coeff = package.min_singular_coefficients(
+            package.rescaled_loewner(nodes), package.phase_diagonals(nodes))
+        alpha, beta = package.min_singular_pair(package.bhat(nodes))
+        expanded = package.expanded_loewner(nodes)
+        return y, coeff, alpha, beta, expanded, package.svd_complex(expanded)
+
     def run(variant):
         for nodes, m_max in schedule:
-            cli.aaa_fit(nodes, cli.AaaConfig(m_max=m_max, tol=0.0, variant=variant))
-    return {f"fit.{variant}": (lambda variant=variant: run(variant))
-            for variant in ("modified", "original")}
+            package.aaa_fit(nodes, package.AaaConfig(m_max=m_max, tol=0.0, variant=variant))
+    return {"system": lambda: [system(*s) for s in systems],
+            **{f"fit.{variant}": (lambda variant=variant: run(variant))
+               for variant in ("modified", "original")}}
 
 
 def time_rounds(old, new, rounds):
@@ -112,18 +138,29 @@ def time_rounds(old, new, rounds):
     return times
 
 
+def iqr(ms):
+    """The interquartile range of one tree's round times."""
+    if len(ms) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return q3 - q1
+
+
 def report(times, rev):
-    """Lines of a table of each row's and the pass's median ms, their change
-    and the working tree's wins."""
+    """Lines of a table of each row's and the pass's median ms and
+    interquartile range per tree, the change of the medians and the working
+    tree's wins."""
     # a round's pass is the sum of its rows, per tree
     passes = tuple([sum(round_ms) for round_ms in zip(*(runs[side] for runs in times.values()))]
                    for side in (0, 1))
     rows = {**times, "pass": passes}
-    lines = [f"{'fit':<12} {rev + ' ms':>12} {'tree ms':>9} {'change':>8} {'wins':>7}"]
+    lines = [f"{'fit':<12} {rev + ' ms':>12} {'iqr':>7} {'tree ms':>9} {'iqr':>7} "
+             f"{'change':>8} {'wins':>7}"]
     for name, (old, new) in rows.items():
         a, b = statistics.median(old), statistics.median(new)
         wins = sum(n < o for o, n in zip(old, new))
-        lines.append(f"{name:<12} {a:>12.2f} {b:>9.2f} {(b - a) / a:>+8.1%} {wins:>3}/{len(old)}")
+        lines.append(f"{name:<12} {a:>12.2f} {iqr(old):>7.2f} {b:>9.2f} {iqr(new):>7.2f} "
+                     f"{(b - a) / a:>+8.1%} {wins:>3}/{len(old)}")
     return lines
 
 
@@ -149,7 +186,8 @@ def main(argv):
             print(err, file=sys.stderr)
             return 2
         fits = (figure_fits if args.fits == "figure"
-                else functools.partial(small_fits, schedule=small_schedule(args.seed)))
+                else functools.partial(small_fits, schedule=small_schedule(args.seed),
+                                       systems=small_systems(args.seed)))
         old = fits(load(old_src, f"{PACKAGE}_against"))
         new = fits(load(SRC, f"{PACKAGE}_tree"))
         times = time_rounds(old, new, args.rounds)
