@@ -1,15 +1,16 @@
-"""tools/fittime.py: the four figure fits, or the small-systems operations,
-of two trees, timed in one process."""
+"""tools/fittime.py: a benchmark workload's ops in two trees, checked and timed."""
 
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import unirat
 from conftest import load_script
-from unirat.cli import FIGURE_FITS
 
 fittime = load_script("tools", "fittime.py")
+workloads = load_script("bench", "workloads.py")
 
 needs_git = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 
@@ -24,93 +25,92 @@ def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
     assert "no-such-revision" in err  # git's own message
 
 
-HEADER = ["fit", "HEAD", "ms", "iqr", "tree", "ms", "iqr", "change", "wins"]
+HEADER = ["kind", "HEAD", "ms", "iqr", "tree", "ms", "iqr", "change", "wins"]
 
 
-def check_one_round_rows(rows):
-    # each tree's median and, over one round, an interquartile range of 0
-    for row in rows:
+def edit_workloads(monkeypatch, edit):
+    """Have the tool pass each workload file it loads, and its package, to ``edit``."""
+    def load(package, load_file=fittime.workloads):
+        module = load_file(package)
+        edit(module, package)
+        return module
+    monkeypatch.setattr(fittime, "workloads", load)
+
+
+@needs_git
+def test_one_round(monkeypatch, capsys, name="figure-fits"):
+    # --seed reaches both trees' set-up; the rows are the kinds, geomean, pass
+    seeds = []
+
+    def record(module, package):
+        setup = module.WORKLOADS[name].setup
+        module.WORKLOADS[name].setup = lambda self, seed, workdir: (
+            seeds.append(seed) or setup(self, seed, workdir))
+    edit_workloads(monkeypatch, record)
+    assert fittime.main(["--rounds", "1", "--workload", name, "--seed", "6"]) == 0
+    assert seeds == [6, 6]
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == HEADER
+    assert [row.split()[0] for row in rows] == [*workloads.WORKLOADS[name].kinds,
+                                                "geomean", "pass"]
+    for row in rows:  # each tree's median; over one round, an IQR of 0
         old, old_iqr, new, new_iqr = map(float, row.split()[1:5])
-        assert old > 0 and new > 0
-        assert old_iqr == new_iqr == 0.0
+        assert old > 0 and new > 0 and old_iqr == new_iqr == 0.0
         assert row.split()[-1] in ("0/1", "1/1")
 
 
 @needs_git
-def test_one_round(capsys):
-    assert fittime.main(["--against", "HEAD", "--rounds", "1"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == HEADER
-    assert [row.split()[0] for row in rows] == [*FIGURE_FITS, "pass"]
-    check_one_round_rows(rows)
+def test_one_round_small(monkeypatch, capsys):
+    test_one_round(monkeypatch, capsys, "small-systems")
 
 
 @needs_git
-def test_one_round_small(capsys):
-    assert fittime.main(["--against", "HEAD", "--rounds", "1", "--fits", "small"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == HEADER
-    assert [row.split()[0] for row in rows] == ["system", "fit.modified", "fit.original",
-                                                "pass"]
-    check_one_round_rows(rows)
+def test_one_round_evaluate(monkeypatch, capsys):
+    test_one_round(monkeypatch, capsys, "evaluate")
 
 
 def test_report_iqr():
-    # the quartiles of 1..5 ms are 2 and 4; the working tree's rounds are
-    # each a millisecond faster, so it wins all five
-    times = {"system": ([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, 2.0, 3.0, 4.0])}
-    header, row, passes = fittime.report(times, "HEAD")
-    assert header.split() == HEADER
-    for line in (row, passes):
-        assert line.split()[1:] == ["3.00", "2.00", "2.00", "2.00", "-33.3%", "5/5"]
+    # the quartiles of 1..5 ms are 2 and 4, and the tree wins all five rounds;
+    # b's 4 ops per cycle each take as long as a's one, so geomean is a's row
+    old, new = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.0, 1.5, 2.0, 2.5]
+    times = {"a": (old, new), "b": ([4 * ms for ms in old], [4 * ms for ms in new])}
+    a = ["3.00", "2.00", "1.50", "1.00", "-50.0%", "5/5"]
+    assert [row.split() for row in fittime.report(times, {"a": 1, "b": 4}, "HEAD")] == [
+        HEADER, ["a", *a], ["b", "12.00", "8.00", "6.00", "4.00", *a[4:]], ["geomean", *a],
+        ["pass", "15.00", "10.00", "7.50", "5.00", *a[4:]]]
 
 
-def test_system_row_matches_workload():
-    # the working tree's system row makes the workload's system operations'
-    # outputs, bit for bit
-    workloads = load_script("bench", "workloads.py")
-    systems = workloads.SmallSystems().setup(1, None)["systems"]
+@pytest.mark.parametrize("seed", [1, 6])
+@pytest.mark.parametrize("name", ["figure-fits", "small-systems"])
+def test_ops_match_workload(name, seed):
+    # the working tree's ops as the tool builds them give the plain
+    # workload file's outputs; loading it left sys.modules as it was
     package = fittime.load(fittime.SRC, "unirat_tree")
-    got = fittime.small_fits(package, [], fittime.small_systems(1))["system"]()
-    expected = [workloads.SmallSystems._system(*s)() for s in systems]
-    assert len(got) == len(expected) == workloads.SYSTEMS_PER_CYCLE
-    assert [workloads.digest(out) for out in got] == [workloads.digest(out) for out in expected]
-
-
-def test_small_schedule_matches_workload():
-    # the 16 node sets of the small-systems workload at seed 1, each with
-    # its m_max, as the benchmark draws them
-    workloads = load_script("bench", "workloads.py")
-    expected = workloads.SmallSystems().setup(1, None)["fits"]
-    schedule = fittime.small_schedule()
-    assert len(schedule) == workloads.FIT_CONFIGS_PER_CYCLE == 16
-    for (nodes, m_max), (x, m) in zip(schedule, expected):
-        assert m_max == m and nodes.tobytes() == x.tobytes()
-
-
-@pytest.mark.parametrize("seed", [2, 6])
-def test_small_schedule_at_seed(seed):
-    # of seeds 1-10, the kernel runs at 1 and 6 only, so one seed does not
-    # show the schedule's cost
-    workloads = load_script("bench", "workloads.py")
-    expected = workloads.SmallSystems().setup(seed, None)["fits"]
-    schedule = fittime.small_schedule(seed)
-    assert len(schedule) == len(expected) == 16
-    for (nodes, m_max), (x, m) in zip(schedule, expected):
-        assert m_max == m and nodes.tobytes() == x.tobytes()
+    tree = fittime.workloads(package)
+    assert tree.unirat is package and tree.cli is package.cli and sys.modules["unirat"] is unirat
+    digests = [[(op.kind, workloads.digest(op.run()))
+                for op in fittime.cycle(module, name, seed, None)[1]]
+               for module in (tree, workloads)]
+    assert digests[0] == digests[1]
 
 
 @needs_git
-def test_seed_option_selects_schedule(monkeypatch, capsys):
-    seeds = []
+def test_failed_check_exit_1(monkeypatch, capsys):
+    def plant(module, package):  # the check raises the workload's CheckFailed
+        if package.__name__ == "unirat_tree":
+            module.SmallSystems._check_system = staticmethod(
+                lambda out: module._require(False, "planted"))
+    edit_workloads(monkeypatch, plant)
+    assert fittime.main(["--rounds", "1", "--workload", "small-systems"]) == 1
+    assert capsys.readouterr() == ("", "tree: system: CheckFailed: planted\n")
 
-    def schedule(seed=1, draw=fittime.small_schedule):
-        seeds.append(seed)
-        return draw(seed)[:1]
-    monkeypatch.setattr(fittime, "small_schedule", schedule)
-    for argv in ([], ["--seed", "6"]):
-        assert fittime.main(["--rounds", "1", "--fits", "small", *argv]) == 0
-    assert seeds == [1, 6]
+
+def test_help_prints_first_paragraph(capsys):
+    with pytest.raises(SystemExit, match="^0$"):
+        fittime.main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert " ".join(fittime.__doc__.split("\n\n")[0].split()) in out
+    assert "--workload {" + ",".join(workloads.WORKLOADS) + "}" in out
 
 
 def test_rounds_must_be_positive(capsys):
