@@ -4,11 +4,18 @@ The support nodes are appended to the test set so accuracy can be enforced
 there too.  Each step minimizes a weighted linearized error via the smallest
 right singular vector of the real matrix Bhat (MODIFIED variant) or of the
 complex [M | -S_F M] (ORIGINAL), both built and solved by ``loewner``,
-each step on its own, with no start vector.  Weights are multiplied by the
-current absolute errors and renormalized to max 1 after every step.  A fit
-forms each step's row-weighted block and system in the same two
-Fortran-ordered buffers, and takes its node values from one complex copy of
-the modified Cauchy block, by one product in the modified variant.
+with no start vector.  Weights are multiplied by the current absolute errors
+and renormalized to max 1 after every step.  A fit forms each step's
+row-weighted block and system in the same two Fortran-ordered buffers, and
+takes its node values from one complex copy of the modified Cauchy block, by
+one product in the modified variant.  A modified fit with a tall system and
+more than one step factors its first system once, B0 = Q0 R0
+(``linalg.WeightedQR``): step 1 reads R0, and each later step, whose system
+is B0 with its rows weighted, is solved from Q0 and R0 where the route's
+certificate holds, and by a QR of its own otherwise.  The original variant
+factors each step's system on its own: on its complex systems the complex
+Q0 costs about what the route saves, and the route makes the fit
+measurably less unitary.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +26,7 @@ from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant,
                           cayley_node_quotient, check_nodes, has_duplicates, is_count,
                           node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import SmallestVector, number_array
+from .linalg import SmallestVector, WeightedQR, number_array
 from .loewner import (VARIANTS, NodeSet, check_differences, check_test_count,
                       expanded_coefficients, expanded_system, modified_cauchy, phase_diagonals)
 
@@ -46,9 +53,12 @@ class FitStep:
     ``loewner`` solves every step by one call, ``smallest_right_vector``.
     One Hermitian eigensolve of (R^H R)^{-1} gives the record of every step
     whose tall system it certifies, and the record reads
-    ``iterations == 1``.  Every other step's record comes from the fully
-    converged Jacobi kernel, from the same QR of the step's system, and
-    reads ``iterations == 0``; on the four figure fits no step's does."""
+    ``iterations == 1``.  R is a QR's of the step's system, or, on a
+    modified Lawson step after the first, the route's triangle from the
+    fit's one QR (``linalg.WeightedQR``), whose record also reads
+    ``route``.  Every other step's record comes from the fully converged
+    Jacobi kernel, from a QR of the step's system, and reads
+    ``iterations == 0``; on the four figure fits no step's does."""
 
     step: int
     node: float
@@ -132,12 +142,20 @@ def lawson_fit(test_nodes, support_nodes, config):
     Cp_complex = Cp.astype(complex)
     Cp = np.asfortranarray(Cp)
     M, A = np.empty_like(Cp), None
+    # a modified fit with a step 2 factors its tall first system once,
+    # B0 = Q0 R0 (linalg.WeightedQR): step 1 reads R0, and each later step
+    # tries the route from Q0 and R0 before a QR of its own
+    route = config.variant == "modified" and config.n_lawson > 1 and xa.size >= 2 * y.size
+    qr = None
 
     trace = LawsonTrace()
     for step in range(1, config.n_lawson + 1):
         np.multiply(np.sqrt(mu)[:, None], Cp, out=M)
         A = expanded_system(M, ph, config.variant, out=A)
-        alpha, beta, solve = expanded_coefficients(A, config.variant)
+        if route and step == 1:
+            qr = WeightedQR(A)
+        alpha, beta, solve = expanded_coefficients(A, config.variant, qr,
+                                                   None if step == 1 else mu)
         r = (node_quotient(Cp_complex, alpha, beta) if config.variant == "original"
              else cayley_node_quotient(Cp_complex, beta))
 

@@ -37,14 +37,19 @@ product with Z, and keeps the result only if its record, with
 ``gap_bound``'s lower bound on sigma_{m-1}, net of that bound's own
 rounding, is not degenerate.  The eigensolve needs no start vector.  The
 Jacobi kernel is the fallback: a step it does not certify and a wide step
-run it to full convergence from the same R.
+run it to full convergence from the same R.  A modified Lawson fit
+factors its first system once (``WeightedQR``), and solves each later
+step's, its rows weighted, from a triangle that one Gram product, one
+Cholesky and one triangular product give, under a certificate net of their
+rounding; a step that certificate does not hold for is factored on its own.
 
 A warm step's cost is its LAPACK work, not NumPy's wrappers around it.
 Its QRs, R^{-1} and eigensolve are made by LAPACK routines called as
 directly as NumPy allows (``?geqrf`` in place through ``lapack_lite``, the
-one routine taken from it, ``?gesv`` against the identity and
-``?syevd``/``?heevd`` through the gufuncs that ``np.linalg.inv`` and
-``np.linalg.eigh`` wrap), its triangles by the ``np.where`` that
+one routine taken from it, ``?gesv`` against the identity,
+``?syevd``/``?heevd`` and the route's ``?potrf`` through the gufuncs that
+``np.linalg.inv``, ``np.linalg.eigh`` and ``np.linalg.cholesky`` wrap), its
+triangles by the ``np.where`` that
 ``np.triu`` evaluates, its norms by ``np.linalg.norm``'s own formula and
 its phase from its one largest entry; each with the bits of the NumPy call
 it replaces.  The complement of v that ``gap_bound`` reads is not formed:
@@ -98,10 +103,12 @@ class SmallestVector:
     The Jacobi kernel (``SvdResult.smallest``) records sigma_m, sigma_{m-1}
     (inf for one column) and sigma_max, with its ``sweeps`` and
     ``rotations``; the eigensolve (``_eigensolve``) records ||A v|| >=
-    sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >= sigma_max.
-    ``smallest_right_vector`` returns a warm record only where it is not
-    ``degenerate``, and the kernel's otherwise.  ``iterations`` reads 1 on
-    a warm record and 0 on a kernel record.
+    sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >= sigma_max, or,
+    on the route's triangle (``WeightedQR``), both bounds net of the route's
+    terms.  ``smallest_right_vector`` returns a warm record only where it is
+    not ``degenerate``, and the kernel's otherwise.  ``iterations`` reads 1
+    on a warm record and 0 on a kernel record; ``route`` is True on the
+    route's.
     """
 
     vector: np.ndarray
@@ -111,6 +118,7 @@ class SmallestVector:
     iterations: int = 0
     sweeps: int = 0
     rotations: int = 0
+    route: bool = False
 
     @property
     def degenerate(self):
@@ -585,7 +593,7 @@ def _gap_bound(R, v):
     return max(0.0, ell), scale
 
 
-def _eigensolve(A, R):
+def _eigensolve(A, R, terms=None):
     """The certified record of a tall A = QR from one Hermitian eigensolve;
     None where it is not certified.
 
@@ -609,6 +617,11 @@ def _eigensolve(A, R):
     is formed under one ``np.errstate`` and stored as a Python float, so that
     an overflowed sigma_min or scale makes the record degenerate, with no
     warning.  The vector is turned to the kernel's phase by ``_entry_phase``.
+
+    ``terms`` = (t, f, h) marks R as the route's triangle (``WeightedQR``),
+    the exact triangle of A only up to those terms: the record then reads
+    ``(gap_bound(R, v) - t) / sqrt(1 + f) - h`` as its lower bound and
+    ``(||R||_F + t) / sqrt(1 - f) + h`` as its scale, and ``route``.
     """
     with np.errstate(all="ignore"):
         X = _triangular_inverse(R)
@@ -622,12 +635,111 @@ def _eigensolve(A, R):
         if not 0.0 < norm < np.inf:  # a NaN in u or x fails it too
             return None
         v = x / norm
-        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), *_gap_bound(R, v),
-                               iterations=1)
+        lower, scale = _gap_bound(R, v)
+        if terms is not None:
+            t, f, h = terms
+            lower = (lower - t) / math.sqrt(1.0 + f) - h
+            scale = (scale + t) / math.sqrt(1.0 - f) + h
+        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), lower, scale,
+                               iterations=1, route=terms is not None)
     return None if solve.degenerate else solve
 
 
-def smallest_right_vector(A):
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u = eps / 2: Higham's bound on k
+    successive roundings."""
+    return k * EPS / (2.0 - k * EPS)
+
+
+class WeightedQR:
+    """One QR of a fit's first system, B0 = Q0 R0 for a tall real B0, from
+    which the row-weighted systems A = D B0, D = diag(sqrt(mu)), of its later
+    steps are solved without a QR of their own: the route.
+
+    Q0 and R0 come from ``np.linalg.qr(B0)``, whose R has the bits and layout
+    of ``_r_factor(B0)``, so the fit's first step reads R0 as its R.  For a
+    later step, G = D Q0 = Q_G R_G, with R_G^T R_G = G^T G, gives
+    A = Q_G (R_G R0): R = R_G R0 is a triangle of A, from one n x p Gram
+    product (BLAS-3), one p x p Cholesky and one triangular product, where
+    A's own unblocked ``?geqrf`` costs far more under two BLAS threads.  G
+    stays well conditioned where A is not: kappa(G) <= 246 on the figure
+    fits, kappa(A) ~ 1e12.  ``solve`` takes R's vector from ``_eigensolve``
+    and certifies it with ``gap_bound(R, v)`` net of the route's terms below;
+    ``||A v||`` is read from A itself, as on every warm step.  G and its Gram
+    matrix are refilled in two buffers of the fit, and the squared row norms
+    b, q and e of B0, Q0 and the residual B0 - Q0 R0 are kept, so that the
+    terms that scale with the rows cost one dot with mu each.
+
+    The terms, with u = eps / 2, gamma_k = k u / (1 - k u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed.), n x p the
+    shape of A, ||.|| the Frobenius norm, to first order:
+    (1) B0 = Q0 R0 + E exactly, and the computed residual rounds by at most
+    gamma_{p+1} (|B0| + |Q0| |R0|), so ||D E|| <= sqrt(mu . e) +
+    gamma_{p+1} (||D B0|| + ||G|| ||R0||), ||D B0|| = sqrt(mu . b) and
+    ||G|| = sqrt(mu . q); A itself, formed as the fit forms it from d and
+    the unweighted factors, is D B0 + F with |F| <= gamma_3 |A|: together
+    h1 = sqrt(mu . e) + gamma_{p+4} (sqrt(mu . b) + ||G|| ||R0||);
+    (2) the computed G is D Q0 + H with |H| <= u |G|, which moves G R0 by
+    h2 = u ||G|| ||R0||.  So A = G R0 + K with ||K||_2 <= h = h1 + h2,
+    and sigma_i(A) >= sigma_i(G R0) - h (Weyl);
+    (3) the Gram matrix S = G^T G rounds by |dS| <= gamma_n |G|^T |G|
+    (Section 3.5) and the Cholesky factor satisfies R_G^T R_G = S + dS + C,
+    |C| <= gamma_{p+1} |R_G|^T |R_G| (Theorem 10.3), so that ||dS + C||_2
+    <= delta = gamma_n ||G||^2 + gamma_{p+1} ||R_G||^2.  For every x,
+    | ||R_G x||^2 - ||G x||^2 | <= delta ||x||^2 <= f ||G x||^2 with
+    f = delta / sigma_min(G)^2, so sigma_i(G R0) >= sigma_i(R_G R0) /
+    sqrt(1 + f) and sigma_i(G R0) <= sigma_i(R_G R0) / sqrt(1 - f)
+    (min-max), as Yamamoto, Nakatsukasa, Yanagisawa & Fukaya (ETNA 44, 2015)
+    bound CholeskyQR's factor.  sigma_min(G)^2 >= s^2 - delta for
+    s = 1 / ||R_G^{-1}|| - gamma_p ||R_G||, with R_G^{-1} from
+    ``_triangular_inverse`` (term (4) of ``gap_bound``), and the route
+    refuses unless s^2 > 2 delta, so that f < 1;
+    (4) R = fl(R_G R0) = R_G R0 + T with |T| <= gamma_p |R_G| |R0|, so
+    sigma_i(R_G R0) >= sigma_i(R) - t, t = gamma_p || |R_G| |R0| ||.
+    Hence sigma_{m-1}(A) >= (gap_bound(R, v) - t) / sqrt(1 + f) - h, the
+    record's lower bound, and sigma_max(A) <= (||R|| + t) / sqrt(1 - f) + h,
+    its scale.  The dots and norms that form the terms round them by a
+    relative O(n u), which is of second order.  On the 19 later steps of the
+    figure ``lawson_mod`` fit, h and t reach at most 247 and 27 eps ||R||_F,
+    and f moves the bound by less than 1e-3 eps ||R||_F; every step is
+    certified, with at least 4 447 eps ||R||_F to spare.
+    """
+
+    def __init__(self, B):
+        Q, self.R = np.linalg.qr(B)
+        self.Q = np.asfortranarray(Q)
+        self._G, self._S = np.empty_like(self.Q), np.empty((self.R.shape[0],) * 2)
+        # the residual B0 - Q0 R0 is formed in G's buffer
+        E = np.subtract(B, np.matmul(self.Q, self.R, out=self._G), out=self._G)
+        self.b, self.q, self.e = (np.einsum("ij,ij->i", X, X) for X in (B, self.Q, E))
+        self.norm_R, self.abs_R = float(_norm(self.R)), np.abs(self.R)
+
+    def solve(self, A, mu):
+        """The route's certified record of A = diag(sqrt(mu)) B0; None where
+        the route does not certify it: a failed Cholesky (NaN), a singular or
+        non-finite R_G^{-1}, an f not below 1, or a degenerate record once
+        the terms are taken off."""
+        n, p = A.shape
+        with np.errstate(all="ignore"):
+            G = np.multiply(np.sqrt(mu)[:, None], self.Q, out=self._G)
+            R_G = _umath_linalg.cholesky_lo(np.matmul(G.T, G, out=self._S),
+                                            signature="d->d").T
+            X = _triangular_inverse(R_G)
+            if X is None:
+                return None
+            norm_G, norm_RG = math.sqrt(mu @ self.q), float(_norm(R_G))
+            delta = _gamma(n) * norm_G ** 2 + _gamma(p + 1) * norm_RG ** 2
+            s = float(1.0 / _norm(X)) - _gamma(p) * norm_RG
+            if not s * s > 2.0 * delta:
+                return None
+            t = _gamma(p) * float(_norm(np.abs(R_G) @ self.abs_R))
+            h = (math.sqrt(mu @ self.e) + _gamma(p + 4) * math.sqrt(mu @ self.b)
+                 + (_gamma(p + 4) + EPS / 2) * norm_G * self.norm_R)
+            R = R_G @ self.R
+        return _eigensolve(A, R, (t, delta / (s * s - delta), h))
+
+
+def smallest_right_vector(A, qr=None, weights=None):
     """The ``SmallestVector`` of a fit step's system A, never None.
 
     A tall A is factored once, A = QR, by ``_r_factor``: LAPACK's ``?geqrf``
@@ -639,7 +751,18 @@ def smallest_right_vector(A):
     wide A takes the kernel's wide branch; a kernel record reads
     ``iterations == 0``.  The vector is in the kernel's phase
     (``_vector_phase``), complex for a complex A.
+
+    A fit that factored its first system, B0 = Q0 R0, passes that
+    ``WeightedQR`` as ``qr``: its first step, A = B0, reads R0 as its R, and
+    a later step, A = diag(sqrt(weights)) B0, takes the route's record
+    (``WeightedQR.solve``) where that is certified, and otherwise the record
+    it would have without ``qr``, bit for bit.
     """
-    R = _r_factor(A) if A.shape[0] >= A.shape[1] else None
+    if qr is not None and weights is not None:
+        route = qr.solve(A, weights)
+        if route is not None:
+            return route
+        qr = None
+    R = qr.R if qr is not None else _r_factor(A) if A.shape[0] >= A.shape[1] else None
     warm = None if R is None else _eigensolve(A, R)
     return _svd(A, R).smallest() if warm is None else warm

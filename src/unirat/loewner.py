@@ -8,8 +8,10 @@ Lawson's by ``expanded_system`` (Bhat = [Re(R) M | -Im(R) M] or [M | -S_F M],
 over a row-weighted modified Cauchy block M) and ``expanded_coefficients``.
 Both extractors return their coefficients with the step's
 ``linalg.SmallestVector``, from one call to ``linalg.smallest_right_vector``
-on one QR of the system: one Hermitian eigensolve's where that is
-certified, the Jacobi kernel's otherwise.  The node-level functions
+on one QR of the system, or, for a modified Lawson step after the first, on
+its fit's one ``linalg.WeightedQR`` where the route certifies it: one
+Hermitian eigensolve's where that is certified, the Jacobi kernel's
+otherwise.  The node-level functions
 (``loewner``, ``rescaled_loewner``, ``bhat``, ...) wrap the two builders;
 ``min_singular_pair`` takes a modified Lawson step's (alpha, beta) from
 ``expanded_coefficients``, with its bits, and ``min_singular_coefficients``
@@ -160,10 +162,11 @@ def expanded_system(M, ph, variant, out=None):
     return out
 
 
-def expanded_coefficients(A, variant):
+def expanded_coefficients(A, variant, qr=None, weights=None):
     """(alpha, beta, solve) for ``solve`` the ``SmallestVector`` of A
-    (``smallest_right_vector``) and ``_expanded_pair`` of its vector."""
-    solve = smallest_right_vector(A)
+    (``smallest_right_vector``, which a fit's ``linalg.WeightedQR`` and the
+    step's weights reach) and ``_expanded_pair`` of its vector."""
+    solve = smallest_right_vector(A, qr, weights)
     return (*_expanded_pair(solve.vector, variant), solve)
 
 

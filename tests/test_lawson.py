@@ -25,7 +25,7 @@ from unirat import (
 from unirat.barycentric import node_quotient
 from unirat.cli import FIGURE_LAWSON_STEPS
 from unirat.errors import InvalidInputError, NumericalFailureError
-from unirat.linalg import EPS
+from unirat.linalg import EPS, WeightedQR
 from unirat.loewner import expanded_coefficients
 
 from conftest import FIT_GRID, figure_aaa_config, separated_nodes
@@ -87,18 +87,23 @@ class TestLawsonFit:
     def test_first_step_matches_expanded_svd(self):
         # 1, 2 and 3 steps reproduce, bit for bit, a replay through the node-level
         # functions over test nodes + appended support nodes, weighted by mu:
-        # every step of the fit builds the matrix they return and solves it
-        # on its own
+        # every step of the fit builds the matrix they return and solves it,
+        # on its own, or, a modified step after the first, from the
+        # WeightedQR of the first step's matrix
         rng = np.random.default_rng(72)
         for _ in range(5):
             x, y = separated_nodes(rng, 10, 3)
             xa = np.concatenate([x, y])
             for variant in ("modified", "original"):
-                mu = np.ones(xa.size)
+                mu, qr = np.ones(xa.size), None
                 for steps in (1, 2, 3):
                     ns = NodeSet(test_nodes=xa, support_nodes=y, weights=mu)
                     A = bhat(ns) if variant == "modified" else expanded_loewner(ns)
-                    alpha, beta, solve = expanded_coefficients(A, variant)
+                    if steps == 1 and variant == "modified":
+                        alpha, beta, solve = expanded_coefficients(A, variant)
+                        qr = WeightedQR(A)
+                    else:
+                        alpha, beta, solve = expanded_coefficients(A, variant, qr, mu)
                     if variant == "modified":
                         assert np.max(np.abs(alpha - np.conj(beta))) <= 4 * EPS
                         ref = CayleyApproximant(support=y, coefficients=beta)
@@ -232,9 +237,9 @@ class TestStart:
         loewner = importlib.import_module("unirat.loewner")
         calls = []
 
-        def record(A, solve=loewner.smallest_right_vector):
+        def record(A, *args, solve=loewner.smallest_right_vector):
             calls.append(A.copy())
-            return solve(A)
+            return solve(A, *args)
         aaa, x = figure_aaa(variant)
         monkeypatch.setattr(loewner, "smallest_right_vector", record)
         _, trace = lawson_fit(x, aaa.support, LawsonConfig(n_lawson=1, variant=variant))

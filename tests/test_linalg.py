@@ -23,7 +23,7 @@ from unirat.linalg import (EPS, SWEEP_CAP, _gram, _jacobi_orthogonalize, _phase,
                            _pivoted_r, _round_robin)
 from unirat.loewner import phase_entries
 
-from conftest import FIT_GRID, figure_aaa_config, load_script
+from conftest import FIT_GRID, figure_aaa_config, load_script, separated_nodes
 
 mp.mp.dps = 50
 
@@ -831,12 +831,12 @@ def spectrum_matrix(rng, n, sigma, dtype):
 def record_warm_steps(monkeypatch):
     """Record ``(A, result)`` for every fit step, with a copy of A, since a
     fit refills its systems in place; the result is the eigensolve's record,
-    or None where the step ran the kernel."""
+    the route's included, or None where the step ran the kernel."""
     loewner = importlib.import_module("unirat.loewner")
     calls = []
 
-    def record(A, solve=loewner.smallest_right_vector):
-        out = solve(A)
+    def record(A, *args, solve=loewner.smallest_right_vector):
+        out = solve(A, *args)
         calls.append((A.copy(), out if out.iterations else None))
         return out
     monkeypatch.setattr(loewner, "smallest_right_vector", record)
@@ -844,8 +844,9 @@ def record_warm_steps(monkeypatch):
 
 
 def record_factorizations(monkeypatch):
-    """Record the shape of every fit step's system, and of every matrix whose
-    R alone ``linalg._r_factor`` computes, each in call order."""
+    """Record the shape of every fit step's system, and of every matrix that
+    ``linalg._r_factor`` or ``np.linalg.qr`` factors (a modified Lawson
+    fit's first system, ``linalg.WeightedQR``), each in call order."""
     loewner = importlib.import_module("unirat.loewner")
     steps, factored = [], []
 
@@ -853,10 +854,15 @@ def record_factorizations(monkeypatch):
         factored.append(A.shape)
         return factor(A)
 
-    def record(A, solve=loewner.smallest_right_vector):
+    def qr(A, *args, factor=np.linalg.qr, **kwargs):
+        factored.append(A.shape)
+        return factor(A, *args, **kwargs)
+
+    def record(A, *args, solve=loewner.smallest_right_vector):
         steps.append(A.shape)
-        return solve(A)
+        return solve(A, *args)
     monkeypatch.setattr(linalg, "_r_factor", r_factor)
+    monkeypatch.setattr(np.linalg, "qr", qr)
     monkeypatch.setattr(loewner, "smallest_right_vector", record)
     return steps, factored
 
@@ -897,19 +903,26 @@ class TestInverseIteration:
             assert angle <= out.wedin
 
     def test_figure_fits_factor_each_system_once(self, monkeypatch):
-        # a warm step and the kernel share one QR of the step's system
+        # a warm step and the kernel share one QR of the step's system; the
+        # 19 modified Lawson steps after the first factor none, since the
+        # route solves them from their fit's one QR, and their shape is
+        # that of the original Lawson steps'
         steps, factored = record_factorizations(monkeypatch)
         traces = [aaa_fit(FIT_GRID, config)[1] for config in FIGURE_FITS.values()]
-        count = sum(len(t.iterations) + (len(t.lawson.steps) if t.lawson else 0)
-                    for t in traces)
-        assert sum(step_factorizations(steps, factored).values()) == count == 98
-        assert step_factorizations(steps, factored) == collections.Counter(steps)
+        solves = [st.solve for t in traces
+                  for st in t.iterations + (t.lawson.steps if t.lawson else [])]
+        route = [A for A, s in zip(steps, solves) if s.route]
+        assert len(solves) == 98 and len(route) == 19
+        assert sum(step_factorizations(steps, factored).values()) == 79
+        assert (step_factorizations(steps, factored)
+                == collections.Counter(steps) - collections.Counter(route))
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_uncertified_warm_steps_factor_once(self, monkeypatch, variant):
-        # with the eigensolve refusing every step, every step runs the
-        # kernel, from the R that smallest_right_vector computed for it
-        monkeypatch.setattr(linalg, "_eigensolve", lambda A, R: None)
+        # with the eigensolve refusing every step, the route's too, every
+        # step runs the kernel, from the R that smallest_right_vector
+        # computed for it (step 1's of the modified fit from np.linalg.qr)
+        monkeypatch.setattr(linalg, "_eigensolve", lambda A, R, terms=None: None)
         steps, factored = record_factorizations(monkeypatch)
         _, trace = aaa_fit(np.linspace(-3, 3, 40),
                            AaaConfig(m_max=8, tol=0.0, variant=variant, n_lawson=3))
@@ -920,16 +933,21 @@ class TestInverseIteration:
         assert all(s.sweeps > 0 for s in solves)
 
     def test_figure_fit_records(self, figure_fits):
-        # the kernel serves no step: every record is the eigensolve's, and
-        # each is 685 eps ||R||_F or more clear of the rule once gap_bound has
-        # taken off its rounding term (745 before)
+        # the kernel serves no step: every record is the eigensolve's, 79 on
+        # a QR of their own system and the 19 modified Lawson steps after
+        # the first on the route's triangle, and each is 685 eps ||R||_F or
+        # more clear of the rule once gap_bound has taken off its rounding
+        # term (745 before), a route record 4 447 once the route's terms are
+        # off too
         steps = []
         for _, trace, _ in figure_fits.values():
             steps += trace.iterations + (trace.lawson.steps if trace.lawson else [])
         warm = [st.solve for st in steps if st.solve.iterations]
         assert len(steps) == len(warm) == 98
         assert all(s.iterations == 1 for s in warm)
+        assert sum(s.route for s in warm) == 19
         assert all(s.lower - s.sigma_min >= 685 * EPS * s.scale for s in warm)
+        assert all(s.lower - s.sigma_min >= 4400 * EPS * s.scale for s in warm if s.route)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_random_systems(self, dtype):
@@ -1034,7 +1052,8 @@ class TestInverseIteration:
         monkeypatch.setattr(linalg, "_triangular_inverse",
                             counted("inverse", linalg._triangular_inverse))
         monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
-            inv=gufuncs.inv, eigh_lo=counted("eigh", gufuncs.eigh_lo)))
+            inv=gufuncs.inv, eigh_lo=counted("eigh", gufuncs.eigh_lo),
+            cholesky_lo=gufuncs.cholesky_lo))
         monkeypatch.setattr(linalg, "_gap_bound", bound)
         rng = np.random.default_rng(103)
         top = np.logspace(4, 3, 8)
@@ -1048,7 +1067,8 @@ class TestInverseIteration:
         _, trace = aaa_fit(FIT_GRID, FIGURE_FITS["lawson_mod"])
         assert len(steps) == len(trace.iterations) + len(trace.lawson.steps) == 34
         assert all(out is not None for _, out in steps)
-        assert calls == ["inverse", "eigh"] * 34
+        # a route step inverts its Cholesky factor R_G too
+        assert calls == ["inverse", "eigh"] * 15 + ["inverse", "inverse", "eigh"] * 19
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_lapack_lite_calls_of_a_warm_step(self, monkeypatch, dtype):
@@ -1123,6 +1143,118 @@ class TestInverseIteration:
         assert wide or flags == [True] * 3
 
 
+def record_bits(solve):
+    """The fields of a ``SmallestVector``, its vector as bytes."""
+    return (solve.vector.tobytes(), solve.sigma_min, solve.lower, solve.scale,
+            solve.iterations, solve.sweeps, solve.rotations, solve.route)
+
+
+def vector_angle(u, v):
+    """||v - u p / |p|||, p = u^H v: the distance between two unit vectors
+    once the phase that separates them is taken out."""
+    p = np.vdot(u, v)
+    return np.linalg.norm(v - u * (p / abs(p)))
+
+
+class TestWeightedQR:
+    """A modified Lawson fit with a step 2 factors its first system once,
+    B0 = Q0 R0, and solves each later step's A = D B0 from the triangle
+    chol(G^T G)^T R0, G = D Q0, under the route's certificate; a step it
+    does not certify is solved as before, bit for bit."""
+
+    def test_figure_route_steps(self, monkeypatch):
+        # the route certifies all 19 later steps of the figure lawson_mod
+        # fit: each lower bound is at most the kernel's sigma_{m-1}, and each
+        # vector lies within the record's Wedin angle of the vector that the
+        # step's system alone gives (0.020 of it at most)
+        calls = record_warm_steps(monkeypatch)
+        _, trace = aaa_fit(FIT_GRID, FIGURE_FITS["lawson_mod"])
+        assert [st.solve.route for st in trace.lawson.steps] == [False] + [True] * 19
+        route = [(A, out) for A, out in calls if out is not None and out.route]
+        assert len(route) == 19
+        for A, out in route:
+            assert out.lower <= svd_real(A).smallest().lower
+            alone = lawson.expanded_coefficients(A, "modified")[2]
+            assert not alone.route
+            assert vector_angle(alone.vector, out.vector) <= out.wedin
+
+    def test_graded_weights_refused(self):
+        # three unit weights and the rest 1e-300 leave G = D Q0 of rank 3
+        # in 8 columns: the route refuses, and the step's record is the one
+        # its system alone gives, bit for bit
+        rng = np.random.default_rng(131)
+        x, y = separated_nodes(rng, 20, 4)
+        xa = np.concatenate([x, y])
+        qr = linalg.WeightedQR(bhat(NodeSet(test_nodes=xa, support_nodes=y)))
+        mu = np.full(xa.size, 1e-300)
+        mu[rng.choice(xa.size, 3, replace=False)] = 1.0
+        A = bhat(NodeSet(test_nodes=xa, support_nodes=y, weights=mu))
+        assert qr.solve(A, mu) is None
+        got = lawson.expanded_coefficients(A, "modified", qr, mu)
+        want = lawson.expanded_coefficients(A, "modified")
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert record_bits(got[2]) == record_bits(want[2])
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_first_steps_keep_their_bits(self, monkeypatch, variant):
+        # a one-step fit forms no Q0, and nor does an original fit; a
+        # modified fit with a step 2 forms one, whose R0 has _r_factor's
+        # bits, so step 1's record is the one the system alone gives
+        made = []
+
+        class Counted(linalg.WeightedQR):
+            def __init__(self, B):
+                made.append(B.shape)
+                super().__init__(B)
+        monkeypatch.setattr(lawson, "WeightedQR", Counted)
+        y = figure_support(variant)
+        x = FIT_GRID[~np.isin(FIT_GRID, y)]
+        nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
+        B0 = bhat(nodes) if variant == "modified" else expanded_loewner(nodes)
+        alone = lawson.expanded_coefficients(B0, variant)[2]
+        for n_lawson in (1, 3):
+            _, trace = lawson.lawson_fit(x, y, lawson.LawsonConfig(n_lawson=n_lawson,
+                                                                   variant=variant))
+            assert record_bits(trace.steps[0].solve) == record_bits(alone)
+        assert made == ([B0.shape] if variant == "modified" else [])
+        if variant == "modified":
+            assert same_bits(linalg.WeightedQR(B0).R, linalg._r_factor(B0))
+
+    def test_original_fit_keeps_its_path(self, monkeypatch):
+        # the figure lawson_orig fit forms no Q0, and each of its steps is
+        # the record that its system alone gives, bit for bit, in the
+        # Fortran order the fit builds it in (||A v|| has the bits of A's
+        # layout)
+        def refuse(B):
+            raise AssertionError("an original fit formed Q0")
+        monkeypatch.setattr(lawson, "WeightedQR", refuse)
+        calls = record_warm_steps(monkeypatch)
+        _, trace = aaa_fit(FIT_GRID, FIGURE_FITS["lawson_orig"])
+        steps = calls[-len(trace.lawson.steps):]
+        assert len(steps) == 20
+        for (A, _), st in zip(steps, trace.lawson.steps):
+            alone = linalg.smallest_right_vector(np.asfortranarray(A))
+            assert record_bits(st.solve) == record_bits(alone)
+
+    def test_lapack_lite_calls_of_a_route_step(self, monkeypatch):
+        # a route step takes one QR from lapack_lite, gap_bound's of R W,
+        # and none of its system: the figure lawson_mod system, weighted at
+        # random
+        y = figure_support("modified")
+        xa = np.concatenate([FIT_GRID[~np.isin(FIT_GRID, y)], y])
+        qr = linalg.WeightedQR(bhat(NodeSet(test_nodes=xa, support_nodes=y)))
+        mu = 10.0 ** np.random.default_rng(137).uniform(-2, 0, xa.size)
+        A = bhat(NodeSet(test_nodes=xa, support_nodes=y, weights=mu))
+        lite, calls = linalg.lapack_lite, []
+
+        def dgeqrf(*args):
+            calls.append("dgeqrf")
+            return lite.dgeqrf(*args)
+        monkeypatch.setattr(linalg, "lapack_lite", types.SimpleNamespace(dgeqrf=dgeqrf))
+        out = linalg.smallest_right_vector(A, qr, mu)
+        assert out.route and calls == ["dgeqrf"]
+
+
 def audit_fits(count):
     """The first ``count`` fits of the random-fit audit, as (nodes, config),
     drawn from one generator seeded 7 in the audit's order."""
@@ -1159,16 +1291,19 @@ def audit_counts(calls):
 def test_random_fit_audit(monkeypatch):
     # off the figure grid: a fit either completes or is rejected for its
     # input, every certified vector lies within twice the kernel's Wedin
-    # angle of the kernel's vector on the same system, and a second run
+    # angle of the kernel's vector on the same system, a route record's
+    # lower bound does not exceed the kernel's sigma_{m-1}, and a second run
     # certifies and rejects the same steps
     calls = record_warm_steps(monkeypatch)
     counts = audit_counts(calls)
     audited = calls[:]
     assert audit_counts(calls) == counts
-    # 19 fits complete, with 255 certified and 69 uncertified warm steps,
+    # 19 fits complete, with 255 certified warm steps (11 of them modified
+    # Lawson steps by the route, which refuses 2) and 69 uncertified ones,
     # under one and two OpenBLAS 0.3.31 threads; the bounds only keep the
     # checks below from passing on few steps
     assert sum(c[0] for c in counts) >= 15 and sum(c[1] for c in counts) >= 100
+    assert sum(out is not None and out.route for _, out in audited) >= 5
     for A, out in audited:
         if out is None:
             continue
@@ -1176,6 +1311,7 @@ def test_random_fit_audit(monkeypatch):
         p = np.vdot(kernel.vector, out.vector)
         angle = np.linalg.norm(out.vector - kernel.vector * (p / abs(p)))
         assert angle <= 2 * kernel.wedin
+        assert not out.route or out.lower <= kernel.lower
 
 
 def aaa_iterate(support, solve, variant):

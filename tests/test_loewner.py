@@ -458,8 +458,8 @@ class TestMinSingularPairSolve:
         x, y = separated_nodes(rng, 12, 4)
         steps, solve_step = [], lawson.expanded_coefficients
 
-        def record(A, variant):
-            steps.append(solve_step(A, variant))
+        def record(A, variant, *args):
+            steps.append(solve_step(A, variant, *args))
             return steps[-1]
         monkeypatch.setattr(lawson, "expanded_coefficients", record)
         lawson_fit(x, y, LawsonConfig(n_lawson=1, variant="modified"))
