@@ -25,12 +25,17 @@ for a numerator-denominator pair and 0.3 MB for one sum), which stay in
 cache and grow neither with the points nor with the nodes; and the values
 do not depend on the blocking.
 
-Three writers finish the blocks: ``_quotient`` writes n/d, and two take
-any stream of denominator blocks: ``cayley_values`` writes conj(d)/d and
-``denominator_values`` copies d.  ``eval_cayley`` and every form's
-``denominator`` feed those two the kernel's blocks of d; the Padé
-comparator (``unirat.pade``), the Cayley form of its own denominator q,
-feeds them blocks of q.
+Two writers finish any stream of blocks: ``quotient_values`` writes n/d
+and ``denominator_values`` copies d.  A block of d alone stands for the
+Cayley form conj(d)/d: ``eval_cayley`` feeds the kernel's blocks of xi, and
+the Padé comparator (``unirat.pade``), the Cayley form of its own
+denominator q, feeds blocks of q.  The interpolant and the
+non-interpolatory form feed the rows (d, n) with their support hits, and
+every form's ``denominator`` feeds the kernel's blocks of d.  Each n/d,
+there and in a fit's node values (``node_quotient``), follows one division
+rule (``_divide``): a subnormal d overflows the complex division, so where
+the quotient is not finite, n and d are divided again scaled by an exact
+power of two, and every finite quotient keeps its bits.
 
 Every form follows one pole rule: the first zero denominator in grid order
 raises ``PoleEvaluationError``, before any later block is evaluated.  A hit
@@ -183,51 +188,48 @@ def denominator_values(x, blocks):
     return _finish(out, shape)
 
 
-def cayley_values(x, blocks):
-    """The Cayley form conj(d)/d at the points x in the shape of x, from the
-    blocks of d that ``blocks`` yields as for ``denominator_values``.  The
-    first zero d in grid order raises PoleEvaluationError, at a support hit
-    as elsewhere.  A subnormal d overflows the complex division, so a block
-    whose quotients are not all finite is divided again with d scaled by
-    2^-e, e the exponent of max(|Re d|, |Im d|): the quotient is scale-free,
-    and the exact power of two leaves the bits of every quotient whose d is
-    normal."""
+def quotient_values(x, blocks, hit_values=None):
+    """n/d at the points x in the shape of x, from the blocks that
+    ``blocks`` yields as for ``denominator_values``: per block d alone, for
+    the Cayley form conj(d)/d, or the rows (d, n) with the positions that hit
+    a support node and the nodes they hit, a hit of y_j reading
+    ``hit_values[j]`` if given.  The first zero d in grid order raises
+    PoleEvaluationError, at a support hit as elsewhere."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
-    for start, d, *_ in blocks(xv):
+    for start, sums, *hit in blocks(xv):
+        d, n = (sums, None) if sums.ndim == 1 else sums
         if not d.all():
             raise PoleEvaluationError(float(xv[start + np.argmax(d == 0.0)]))
-        block = out[start:start + len(d)]
-        with np.errstate(over="ignore"):
-            np.divide(np.conjugate(d, out=block), d, out=block)
-        if not np.isfinite(block).all():
-            d = _ldexp(d, -np.frexp(np.maximum(np.abs(d.real), np.abs(d.imag)))[1])
-            np.divide(np.conjugate(d, out=block), d, out=block)
-    return _finish(out, shape)
-
-
-def _quotient(alpha, beta, support, x, hit_values=None):
-    """n/d at the points x in the shape of x, the limit alpha_j/beta_j at a
-    hit of y_j, or ``hit_values[j]`` if given.  The first zero d in grid
-    order raises PoleEvaluationError, at a support hit as elsewhere."""
-    xv, shape = _prepare(x)
-    out = np.empty(xv.size, dtype=complex)
-    for start, (d, n), hits, node in _partial_fraction(np.stack([beta, alpha]), support, xv):
-        if not d.all():
-            raise PoleEvaluationError(float(xv[start + np.argmax(d == 0.0)]))
-        block = out[start:start + len(d)]
-        with np.errstate(invalid="ignore"):
-            np.divide(n, d, out=block)
+        block = _divide(n, d, out[start:start + len(d)])
         if hit_values is not None:
+            hits, node = hit
             block[hits] = hit_values[node]
     return _finish(out, shape)
+
+
+def _divide(n, d, out=None):
+    """n/d, written to the contiguous ``out`` if given; n None stands for
+    conj(d).  A subnormal d overflows the complex division, so where, and
+    only where, the quotient is not finite, n and d are divided again scaled
+    by 2^-e, e the exponent of max(|Re d|, |Im d|): the quotient is
+    scale-free, and every finite quotient keeps its bits."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.divide(np.conjugate(d, out=out) if n is None else n, d, out=out)
+        # a finite total of the parts rules out any non-finite quotient
+        if not math.isfinite(np.add.reduce(out.view(float))):
+            bad = ~np.isfinite(out)
+            db = d[bad]
+            e = -np.frexp(np.maximum(np.abs(db.real), np.abs(db.imag)))[1]
+            db = _ldexp(db, e)
+            out[bad] = (np.conjugate(db) if n is None else _ldexp(n[bad], e)) / db
+    return out
 
 
 def node_quotient(C, alpha, beta):
     """(C alpha) / (C beta) for a Cauchy-type matrix C, inf where C beta = 0:
     the approximant's values at the test nodes during a fit."""
-    den = C @ beta
-    return _node_ratio(C @ alpha, den)
+    return _node_ratio(C @ alpha, C @ beta)
 
 
 def cayley_node_quotient(C, beta):
@@ -236,14 +238,12 @@ def cayley_node_quotient(C, beta):
     Cauchy block is: a modified fit's node values.  Each term of C conj(beta)
     is then the exact conjugate of the same term of C beta, rounded alike,
     so C conj(beta) is conj(C beta) bit for bit."""
-    den = C @ beta
-    return _node_ratio(np.conj(den), den)
+    return _node_ratio(None, C @ beta)
 
 
 def _node_ratio(num, den):
-    """num / den, inf where den = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
+    """num / den by ``_divide``, inf where den = 0."""
+    r = _divide(num, den)
     if not den.all():
         r[den == 0.0] = np.inf
     return r
@@ -320,7 +320,7 @@ def eval_interpolant(r, x):
     """Evaluate r = n/d; at a support node y_j returns f_j = exp(i y_j), or
     raises PoleEvaluationError there if w_j = 0."""
     f, w = r.values, r.coefficients  # f formed once: alpha is f w
-    return _quotient(f * w, w, r.support, x, f)
+    return quotient_values(x, partial(_partial_fraction, np.stack([w, f * w]), r.support), f)
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,7 @@ class CayleyApproximant(_Quotient):
 
 def eval_cayley(r, x):
     """conj(xi)/xi with xi = sum w_j/(x-y_j); at a support hit xi = w_j."""
-    return cayley_values(x, partial(_partial_fraction, r.coefficients, r.support))
+    return quotient_values(x, partial(_partial_fraction, r.coefficients, r.support))
 
 
 @dataclass(frozen=True)
@@ -380,4 +380,4 @@ class NonInterpolatoryApproximant(_Quotient):
 
 def eval_noninterpolatory(r, x):
     """n_b/d_b off support; the limit alpha_j/beta_j at a support hit."""
-    return _quotient(r.alpha, r.beta, r.support, x)
+    return quotient_values(x, partial(_partial_fraction, np.stack([r.beta, r.alpha]), r.support))

@@ -6,16 +6,23 @@ coefficients are real, so on the real axis the denominator is
 q(x) = p(-ix) = conj(p(ix)) and r = p(ix)/p(-ix) = conj(q)/q: the Cayley form
 of q, which has unit modulus by construction, as the barycentric Cayley form
 conj(xi)/xi does.  Padé evaluates through the same block writers
-(``barycentric.cayley_values`` and ``denominator_values``); it supplies q
+(``barycentric.quotient_values`` and ``denominator_values``); it supplies q
 by Horner's rule over blocks of ``BLOCK_POINTS`` points in one reused
 buffer, so beside the result only that buffer is held.
+
+Horner's q overflows once |x|^k outgrows 1/c_k (degree 13 from |x| near
+1.3e25, degree 85 from 6.3e5), and ``denominator`` returns it so.  Scaling q
+by the real x^-k leaves conj(q)/q unchanged, so ``eval`` recomputes the
+points whose q is not finite from x^-k q, by Horner in t = 1/x over the
+coefficients c_j (-i)^j, and is of unit modulus on the whole real axis.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import BLOCK_POINTS, cayley_values, denominator_values, is_count
+from .barycentric import BLOCK_POINTS, denominator_values, is_count, quotient_values
 from .errors import InvalidInputError
 
 #: Largest supported degree; the coefficient recurrence stays in range here.
@@ -65,13 +72,24 @@ class PadeApproximant:
             z = 1j * xv[start:start + BLOCK_POINTS]
             q = buffer[:len(z)]
             q[...] = self.coefficients[-1]
-            for c in self.coefficients[-2::-1]:
-                q *= z
-                q += c
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c in self.coefficients[-2::-1]:
+                    q *= z
+                    q += c
             yield start, np.conjugate(q, out=q)
 
+    def _scaled_denominators(self, xv):
+        """The blocks of ``_denominators``, each q that is not finite replaced
+        by x^-k q = sum_j c_j (-i)^j t^(k-j), t = 1/x, by Horner's rule."""
+        c = self.coefficients * np.array([1, -1j, -1, 1j])[np.arange(self.degree + 1) % 4]
+        for start, q in self._denominators(xv):
+            if not math.isfinite(np.add.reduce(q.view(float))):
+                bad = ~np.isfinite(q)
+                q[bad] = np.polyval(c, 1.0 / xv[start:start + len(q)][bad])
+            yield start, q
+
     def eval(self, x):
-        return cayley_values(x, self._denominators)
+        return quotient_values(x, self._scaled_denominators)
 
     def denominator(self, x):
         return denominator_values(x, self._denominators)

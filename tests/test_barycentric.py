@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from unirat import barycentric
+from unirat import barycentric, pade
 from unirat import (
     AaaConfig,
     BarycentricInterpolant,
@@ -34,6 +34,7 @@ from unirat import (
 from unirat.cli import approximant_from_dict
 from unirat.errors import InvalidInputError, PoleEvaluationError
 from unirat.linalg import EPS
+from unirat.pade import MAX_DEGREE
 
 from conftest import partial_fraction, separated_nodes
 
@@ -125,9 +126,9 @@ class TestCayleyApproximant:
 
     def test_subnormal_denominator(self):
         # at a hit of a node whose coefficient is subnormal, d is that
-        # coefficient, and conj(d)/d overflows a plain complex divide; the
-        # block is divided again with each d scaled by an exact power of two,
-        # so no warning escapes, the hit reads the quotient of its scaled
+        # coefficient, and conj(d)/d overflows a plain complex divide; that
+        # point is divided again with d scaled by an exact power of two, so
+        # no warning escapes, the hit reads the quotient of its scaled
         # coefficient, and the block's other points keep the bits they have
         # when evaluated alone
         r = CayleyApproximant(support=[0.0, 3.0],
@@ -454,6 +455,10 @@ class TestBlockedEvaluation:
             assert max(held) - min(held) <= 64 * 1024, (name, held)
 
 
+#: The largest float and the smallest normal one.
+BIG, TINY = np.finfo(float).max, np.finfo(float).tiny
+
+
 @st.composite
 def evaluation_cases(draw):
     m = draw(st.integers(1, 70))
@@ -461,12 +466,19 @@ def evaluation_cases(draw):
     part = st.floats(-1, 1)
     a = [complex(draw(part), draw(part)) for _ in range(m)]
     b = [complex(draw(part), draw(part)) for _ in range(m)]
-    x = draw(st.lists(st.floats(-25, 25) | st.sampled_from(y), min_size=1, max_size=40))
+    # points of any magnitude, points near the largest float, where every
+    # 1/(x - y_j) is subnormal, and points a subnormal distance from a
+    # support node
+    far = st.floats(1e300, BIG) | st.floats(-BIG, -1e300)
+    near = st.builds(lambda yj, h: yj + h, st.sampled_from(y), st.floats(-TINY, TINY))
+    x = draw(st.lists(st.floats(-25, 25) | st.sampled_from(y) | st.floats(-BIG, BIG) | far
+                      | near, min_size=1, max_size=40))
     block = draw(st.integers(1, 64))
     # zero denominator coefficients: a hit of their node is a pole
     for j in draw(st.sets(st.integers(0, m - 1), max_size=3)):
         b[j] = 0j
-    return np.array(y), np.array(a), np.array(b), np.array(x), block
+    degree = draw(st.integers(0, MAX_DEGREE))
+    return np.array(y), np.array(a), np.array(b), np.array(x), block, degree
 
 
 class TestBlockedEvaluationProperty:
@@ -475,21 +487,27 @@ class TestBlockedEvaluationProperty:
     def test_grid_equals_pointwise(self, case):
         # the pole rule under blocking: the grid raises at the first point
         # whose one-point eval raises, the denominator reads 0 at exactly
-        # those points, and every other point keeps its one-point bits
-        y, a, b, x, block = case
+        # those points, every other point keeps its one-point bits, and no
+        # value is non-finite and no warning escapes, for the three forms
+        # and for Padé
+        y, a, b, x, block, degree = case
         assume(np.linalg.norm(b) > 0.0)
-        for name, form in FORMS.items():
-            r = form(y, a, b)
+        forms = {name: form(y, a, b) for name, form in FORMS.items()}
+        forms["pade"] = PadeApproximant(degree)
+        for name, r in forms.items():
             pointwise = []
             raises = np.zeros(x.size, dtype=bool)
-            for i, v in enumerate(x):
-                try:
-                    pointwise.append(r.eval(float(v)))
-                except PoleEvaluationError:
-                    raises[i] = True
             # blocks of ``block`` points put many block edges
             # into a short grid
-            with mock.patch.object(barycentric, "BLOCK_POINTS", block):
+            with warnings.catch_warnings(), \
+                    mock.patch.object(barycentric, "BLOCK_POINTS", block), \
+                    mock.patch.object(pade, "BLOCK_POINTS", block):
+                warnings.simplefilter("error")
+                for i, v in enumerate(x):
+                    try:
+                        pointwise.append(r.eval(float(v)))
+                    except PoleEvaluationError:
+                        raises[i] = True
                 d = r.denominator(x)
                 assert np.array_equal(d == 0.0, raises), name
                 if raises.any():
@@ -497,7 +515,10 @@ class TestBlockedEvaluationProperty:
                         r.eval(x)
                     assert exc.value.location == x[np.argmax(raises)], name
                 grid = r.eval(x[~raises])
+            assert np.all(np.isfinite(grid)), name
             assert np.array_equal(bits(grid), bits(pointwise)), name
+            if name == "pade":
+                continue
             # away from hits and poles, d adds the nodes in order
             plain = (partial_fraction(r.beta, y, x)[1] < 0) & ~raises
             assert np.array_equal(bits(d[plain]),
@@ -584,6 +605,27 @@ class TestSubnormalDistance:
             assert np.array_equal(bits(den), bits([r.denominator(float(v)) for v in x]))
 
 
+class TestFarPoints:
+    """At |x| near the largest float every 1/(x - y_j) is subnormal, and so
+    are n and d, whose quotient overflows a plain complex divide; r there is
+    sum alpha_j / sum beta_j, and Padé's (-1)^k."""
+
+    X = np.array([1.5e308, -1.5e308, 1.7e308, -1.7e308])
+
+    def test_values_are_the_limit(self):
+        y, a, b = support_and_coefficients(4)
+        forms = {name: form(y, a, b) for name, form in FORMS.items()}
+        forms["pade"] = PadeApproximant(13)
+        for name, r in forms.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = r.eval(self.X)
+            limit = -1.0 if name == "pade" else np.sum(r.alpha) / np.sum(r.beta)
+            assert np.allclose(values, limit, rtol=1e-12, atol=0.0), name
+            if name in ("cayley", "pade"):
+                assert np.all(np.abs(np.abs(values) - 1.0) <= 4 * EPS), name
+
+
 class TestHitRule:
     """A point hits a support node where its first sum is non-finite in
     either part, and nowhere else.  Two support nodes a few 1e-309 below
@@ -622,10 +664,13 @@ class TestHitRule:
             d = r.denominator(self.X)
             assert np.array_equal(bits(d[1:2]), bits([complex(re, im)])), type(r)
             assert np.array_equal(bits(d), bits([r.denominator(float(v)) for v in self.X]))
-            # the quotient of sums near 1e308 overflows (ROADMAP item 18)
-            with np.errstate(over="ignore", invalid="ignore"):
+            # the quotient of sums near 1e308 overflows a plain divide, and
+            # is divided again with n and d scaled by a power of two
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 grid = r.eval(self.X)
                 pointwise = [r.eval(float(v)) for v in self.X]
+            assert np.all(np.isfinite(grid)), type(r)
             assert np.array_equal(bits(grid), bits(pointwise)), type(r)
 
 
@@ -776,3 +821,26 @@ def test_non_numeric_input_rejected(call):
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="must be"):
             call()
+
+
+#: One call per input check that no other test reaches, with its message.
+CHECKED_INPUTS = {
+    "coefficient count": (lambda: CayleyApproximant([0.0, 1.0], [1.0, 2.0, 3.0]),
+                          "coefficients must have one entry per support node"),
+    "pair count": (lambda: NonInterpolatoryApproximant([0.0, 1.0], [1.0, 2.0], [1.0]),
+                   "coefficients must have one entry per support node"),
+    "infinite coefficient": (lambda: BarycentricInterpolant([0.0, 1.0], [1.0, np.inf]),
+                             "coefficients must be finite"),
+    "nan in a pair": (lambda: NonInterpolatoryApproximant([0.0, 1.0], [1.0, np.nan], [1.0, 1.0]),
+                      "coefficients must be finite"),
+    "phase diagonal": (
+        lambda: min_singular_coefficients(np.ones((5, 2)), phase_diagonals(
+            NodeSet([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 6.0, 7.0]))),
+        "phase diagonal K does not match the column count"),
+}
+
+
+@pytest.mark.parametrize("call, message", CHECKED_INPUTS.values(), ids=CHECKED_INPUTS.keys())
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call()

@@ -450,26 +450,33 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
-    def test_far_apart_nodes_warn_nothing(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["original", "modified"])
+    def test_far_apart_nodes_warn_nothing(self, tmp_path, variant):
         # 1e308 and 2e-310 in one node file: the modified fit's coefficient
         # at the support node 3.0 is subnormal, so its Cayley value there,
-        # conj(d)/d, overflows a plain complex divide; cayley_values divides
-        # that block again with d scaled by a power of two, and max_error is
-        # finite
-        nodes = tmp_path / "nodes.txt"
-        nodes.write_text("3\n1e308\n2e-310\n0.75\n")
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "unirat.cli", "fit",
-             "--nodes", str(nodes), "--m-max", "3", "--tol", "0",
-             "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-        )
-        assert "Traceback" not in proc.stderr
-        assert "Warning" not in proc.stderr, proc.stderr
-        assert proc.returncode == 0
-        with open(tmp_path / "out" / "metrics.json") as fh:
-            assert math.isfinite(json.load(fh)["max_error"])
+        # conj(d)/d, overflows a plain complex divide.  At the test node
+        # 1.5e308 every Cauchy entry is subnormal, and so are the numerator
+        # and denominator of the fit's node value there, whose plain divide
+        # overflowed and read as a pole of the step's approximant.  Each
+        # such quotient is divided again with n and d scaled by a power of
+        # two, and max_error is finite
+        runs = {"3\n1e308\n2e-310\n0.75\n": ["--m-max", "3"],
+                "3\n1.5e308\n0.75\n-1\n2\n": ["--m-max", "2", "--lawson", "1"]}
+        for i, (text, options) in enumerate(runs.items()):
+            nodes, out = tmp_path / f"nodes{i}.txt", tmp_path / f"out{i}"
+            nodes.write_text(text)
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "unirat.cli", "fit",
+                 "--nodes", str(nodes), "--tol", "0", "--variant", variant, *options,
+                 "--out", str(out)],
+                capture_output=True,
+                text=True,
+            )
+            assert "Traceback" not in proc.stderr, text
+            assert "Warning" not in proc.stderr, proc.stderr
+            assert proc.returncode == 0, text
+            with open(out / "metrics.json") as fh:
+                assert math.isfinite(json.load(fh)["max_error"])
 
 
 class TestInputBoundary:

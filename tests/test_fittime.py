@@ -18,7 +18,7 @@ needs_git = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 @needs_git
 def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
     subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
-    monkeypatch.setattr(fittime, "ROOT", str(tmp_path))
+    monkeypatch.setattr(fittime.golden, "ROOT", str(tmp_path))
     assert fittime.main(["--against", "no-such-revision"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -1178,22 +1178,38 @@ class TestWeightedQR:
             assert not alone.route
             assert vector_angle(alone.vector, out.vector) <= out.wedin
 
-    def test_graded_weights_refused(self):
+    def test_graded_weights_refused(self, monkeypatch):
         # three unit weights and the rest 1e-300 leave G = D Q0 of rank 3
-        # in 8 columns: the route refuses, and the step's record is the one
-        # its system alone gives, bit for bit
+        # in 8 columns, and R_G has no inverse; with the rest 1e-15 it has
+        # one, but s^2 <= 2 delta.  Either way the route refuses before its
+        # eigensolve, and the step's record is the one its system alone
+        # gives, bit for bit
+        def eigensolve(*args):
+            raise AssertionError("the route reached its eigensolve")
+
         rng = np.random.default_rng(131)
         x, y = separated_nodes(rng, 20, 4)
         xa = np.concatenate([x, y])
         qr = linalg.WeightedQR(bhat(NodeSet(test_nodes=xa, support_nodes=y)))
-        mu = np.full(xa.size, 1e-300)
-        mu[rng.choice(xa.size, 3, replace=False)] = 1.0
-        A = bhat(NodeSet(test_nodes=xa, support_nodes=y, weights=mu))
-        assert qr.solve(A, mu) is None
-        got = lawson.expanded_coefficients(A, "modified", qr, mu)
-        want = lawson.expanded_coefficients(A, "modified")
-        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-        assert record_bits(got[2]) == record_bits(want[2])
+        unit = rng.choice(xa.size, 3, replace=False)
+        for rest, inverted in ((1e-300, False), (1e-15, True)):
+            mu = np.full(xa.size, rest)
+            mu[unit] = 1.0
+            A = bhat(NodeSet(test_nodes=xa, support_nodes=y, weights=mu))
+            inverses = []
+
+            def inverse(R, invert=linalg._triangular_inverse):
+                inverses.append(invert(R))
+                return inverses[-1]
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_triangular_inverse", inverse)
+                patch.setattr(linalg, "_eigensolve", eigensolve)
+                assert qr.solve(A, mu) is None
+            assert [X is not None for X in inverses] == [inverted]
+            got = lawson.expanded_coefficients(A, "modified", qr, mu)
+            want = lawson.expanded_coefficients(A, "modified")
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert record_bits(got[2]) == record_bits(want[2])
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_first_steps_keep_their_bits(self, monkeypatch, variant):

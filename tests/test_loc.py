@@ -78,7 +78,7 @@ def test_usage_exit_2(capsys):
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
     subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
-    monkeypatch.setattr(loc, "ROOT", str(tmp_path))
+    monkeypatch.setattr(loc.golden, "ROOT", str(tmp_path))
     assert loc.main(["--against", "no-such-revision"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,5 +1,8 @@
 """Diagonal Pade comparator tests."""
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -99,6 +102,24 @@ class TestEvaluation:
         for method in (p.eval, p.denominator):
             pointwise = np.array([method(float(v)) for v in x])
             assert np.array_equal(method(x).view(np.uint64), pointwise.view(np.uint64))
+
+    @pytest.mark.parametrize("degree, x", [(85, 1e6), (40, 1e10), (13, 1e30)])
+    def test_overflowing_horner_is_unit_modulus(self, degree, x):
+        # Horner's q overflows here, and eval reads conj(q)/q from x^-k q;
+        # the reference is the same quotient in 60 digits
+        p = PadeApproximant(degree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p.eval(np.array([x, -x, 0.5]))
+            assert not np.isfinite(p.denominator(x))
+        c = [mp.mpf(v) for v in p.coefficients]
+        with mp.workdps(60):
+            q = mp.polyval(c[::-1], mp.mpc(0, -x))
+            want = complex(mp.conj(q) / q)
+        assert abs(got[0] - want) <= 2 * EPS
+        assert got[1] == np.conj(got[0])
+        assert np.all(np.abs(np.abs(got) - 1.0) <= 2 * EPS)
+
 
 class TestNonFinitePoints:
     """Padé rejects the points the barycentric forms reject."""
