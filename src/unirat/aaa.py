@@ -27,7 +27,6 @@ import numpy as np
 from .barycentric import (
     BarycentricInterpolant,
     CayleyApproximant,
-    cayley_node_quotient,
     check_nodes,
     is_count,
     node_quotient,
@@ -137,8 +136,7 @@ def aaa_fit(test_nodes, config):
         # extend it, with the bits of a full rebuild
         A[:, -1:] = interpolatory_system(c, ph, config.variant)
         alpha, w, solve = interpolatory_coefficients(A, ph, config.variant)
-        r = (node_quotient(C, alpha, w) if config.variant == "original"
-             else cayley_node_quotient(C, w))
+        r = node_quotient(C, alpha if config.variant == "original" else None, w)
 
         # one |F - r| gives the max error and, by greedy_select's rule, the
         # next node

@@ -32,7 +32,8 @@ the Padé comparator (``unirat.pade``), the Cayley form of its own
 denominator q, feeds blocks of q.  The interpolant and the
 non-interpolatory form feed the rows (d, n) with their support hits, and
 every form's ``denominator`` feeds the kernel's blocks of d.  Each n/d,
-there and in a fit's node values (``node_quotient``), follows one division
+there and in a fit's node values (``node_quotient``, which reads the
+Cayley form from one product), follows one division
 rule (``_divide``): a subnormal d overflows the complex division, so where
 the quotient is not finite, n and d are divided again scaled by an exact
 power of two, and every finite quotient keeps its bits.
@@ -228,22 +229,14 @@ def _divide(n, d, out=None):
 
 def node_quotient(C, alpha, beta):
     """(C alpha) / (C beta) for a Cauchy-type matrix C, inf where C beta = 0:
-    the approximant's values at the test nodes during a fit."""
-    return _node_ratio(C @ alpha, C @ beta)
-
-
-def cayley_node_quotient(C, beta):
-    """``node_quotient(C, conj(beta), beta)`` from one product, for a complex
-    C whose imaginary parts are all +0, as a fit's complex copy of its real
-    Cauchy block is: a modified fit's node values.  Each term of C conj(beta)
-    is then the exact conjugate of the same term of C beta, rounded alike,
-    so C conj(beta) is conj(C beta) bit for bit."""
-    return _node_ratio(None, C @ beta)
-
-
-def _node_ratio(num, den):
-    """num / den by ``_divide``, inf where den = 0."""
-    r = _divide(num, den)
+    the approximant's values at the test nodes during a fit.  alpha None
+    stands for conj(beta), a modified fit's Cayley form, whose values take
+    one product: for a complex C whose imaginary parts are all +0, as a
+    fit's complex copy of its real Cauchy block is, each term of C conj(beta)
+    is the exact conjugate of the same term of C beta, rounded alike, so
+    C conj(beta) is conj(C beta) bit for bit."""
+    den = C @ beta
+    r = _divide(None if alpha is None else C @ alpha, den)
     if not den.all():
         r[den == 0.0] = np.inf
     return r

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant,
-                          cayley_node_quotient, check_nodes, has_duplicates, is_count,
-                          node_quotient)
+from .barycentric import (CayleyApproximant, NonInterpolatoryApproximant, check_nodes,
+                          has_duplicates, is_count, node_quotient)
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import SmallestVector, WeightedQR, number_array
 from .loewner import (VARIANTS, NodeSet, check_differences, check_test_count,
@@ -52,13 +51,13 @@ class FitStep:
 
     ``loewner`` solves every step by one call, ``smallest_right_vector``.
     One Hermitian eigensolve of (R^H R)^{-1} gives the record of every step
-    whose tall system it certifies, and the record reads
-    ``iterations == 1``.  R is a QR's of the step's system, or, on a
-    modified Lawson step after the first, the route's triangle from the
-    fit's one QR (``linalg.WeightedQR``), whose record also reads
-    ``route``.  Every other step's record comes from the fully converged
-    Jacobi kernel, from a QR of the step's system, and reads
-    ``iterations == 0``; on the four figure fits no step's does."""
+    whose tall system it certifies, and the record reads ``sweeps == 0``.
+    R is a QR's of the step's system, or, on a modified Lawson step after
+    the first, the route's triangle from the fit's one QR
+    (``linalg.WeightedQR``), whose record also reads ``route``.  Every
+    other step's record is the fully converged Jacobi kernel's, that of
+    ``svd_real`` or ``svd_complex`` on the step's system, and reads
+    ``sweeps > 0``; on the four figure fits no step's does."""
 
     step: int
     node: float
@@ -156,8 +155,7 @@ def lawson_fit(test_nodes, support_nodes, config):
             qr = WeightedQR(A)
         alpha, beta, solve = expanded_coefficients(A, config.variant, qr,
                                                    None if step == 1 else mu)
-        r = (node_quotient(Cp_complex, alpha, beta) if config.variant == "original"
-             else cayley_node_quotient(Cp_complex, beta))
+        r = node_quotient(Cp_complex, alpha if config.variant == "original" else None, beta)
 
         eps = ph.S_F - r
         err = np.abs(eps)

@@ -37,7 +37,8 @@ product with Z, and keeps the result only if its record, with
 ``gap_bound``'s lower bound on sigma_{m-1}, net of that bound's own
 rounding, is not degenerate.  The eigensolve needs no start vector.  The
 Jacobi kernel is the fallback: a step it does not certify and a wide step
-run it to full convergence from the same R.  A modified Lawson fit
+run it to full convergence as ``svd_real``/``svd_complex`` run it, so such
+a record is theirs, ``smallest()``, bit for bit.  A modified Lawson fit
 factors its first system once (``WeightedQR``), and solves each later
 step's, its rows weighted, from a triangle that one Gram product, one
 Cholesky and one triangular product give, under a certificate net of their
@@ -106,8 +107,9 @@ class SmallestVector:
     sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >= sigma_max, or,
     on the route's triangle (``WeightedQR``), both bounds net of the route's
     terms.  ``smallest_right_vector`` returns a warm record only where it is
-    not ``degenerate``, and the kernel's otherwise.  ``iterations`` reads 1
-    on a warm record and 0 on a kernel record; ``route`` is True on the
+    not ``degenerate``, and the kernel's otherwise.  A kernel record counts
+    at least one sweep, a one-column run's too, and a warm record none, so
+    ``sweeps == 0`` marks the warm records; ``route`` is True on the
     route's.
     """
 
@@ -115,7 +117,6 @@ class SmallestVector:
     sigma_min: float
     lower: float
     scale: float
-    iterations: int = 0
     sweeps: int = 0
     rotations: int = 0
     route: bool = False
@@ -466,10 +467,9 @@ def check_matrix(A):
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
 
 
-def _svd(A, T=None):
-    """The thin SVD of A.  A tall A's sweeps start from T, the R of A = QR
-    where the caller has it; an A rescaled by a power of two is factored
-    anew."""
+def _svd(A):
+    """The thin SVD of a float or complex A: ``svd_real`` and
+    ``svd_complex`` after their cast, and a fit step's fallback."""
     check_matrix(A)
     # NaN and inf propagate through the largest modulus, which also sets the
     # shift below
@@ -485,8 +485,7 @@ def _svd(A, T=None):
     if shift:
         A = _ldexp(A, -shift)
     if n >= m:
-        T = _r_factor(A) if T is None or shift else T
-        V, sweeps, rotations = _preconditioned(T)
+        V, sweeps, rotations = _preconditioned(_r_factor(A))
     else:
         # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
         # null space of A, Q's trailing columns, out of the sweeps
@@ -641,7 +640,7 @@ def _eigensolve(A, R, terms=None):
             lower = (lower - t) / math.sqrt(1.0 + f) - h
             scale = (scale + t) / math.sqrt(1.0 - f) + h
         solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), lower, scale,
-                               iterations=1, route=terms is not None)
+                               route=terms is not None)
     return None if solve.degenerate else solve
 
 
@@ -742,15 +741,15 @@ class WeightedQR:
 def smallest_right_vector(A, qr=None, weights=None):
     """The ``SmallestVector`` of a fit step's system A, never None.
 
-    A tall A is factored once, A = QR, by ``_r_factor``: LAPACK's ``?geqrf``
-    in place on one Fortran-ordered copy, so A is left as it is for the
-    eigensolve's ``A v`` and the kernel's ``A V`` to read.  The eigensolve
-    on R (``_eigensolve``) gives the record where it is certified.
-    Otherwise the Jacobi kernel runs to full convergence from the same R,
-    except that an A it rescales by a power of two is factored anew, and a
-    wide A takes the kernel's wide branch; a kernel record reads
-    ``iterations == 0``.  The vector is in the kernel's phase
-    (``_vector_phase``), complex for a complex A.
+    A tall A is factored, A = QR, by ``_r_factor``: LAPACK's ``?geqrf`` in
+    place on one Fortran-ordered copy, so A is left as it is for the
+    eigensolve's ``A v`` to read.  The eigensolve on R (``_eigensolve``)
+    gives the record where it is certified.  Otherwise, and for a wide A,
+    the Jacobi kernel runs to full convergence as ``svd_real`` and
+    ``svd_complex`` run it, by ``_svd(A)``, which factors a tall A itself:
+    the record is ``svd_real(A).smallest()`` or ``svd_complex(A).smallest()``
+    bit for bit, and reads ``sweeps > 0``.  The vector is in the kernel's
+    phase (``_vector_phase``), complex for a complex A.
 
     A fit that factored its first system, B0 = Q0 R0, passes that
     ``WeightedQR`` as ``qr``: its first step, A = B0, reads R0 as its R, and
@@ -765,4 +764,4 @@ def smallest_right_vector(A, qr=None, weights=None):
         qr = None
     R = qr.R if qr is not None else _r_factor(A) if A.shape[0] >= A.shape[1] else None
     warm = None if R is None else _eigensolve(A, R)
-    return _svd(A, R).smallest() if warm is None else warm
+    return _svd(A).smallest() if warm is None else warm

@@ -107,7 +107,7 @@ class TestFit:
         steps = trace.iterations + trace.lawson.steps
         flags = [st.degenerate for st in steps]
         assert flags == [False] * 9 + [True] * 5
-        assert all(st.solve.sweeps and not st.solve.iterations for st in steps if st.degenerate)
+        assert all(st.solve.sweeps for st in steps if st.degenerate)
         assert main(["fit", "--interval", "-3", "3", "--n-test", "21", "--m-max", "11",
                      "--tol", "0", "--lawson", "3", "--out", str(tmp_path)]) == 0
         _, cols = read_csv(tmp_path / "trace.csv")
@@ -133,7 +133,7 @@ class TestFit:
                    "--tol", "0", "--lawson", "10", "--out", str(tmp_path)])
         assert rc == 1
         assert "Lawson step 10" in capsys.readouterr().err
-        assert len(warm) == 10 and all(out.iterations == 0 for out in warm)
+        assert len(warm) == 10 and all(out.sweeps > 0 for out in warm)
 
     def test_undetermined_lawson_exit_2(self, tmp_path, capsys):
         # 2 test nodes are left after 4 greedy iterations, too few for the

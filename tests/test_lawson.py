@@ -246,7 +246,7 @@ class TestStart:
         [A] = calls
         [step] = trace.steps
         v = step.solve.vector
-        assert step.solve.iterations == 1 and not step.degenerate
+        assert step.solve.sweeps == 0 and not step.degenerate
         g = np.concatenate([aaa.alpha, aaa.beta] if variant == "original"
                            else [aaa.beta.real, -aaa.beta.imag])
         g /= np.linalg.norm(g)
@@ -268,7 +268,7 @@ class TestStart:
             x, y = separated_nodes(rng, 12, 4)
             _, trace = lawson_fit(x, y, LawsonConfig(n_lawson=1, variant=variant))
             solve = trace.steps[0].solve
-            if not solve.iterations:
+            if solve.sweeps:
                 continue
             warm += 1
             ns = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)

@@ -808,7 +808,7 @@ class TestSweepCounts:
         y = figure_support(variant)
         x = FIT_GRID[~np.isin(FIT_GRID, y)]
         _, trace = lawson.lawson_fit(x, y, lawson.LawsonConfig(n_lawson=20, variant=variant))
-        assert [st.solve.iterations for st in trace.steps] == [1] * 20
+        assert [st.solve.sweeps for st in trace.steps] == [0] * 20
         nodes = NodeSet(test_nodes=np.concatenate([x, y]), support_nodes=y)
         kernel = svd_real(bhat(nodes)) if variant == "modified" else svd_complex(
             expanded_loewner(nodes))
@@ -828,16 +828,17 @@ def spectrum_matrix(rng, n, sigma, dtype):
     return (U * sigma) @ V.conj().T
 
 
-def record_warm_steps(monkeypatch):
+def record_warm_steps(monkeypatch, kernel=False):
     """Record ``(A, result)`` for every fit step, with a copy of A, since a
     fit refills its systems in place; the result is the eigensolve's record,
-    the route's included, or None where the step ran the kernel."""
+    the route's included, or None where the step ran the kernel, unless
+    ``kernel``, which keeps the kernel's records too."""
     loewner = importlib.import_module("unirat.loewner")
     calls = []
 
     def record(A, *args, solve=loewner.smallest_right_vector):
         out = solve(A, *args)
-        calls.append((A.copy(), out if out.iterations else None))
+        calls.append((A.copy(), None if out.sweeps and not kernel else out))
         return out
     monkeypatch.setattr(loewner, "smallest_right_vector", record)
     return calls
@@ -918,19 +919,32 @@ class TestInverseIteration:
                 == collections.Counter(steps) - collections.Counter(route))
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
-    def test_uncertified_warm_steps_factor_once(self, monkeypatch, variant):
-        # with the eigensolve refusing every step, the route's too, every
-        # step runs the kernel, from the R that smallest_right_vector
-        # computed for it (step 1's of the modified fit from np.linalg.qr)
+    def test_kernel_fallback_is_the_public_svd(self, monkeypatch, variant):
+        # a step that the kernel serves reads svd_real(A).smallest() or
+        # svd_complex(A).smallest() bit for bit: with the eigensolve refusing
+        # every step, 8 tall AAA steps and 3 tall Lawson steps, of which the
+        # modified fit's steps 2 and 3 try the route and are refused; and
+        # the 3 wide steps of a Lawson fit with too few test nodes
         monkeypatch.setattr(linalg, "_eigensolve", lambda A, R, terms=None: None)
-        steps, factored = record_factorizations(monkeypatch)
-        _, trace = aaa_fit(np.linspace(-3, 3, 40),
-                           AaaConfig(m_max=8, tol=0.0, variant=variant, n_lawson=3))
-        solves = [st.solve for st in trace.iterations + trace.lawson.steps]
-        assert sum(step_factorizations(steps, factored).values()) == len(solves) == 11
-        assert step_factorizations(steps, factored) == collections.Counter(steps)
-        assert [s.iterations for s in solves] == [0] * 11
-        assert all(s.sweeps > 0 for s in solves)
+        refused = []
+
+        def route(self, A, mu, solve=linalg.WeightedQR.solve):
+            refused.append(solve(self, A, mu))
+            return refused[-1]
+        monkeypatch.setattr(linalg.WeightedQR, "solve", route)
+        calls = record_warm_steps(monkeypatch, kernel=True)
+        aaa_fit(np.linspace(-3, 3, 40), AaaConfig(m_max=8, tol=0.0, variant=variant, n_lawson=3))
+        assert [A.shape[0] > A.shape[1] for A, _ in calls] == [True] * 11
+        assert refused == ([None] * 2 if variant == "modified" else [])
+        monkeypatch.undo()
+        calls = record_warm_steps(monkeypatch, kernel=True)
+        lawson.lawson_fit([4.0, 5.0, 6.0], [0.3, 1.1, 2.7, 3.5],
+                          lawson.LawsonConfig(n_lawson=3, variant=variant))
+        assert [A.shape[0] < A.shape[1] for A, _ in calls] == [True] * 3
+        svd = svd_real if variant == "modified" else svd_complex
+        for A, out in calls:
+            assert out.sweeps > 0
+            assert record_bits(out) == record_bits(svd(A).smallest())
 
     def test_figure_fit_records(self, figure_fits):
         # the kernel serves no step: every record is the eigensolve's, 79 on
@@ -942,9 +956,8 @@ class TestInverseIteration:
         steps = []
         for _, trace, _ in figure_fits.values():
             steps += trace.iterations + (trace.lawson.steps if trace.lawson else [])
-        warm = [st.solve for st in steps if st.solve.iterations]
+        warm = [st.solve for st in steps if not st.solve.sweeps]
         assert len(steps) == len(warm) == 98
-        assert all(s.iterations == 1 for s in warm)
         assert sum(s.route for s in warm) == 19
         assert all(s.lower - s.sigma_min >= 685 * EPS * s.scale for s in warm)
         assert all(s.lower - s.sigma_min >= 4400 * EPS * s.scale for s in warm if s.route)
@@ -960,7 +973,7 @@ class TestInverseIteration:
             A = spectrum_matrix(rng, n, sigma, dtype)
             u = np.linalg.svd(A)[2][-1].conj()
             out = linalg.smallest_right_vector(A)
-            assert out.iterations == 1
+            assert out.sweeps == 0
             v, s = out.vector, out.sigma_min
             i = int(np.argmax(np.abs(v)))
             assert v[i].real > 0 and abs(v[i].imag) <= EPS * v[i].real
@@ -979,7 +992,7 @@ class TestInverseIteration:
         for n, scale in itertools.product((1, 2, 40, 2000), (1.0, 1e-300, 1e300)):
             A = scale * gaussian_matrix(rng, (n, 1), dtype)
             out = linalg.smallest_right_vector(A)
-            assert (out.iterations, out.lower) == (int(scale == 1.0), np.inf)
+            assert (out.sweeps == 0, out.lower) == (scale == 1.0, np.inf)
             assert same_bits(out.vector, svd(A).smallest().vector)
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -987,9 +1000,9 @@ class TestInverseIteration:
         # a wide system, and a double smallest singular value
         rng = np.random.default_rng(89)
         wide = spectrum_matrix(rng, 8, np.ones(7), dtype).T
-        assert linalg.smallest_right_vector(wide).iterations == 0
+        assert linalg.smallest_right_vector(wide).sweeps > 0
         double = spectrum_matrix(rng, 20, np.array([1.0] * 6 + [1e-3] * 2), dtype)
-        assert linalg.smallest_right_vector(double).iterations == 0
+        assert linalg.smallest_right_vector(double).sweeps > 0
 
     def test_large_condition_settles(self):
         # a complex 60 x 30 system with sigma_max / sigma_{m-1} = 1e10 and
@@ -1002,7 +1015,7 @@ class TestInverseIteration:
             A = spectrum_matrix(rng, 60, np.append(sigma, 1e-3 * sigma[-1]), complex)
             u = np.linalg.svd(A)[2][-1].conj()
             out = linalg.smallest_right_vector(A)
-            assert out.iterations == 1
+            assert out.sweeps == 0
             p = np.vdot(u, out.vector)
             assert np.linalg.norm(out.vector - u * (p / abs(p))) <= out.wedin
             assert abs(out.sigma_min - 1e-13) <= 8 * EPS
@@ -1013,7 +1026,7 @@ class TestInverseIteration:
         # the step runs the kernel, with the kernel's bits
         sigma = np.append(np.logspace(0, -3, 7), 1e-6)
         A = spectrum_matrix(np.random.default_rng(97), 20, sigma, float)
-        assert linalg.smallest_right_vector(A).iterations == 1
+        assert linalg.smallest_right_vector(A).sweeps == 0
         gufuncs = linalg._umath_linalg
         kernel = svd_real(A).smallest().vector
         for bad in (np.nan, np.inf):
@@ -1024,7 +1037,7 @@ class TestInverseIteration:
             monkeypatch.setattr(linalg, "_umath_linalg",
                                 types.SimpleNamespace(inv=gufuncs.inv, eigh_lo=unsettled))
             out = linalg.smallest_right_vector(A)
-            assert out.iterations == 0 and out.sweeps > 0
+            assert out.sweeps > 0
             assert same_bits(out.vector, kernel)
 
     def test_lapack_calls_do_not_grow_with_iterations(self, monkeypatch):
@@ -1060,7 +1073,7 @@ class TestInverseIteration:
         for last in (0.6, 0.9999):
             A = spectrum_matrix(rng, 30, np.append(top, [1.0, last]), float)
             calls.clear()
-            assert linalg.smallest_right_vector(A).iterations == 1
+            assert linalg.smallest_right_vector(A).sweeps == 0
             assert calls == ["inverse", "eigh"]
         steps = record_warm_steps(monkeypatch)
         calls.clear()
@@ -1086,7 +1099,7 @@ class TestInverseIteration:
                             types.SimpleNamespace(**{name: counted(name) for name in names}))
         sigma = np.append(np.logspace(3, 1, 8), [1.0, 0.6])
         A = spectrum_matrix(np.random.default_rng(109), 30, sigma, dtype)
-        assert linalg.smallest_right_vector(A).iterations == 1
+        assert linalg.smallest_right_vector(A).sweeps == 0
         assert calls == ["zgeqrf" if dtype is complex else "dgeqrf"] * 2
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -1097,7 +1110,7 @@ class TestInverseIteration:
         rng = np.random.default_rng(103)
         A = spectrum_matrix(rng, 30, np.append(np.logspace(3, 1, 8), [1.0, 0.99]), dtype)
         out = linalg.smallest_right_vector(A)
-        assert out.iterations == 1
+        assert out.sweeps == 0
         u = np.linalg.svd(A)[2][-1].conj()
         p = np.vdot(u, out.vector)
         assert np.linalg.norm(out.vector - u * (p / abs(p))) <= out.wedin
@@ -1138,7 +1151,7 @@ class TestInverseIteration:
         assert (len(x) + len(y) < 2 * len(y)) == wide
         _, trace = lawson.lawson_fit(x, y, lawson.LawsonConfig(n_lawson=3, variant=variant))
         solves = [st.solve for st in trace.steps]
-        assert [(s.iterations, s.sweeps > 0) for s in solves] == [(0, True)] * 3
+        assert all(s.sweeps > 0 for s in solves) and len(solves) == 3
         flags = [st.degenerate for st in trace.steps]
         assert wide or flags == [True] * 3
 
@@ -1146,7 +1159,7 @@ class TestInverseIteration:
 def record_bits(solve):
     """The fields of a ``SmallestVector``, its vector as bytes."""
     return (solve.vector.tobytes(), solve.sigma_min, solve.lower, solve.scale,
-            solve.iterations, solve.sweeps, solve.rotations, solve.route)
+            solve.sweeps, solve.rotations, solve.route)
 
 
 def vector_angle(u, v):

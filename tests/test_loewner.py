@@ -464,7 +464,7 @@ class TestMinSingularPairSolve:
         monkeypatch.setattr(lawson, "expanded_coefficients", record)
         lawson_fit(x, y, LawsonConfig(n_lawson=1, variant="modified"))
         [(alpha, beta, solve)] = steps
-        assert solve.iterations == 1  # certified, so the eigensolve's vector
+        assert solve.sweeps == 0  # certified, so the eigensolve's vector
         got = min_singular_pair(bhat(NodeSet(test_nodes=np.concatenate([x, y]),
                                              support_nodes=y)))
         assert same_bits(got[0], alpha) and same_bits(got[1], beta)
@@ -477,7 +477,7 @@ class TestMinSingularPairSolve:
         certified = 0
         for B in small_systems_bhat(1):
             solve = smallest_right_vector(B)
-            if solve.iterations == 0:
+            if solve.sweeps:
                 continue
             certified += 1
             u, v = solve.vector, svd_real(B).smallest().vector
