@@ -57,6 +57,13 @@ from .linalg import EPS, _ldexp, number_array
 #: Points per evaluation block.
 BLOCK_POINTS = 2**13
 
+#: The power of two by which ``_partial_fraction`` scales the sums at a
+#: point where they overflow from finite terms.
+_SCALED_SHIFT = 64
+
+#: The modulus of a part of d from which ``_divide`` scales n/d.
+_DIVIDE_LIMIT = 2.0**1021
+
 
 def is_count(k):
     """Whether k is an integer; bool, an Integral subclass, is not a count."""
@@ -97,8 +104,16 @@ def _partial_fraction(coeff, support, xv):
     """Walks the flat points xv in blocks of at most ``BLOCK_POINTS``, as
     few as that allows and of lengths that differ by at most one.  Yields,
     per block, its first index, the sums of coeff_j / (x - y_j) at its
-    points, the block positions that hit a support node and the nodes they
-    hit; at a hit of y_j the sum is coeff_j.
+    points, the block positions that hit a support node, the nodes they hit
+    and the positions whose sums are scaled; at a hit of y_j the sum is
+    coeff_j.
+
+    A point hits its nearest support node y_j where 1/(x - y_j) overflows,
+    at y_j or a subnormal distance from it.  A sum that is not finite at any
+    other point overflowed from finite terms: its point's sums are added
+    again from the coefficients scaled by 2^-``_SCALED_SHIFT``, which keeps
+    every term and every sum of fewer than 2^62 terms finite, so that such a
+    block holds the point's sums times 2^-``_SCALED_SHIFT``.
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
     the reciprocals; a block's sums then have shape (k, points).  The sums
@@ -129,21 +144,34 @@ def _partial_fraction(coeff, support, xv):
         rows, term = planes[:4 * k * n].reshape(2, 2 * k, n)
         # the complex sums take the term rows' place once the terms are added
         out = term.reshape(k, 2 * n).view(complex)
+        hits = node = scaled = none
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _add_terms(cols, support, x, rows, term, inv[:n])
             out.real = rows[0::2]
             out.imag = rows[1::2]
-            total = np.add.reduce(rows[:2], axis=None)
-        # at y_j, or a subnormal distance from it, 1/(x - y_j) overflows and
-        # every sum is non-finite: such a point hits its nearest support node.
-        # A finite total of the first sum's rows rules out any hit in the
-        # block; a total that overflows from finite parts rules out none
-        hits = node = none
-        if not math.isfinite(total):
-            hits = np.flatnonzero(~np.isfinite(out[0]))
-            node = np.argmin(np.abs(x[hits, None] - support), axis=1)
-            out[:, hits] = stack[:, node]
-        yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node
+            # a finite total of the rows rules out any non-finite sum; a total
+            # that overflows from finite parts rules out none
+            if not math.isfinite(np.add.reduce(rows, axis=None)):
+                bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+                near = np.argmin(np.abs(x[bad, None] - support), axis=1)
+                hit = ~np.isfinite(1.0 / (x[bad] - support[near]))
+                hits, node, scaled = bad[hit], near[hit], bad[~hit]
+                out[:, hits] = stack[:, node]
+                if scaled.size:
+                    out[:, scaled] = _scaled_sums(cols, support, x[scaled])
+        yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node, scaled
+
+
+def _scaled_sums(cols, y, x):
+    """The (k, points) sums over the nodes y_j of the complex coefficients
+    that ``cols`` holds as planar real rows, scaled by 2^-``_SCALED_SHIFT``,
+    at the points x, whose reciprocals 1/(x - y_j) are finite."""
+    rows = np.empty((2,) + cols.shape[1:2] + x.shape)
+    _add_terms(np.ldexp(cols, -_SCALED_SHIFT), y, x, rows[0], rows[1], np.empty(x.size))
+    sums = np.empty((len(rows[0]) // 2, x.size), dtype=complex)
+    sums.real = rows[0, 0::2]
+    sums.imag = rows[0, 1::2]
+    return sums
 
 
 def _add_terms(cols, y, x, out, term, inv):
@@ -180,12 +208,18 @@ def _finish(out, shape):
 
 def denominator_values(x, blocks):
     """d at the points x in the shape of x.  ``blocks(xv)`` yields, per block
-    of the flat points xv, its first index and d there (and may yield more
-    after them, as ``_partial_fraction`` does)."""
+    of the flat points xv, its first index and d there, and may yield more
+    after them, as ``_partial_fraction`` does, whose last item marks the
+    positions where d is scaled by 2^-``_SCALED_SHIFT``: d there is scaled
+    back, to inf in a part that overflows."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
-    for start, d, *_ in blocks(xv):
-        out[start:start + len(d)] = d
+    for start, d, *more in blocks(xv):
+        block = out[start:start + len(d)]
+        block[:] = d
+        if more and more[-1].size:
+            with np.errstate(over="ignore"):
+                block[more[-1]] = _ldexp(d[more[-1]], _SCALED_SHIFT)
     return _finish(out, shape)
 
 
@@ -194,7 +228,8 @@ def quotient_values(x, blocks, hit_values=None):
     ``blocks`` yields as for ``denominator_values``: per block d alone, for
     the Cayley form conj(d)/d, or the rows (d, n) with the positions that hit
     a support node and the nodes they hit, a hit of y_j reading
-    ``hit_values[j]`` if given.  The first zero d in grid order raises
+    ``hit_values[j]`` if given, and the positions whose n and d are both
+    scaled, which n/d does not need.  The first zero d in grid order raises
     PoleEvaluationError, at a support hit as elsewhere."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
@@ -204,25 +239,32 @@ def quotient_values(x, blocks, hit_values=None):
             raise PoleEvaluationError(float(xv[start + np.argmax(d == 0.0)]))
         block = _divide(n, d, out[start:start + len(d)])
         if hit_values is not None:
-            hits, node = hit
+            hits, node, _ = hit
             block[hits] = hit_values[node]
     return _finish(out, shape)
 
 
 def _divide(n, d, out=None):
     """n/d, written to the contiguous ``out`` if given; n None stands for
-    conj(d).  A subnormal d overflows the complex division, so where, and
-    only where, the quotient is not finite, n and d are divided again scaled
-    by 2^-e, e the exponent of max(|Re d|, |Im d|): the quotient is
-    scale-free, and every finite quotient keeps its bits."""
+    conj(d).  NumPy's complex division scales by the reciprocal of
+    d_r + d_i (d_i / d_r), d_r the larger part in modulus, a sum of at most
+    twice that part.  A subnormal d overflows the quotient, and a part of d
+    from ``_DIVIDE_LIMIT`` = 2^1021 on leaves the reciprocal subnormal, or 0
+    once the sum overflows, so that the quotient loses its bits or reads 0.
+    There, and only there, n and d are divided again scaled by 2^-e, e the
+    exponent of max(|Re d|, |Im d|): the quotient is scale-free, and every
+    other quotient keeps its bits."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.divide(np.conjugate(d, out=out) if n is None else n, d, out=out)
-        # a finite total of the parts rules out any non-finite quotient
-        if not math.isfinite(np.add.reduce(out.view(float))):
-            bad = ~np.isfinite(out)
-            db = d[bad]
-            e = -np.frexp(np.maximum(np.abs(db.real), np.abs(db.imag)))[1]
-            db = _ldexp(db, e)
+        parts = d.view(float)
+        # a finite total of the quotient's parts rules out a non-finite one
+        if not (math.isfinite(np.add.reduce(out.view(float)))
+                and -_DIVIDE_LIMIT < np.minimum.reduce(parts, initial=0.0)
+                and np.maximum.reduce(parts, initial=0.0) < _DIVIDE_LIMIT):
+            top = np.maximum(np.abs(d.real), np.abs(d.imag))
+            bad = ~np.isfinite(out) | (top >= _DIVIDE_LIMIT)
+            e = -np.frexp(top[bad])[1]
+            db = _ldexp(d[bad], e)
             out[bad] = (np.conjugate(db) if n is None else _ldexp(n[bad], e)) / db
     return out
 

@@ -55,11 +55,11 @@ def separated_nodes(rng, n, m, lo=-15.0, hi=15.0, spacing=1.0):
 
 def partial_fraction(coeff, support, x):
     """The blocks of ``barycentric._partial_fraction`` joined: the sums at
-    every point of x, and per point the index of the support node it hits
-    (-1 for none)."""
+    every point of x, scaled where the kernel scales them, and per point the
+    index of the support node it hits (-1 for none)."""
     sums = np.empty(coeff.shape[:-1] + x.shape, dtype=complex)
     node = np.full(x.size, -1)
-    for start, block, hits, hit_node in _partial_fraction(coeff, support, x):
+    for start, block, hits, hit_node, _ in _partial_fraction(coeff, support, x):
         sums[..., start:start + block.shape[-1]] = block
         node[start + hits] = hit_node
     return sums, node

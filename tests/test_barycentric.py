@@ -626,11 +626,27 @@ class TestFarPoints:
                 assert np.all(np.abs(np.abs(values) - 1.0) <= 4 * EPS), name
 
 
+def exact_sums(r, x):
+    """n and d of the form r at the float x in 60 digits, from its alpha and
+    beta as stored."""
+    with mp.workdps(60):
+        t = [1 / (mp.mpf(float(x)) - mp.mpf(float(y))) for y in r.support]
+        return [mp.fsum(mp.mpc(complex(c)) * tj for c, tj in zip(coeff, t))
+                for coeff in (r.alpha, r.beta)]
+
+
+def exact_quotient(r, x):
+    """n/d of the form r at the float x, rounded from 60 digits."""
+    n, d = exact_sums(r, x)
+    with mp.workdps(60):
+        return complex(n / d)
+
+
 class TestHitRule:
-    """A point hits a support node where its first sum is non-finite in
-    either part, and nowhere else.  Two support nodes a few 1e-309 below
-    x = 0 give terms near 1.5e308 there, so that sums of two finite terms
-    overflow."""
+    """A point hits its nearest support node where 1/(x - y_j) overflows,
+    and nowhere else.  Two support nodes a few 1e-309 below x = 0 give terms
+    near 1.5e308 there, so that sums of two finite terms overflow; such a
+    point's sums are added again from scaled terms."""
 
     X = np.array([-2.0, 0.0, 0.5, 3.0])
 
@@ -644,15 +660,22 @@ class TestHitRule:
     def forms(self, y, b):
         return [form(y, [0.0, 0.0], b) for form in FORMS.values()]
 
-    def test_imaginary_overflow_is_a_hit(self):
+    def test_imaginary_overflow_is_not_a_hit(self):
+        # each 1/(x - y_j) is finite at x = 0, and only the imaginary part's
+        # sum overflows: d reads that sum, inf, and not beta_1; n/d is the
+        # quotient of the sums, 1, -1 and 0 for the three forms
         y = [-5.7e-309, -5.6e-309]
-        for r in self.forms(y, [1j, 1j]):
+        for r, want in zip(self.forms(y, [1j, 1j]), (1.0, -1.0, 0.0)):
             re, im = self.parts(r.beta, y, 0.0)
             assert np.isfinite(re) and np.isinf(im)
             d = r.denominator(self.X)
-            assert np.array_equal(bits(d[1:2]), bits(r.beta[1:2])), type(r)
+            assert np.array_equal(bits(d[1:2]), bits([complex(re, im)])), type(r)
             assert np.array_equal(bits(d), bits([r.denominator(float(v)) for v in self.X]))
-            assert np.array_equal(bits(r.eval(self.X)), bits([r.eval(float(v)) for v in self.X]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = r.eval(self.X)
+            assert abs(grid[1] - want) <= 2 * EPS, type(r)
+            assert np.array_equal(bits(grid), bits([r.eval(float(v)) for v in self.X]))
 
     def test_finite_parts_whose_sum_overflows_are_not_a_hit(self):
         y = [-6.7e-309, -6.6e-309]
@@ -672,6 +695,66 @@ class TestHitRule:
                 pointwise = [r.eval(float(v)) for v in self.X]
             assert np.all(np.isfinite(grid)), type(r)
             assert np.array_equal(bits(grid), bits(pointwise)), type(r)
+            assert abs(grid[1] - exact_quotient(r, 0.0)) <= 4 * EPS, type(r)
+
+    @pytest.mark.parametrize("form, alpha, beta", [
+        (NonInterpolatoryApproximant, [1e-3, 2e-3], [1.0, -1.0]),
+        (NonInterpolatoryApproximant, [1.0, -1.0], [0.1, 0.05]),
+        (CayleyApproximant, None, [1.0, -1.0 + 0.1j]),
+    ])
+    def test_sums_of_finite_terms_past_the_float_range(self, form, alpha, beta):
+        # x = 6e-309 lies between nodes 0 and 1.2e-308, each reciprocal
+        # near 1.67e308 and finite, and a sum of the two terms overflows: the
+        # value is n/d, not a node's limit (-0.002, inf+nanj and
+        # 0.980+0.198j read as hits), and d reads its sum, inf in a part
+        # past the float range, not a coefficient
+        y = [0.0, 1.2e-308]
+        r = form(y, beta) if alpha is None else form(y, alpha, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = r.eval(6e-309)
+            d = r.denominator(6e-309)
+        want = exact_quotient(r, 6e-309)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        want = exact_sums(r, 6e-309)[1]
+        assert np.allclose([d.real, d.imag], [float(want.real), float(want.imag)],
+                           rtol=1e-12, atol=0.0)
+
+
+class TestNearNodeDivision:
+    """Next to a support node at 0, at distances whose reciprocal is finite
+    and above 1e307, n and d reach 1e308, where NumPy's complex division
+    scales by a reciprocal that is subnormal or 0: the quotient is divided
+    again scaled by a power of two."""
+
+    def test_reported_cases(self):
+        rc = CayleyApproximant([0.0, 1.0], [1 + 0.7j, 1e-3])
+        rn = NonInterpolatoryApproximant([0.0, 1.0], alpha=[1 - 0.5j, 0.0],
+                                         beta=[1 + 1j, 0.001])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(abs(rc.eval(6.4e-309)) - 1.0) <= 4 * EPS
+            grid = rc.eval(np.linspace(5.57e-309, 2e-308, 20001))
+            assert np.all(np.abs(np.abs(grid) - 1.0) <= 4 * EPS)
+            assert abs(rn.eval(6e-309) - (0.25 - 0.75j)) <= 1e-12
+
+    def test_drawn_points(self):
+        rng = np.random.default_rng(44)
+        x = rng.choice([-1.0, 1.0], 40) / rng.uniform(1e307, 1.79e308, 40)
+        assert np.all(np.isfinite(1.0 / x)) and np.all(np.abs(1.0 / x) > 1e307)
+        # the node at 0 carries the weight, its parts of comparable size
+        y = [0.0, 0.75]
+        for _ in range(5):
+            a, b = (rng.uniform(0.5, 1.0, (2, 2)) * rng.choice([-1.0, 1.0], (2, 2))
+                    @ np.array([1.0, 1j]) * np.array([1.0, 1e-3]) for _ in range(2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = {name: form(y, a, b).eval(x) for name, form in FORMS.items()}
+            assert np.all(np.abs(np.abs(values["cayley"]) - 1.0) <= 4 * EPS)
+            for name, form in FORMS.items():
+                r = form(y, a, b)
+                want = np.array([exact_quotient(r, v) for v in x])
+                assert np.all(np.abs(values[name] - want) <= 1e-12 * np.abs(want)), name
 
 
 class TestPointShape:

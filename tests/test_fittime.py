@@ -1,5 +1,6 @@
 """tools/fittime.py: a benchmark workload's ops in two trees, checked and timed."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,15 @@ def test_unknown_revision_exit_2(tmp_path, monkeypatch, capsys):
 HEADER = ["kind", "HEAD", "ms", "iqr", "tree", "ms", "iqr", "change", "wins"]
 
 
+def revision_from_working_tree(monkeypatch):
+    """Have the tool take the revision's ``src`` tree as a copy of the
+    working tree's, so that a run needs no git checkout."""
+    def extract(rev, dest):
+        return shutil.copytree(fittime.SRC, os.path.join(dest, "src"),
+                               ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(fittime.golden, "extract", extract)
+
+
 def edit_workloads(monkeypatch, edit):
     """Have the tool pass each workload file it loads, and its package, to ``edit``."""
     def load(package, load_file=fittime.workloads):
@@ -37,9 +47,9 @@ def edit_workloads(monkeypatch, edit):
     monkeypatch.setattr(fittime, "workloads", load)
 
 
-@needs_git
 def test_one_round(monkeypatch, capsys, name="figure-fits"):
     # --seed reaches both trees' set-up; the rows are the kinds, geomean, pass
+    revision_from_working_tree(monkeypatch)
     seeds = []
 
     def record(module, package):
@@ -59,12 +69,10 @@ def test_one_round(monkeypatch, capsys, name="figure-fits"):
         assert row.split()[-1] in ("0/1", "1/1")
 
 
-@needs_git
 def test_one_round_small(monkeypatch, capsys):
     test_one_round(monkeypatch, capsys, "small-systems")
 
 
-@needs_git
 def test_one_round_evaluate(monkeypatch, capsys):
     test_one_round(monkeypatch, capsys, "evaluate")
 
@@ -94,8 +102,9 @@ def test_ops_match_workload(name, seed):
     assert digests[0] == digests[1]
 
 
-@needs_git
 def test_failed_check_exit_1(monkeypatch, capsys):
+    revision_from_working_tree(monkeypatch)
+
     def plant(module, package):  # the check raises the workload's CheckFailed
         if package.__name__ == "unirat_tree":
             module.SmallSystems._check_system = staticmethod(

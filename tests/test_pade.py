@@ -120,6 +120,21 @@ class TestEvaluation:
         assert got[1] == np.conj(got[0])
         assert np.all(np.abs(np.abs(got) - 1.0) <= 2 * EPS)
 
+    def test_finite_parts_past_the_float_range(self):
+        # at 9e24 the parts of degree 13's q are finite, near 3.9e307, and a
+        # block of them sums past the float range; from 9.1e24 on they leave
+        # the reciprocal that complex division scales by subnormal.  eval
+        # raises no warning and is of unit modulus
+        p = PadeApproximant(13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = p.eval(np.full(100, 9e24))
+            grid = p.eval(np.linspace(9e24, 1.01e25, 2001))
+            assert np.isfinite(p.denominator(9e24))
+        assert np.array_equal(block.view(np.uint64),
+                              np.full(100, p.eval(9e24)).view(np.uint64))
+        assert np.all(np.abs(np.abs(grid) - 1.0) <= EPS)
+
 
 class TestNonFinitePoints:
     """Padé rejects the points the barycentric forms reject."""
