@@ -17,8 +17,10 @@ imaginary part of each coefficient vector in rows of their own, so a term
 costs one real multiply with no complex cast; the rows are joined into
 complex sums once per block, with the bits complex arithmetic would give.
 Each node's 1/(x - y_j) serves numerator and denominator alike.  A point
-whose sum is not finite hits its nearest support node, exactly or at a
-subnormal distance, and takes the limit there.  The caller writes each
+hits its nearest support node y_j where 1/(x - y_j) overflows, at y_j or a
+subnormal distance from it, and takes the limit there; a point whose sums
+overflow from finite terms has them added again from scaled coefficients,
+and its quotient is theirs.  The caller writes each
 block's values straight into its slice of the result, so beside the result
 evaluation holds only the kernel's block buffers (by tracemalloc, 0.6 MB
 for a numerator-denominator pair and 0.3 MB for one sum), which stay in
@@ -33,10 +35,11 @@ denominator q, feeds blocks of q.  The interpolant and the
 non-interpolatory form feed the rows (d, n) with their support hits, and
 every form's ``denominator`` feeds the kernel's blocks of d.  Each n/d,
 there and in a fit's node values (``node_quotient``, which reads the
-Cayley form from one product), follows one division
-rule (``_divide``): a subnormal d overflows the complex division, so where
-the quotient is not finite, n and d are divided again scaled by an exact
-power of two, and every finite quotient keeps its bits.
+Cayley form from one product), follows one division rule (``_divide``): a
+subnormal d overflows the complex division, and a part of d from 2^1021 on
+underflows its scale, so there, and only there, n and d are divided again
+scaled by an exact power of two, and every other quotient keeps its
+bits.
 
 Every form follows one pole rule: the first zero denominator in grid order
 raises ``PoleEvaluationError``, before any later block is evaluated.  A hit
