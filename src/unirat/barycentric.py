@@ -115,8 +115,8 @@ def _partial_fraction(coeff, support, xv):
     at y_j or a subnormal distance from it.  A sum that is not finite at any
     other point overflowed from finite terms: its point's sums are added
     again from the coefficients scaled by 2^-``_SCALED_SHIFT``, which keeps
-    every term and every sum of fewer than 2^62 terms finite, so that such a
-    block holds the point's sums times 2^-``_SCALED_SHIFT``.
+    every term and every sum of fewer than 2^62 terms finite: the block then
+    holds that point's sums times 2^-``_SCALED_SHIFT``.
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
     the reciprocals; a block's sums then have shape (k, points).  The sums
@@ -160,21 +160,10 @@ def _partial_fraction(coeff, support, xv):
                 hit = ~np.isfinite(1.0 / (x[bad] - support[near]))
                 hits, node, scaled = bad[hit], near[hit], bad[~hit]
                 out[:, hits] = stack[:, node]
-                if scaled.size:
-                    out[:, scaled] = _scaled_sums(cols, support, x[scaled])
+                if scaled.size:  # at most a block of points: one block of finite sums
+                    out[:, scaled] = next(_partial_fraction(
+                        _ldexp(stack, -_SCALED_SHIFT), support, x[scaled]))[1]
         yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node, scaled
-
-
-def _scaled_sums(cols, y, x):
-    """The (k, points) sums over the nodes y_j of the complex coefficients
-    that ``cols`` holds as planar real rows, scaled by 2^-``_SCALED_SHIFT``,
-    at the points x, whose reciprocals 1/(x - y_j) are finite."""
-    rows = np.empty((2,) + cols.shape[1:2] + x.shape)
-    _add_terms(np.ldexp(cols, -_SCALED_SHIFT), y, x, rows[0], rows[1], np.empty(x.size))
-    sums = np.empty((len(rows[0]) // 2, x.size), dtype=complex)
-    sums.real = rows[0, 0::2]
-    sums.imag = rows[0, 1::2]
-    return sums
 
 
 def _add_terms(cols, y, x, out, term, inv):

@@ -85,10 +85,9 @@ class PadeApproximant:
         for start, q in self._denominators(xv):
             # finite parts of q may sum past the float range
             with np.errstate(over="ignore"):
-                total = np.add.reduce(q.view(float))
-            if not math.isfinite(total):
-                bad = ~np.isfinite(q)
-                q[bad] = np.polyval(c, 1.0 / xv[start:start + len(q)][bad])
+                if not math.isfinite(np.add.reduce(q.view(float))):
+                    bad = ~np.isfinite(q)
+                    q[bad] = np.polyval(c, 1.0 / xv[start:start + len(q)][bad])
             yield start, q
 
     def eval(self, x):
