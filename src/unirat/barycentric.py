@@ -115,7 +115,8 @@ def _partial_fraction(coeff, support, xv):
     at y_j or a subnormal distance from it.  A sum that is not finite at any
     other point overflowed from finite terms: its point's sums are added
     again from the coefficients scaled by 2^-``_SCALED_SHIFT``, which keeps
-    every term and every sum of fewer than 2^62 terms finite: the block then
+    every term and every sum of fewer than 2^62 terms finite for
+    coefficients of modulus up to 2, as every form's are: the block then
     holds that point's sums times 2^-``_SCALED_SHIFT``.
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing

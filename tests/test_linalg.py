@@ -904,7 +904,7 @@ class TestInverseIteration:
             assert angle <= out.wedin
 
     def test_figure_fits_factor_each_system_once(self, monkeypatch):
-        # a warm step and the kernel share one QR of the step's system; the
+        # each step, all of them warm, factors its system once; the
         # 19 modified Lawson steps after the first factor none, since the
         # route solves them from their fit's one QR, and their shape is
         # that of the original Lawson steps'
