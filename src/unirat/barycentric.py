@@ -18,9 +18,9 @@ costs one real multiply with no complex cast; the rows are joined into
 complex sums once per block, with the bits complex arithmetic would give.
 Each node's 1/(x - y_j) serves numerator and denominator alike.  A point
 hits its nearest support node y_j where 1/(x - y_j) overflows, at y_j or a
-subnormal distance from it, and takes the limit there; a point whose sums
-overflow from finite terms has them added again from scaled coefficients,
-and its quotient is theirs.  The caller writes each
+subnormal distance from it, and takes the limit there; a sum that
+overflows from finite terms is added again from scaled coefficients, and
+the writers scale it back.  The caller writes each
 block's values straight into its slice of the result, so beside the result
 evaluation holds only the kernel's block buffers (by tracemalloc, 0.6 MB
 for a numerator-denominator pair and 0.3 MB for one sum), which stay in
@@ -60,8 +60,8 @@ from .linalg import EPS, _ldexp, number_array
 #: Points per evaluation block.
 BLOCK_POINTS = 2**13
 
-#: The power of two by which ``_partial_fraction`` scales the sums at a
-#: point where they overflow from finite terms.
+#: The power of two by which ``_partial_fraction`` scales a sum that
+#: overflows from finite terms.
 _SCALED_SHIFT = 64
 
 #: The modulus of a part of d from which ``_divide`` scales n/d.
@@ -107,17 +107,20 @@ def _partial_fraction(coeff, support, xv):
     """Walks the flat points xv in blocks of at most ``BLOCK_POINTS``, as
     few as that allows and of lengths that differ by at most one.  Yields,
     per block, its first index, the sums of coeff_j / (x - y_j) at its
-    points, the block positions that hit a support node, the nodes they hit
-    and the positions whose sums are scaled; at a hit of y_j the sum is
-    coeff_j.
+    points, the block positions that hit a support node, the nodes they hit,
+    the positions where a sum is scaled and, per sum there, the power of two
+    by which it is scaled down; at a hit of y_j the sum is coeff_j.
 
     A point hits its nearest support node y_j where 1/(x - y_j) overflows,
     at y_j or a subnormal distance from it.  A sum that is not finite at any
-    other point overflowed from finite terms: its point's sums are added
-    again from the coefficients scaled by 2^-``_SCALED_SHIFT``, which keeps
-    every term and every sum of fewer than 2^62 terms finite for
-    coefficients of modulus up to 2, as every form's are: the block then
-    holds that point's sums times 2^-``_SCALED_SHIFT``.
+    other point overflowed from finite terms: it is added again from the
+    coefficients scaled by 2^-``_SCALED_SHIFT``, which keeps every term and
+    every sum of fewer than 2^62 terms finite for coefficients of modulus up
+    to 2, as every form's are, and the block holds it times
+    2^-``_SCALED_SHIFT``.  A coefficient that the scaling leaves subnormal
+    is rounded by at most 2^-1075, which moves its term by less than 2^-51,
+    far below the rounding of the terms whose sum overflowed; the point's
+    finite sums keep their plain bits.
 
     ``coeff`` is one coefficient vector, or a (k, m) stack of them sharing
     the reciprocals; a block's sums then have shape (k, points).  The sums
@@ -148,7 +151,7 @@ def _partial_fraction(coeff, support, xv):
         rows, term = planes[:4 * k * n].reshape(2, 2 * k, n)
         # the complex sums take the term rows' place once the terms are added
         out = term.reshape(k, 2 * n).view(complex)
-        hits = node = scaled = none
+        hits = node = scaled = shift = none
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _add_terms(cols, support, x, rows, term, inv[:n])
             out.real = rows[0::2]
@@ -162,9 +165,12 @@ def _partial_fraction(coeff, support, xv):
                 hits, node, scaled = bad[hit], near[hit], bad[~hit]
                 out[:, hits] = stack[:, node]
                 if scaled.size:  # at most a block of points: one block of finite sums
-                    out[:, scaled] = next(_partial_fraction(
-                        _ldexp(stack, -_SCALED_SHIFT), support, x[scaled]))[1]
-        yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node, scaled
+                    sums = out[:, scaled]
+                    shift = np.where(np.isfinite(sums), 0, _SCALED_SHIFT)
+                    out[:, scaled] = np.where(shift, next(_partial_fraction(
+                        _ldexp(stack, -_SCALED_SHIFT), support, x[scaled]))[1], sums)
+                    shift = shift.reshape(coeff.shape[:-1] + (scaled.size,))
+        yield start, out.reshape(coeff.shape[:-1] + (n,)), hits, node, scaled, shift
 
 
 def _add_terms(cols, y, x, out, term, inv):
@@ -202,17 +208,19 @@ def _finish(out, shape):
 def denominator_values(x, blocks):
     """d at the points x in the shape of x.  ``blocks(xv)`` yields, per block
     of the flat points xv, its first index and d there, and may yield more
-    after them, as ``_partial_fraction`` does, whose last item marks the
-    positions where d is scaled by 2^-``_SCALED_SHIFT``: d there is scaled
-    back, to inf in a part that overflows."""
+    after them, as ``_partial_fraction`` does, whose last two items are the
+    positions where d may be scaled and the power of two by which it is
+    scaled down there: d there is scaled back, to inf in a part that
+    overflows."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
     for start, d, *more in blocks(xv):
         block = out[start:start + len(d)]
         block[:] = d
-        if more and more[-1].size:
+        if more and more[-2].size:
+            scaled, shift = more[-2:]
             with np.errstate(over="ignore"):
-                block[more[-1]] = _ldexp(d[more[-1]], _SCALED_SHIFT)
+                block[scaled] = _ldexp(d[scaled], shift)
     return _finish(out, shape)
 
 
@@ -221,19 +229,23 @@ def quotient_values(x, blocks, hit_values=None):
     ``blocks`` yields as for ``denominator_values``: per block d alone, for
     the Cayley form conj(d)/d, or the rows (d, n) with the positions that hit
     a support node and the nodes they hit, a hit of y_j reading
-    ``hit_values[j]`` if given, and the positions whose n and d are both
-    scaled, which n/d does not need.  The first zero d in grid order raises
-    PoleEvaluationError, at a support hit as elsewhere."""
+    ``hit_values[j]`` if given, and the positions where d or n is scaled
+    with the powers of two by which they are scaled down, by which n/d is
+    scaled back.  conj(d)/d needs no scaling back.  The first zero d in grid
+    order raises PoleEvaluationError, at a support hit as elsewhere."""
     xv, shape = _prepare(x)
     out = np.empty(xv.size, dtype=complex)
-    for start, sums, *hit in blocks(xv):
+    for start, sums, *more in blocks(xv):
         d, n = (sums, None) if sums.ndim == 1 else sums
         if not d.all():
             raise PoleEvaluationError(float(xv[start + np.argmax(d == 0.0)]))
         block = _divide(n, d, out[start:start + len(d)])
+        if n is not None and more[2].size:
+            scaled, shift = more[2:]
+            with np.errstate(over="ignore"):
+                block[scaled] = _ldexp(block[scaled], shift[1] - shift[0])
         if hit_values is not None:
-            hits, node, _ = hit
-            block[hits] = hit_values[node]
+            block[more[0]] = hit_values[more[1]]
     return _finish(out, shape)
 
 

@@ -59,7 +59,7 @@ def partial_fraction(coeff, support, x):
     index of the support node it hits (-1 for none)."""
     sums = np.empty(coeff.shape[:-1] + x.shape, dtype=complex)
     node = np.full(x.size, -1)
-    for start, block, hits, hit_node, _ in _partial_fraction(coeff, support, x):
+    for start, block, hits, hit_node, *_ in _partial_fraction(coeff, support, x):
         sums[..., start:start + block.shape[-1]] = block
         node[start + hits] = hit_node
     return sums, node

@@ -700,6 +700,7 @@ class TestHitRule:
     @pytest.mark.parametrize("form, alpha, beta", [
         (NonInterpolatoryApproximant, [1e-3, 2e-3], [1.0, -1.0]),
         (NonInterpolatoryApproximant, [1.0, -1.0], [0.1, 0.05]),
+        (NonInterpolatoryApproximant, [1.0, -1.0], [1e-300, 2e-300]),
         (CayleyApproximant, None, [1.0, -1.0 + 0.1j]),
     ])
     def test_sums_of_finite_terms_past_the_float_range(self, form, alpha, beta):
@@ -707,7 +708,9 @@ class TestHitRule:
         # near 1.67e308 and finite, and a sum of the two terms overflows: the
         # value is n/d, not a node's limit (-0.002, inf+nanj and
         # 0.980+0.198j read as hits), and d reads its sum, inf in a part
-        # past the float range, not a coefficient
+        # past the float range, not a coefficient; a d that stays finite
+        # while n overflows keeps its plain sum, whose coefficients near
+        # 1e-300 scaled by 2^-64 would be subnormal
         y = [0.0, 1.2e-308]
         r = form(y, beta) if alpha is None else form(y, alpha, beta)
         with warnings.catch_warnings():

@@ -932,17 +932,17 @@ class TestInverseIteration:
             refused.append(solve(self, A, mu))
             return refused[-1]
         monkeypatch.setattr(linalg.WeightedQR, "solve", route)
-        calls = record_warm_steps(monkeypatch, kernel=True)
+        tall = record_warm_steps(monkeypatch, kernel=True)
         aaa_fit(np.linspace(-3, 3, 40), AaaConfig(m_max=8, tol=0.0, variant=variant, n_lawson=3))
-        assert [A.shape[0] > A.shape[1] for A, _ in calls] == [True] * 11
+        assert [A.shape[0] > A.shape[1] for A, _ in tall] == [True] * 11
         assert refused == ([None] * 2 if variant == "modified" else [])
         monkeypatch.undo()
-        calls = record_warm_steps(monkeypatch, kernel=True)
+        wide = record_warm_steps(monkeypatch, kernel=True)
         lawson.lawson_fit([4.0, 5.0, 6.0], [0.3, 1.1, 2.7, 3.5],
                           lawson.LawsonConfig(n_lawson=3, variant=variant))
-        assert [A.shape[0] < A.shape[1] for A, _ in calls] == [True] * 3
+        assert [A.shape[0] < A.shape[1] for A, _ in wide] == [True] * 3
         svd = svd_real if variant == "modified" else svd_complex
-        for A, out in calls:
+        for A, out in tall + wide:
             assert out.sweeps > 0
             assert record_bits(out) == record_bits(svd(A).smallest())
 
