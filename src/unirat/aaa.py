@@ -136,7 +136,7 @@ def aaa_fit(test_nodes, config):
         # extend it, with the bits of a full rebuild
         A[:, -1:] = interpolatory_system(c, ph, config.variant)
         alpha, w, solve = interpolatory_coefficients(A, ph, config.variant)
-        r = node_quotient(C, alpha if config.variant == "original" else None, w)
+        r = node_quotient(C, alpha, w)
 
         # one |F - r| gives the max error and, by greedy_select's rule, the
         # next node
@@ -144,7 +144,7 @@ def aaa_fit(test_nodes, config):
         j = int(np.argmax(err))
         max_error = float(err[j])
         trace.iterations.append(
-            FitStep(step=m, node=y[-1], max_error=max_error, solve=solve))
+            FitStep(node=y[-1], max_error=max_error, solve=solve))
         if max_error <= config.tol:
             trace.stop_reason = "tol"
             break

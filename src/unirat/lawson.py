@@ -57,9 +57,9 @@ class FitStep:
     (``linalg.WeightedQR``), whose record also reads ``route``.  Every
     other step's record is the fully converged Jacobi kernel's, that of
     ``svd_real`` or ``svd_complex`` on the step's system, and reads
-    ``sweeps > 0``; on the four figure fits no step's does."""
+    ``sweeps > 0``; on the four figure fits no step's does.  A step's number
+    is its position in its trace, plus one."""
 
-    step: int
     node: float
     max_error: float
     solve: SmallestVector
@@ -155,7 +155,7 @@ def lawson_fit(test_nodes, support_nodes, config):
             qr = WeightedQR(A)
         alpha, beta, solve = expanded_coefficients(A, config.variant, qr,
                                                    None if step == 1 else mu)
-        r = node_quotient(Cp_complex, alpha if config.variant == "original" else None, beta)
+        r = node_quotient(Cp_complex, alpha, beta)
 
         eps = ph.S_F - r
         err = np.abs(eps)
@@ -170,7 +170,7 @@ def lawson_fit(test_nodes, support_nodes, config):
                     f"Lawson step {step}: the error at test node {float(xa[bad[0]])!r} is "
                     "not finite, a pole of the step's approximant", float(err[bad[0]]))
         trace.steps.append(
-            FitStep(step=step, node=float(xa[worst]), max_error=max_error, solve=solve))
+            FitStep(node=float(xa[worst]), max_error=max_error, solve=solve))
         mu_next = lawson_weight_update(mu, err)
         if mu_next is None:
             trace.stop_reason = "exact"

@@ -55,8 +55,9 @@ triangles by the ``np.where`` that
 its phase from its one largest entry; each with the bits of the NumPy call
 it replaces.  The complement of v that ``gap_bound`` reads is not formed:
 one Householder reflector, made by ``_reflector`` as the pivoted QR makes
-its own, enters R W as a rank-one update.  The step, ``gap_bound``
-included, runs under one ``np.errstate``.
+its own, enters R W as a rank-one update.  The step runs under one
+``np.errstate``, and ``gap_bound``, which a caller may also call alone,
+under its own.
 """
 
 import functools
@@ -104,10 +105,10 @@ class SmallestVector:
     The Jacobi kernel (``SvdResult.smallest``) records sigma_m, sigma_{m-1}
     (inf for one column) and sigma_max, with its ``sweeps`` and
     ``rotations``; the eigensolve (``_eigensolve``) records ||A v|| >=
-    sigma_m, ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >= sigma_max, or,
-    on the route's triangle (``WeightedQR``), both bounds net of the route's
-    terms.  ``smallest_right_vector`` returns a warm record only where it is
-    not ``degenerate``, and the kernel's otherwise.  A kernel record counts
+    sigma_m and ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >= sigma_max,
+    to which ``WeightedQR.solve`` applies the route's terms on its triangle.
+    ``smallest_right_vector`` returns a warm record only where it is not
+    ``degenerate``, and the kernel's otherwise.  A kernel record counts
     at least one sweep, a one-column run's too, and a warm record none, so
     ``sweeps == 0`` marks the warm records; ``route`` is True on the
     route's.
@@ -523,10 +524,12 @@ def svd_complex(A):
 
 
 def gap_bound(R, v):
-    """A lower bound on sigma_{m-1} of the m x m triangle R, for a unit v:
-    l - 4 max(m, 4) eps ||R||_F, the rounding term derived below, and 0
-    where that is negative, where R' is singular or its inverse overflows;
-    inf for one column.
+    """``(lower, ||R||_F)``: a lower bound on sigma_{m-1} of the m x m
+    triangle R, for a unit v, l - 4 max(m, 4) eps ||R||_F, the rounding term
+    derived below, and 0 where that is negative, where R' is singular or its
+    inverse overflows, inf for one column; and R's norm, which a warm step's
+    record reads as its scale, formed once.  It runs under its own
+    ``np.errstate``, which ignores floating-point warnings.
 
     For W an orthonormal basis of v's complement and R' the triangle of a QR
     of R W, ``l = 1 / ||R'^{-1}||_F <= sigma_min(R W) <= sigma_{m-1}(R)``
@@ -574,25 +577,18 @@ def gap_bound(R, v):
     (Section 3.6).  R's own rounding as the R of a system A, which the
     kernel's record shares, is A's backward error and is left out.
     """
-    with np.errstate(all="ignore"):
-        return _gap_bound(R, v)[0]
-
-
-def _gap_bound(R, v):
-    """``(gap_bound(R, v), ||R||_F)``, under the caller's ``np.errstate``,
-    which must ignore floating-point warnings: a warm step's record reads
-    both, and R's norm is formed once."""
     m = R.shape[1]
-    scale = float(_norm(R))
-    if m == 1:
-        return math.inf, scale
-    h = _reflector(v, 1.0)
-    X = _triangular_inverse(_r_factor(R[:, 1:] - (R @ h)[:, None] * h[1:].conj()))
-    ell = 0.0 if X is None else float(1.0 / _norm(X) - 4 * max(m, 4) * EPS * scale)
+    with np.errstate(all="ignore"):
+        scale = float(_norm(R))
+        if m == 1:
+            return math.inf, scale
+        h = _reflector(v, 1.0)
+        X = _triangular_inverse(_r_factor(R[:, 1:] - (R @ h)[:, None] * h[1:].conj()))
+        ell = 0.0 if X is None else float(1.0 / _norm(X) - 4 * max(m, 4) * EPS * scale)
     return max(0.0, ell), scale
 
 
-def _eigensolve(A, R, terms=None):
+def _eigensolve(A, R):
     """The certified record of a tall A = QR from one Hermitian eigensolve;
     None where it is not certified.
 
@@ -606,21 +602,17 @@ def _eigensolve(A, R, terms=None):
     (sigma_m / sigma_{m-1})^2 off the eigensolver's error, which is about
     eps / (1 - (sigma_m / sigma_{m-1})^2).  Forming Z squares R's condition,
     but neither sigma_min nor the gap is read from it.  The result is
-    certified by its ``SmallestVector(v, ||A v||, gap_bound(R, v), ||R||_F)``
-    not being ``degenerate``; ``gap_bound`` takes off its own rounding, and
-    on the figure fits the gap then exceeds 685 eps ||R||_F.  The gap is
+    certified by its ``SmallestVector(v, ||A v||, *gap_bound(R, v))`` not
+    being ``degenerate``; ``gap_bound`` takes off its own rounding, and on
+    the figure fits the gap then exceeds 685 eps ||R||_F.  The gap is
     bounded from R, not from X, whose rounding, eps sigma_max / sigma_min,
     would swamp sigma_{m-1}.  None also for a singular R, a non-finite X, or
     a non-finite u or v.  The norms are ``_norm``'s, with the bits of
-    ``np.linalg.norm``, and every field of the record, ``gap_bound``'s too,
-    is formed under one ``np.errstate`` and stored as a Python float, so that
-    an overflowed sigma_min or scale makes the record degenerate, with no
-    warning.  The vector is turned to the kernel's phase by ``_entry_phase``.
-
-    ``terms`` = (t, f, h) marks R as the route's triangle (``WeightedQR``),
-    the exact triangle of A only up to those terms: the record then reads
-    ``(gap_bound(R, v) - t) / sqrt(1 + f) - h`` as its lower bound and
-    ``(||R||_F + t) / sqrt(1 - f) + h`` as its scale, and ``route``.
+    ``np.linalg.norm``, and every field of the record is formed under
+    ``np.errstate`` and stored as a Python float, so that an overflowed
+    sigma_min or scale makes the record degenerate, with no warning.  The
+    vector is turned to the kernel's phase by ``_entry_phase``.  The record
+    is R's own: the route (``WeightedQR``) takes its own terms off it.
     """
     with np.errstate(all="ignore"):
         X = _triangular_inverse(R)
@@ -634,13 +626,7 @@ def _eigensolve(A, R, terms=None):
         if not 0.0 < norm < np.inf:  # a NaN in u or x fails it too
             return None
         v = x / norm
-        lower, scale = _gap_bound(R, v)
-        if terms is not None:
-            t, f, h = terms
-            lower = (lower - t) / math.sqrt(1.0 + f) - h
-            scale = (scale + t) / math.sqrt(1.0 - f) + h
-        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), lower, scale,
-                               route=terms is not None)
+        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), *gap_bound(R, v))
     return None if solve.degenerate else solve
 
 
@@ -662,12 +648,13 @@ class WeightedQR:
     product (BLAS-3), one p x p Cholesky and one triangular product, where
     A's own unblocked ``?geqrf`` costs far more under two BLAS threads.  G
     stays well conditioned where A is not: kappa(G) <= 246 on the figure
-    fits, kappa(A) ~ 1e12.  ``solve`` takes R's vector from ``_eigensolve``
-    and certifies it with ``gap_bound(R, v)`` net of the route's terms below;
-    ``||A v||`` is read from A itself, as on every warm step.  G and its Gram
-    matrix are refilled in two buffers of the fit, and the squared row norms
-    b, q and e of B0, Q0 and the residual B0 - Q0 R0 are kept, so that the
-    terms that scale with the rows cost one dot with mu each.
+    fits, kappa(A) ~ 1e12.  ``solve`` takes R's record from ``_eigensolve``
+    and certifies it with ``gap_bound(R, v)`` net of the route's terms below,
+    which it applies itself; ``||A v||`` is read from A itself, as on every
+    warm step.  G and its Gram matrix are refilled in two buffers of the
+    fit, and the squared row norms b, q and e of B0, Q0 and the residual
+    B0 - Q0 R0 are kept, so that the terms that scale with the rows cost one
+    dot with mu each.
 
     The terms, with u = eps / 2, gamma_k = k u / (1 - k u) (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed.), n x p the
@@ -695,13 +682,14 @@ class WeightedQR:
     refuses unless s^2 > 2 delta, so that f < 1;
     (4) R = fl(R_G R0) = R_G R0 + T with |T| <= gamma_p |R_G| |R0|, so
     sigma_i(R_G R0) >= sigma_i(R) - t, t = gamma_p || |R_G| |R0| ||.
-    Hence sigma_{m-1}(A) >= (gap_bound(R, v) - t) / sqrt(1 + f) - h, the
-    record's lower bound, and sigma_max(A) <= (||R|| + t) / sqrt(1 - f) + h,
-    its scale.  The dots and norms that form the terms round them by a
-    relative O(n u), which is of second order.  On the 19 later steps of the
-    figure ``lawson_mod`` fit, h and t reach at most 247 and 27 eps ||R||_F,
-    and f moves the bound by less than 1e-3 eps ||R||_F; every step is
-    certified, with at least 4 447 eps ||R||_F to spare.
+    Hence sigma_{m-1}(A) >= (l - t) / sqrt(1 + f) - h, l the lower bound of
+    ``gap_bound(R, v)``, the record's lower bound, and sigma_max(A) <=
+    (||R|| + t) / sqrt(1 - f) + h, its scale.  The dots and norms that form
+    the terms round them by a relative O(n u), which is of second order.
+    On the 19 later steps of the figure ``lawson_mod`` fit, h and t reach at
+    most 247 and 27 eps ||R||_F, and f moves the bound by less than 1e-3 eps
+    ||R||_F; every step is certified, with at least 4 447 eps ||R||_F to
+    spare.
     """
 
     def __init__(self, B):
@@ -717,7 +705,15 @@ class WeightedQR:
         """The route's certified record of A = diag(sqrt(mu)) B0; None where
         the route does not certify it: a failed Cholesky (NaN), a singular or
         non-finite R_G^{-1}, an f not below 1, or a degenerate record once
-        the terms are taken off."""
+        the terms are taken off.
+
+        The record is ``_eigensolve(A, R)``'s, R = R_G R0, with the terms
+        (t, f, h) derived above applied to it: ``(lower - t) / sqrt(1 + f)
+        - h`` is its lower bound, ``(scale + t) / sqrt(1 - f) + h`` its
+        scale, and it reads ``route``.  The terms are nonnegative, so they
+        only lower ``lower`` and raise ``scale``, each rounding monotone: a
+        record that ``_eigensolve`` finds degenerate, and returns as None, is
+        degenerate with them too."""
         n, p = A.shape
         with np.errstate(all="ignore"):
             G = np.multiply(np.sqrt(mu)[:, None], self.Q, out=self._G)
@@ -735,7 +731,14 @@ class WeightedQR:
             h = (math.sqrt(mu @ self.e) + _gamma(p + 4) * math.sqrt(mu @ self.b)
                  + (_gamma(p + 4) + EPS / 2) * norm_G * self.norm_R)
             R = R_G @ self.R
-        return _eigensolve(A, R, (t, delta / (s * s - delta), h))
+        own = _eigensolve(A, R)
+        if own is None:
+            return None
+        f = delta / (s * s - delta)
+        solve = SmallestVector(own.vector, own.sigma_min,
+                               (own.lower - t) / math.sqrt(1.0 + f) - h,
+                               (own.scale + t) / math.sqrt(1.0 - f) + h, route=True)
+        return None if solve.degenerate else solve
 
 
 def smallest_right_vector(A, qr=None, weights=None):

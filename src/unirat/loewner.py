@@ -11,10 +11,13 @@ Both extractors return their coefficients with the step's
 on one QR of the system, or, for a modified Lawson step after the first, on
 its fit's one ``linalg.WeightedQR`` where the route certifies it: one
 Hermitian eigensolve's where that is certified, the Jacobi kernel's
-otherwise.  The node-level functions
-(``loewner``, ``rescaled_loewner``, ``bhat``, ...) wrap the two builders;
-``min_singular_pair`` takes a modified Lawson step's (alpha, beta) from
-``expanded_coefficients``, with its bits, and ``min_singular_coefficients``
+otherwise.  The modified variant's alpha is conj(beta), the identity that
+makes the Cayley form unitary, so they return it as None, the stand-in
+that ``barycentric.node_quotient`` reads, and never form it.  The
+node-level functions (``loewner``, ``rescaled_loewner``, ``bhat``, ...)
+wrap the two builders; ``min_singular_pair`` takes a modified Lawson
+step's beta from ``expanded_coefficients``, with its bits, and returns it
+with its conjugate as alpha, and ``min_singular_coefficients``
 applies AAA's w = i K v to the kernel's last right vector, whose full
 spectrum it returns: the identity tests check them.
 ``check_differences`` rejects, for the fits, nodes two of which differ by
@@ -63,14 +66,6 @@ class NodeSet:
         if not (np.all(np.isfinite(mu)) and np.all(mu > 0)):
             raise InvalidInputError("weights must be finite and positive")
         object.__setattr__(self, "weights", mu)
-
-    @property
-    def n(self):
-        return self.test_nodes.size
-
-    @property
-    def m(self):
-        return self.support_nodes.size
 
 
 @dataclass(frozen=True)
@@ -131,14 +126,14 @@ def check_test_count(n_test, m):
 
 def interpolatory_coefficients(A, ph, variant):
     """(alpha, w, solve) for ``solve`` the ``SmallestVector`` of A
-    (``smallest_right_vector``) and v its vector: (conj(w), w = i K v) or
-    (S_f v, v)."""
+    (``smallest_right_vector``) and v its vector: (None, w = i K v) or
+    (S_f v, v).  The modified alpha, conj(w), is not formed: None stands for
+    it, as in ``barycentric.node_quotient``."""
     solve = smallest_right_vector(A)
     v = solve.vector
     if variant == "original":
         return ph.S_f * v, v, solve
-    w = 1j * ph.K * v
-    return np.conj(w), w, solve
+    return None, 1j * ph.K * v, solve
 
 
 def expanded_system(M, ph, variant, out=None):
@@ -171,13 +166,13 @@ def expanded_coefficients(A, variant, qr=None, weights=None):
 
 
 def _expanded_pair(g, variant):
-    """(alpha, beta) of a Lawson system's unit vector g: (conj(b),
-    b = (g_1 - i g_2)/sqrt2) (modified) or g = [alpha; beta]."""
+    """(alpha, beta) of a Lawson system's unit vector g: (None,
+    b = (g_1 - i g_2)/sqrt2) (modified), None standing for conj(b), which is
+    not formed, or g = [alpha; beta]."""
     m = g.size // 2
     if variant == "original":
         return g[:m], g[m:]
-    beta = (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
-    return np.conj(beta), beta
+    return None, (g[:m] - 1j * g[m:]) / np.sqrt(2.0)
 
 
 def _differences(nodes, allow_overlap=False):
@@ -277,9 +272,11 @@ def min_singular_pair(bhat_matrix):
     modified Lawson step takes them (``expanded_coefficients``): the
     eigensolve's vector where it is certified, else the kernel's.  They
     satisfy alpha_j = conj(beta_j) and minimize ||[M | -S_F M]
-    [alpha; beta]||_2."""
+    [alpha; beta]||_2; alpha, which the step leaves unformed, is formed
+    here."""
     B = number_array(bhat_matrix, "Bhat")
     check_matrix(B)
     if B.shape[1] % 2 != 0:
         raise InvalidInputError("Bhat must have an even number of columns")
-    return expanded_coefficients(B, "modified")[:2]
+    beta = expanded_coefficients(B, "modified")[1]
+    return np.conj(beta), beta

@@ -461,18 +461,30 @@ BIG, TINY = np.finfo(float).max, np.finfo(float).tiny
 
 @st.composite
 def evaluation_cases(draw):
-    m = draw(st.integers(1, 70))
-    y = draw(st.lists(st.floats(-20, 20), min_size=m, max_size=m, unique=True))
+    # support nodes up to 20 in magnitude or below 1e-306, where a point or
+    # another node can lie a subnormal distance away, and at times a node
+    # that lies a subnormal distance from another
+    tiny = st.floats(-1e-306, 1e-306)
+    y = draw(st.lists(st.floats(-20, 20) | tiny, min_size=1, max_size=70, unique=True))
+    if draw(st.booleans()):
+        pair = draw(tiny) + draw(st.floats(5e-324, TINY) | st.floats(-TINY, -5e-324))
+        if pair not in y:
+            y.append(pair)
+    m = len(y)
     part = st.floats(-1, 1)
     a = [complex(draw(part), draw(part)) for _ in range(m)]
     b = [complex(draw(part), draw(part)) for _ in range(m)]
     # points of any magnitude, points near the largest float, where every
-    # 1/(x - y_j) is subnormal, and points a subnormal distance from a
-    # support node
+    # 1/(x - y_j) is subnormal, points a subnormal distance from a support
+    # node, and points at a distance from one whose reciprocal is finite
+    # and above 1e307, which the tiny nodes make exact
     far = st.floats(1e300, BIG) | st.floats(-BIG, -1e300)
     near = st.builds(lambda yj, h: yj + h, st.sampled_from(y), st.floats(-TINY, TINY))
+    band = st.floats(1.0 / BIG, 1e-307)
+    edge = st.builds(lambda yj, h, s: yj + s * h, st.sampled_from(y), band,
+                     st.sampled_from([1.0, -1.0]))
     x = draw(st.lists(st.floats(-25, 25) | st.sampled_from(y) | st.floats(-BIG, BIG) | far
-                      | near, min_size=1, max_size=40))
+                      | near | edge, min_size=1, max_size=40))
     block = draw(st.integers(1, 64))
     # zero denominator coefficients: a hit of their node is a pole
     for j in draw(st.sets(st.integers(0, m - 1), max_size=3)):
@@ -488,8 +500,12 @@ class TestBlockedEvaluationProperty:
         # the pole rule under blocking: the grid raises at the first point
         # whose one-point eval raises, the denominator reads 0 at exactly
         # those points, every other point keeps its one-point bits, and no
-        # value is non-finite and no warning escapes, for the three forms
-        # and for Padé
+        # value is non-finite unless the exact one is past the float range,
+        # and no warning escapes, for the three forms and for Padé.  Padé's
+        # values have unit modulus; a form's exact value is n/d, or
+        # alpha_j / beta_j at a hit of node j, and either can overflow (a
+        # point at a distance with a reciprocal near 1e308 from a node whose
+        # beta_j is 0, a hit of a node whose beta_j is subnormal)
         y, a, b, x, block, degree = case
         assume(np.linalg.norm(b) > 0.0)
         forms = {name: form(y, a, b) for name, form in FORMS.items()}
@@ -515,12 +531,15 @@ class TestBlockedEvaluationProperty:
                         r.eval(x)
                     assert exc.value.location == x[np.argmax(raises)], name
                 grid = r.eval(x[~raises])
-            assert np.all(np.isfinite(grid)), name
             assert np.array_equal(bits(grid), bits(pointwise)), name
             if name == "pade":
+                assert np.all(np.isfinite(grid))
                 continue
+            node = partial_fraction(r.beta, y, x)[1]
+            for v, j, value in zip(x[~raises], node[~raises], grid):
+                assert np.isfinite(value) or not np.isfinite(exact_value(r, v, j)), name
             # away from hits and poles, d adds the nodes in order
-            plain = (partial_fraction(r.beta, y, x)[1] < 0) & ~raises
+            plain = (node < 0) & ~raises
             assert np.array_equal(bits(d[plain]),
                                   bits(unblocked_sums(r.beta, y, x)[plain])), name
 
@@ -640,6 +659,15 @@ def exact_quotient(r, x):
     n, d = exact_sums(r, x)
     with mp.workdps(60):
         return complex(n / d)
+
+
+def exact_value(r, x, j):
+    """The form r at the float x, rounded from 60 digits: n/d, or, at a hit
+    of node j >= 0, alpha_j / beta_j."""
+    if j < 0:
+        return exact_quotient(r, x)
+    with mp.workdps(60):
+        return complex(mp.mpc(complex(r.alpha[j])) / mp.mpc(complex(r.beta[j])))
 
 
 class TestHitRule:

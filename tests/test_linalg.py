@@ -643,9 +643,9 @@ class TestNumpyCallBits:
             reference = mp_sigmas(T)[m - 2]
             smallest = np.linalg.svd(T)[2][-1].conj()
             for v in (smallest, unit_vector(rng, m, dtype)):
-                assert 0.0 <= mp.mpf(linalg.gap_bound(T, v)) <= reference
+                assert 0.0 <= mp.mpf(linalg.gap_bound(T, v)[0]) <= reference
             if T is R:
-                assert linalg.gap_bound(R, smallest) >= (1 - 1e-6) * float(reference)
+                assert linalg.gap_bound(R, smallest)[0] >= (1 - 1e-6) * float(reference)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("m", HELPER_SIZES)
@@ -672,7 +672,7 @@ class TestNumpyCallBits:
             assert linalg._eigensolve(A, overflowing) is None
             if m > 1:
                 assert linalg.gap_bound(np.diag(np.append(np.ones(m - 1), 1e-310)),
-                                        np.eye(m)[0]) == 0.0
+                                        np.eye(m)[0])[0] == 0.0
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_entry_phase(self, dtype):
@@ -749,7 +749,7 @@ class TestNumpyCallBits:
         v = np.eye(m, dtype=dtype)[m // 2 if m > 2 else 0]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            assert linalg.gap_bound(R, v) == 0.0
+            assert linalg.gap_bound(R, v)[0] == 0.0
 
 
 def small_cases():
@@ -925,7 +925,7 @@ class TestInverseIteration:
         # every step, 8 tall AAA steps and 3 tall Lawson steps, of which the
         # modified fit's steps 2 and 3 try the route and are refused; and
         # the 3 wide steps of a Lawson fit with too few test nodes
-        monkeypatch.setattr(linalg, "_eigensolve", lambda A, R, terms=None: None)
+        monkeypatch.setattr(linalg, "_eigensolve", lambda A, R: None)
         refused = []
 
         def route(self, A, mu, solve=linalg.WeightedQR.solve):
@@ -1057,7 +1057,7 @@ class TestInverseIteration:
                 return f(*args, **kwargs)
             return call
 
-        def bound(R, v, f=linalg._gap_bound):
+        def bound(R, v, f=linalg.gap_bound):
             bounding.append(True)
             out = f(R, v)
             bounding.clear()
@@ -1067,7 +1067,7 @@ class TestInverseIteration:
         monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
             inv=gufuncs.inv, eigh_lo=counted("eigh", gufuncs.eigh_lo),
             cholesky_lo=gufuncs.cholesky_lo))
-        monkeypatch.setattr(linalg, "_gap_bound", bound)
+        monkeypatch.setattr(linalg, "gap_bound", bound)
         rng = np.random.default_rng(103)
         top = np.logspace(4, 3, 8)
         for last in (0.6, 0.9999):
@@ -1119,20 +1119,21 @@ class TestInverseIteration:
     def test_gap_bound(self, dtype):
         # a lower bound on sigma_{m-1} for any unit v, within sqrt(m - 1) of
         # it when v is the smallest vector; 0 for a singular complement, inf
-        # for one column
+        # for one column; each with ||R||_F, the bits of np.linalg.norm
         rng = np.random.default_rng(101)
         sigma = np.logspace(0, -8, 10)
         R = np.linalg.qr(spectrum_matrix(rng, 10, sigma, dtype), mode="r")
         u = np.linalg.svd(R)[2][-1].conj()
-        ell = linalg.gap_bound(R, u)
+        ell, scale = linalg.gap_bound(R, u)
         assert sigma[-2] / 3 <= ell <= sigma[-2]
+        assert type(scale) is float and same_bits(scale, np.linalg.norm(R))
         for _ in range(5):
             v = rng.standard_normal(10).astype(dtype)
-            assert linalg.gap_bound(R, v / np.linalg.norm(v)) <= sigma[-2]
+            assert linalg.gap_bound(R, v / np.linalg.norm(v))[0] <= sigma[-2]
         assert linalg.gap_bound(np.diag([1.0, 0.0, 0.0]).astype(dtype),
-                                np.eye(3, dtype=dtype)[0]) == 0.0
+                                np.eye(3, dtype=dtype)[0]) == (0.0, 1.0)
         assert linalg.gap_bound(np.array([[2.0]], dtype=dtype),
-                                np.ones(1, dtype=dtype)) == np.inf
+                                np.ones(1, dtype=dtype)) == (np.inf, 2.0)
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     @pytest.mark.parametrize("wide", [True, False], ids=["wide", "degenerate"])

@@ -135,6 +135,21 @@ class TestEvaluation:
                               np.full(100, p.eval(9e24)).view(np.uint64))
         assert np.all(np.abs(np.abs(grid) - 1.0) <= EPS)
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                       reason="the overflow check sums q's parts, +inf and -inf at far points "
+                              "of both signs, under errstate(over=...) alone, so NumPy warns "
+                              "'invalid value encountered in reduce'")
+    def test_far_points_of_both_signs_do_not_warn(self):
+        # degree 3's q reads nan + inf j at 8e307 and nan - inf j at -8e307,
+        # which land in different accumulators of NumPy's pairwise sum; the
+        # values themselves are right: the limits -1 and 1
+        x = np.zeros(8)
+        x[0], x[4] = 8e307, -8e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = PadeApproximant(3).eval(x)
+        assert np.all(np.abs(got - np.where(x == 0.0, 1.0, -1.0)) <= EPS)
+
 
 class TestNonFinitePoints:
     """Padé rejects the points the barycentric forms reject."""
