@@ -83,8 +83,9 @@ class PadeApproximant:
         by x^-k q = sum_j c_j (-i)^j t^(k-j), t = 1/x, by Horner's rule."""
         c = self.coefficients * np.array([1, -1j, -1, 1j])[np.arange(self.degree + 1) % 4]
         for start, q in self._denominators(xv):
-            # finite parts of q may sum past the float range
-            with np.errstate(over="ignore"):
+            # finite parts of q may sum past the float range, and +inf and
+            # -inf parts of far points of both signs to nan
+            with np.errstate(over="ignore", invalid="ignore"):
                 if not math.isfinite(np.add.reduce(q.view(float))):
                     bad = ~np.isfinite(q)
                     q[bad] = np.polyval(c, 1.0 / xv[start:start + len(q)][bad])

@@ -135,10 +135,6 @@ class TestEvaluation:
                               np.full(100, p.eval(9e24)).view(np.uint64))
         assert np.all(np.abs(np.abs(grid) - 1.0) <= EPS)
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                       reason="the overflow check sums q's parts, +inf and -inf at far points "
-                              "of both signs, under errstate(over=...) alone, so NumPy warns "
-                              "'invalid value encountered in reduce'")
     def test_far_points_of_both_signs_do_not_warn(self):
         # degree 3's q reads nan + inf j at 8e307 and nan - inf j at -8e307,
         # which land in different accumulators of NumPy's pairwise sum; the
