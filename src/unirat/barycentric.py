@@ -258,19 +258,31 @@ def _divide(n, d, out=None):
     once the sum overflows, so that the quotient loses its bits or reads 0.
     There, and only there, n and d are divided again scaled by 2^-e, e the
     exponent of max(|Re d|, |Im d|): the quotient is scale-free, and every
-    other quotient keeps its bits."""
+    other quotient keeps its bits.  Where that scaling overflows n, for a d
+    below 1, n is scaled by 2^-f instead, f the exponent of its own larger
+    part, and the quotient back by 2^(f - e) part by part, so that a part
+    past the float range reads inf and the other part keeps its value."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.divide(np.conjugate(d, out=out) if n is None else n, d, out=out)
         parts = d.view(float)
-        # a finite total of the quotient's parts rules out a non-finite one
-        if not (math.isfinite(np.add.reduce(out.view(float)))
-                and -_DIVIDE_LIMIT < np.minimum.reduce(parts, initial=0.0)
-                and np.maximum.reduce(parts, initial=0.0) < _DIVIDE_LIMIT):
+        # one finite sum rules out a non-finite quotient and a part of d
+        # from 2^512 on, whose square overflows the dot
+        if not math.isfinite(np.add.reduce(out.view(float)) + parts.dot(parts)):
             top = np.maximum(np.abs(d.real), np.abs(d.imag))
             bad = ~np.isfinite(out) | (top >= _DIVIDE_LIMIT)
-            e = -np.frexp(top[bad])[1]
-            db = _ldexp(d[bad], e)
-            out[bad] = (np.conjugate(db) if n is None else _ldexp(n[bad], e)) / db
+            e = np.frexp(top[bad])[1]
+            db = _ldexp(d[bad], -e)
+            if n is None:
+                out[bad] = np.conjugate(db) / db
+            else:
+                nb = n[bad]
+                q = _ldexp(nb, -e) / db
+                lost = ~np.isfinite(q)
+                if lost.any():
+                    nb, db, e = nb[lost], db[lost], e[lost]
+                    f = np.frexp(np.maximum(np.abs(nb.real), np.abs(nb.imag)))[1]
+                    q[lost] = _ldexp(_ldexp(nb, -f) / db, f - e)
+                out[bad] = q
     return out
 
 

@@ -51,7 +51,9 @@ class FitStep:
 
     ``loewner`` solves every step by one call, ``smallest_right_vector``.
     One Hermitian eigensolve of (R^H R)^{-1} gives the record of every step
-    whose tall system it certifies, and the record reads ``sweeps == 0``.
+    whose tall system it certifies, by a lower bound on sigma_{m-1} that
+    R's own computed singular values give net of their rounding
+    (``linalg.gap_bound``), and the record reads ``sweeps == 0``.
     R is a QR's of the step's system, or, on a modified Lawson step after
     the first, the route's triangle from the fit's one QR
     (``linalg.WeightedQR``), whose record also reads ``route``.  Every

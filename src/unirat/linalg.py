@@ -34,30 +34,29 @@ rule says whether the vector is determined.  One call,
 A = QR.  It forms X = R^{-1} once, takes the dominant eigenvector of
 Z = X X^H = (R^H R)^{-1} from one LAPACK Hermitian eigensolve and one
 product with Z, and keeps the result only if its record, with
-``gap_bound``'s lower bound on sigma_{m-1}, net of that bound's own
-rounding, is not degenerate.  The eigensolve needs no start vector.  The
-Jacobi kernel is the fallback: a step it does not certify and a wide step
-run it to full convergence as ``svd_real``/``svd_complex`` run it, so such
-a record is theirs, ``smallest()``, bit for bit.  A modified Lawson fit
-factors its first system once (``WeightedQR``), and solves each later
-step's, its rows weighted, from a triangle that one Gram product, one
-Cholesky and one triangular product give, under a certificate net of their
-rounding; a step that certificate does not hold for is factored on its own.
+``gap_bound``'s lower bound on sigma_{m-1}, read from R's own singular
+values net of their rounding, is not degenerate.  The eigensolve needs no
+start vector.  The Jacobi kernel is the fallback: a step it does not
+certify and a wide step run it to full convergence as
+``svd_real``/``svd_complex`` run it, so such a record is theirs,
+``smallest()``, bit for bit.  A modified Lawson fit factors its first
+system once (``WeightedQR``), and solves each later step's, its rows
+weighted, from a triangle that one Gram product, one Cholesky and one
+triangular product give, under a certificate net of their rounding; a step
+that certificate does not hold for is factored on its own.
 
 A warm step's cost is its LAPACK work, not NumPy's wrappers around it.
-Its QRs, R^{-1} and eigensolve are made by LAPACK routines called as
-directly as NumPy allows (``?geqrf`` in place through ``lapack_lite``, the
-one routine taken from it, ``?gesv`` against the identity,
-``?syevd``/``?heevd`` and the route's ``?potrf`` through the gufuncs that
-``np.linalg.inv``, ``np.linalg.eigh`` and ``np.linalg.cholesky`` wrap), its
-triangles by the ``np.where`` that
+Its QR, R^{-1}, eigensolve and bound are made by LAPACK routines called as
+directly as NumPy allows (``?geqrf`` in place through ``lapack_lite``, and
+the route's Q0 by ``?orgqr`` after it, the two routines taken from it;
+``?gesv`` against the identity, ``?syevd``/``?heevd``, the values-only
+``?gesdd`` and the route's ``?potrf`` through the gufuncs that
+``np.linalg.inv``, ``np.linalg.eigh``, ``np.linalg.svd`` and
+``np.linalg.cholesky`` wrap), its triangles by the ``np.where`` that
 ``np.triu`` evaluates, its norms by ``np.linalg.norm``'s own formula and
 its phase from its one largest entry; each with the bits of the NumPy call
-it replaces.  The complement of v that ``gap_bound`` reads is not formed:
-one Householder reflector, made by ``_reflector`` as the pivoted QR makes
-its own, enters R W as a rank-one update.  The step runs under one
-``np.errstate``, and ``gap_bound``, which a caller may also call alone,
-under its own.
+it replaces.  The step runs under one ``np.errstate``, and ``gap_bound``,
+which a caller may also call alone, under its own.
 """
 
 import functools
@@ -105,8 +104,9 @@ class SmallestVector:
     The Jacobi kernel (``SvdResult.smallest``) records sigma_m, sigma_{m-1}
     (inf for one column) and sigma_max, with its ``sweeps`` and
     ``rotations``; the eigensolve (``_eigensolve``) records ||A v|| >=
-    sigma_m and ``gap_bound``'s l <= sigma_{m-1} and ||R||_F >= sigma_max,
-    to which ``WeightedQR.solve`` applies the route's terms on its triangle.
+    sigma_m, ``gap_bound``'s l <= sigma_{m-1}, R's computed sigma_{m-1} net
+    of its rounding, and ||R||_F >= sigma_max, to which ``WeightedQR.solve``
+    applies the route's terms on its triangle.
     ``smallest_right_vector`` returns a warm record only where it is not
     ``degenerate``, and the kernel's otherwise.  A kernel record counts
     at least one sweep, a one-column run's too, and a warm record none, so
@@ -132,7 +132,11 @@ class SmallestVector:
     def wedin(self):
         """eps scale / (lower - sigma_min), which bounds the angle by which
         rounding of order eps ||A|| moves the vector (Wedin); inf where
-        degenerate."""
+        degenerate.  That covers a record from a QR of A itself, the
+        kernel's or the eigensolve's.  A route record's triangle differs
+        from one of A's by the route's terms too, h and t of ``WeightedQR``,
+        which can move its vector by up to (h + t) / (lower - sigma_min)
+        more."""
         return math.inf if self.degenerate else EPS * self.scale / (self.lower - self.sigma_min)
 
 
@@ -238,29 +242,35 @@ def _entry_phase(v):
     return np.array([complex((re + im * rat) * scl, (im - re * rat) * scl)])
 
 
-def _r_factor(A):
-    """The R of A = QR for a tall or square A, real or complex, with the bits
-    of the R that ``np.linalg.qr`` returns alone.
-
-    A is copied once, in the Fortran order LAPACK reads, and ``?geqrf`` runs
-    in place on the copy through NumPy's own binding; A itself is not
-    written.  Its workspace holds ``_GEQRF_BLOCK`` entries per column, what
+def _geqrf(A):
+    """``(B, tau)``: LAPACK's ``?geqrf`` of a tall or square A, real or
+    complex, run in place on B, one copy of A in the Fortran order LAPACK
+    reads, through NumPy's own binding; A itself is not written.  B.T holds
+    R on and above its diagonal and the reflectors below it, and tau their
+    scalars.  The workspace holds ``_GEQRF_BLOCK`` entries per column, what
     a workspace query returns, so ``?geqrf`` keeps the block size, and with
-    it the bits, that ``np.linalg.qr``'s query gives it, without the query.
-    ``np.linalg.qr`` makes two more copies on every call, whose pages glibc
-    maps and returns each time, so each of its calls touches fresh zeroed
-    pages.
-    """
+    it the bits, that ``np.linalg.qr``'s query gives it, without the
+    query."""
     n, m = A.shape
     dtype = complex if np.iscomplexobj(A) else float
     geqrf = lapack_lite.zgeqrf if dtype is complex else lapack_lite.dgeqrf
     B = np.array(A.T, dtype=dtype, order="C")  # A^T in C order is A in Fortran order
-    lwork = _GEQRF_BLOCK * m
-    info = geqrf(n, m, B, n, np.empty(m, dtype=dtype), np.empty(lwork, dtype=dtype),
-                 lwork, 0)["info"]
+    tau, lwork = np.empty(m, dtype=dtype), _GEQRF_BLOCK * m
+    info = geqrf(n, m, B, n, tau, np.empty(lwork, dtype=dtype), lwork, 0)["info"]
     if info:
         raise np.linalg.LinAlgError(f"LAPACK geqrf failed with info = {info}")
-    return _triu(B[:, :m].T)
+    return B, tau
+
+
+def _r_factor(A):
+    """The R of A = QR for a tall or square A, real or complex, with the bits
+    of the R that ``np.linalg.qr`` returns alone, from ``_geqrf``.
+    ``np.linalg.qr`` makes two more copies on every call, whose pages glibc
+    maps and returns each time, so each of its calls touches fresh zeroed
+    pages.
+    """
+    B, _ = _geqrf(A)
+    return _triu(B[:, :A.shape[1]].T)
 
 
 @functools.lru_cache(maxsize=128)
@@ -409,10 +419,10 @@ def _jacobi_orthogonalize(R):
 def _reflector(x, alpha):
     """The Householder vector v = (x + s alpha e_1) / sqrt(alpha (alpha +
     |x_0|)) of x, alpha = ||x||, and s the phase of x_0: ||v||^2 = 2, and
-    (I - v v^H) x = -s alpha e_1.  The pivoted QR passes the computed
-    ||x||, at least 1e-162, and ``gap_bound`` 1 for its unit v.  A
-    subnormal x_0 is too coarse for x_0 / |x_0| to have unit modulus; beside
-    alpha it is negligible, and s = 1 serves."""
+    (I - v v^H) x = -s alpha e_1.  The pivoted QR, its one caller, passes
+    the computed ||x||, at least 1e-162.  A subnormal x_0 is too coarse for
+    x_0 / |x_0| to have unit modulus; beside alpha it is negligible, and
+    s = 1 serves."""
     mag = abs(x[0])
     v = x.copy()
     v[0] += alpha * (x[0] / mag if mag >= TINY else 1.0)
@@ -523,58 +533,41 @@ def svd_complex(A):
     return _svd(number_array(A, "matrix", complex))
 
 
-def gap_bound(R, v):
+def gap_bound(R):
     """``(lower, ||R||_F)``: a lower bound on sigma_{m-1} of the m x m
-    triangle R, for a unit v, l - 4 max(m, 4) eps ||R||_F, the rounding term
-    derived below, and 0 where that is negative, where R' is singular or its
-    inverse overflows, inf for one column; and R's norm, which a warm step's
-    record reads as its scale, formed once.  It runs under its own
-    ``np.errstate``, which ignores floating-point warnings.
+    triangle R, s - 4 max(m, 4) eps ||R||_F for s LAPACK's computed
+    sigma_{m-1}(R), and 0 where that is negative or not finite, inf for one
+    column; and R's norm, which a warm step's record reads as its scale,
+    formed once.  It runs under its own ``np.errstate``, which ignores
+    floating-point warnings.
 
-    For W an orthonormal basis of v's complement and R' the triangle of a QR
-    of R W, ``l = 1 / ||R'^{-1}||_F <= sigma_min(R W) <= sigma_{m-1}(R)``
-    (interlacing).  W is the trailing columns of the reflector I - h h^H
-    that takes v to a multiple of e_1, h = ``_reflector(v, 1)``, and is not
-    formed: R W = R[:, 1:] - (R h) h[1:]^H, a rank-one update.  R' comes from
-    ``_r_factor``, ``?geqrf`` in place on a copy of R W, and R'^{-1} from
-    ``_triangular_inverse``, each with the bits of the NumPy call it stands
-    for (``np.linalg.qr`` and ``np.linalg.solve``).
-    No Gram matrix is formed: its rounding, eps sigma_max^2, would swamp
-    sigma_{m-1}^2.
+    s comes from ``?gesdd`` without vectors, by the gufunc that
+    ``np.linalg.svd(R, compute_uv=False)`` wraps, called as
+    ``_triangular_inverse`` calls ``inv``; a ``?gesdd`` that fails fills its
+    result with NaN, which reads 0.  No Gram matrix is formed: its rounding,
+    eps sigma_max^2, would swamp sigma_{m-1}^2.
 
-    The computed l exceeds sigma_{m-1}(R) by at most the sum of these terms,
-    by Weyl's inequality, with u = eps / 2 and gamma_k = k u / (1 - k u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.), to
-    first order and for real arithmetic:
-    (1) interlacing holds for every W with orthonormal columns, so it may be
-    read for the polar factor of the computed h's W = I[:, 1:] - h b^H,
-    b = h[1:]: W^H W = I + (||h||^2 - 2) b b^H with ||b|| <= 1, so W lies
-    within | ||h||^2 - 2 | / 2 of it.  h takes ||v|| as 1 for a v that is
-    unit only to rounding, | ||v||^2 - 1 | <= gamma_{m+4} for v = x / ||x||,
-    which moves ||h||^2 by at most as much, and h's own four roundings move
-    it by at most 14 u: (m / 2 + 9) u ||R||_F;
-    (2) R h rounds by gamma_m |R| |h|, its product with conj(b_j) and the
-    subtraction by one u each, so the update rounds by at most
-    gamma_{m+1} |R| |h| |b|^T + u |R W|, with ||h|| ||b|| <= sqrt(2):
-    (sqrt(2) gamma_{m+1} + u) ||R||_F <= (3 m / 2 + 3) u ||R||_F;
-    (3) R' is the exact triangle of R W + E with ||e_j|| <= gamma_{m(m-1)}
-    ||(R W)_j|| (Theorem 19.4): gamma_{m(m-1)} ||R||_F;
-    (4) ?gesv's LU of a triangle is exact, and each back substitution solves
-    (R' + D_j) x_j = e_j with |D_j| <= gamma_m |R'| (Theorem 8.5), so for
-    R' z = s y, s = sigma_min(R') and unit y, z,
-    ||X y - z / s|| <= gamma_m ||R'||_F ||X||_F / s, whence
-    1 / ||X||_F <= s + gamma_m ||R'||_F;
-    (5) the norm and the quotient round l by gamma_{m^2}: gamma_{m^2} l.
-    Terms (1), (2) and (4) sum to (3 m + 12) u ||R||_F.  Terms (3) and (5),
-    at their worst-case constants, would take 225 eps ||R||_F at m = 15,
-    where the figure fits' AAA steps have 745 to spare; rounding errors that
-    are independent add like the square root of their count (Section 2.8),
-    which leaves at most 2 m u ||R||_F for the two.  The bound subtracts
-    4 max(m, 4) eps ||R||_F = 8 max(m, 4) u ||R||_F, at least the
-    (5 m + 12) u ||R||_F of the five for every m >= 2, so it is not a
-    worst-case bound; 4 m eps ||R||_F alone falls short of that at m = 2
-    and 3.  Complex arithmetic raises each constant by a small factor
-    (Section 3.6).  R's own rounding as the R of a system A, which the
+    ``?gesdd`` is accurate only absolutely, to a multiple of eps ||R||, not
+    relatively to sigma_{m-1}, so the term it takes off is scaled by
+    ||R||_F.  With u = eps / 2 and gamma_k = k u / (1 - k u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed.), to first
+    order: (1) the Householder bidiagonalization (``?gebrd``) gives the
+    exact bidiagonal of R + E: its 2 m - 3 reflectors, m - 1 from the left
+    and m - 2 from the right, each sequence read as Lemma 19.3 reads one,
+    give ||E||_F <= (2 m - 3) gamma_{cm} ||R||_F for a small constant c,
+    which moves each singular value by at most ||E||_2 (Weyl); (2) the
+    bidiagonal's singular values are then found to a relative O(m u) each
+    (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990; the values-only
+    path runs dqds, which keeps that relative accuracy), so within
+    O(m u) ||R||_F.  Term (1) is quadratic in m at its worst-case constant,
+    as a QR's backward error is; rounding errors that are independent add
+    like the square root of their count (Section 2.8), which leaves a
+    multiple of m u ||R||_F for the two.  The bound subtracts
+    4 max(m, 4) eps ||R||_F = 8 max(m, 4) u ||R||_F, so it is not a
+    worst-case bound: on 36 triangles of Gaussian matrices (two each with
+    m = 2, 12 and 28, real and complex, plain and with columns graded by
+    1e-8 and 1e-14) s lay within 0.76 eps ||R||_F of a 30-digit
+    sigma_{m-1}.  R's own rounding as the R of a system A, which the
     kernel's record shares, is A's backward error and is left out.
     """
     m = R.shape[1]
@@ -582,9 +575,8 @@ def gap_bound(R, v):
         scale = float(_norm(R))
         if m == 1:
             return math.inf, scale
-        h = _reflector(v, 1.0)
-        X = _triangular_inverse(_r_factor(R[:, 1:] - (R @ h)[:, None] * h[1:].conj()))
-        ell = 0.0 if X is None else float(1.0 / _norm(X) - 4 * max(m, 4) * EPS * scale)
+        s = _umath_linalg.svd(R, signature="D->d" if R.dtype.kind == "c" else "d->d")[-2]
+        ell = float(s - 4 * max(m, 4) * EPS * scale)
     return max(0.0, ell), scale
 
 
@@ -602,7 +594,7 @@ def _eigensolve(A, R):
     (sigma_m / sigma_{m-1})^2 off the eigensolver's error, which is about
     eps / (1 - (sigma_m / sigma_{m-1})^2).  Forming Z squares R's condition,
     but neither sigma_min nor the gap is read from it.  The result is
-    certified by its ``SmallestVector(v, ||A v||, *gap_bound(R, v))`` not
+    certified by its ``SmallestVector(v, ||A v||, *gap_bound(R))`` not
     being ``degenerate``; ``gap_bound`` takes off its own rounding, and on
     the figure fits the gap then exceeds 685 eps ||R||_F.  The gap is
     bounded from R, not from X, whose rounding, eps sigma_max / sigma_min,
@@ -626,7 +618,7 @@ def _eigensolve(A, R):
         if not 0.0 < norm < np.inf:  # a NaN in u or x fails it too
             return None
         v = x / norm
-        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), *gap_bound(R, v))
+        solve = SmallestVector(v * _entry_phase(v), float(_norm(A @ v)), *gap_bound(R))
     return None if solve.degenerate else solve
 
 
@@ -641,15 +633,19 @@ class WeightedQR:
     which the row-weighted systems A = D B0, D = diag(sqrt(mu)), of its later
     steps are solved without a QR of their own: the route.
 
-    Q0 and R0 come from ``np.linalg.qr(B0)``, whose R has the bits and layout
-    of ``_r_factor(B0)``, so the fit's first step reads R0 as its R.  For a
+    Q0 and R0 come from one copy of B0: ``_geqrf`` factors it in place, R0
+    is read from it as ``_r_factor`` reads its R, and LAPACK's ``?orgqr``,
+    through NumPy's own binding, then overwrites it with Q0, in the Fortran
+    order the route reads.  Both have the bits of ``np.linalg.qr(B0)``'s
+    factors, which runs the same two routines with the same workspaces on
+    copies of its own, and the fit's first step reads R0 as its R.  For a
     later step, G = D Q0 = Q_G R_G, with R_G^T R_G = G^T G, gives
     A = Q_G (R_G R0): R = R_G R0 is a triangle of A, from one n x p Gram
     product (BLAS-3), one p x p Cholesky and one triangular product, where
     A's own unblocked ``?geqrf`` costs far more under two BLAS threads.  G
     stays well conditioned where A is not: kappa(G) <= 246 on the figure
     fits, kappa(A) ~ 1e12.  ``solve`` takes R's record from ``_eigensolve``
-    and certifies it with ``gap_bound(R, v)`` net of the route's terms below,
+    and certifies it with ``gap_bound(R)`` net of the route's terms below,
     which it applies itself; ``||A v||`` is read from A itself, as on every
     warm step.  G and its Gram matrix are refilled in two buffers of the
     fit, and the squared row norms b, q and e of B0, Q0 and the residual
@@ -677,24 +673,34 @@ class WeightedQR:
     sqrt(1 + f) and sigma_i(G R0) <= sigma_i(R_G R0) / sqrt(1 - f)
     (min-max), as Yamamoto, Nakatsukasa, Yanagisawa & Fukaya (ETNA 44, 2015)
     bound CholeskyQR's factor.  sigma_min(G)^2 >= s^2 - delta for
-    s = 1 / ||R_G^{-1}|| - gamma_p ||R_G||, with R_G^{-1} from
-    ``_triangular_inverse`` (term (4) of ``gap_bound``), and the route
-    refuses unless s^2 > 2 delta, so that f < 1;
+    s = 1 / ||X|| - gamma_p ||R_G|| <= sigma_min(R_G), X = R_G^{-1} from
+    ``_triangular_inverse``: ``?gesv``'s LU of a triangle is exact, and each
+    back substitution solves (R_G + D_j) x_j = e_j with |D_j| <= gamma_p
+    |R_G| (Theorem 8.5), so for R_G z = r y, r = sigma_min(R_G) and unit y
+    and z, ||X y - z / r|| <= gamma_p ||R_G|| ||X|| / r, whence 1 / ||X||
+    <= r + gamma_p ||R_G||.  The route refuses unless s^2 > 2 delta, so
+    that f < 1;
     (4) R = fl(R_G R0) = R_G R0 + T with |T| <= gamma_p |R_G| |R0|, so
     sigma_i(R_G R0) >= sigma_i(R) - t, t = gamma_p || |R_G| |R0| ||.
     Hence sigma_{m-1}(A) >= (l - t) / sqrt(1 + f) - h, l the lower bound of
-    ``gap_bound(R, v)``, the record's lower bound, and sigma_max(A) <=
+    ``gap_bound(R)``, the record's lower bound, and sigma_max(A) <=
     (||R|| + t) / sqrt(1 - f) + h, its scale.  The dots and norms that form
     the terms round them by a relative O(n u), which is of second order.
     On the 19 later steps of the figure ``lawson_mod`` fit, h and t reach at
     most 247 and 27 eps ||R||_F, and f moves the bound by less than 1e-3 eps
-    ||R||_F; every step is certified, with at least 4 447 eps ||R||_F to
+    ||R||_F; every step is certified, with at least 4 448 eps ||R||_F to
     spare.
     """
 
     def __init__(self, B):
-        Q, self.R = np.linalg.qr(B)
-        self.Q = np.asfortranarray(Q)
+        n, p = B.shape
+        F, tau = _geqrf(B)
+        self.R = _triu(F[:, :p].T)
+        lwork = _GEQRF_BLOCK * p
+        info = lapack_lite.dorgqr(n, p, p, F, n, tau, np.empty(lwork), lwork, 0)["info"]
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK orgqr failed with info = {info}")
+        self.Q = F.T
         self._G, self._S = np.empty_like(self.Q), np.empty((self.R.shape[0],) * 2)
         # the residual B0 - Q0 R0 is formed in G's buffer
         E = np.subtract(B, np.matmul(self.Q, self.R, out=self._G), out=self._G)

@@ -771,14 +771,10 @@ class TestNearNodeDivision:
             assert np.all(np.abs(np.abs(grid) - 1.0) <= 4 * EPS)
             assert abs(rn.eval(6e-309) - (0.25 - 0.75j)) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="_divide re-divides every non-finite quotient "
-                       "with n and d scaled by 2^-e, e the exponent of d's larger part; "
-                       "for d below 1 that scaling overflows n, so a quotient with one "
-                       "part past the float range reads inf or nan in the other")
     @pytest.mark.parametrize("support, alpha, beta, x", [
         # beside two tiny nodes whose beta_j is 0, n is near 1.5e307j and d
-        # near 0.046j: NumPy's quotient is the exact inf - 8.81e306j, and
-        # 16 n overflows
+        # near 0.046j: NumPy's quotient is the exact inf - 8.81e306j, and n
+        # scaled by d's power of two, 16 n, would overflow
         ([19.9550635, -2.44418635, 1.71546989e-307, 2.12357447e-308],
          [0.00474173 - 1j, -1 + 0.5j, 0.03151566 + 0.73535911j, -0.11121345 - 0.86528593j],
          [0.0, -1.61999865e-184 + 0.21404188j, 0.0, 0.0], 1.93797727e-307),
