@@ -75,10 +75,10 @@ TINY = float(np.finfo(float).tiny)
 #: NumericalFailureError.
 SWEEP_CAP = 60
 
-#: Workspace entries per column that ``?geqrf``'s workspace query asks for:
-#: its block size, which LAPACK's ``ilaenv`` sets to 32.  A smaller
-#: workspace would shrink the blocks, and change the bits, of a QR of more
-#: than 128 columns, where the blocked path starts.
+#: Workspace entries per column that the workspace queries of ``?geqrf``
+#: and ``?orgqr`` ask for: their block size, which LAPACK's ``ilaenv`` sets
+#: to 32.  A smaller workspace would shrink the blocks, and change the bits,
+#: of a QR of more than 128 columns, where the blocked path starts.
 _GEQRF_BLOCK = 32
 
 
