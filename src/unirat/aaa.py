@@ -14,9 +14,10 @@ moving the entries and rows below it up one place, writes its new column
 into both blocks, and solves and evaluates the leading blocks in place, with
 the bits of a system rebuilt from the iteration's whole Cauchy block.  Each
 iteration's vector comes from one Hermitian eigensolve where that is
-certified, so the Jacobi kernel runs only where it is not.  The modified
-variant's node values conj(C w) / (C w) take one product with the Cauchy
-block.
+certified, and a wide one's from the QR of its system's transpose, so the
+Jacobi kernel runs only on a tall iteration that is not certified.  The
+modified variant's node values conj(C w) / (C w) take one product with the
+Cauchy block.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .barycentric import (
     is_count,
     node_quotient,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .lawson import FitStep, LawsonConfig, lawson_fit
 from .linalg import number_array
 from .loewner import (VARIANTS, PhaseDiagonals, check_differences, check_test_count,
@@ -153,8 +154,13 @@ def aaa_fit(test_nodes, config):
 
     y = np.asarray(y)
     if config.n_lawson > 0:
-        approx, trace.lawson = lawson_fit(
-            x[:k], y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant))
+        try:
+            approx, trace.lawson = lawson_fit(
+                x[:k], y, LawsonConfig(n_lawson=config.n_lawson, variant=config.variant))
+        except NumericalFailureError as exc:
+            # the steps run: the greedy iterations, then the Lawson steps
+            exc.steps = trace.iterations + exc.steps
+            raise
         return approx, trace
 
     if config.variant == "modified":

@@ -17,7 +17,7 @@ from .barycentric import (
 )
 from .diagnostics import (max_error, real_axis_pole_scan, structure_residual,
                           unitarity_deviation)
-from .errors import InvalidInputError, UniratError
+from .errors import InvalidInputError, NumericalFailureError, UniratError
 from .linalg import number_array
 from .loewner import VARIANTS
 from .pade import PadeApproximant
@@ -186,6 +186,16 @@ def _fit_metrics(approx, grid):
     }
 
 
+def _write_trace(out, steps):
+    """``trace.csv``: one row per ``FitStep``, numbered from 1, so that the
+    Lawson steps continue the greedy iterations' m."""
+    write_csv(os.path.join(out, "trace.csv"),
+              ["m", "node", "max_error", "sigma_min", "degenerate"],
+              [np.arange(1, len(steps) + 1), [st.node for st in steps],
+               [st.max_error for st in steps], [st.sigma_min for st in steps],
+               [float(st.degenerate) for st in steps]])
+
+
 def cmd_fit(args):
     if args.nodes is not None:
         grid = load_nodes(args.nodes)
@@ -196,15 +206,14 @@ def cmd_fit(args):
         m_max=args.m_max, tol=args.tol, variant=args.variant, n_lawson=args.lawson
     )
     make_out_dir(args.out)
-    approx, trace = aaa_fit(grid, config)
+    try:
+        approx, trace = aaa_fit(grid, config)
+    except NumericalFailureError as exc:
+        # the steps that ran before the failure leave their trace
+        _write_trace(args.out, exc.steps)
+        raise
     write_json(os.path.join(args.out, "approximant.json"), approximant_to_dict(approx))
-
-    # one row per FitStep; the Lawson steps continue the greedy iterations' m
-    steps = trace.iterations + (trace.lawson.steps if trace.lawson else [])
-    rows = [(m, st.node, st.max_error, st.sigma_min, float(st.degenerate))
-            for m, st in enumerate(steps, 1)]
-    write_csv(os.path.join(args.out, "trace.csv"),
-              ["m", "node", "max_error", "sigma_min", "degenerate"], list(zip(*rows)))
+    _write_trace(args.out, trace.iterations + (trace.lawson.steps if trace.lawson else []))
 
     metrics = _fit_metrics(approx, grid)
     metrics["converged"] = trace.stop_reason == "tol"

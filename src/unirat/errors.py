@@ -21,10 +21,14 @@ class NodeCollisionError(InvalidInputError):
 
 
 class NumericalFailureError(UniratError, RuntimeError):
-    """An iterative kernel failed to converge; carries the final residual."""
+    """An iterative kernel failed to converge, or a fit step's approximant has
+    a pole at a test node; carries the final residual, and ``steps``, the
+    ``FitStep`` records of the fit steps that ran before the failure, in
+    order, where the fit knows them, and an empty list otherwise."""
 
-    def __init__(self, message, residual):
+    def __init__(self, message, residual, steps=()):
         self.residual = residual
+        self.steps = list(steps)
         super().__init__(f"{message} (residual {residual:.3e})")
 
 

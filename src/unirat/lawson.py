@@ -56,11 +56,14 @@ class FitStep:
     (``linalg.gap_bound``), and the record reads ``sweeps == 0``.
     R is a QR's of the step's system, or, on a modified Lawson step after
     the first, the route's triangle from the fit's one QR
-    (``linalg.WeightedQR``), whose record also reads ``route``.  Every
-    other step's record is the fully converged Jacobi kernel's, that of
-    ``svd_real`` or ``svd_complex`` on the step's system, and reads
-    ``sweeps > 0``; on the four figure fits no step's does.  A step's number
-    is its position in its trace, plus one."""
+    (``linalg.WeightedQR``), whose record also reads ``route``.  A wide
+    step's record comes from the complete QR of its system's transpose
+    alone, with the kernel's vector where the system has full row rank, and
+    reads ``sweeps == 0`` too.  Every other step's record is the fully
+    converged Jacobi kernel's, that of ``svd_real`` or ``svd_complex`` on
+    the step's system, and reads ``sweeps > 0``; on the four figure fits no
+    step's does.  A step's number is its position in its trace, plus
+    one."""
 
     node: float
     max_error: float
@@ -170,7 +173,8 @@ def lawson_fit(test_nodes, support_nodes, config):
             if bad.size:
                 raise NumericalFailureError(
                     f"Lawson step {step}: the error at test node {float(xa[bad[0]])!r} is "
-                    "not finite, a pole of the step's approximant", float(err[bad[0]]))
+                    "not finite, a pole of the step's approximant", float(err[bad[0]]),
+                    trace.steps)
         trace.steps.append(
             FitStep(node=float(xa[worst]), max_error=max_error, solve=solve))
         mu_next = lawson_weight_update(mu, err)

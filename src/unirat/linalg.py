@@ -10,18 +10,21 @@ place on one Fortran-ordered copy of its matrix, which is left untouched.  A
 Householder QR with column pivoting, T P = Q2 R2, and an LQ step,
 R2^H = Q3 R3, then leave the lower-triangular R3^H, and the sweeps rotate
 its columns.  The right vectors are V = P Q3 W, W the accumulated rotations,
-and they are applied to A itself.  Each sweep visits every column pair once
-in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 1985),
-whose rounds of disjoint pairs are rotated by one set of array operations
-each.  A round rotates only its active pairs, those not yet orthogonal to
-roundoff: it computes the rotations over all its pairs, gathers the active
-rows once, rotates them in place and scatters them back once, since its cost
-is mostly its count of NumPy calls.  A complex pair is rotated by the
-Hermitian 2 x 2 rotation that takes out the phase of its inner product, so
-complex input needs no real embedding.  One pass over |A| rejects non-finite
-input and sets the power-of-two shift.  The fits read only V and the
-singular values, so the left vectors are built on first access, from a
-Householder QR of A V.
+and they are applied to A itself.  The LQ step runs ``?geqrf`` and then
+``?orgqr``/``?ungqr`` in place (``_qr``), and the pivoted QR forms no
+conjugates of real input, each with the bits of its NumPy form, so that a
+small SVD pays for little but its sweeps.  Each sweep visits every column
+pair once in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6,
+1985), whose rounds of disjoint pairs are rotated by one set of array
+operations each.  A round rotates only its active pairs, those not yet
+orthogonal to roundoff: it computes the rotations over all its pairs,
+gathers the active rows once, rotates them in place and scatters them back
+once, since its cost is mostly its count of NumPy calls.  A complex pair is
+rotated by the Hermitian 2 x 2 rotation that takes out the phase of its
+inner product, so complex input needs no real embedding.  One pass over
+|A| rejects non-finite input and sets the power-of-two shift.  The fits
+read only V and the singular values, so the left vectors are built on first
+access, from a Householder QR of A V.
 
 The sweeps end after a sweep that left a pair unrotated, once one Gram
 matrix of the rotated columns, with the bits of the rounds' inner products,
@@ -30,14 +33,18 @@ shows no active pair.
 A fit step reads only a ``SmallestVector``: its smallest right vector,
 sigma_min, a lower bound on sigma_{m-1} and a scale, whose ``degenerate``
 rule says whether the vector is determined.  One call,
-``smallest_right_vector``, solves every fit step, from one QR of a tall
+``smallest_right_vector``, solves every fit step.  A wide step's record
+comes from the complete QR of A^H alone, whose trailing columns span A's
+null space: the one the kernel would pick, with its bits, and
+``gap_bound``'s lower bound read from R's last singular value, 0 for a
+null space of dimension two or more.  A tall step's comes from one QR,
 A = QR.  It forms X = R^{-1} once, takes the dominant eigenvector of
 Z = X X^H = (R^H R)^{-1} from one LAPACK Hermitian eigensolve and one
 product with Z, and keeps the result only if its record, with
 ``gap_bound``'s lower bound on sigma_{m-1}, read from R's own singular
 values net of their rounding, is not degenerate.  The eigensolve needs no
-start vector.  The Jacobi kernel is the fallback: a step it does not
-certify and a wide step run it to full convergence as
+start vector.  The Jacobi kernel is the fallback: a tall step the
+eigensolve does not certify runs it to full convergence as
 ``svd_real``/``svd_complex`` run it, so such a record is theirs,
 ``smallest()``, bit for bit.  A modified Lawson fit factors its first
 system once (``WeightedQR``), and solves each later step's, its rows
@@ -48,7 +55,7 @@ that certificate does not hold for is factored on its own.
 A warm step's cost is its LAPACK work, not NumPy's wrappers around it.
 Its QR, R^{-1}, eigensolve and bound are made by LAPACK routines called as
 directly as NumPy allows (``?geqrf`` in place through ``lapack_lite``, and
-the route's Q0 by ``?orgqr`` after it, the two routines taken from it;
+the route's Q0 by ``?orgqr`` after it (``_qr``), the routines taken from it;
 ``?gesv`` against the identity, ``?syevd``/``?heevd``, the values-only
 ``?gesdd`` and the route's ``?potrf`` through the gufuncs that
 ``np.linalg.inv``, ``np.linalg.eigh``, ``np.linalg.svd`` and
@@ -106,12 +113,15 @@ class SmallestVector:
     ``rotations``; the eigensolve (``_eigensolve``) records ||A v|| >=
     sigma_m, ``gap_bound``'s l <= sigma_{m-1}, R's computed sigma_{m-1} net
     of its rounding, and ||R||_F >= sigma_max, to which ``WeightedQR.solve``
-    applies the route's terms on its triangle.
-    ``smallest_right_vector`` returns a warm record only where it is not
-    ``degenerate``, and the kernel's otherwise.  A kernel record counts
-    at least one sweep, a one-column run's too, and a warm record none, so
-    ``sweeps == 0`` marks the warm records; ``route`` is True on the
-    route's.
+    applies the route's terms on its triangle; a wide system's record
+    (``_wide_record``) is read from the QR of A^H alone, with ``gap_bound``'s
+    l and ||R||_F too.  ``smallest_right_vector`` returns a tall system's
+    eigensolve record only where it is not ``degenerate``, and the kernel's
+    otherwise.  A kernel record counts at least one sweep, a one-column
+    run's too, and every other record none, so ``sweeps == 0`` marks the
+    records the kernel did not make; ``route`` is True on the route's, and
+    ``terms`` holds the route's h + t (``WeightedQR``), by which its
+    triangle differs from one of A's, and 0 on every other record.
     """
 
     vector: np.ndarray
@@ -121,6 +131,7 @@ class SmallestVector:
     sweeps: int = 0
     rotations: int = 0
     route: bool = False
+    terms: float = 0.0
 
     @property
     def degenerate(self):
@@ -130,14 +141,12 @@ class SmallestVector:
 
     @property
     def wedin(self):
-        """eps scale / (lower - sigma_min), which bounds the angle by which
-        rounding of order eps ||A|| moves the vector (Wedin); inf where
-        degenerate.  That covers a record from a QR of A itself, the
-        kernel's or the eigensolve's.  A route record's triangle differs
-        from one of A's by the route's terms too, h and t of ``WeightedQR``,
-        which can move its vector by up to (h + t) / (lower - sigma_min)
-        more."""
-        return math.inf if self.degenerate else EPS * self.scale / (self.lower - self.sigma_min)
+        """(eps scale + terms) / (lower - sigma_min), which bounds the angle
+        by which rounding of order eps ||A||, and a route triangle's terms,
+        move the vector (Wedin); inf where degenerate."""
+        if self.degenerate:
+            return math.inf
+        return (EPS * self.scale + self.terms) / (self.lower - self.sigma_min)
 
 
 @dataclass(frozen=True)
@@ -442,9 +451,11 @@ def _pivoted_r(T):
     R = np.array(T)
     k = R.shape[1]
     p = np.arange(k)
+    # the conjugates of real input would be copies with the same bits
+    conj = np.conj if R.dtype.kind == "c" else lambda x: x
     for j in range(k - 1):
         B = R[j:, j:]
-        norms = np.einsum("ij,ij->j", B.conj(), B).real
+        norms = np.einsum("ij,ij->j", conj(B), B).real
         i = int(norms.argmax())
         if norms[i] == 0.0:
             break
@@ -452,9 +463,29 @@ def _pivoted_r(T):
             R[:, [j, j + i]] = R[:, [j + i, j]]
             p[[j, j + i]] = p[[j + i, j]]
         v = _reflector(B[:, 0], math.sqrt(norms[i]))
-        B -= np.outer(v, v.conj() @ B)
+        # np.outer's product, without its wrapper
+        B -= v[:, None] * (conj(v) @ B)
         B[1:, 0] = 0.0
     return R, p
+
+
+def _qr(A):
+    """``(Q, R)``, the factors of ``np.linalg.qr(A)`` for a tall or square
+    A, real or complex, bit for bit: ``_geqrf`` and then LAPACK's
+    ``?orgqr``/``?ungqr`` in place on its one copy of A, through NumPy's own
+    binding, which run the routines that ``np.linalg.qr`` runs with the same
+    workspaces, on copies of its own.  R is read as ``_r_factor`` reads it,
+    and Q is the copy itself, in the Fortran order LAPACK leaves it in, where
+    ``np.linalg.qr``'s is C-ordered."""
+    n, p = A.shape
+    F, tau = _geqrf(A)
+    R = _triu(F[:, :p].T)
+    orgqr = lapack_lite.zungqr if F.dtype.kind == "c" else lapack_lite.dorgqr
+    lwork = _GEQRF_BLOCK * p
+    info = orgqr(n, p, p, F, n, tau, np.empty(lwork, dtype=F.dtype), lwork, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK orgqr failed with info = {info}")
+    return F.T, R
 
 
 def _preconditioned(T):
@@ -462,13 +493,15 @@ def _preconditioned(T):
 
     With ``T P = Q2 R2`` and ``R2^H = Q3 R3``, ``T P Q3 = Q2 R3^H``, so the
     right vectors of T are ``P Q3 W`` for the rotations W that orthogonalise
-    the columns of R3^H.  Returns ``(V, sweeps, rotations)``.
+    the columns of R3^H.  The LQ step is ``_qr``'s, and Q3 is copied to the
+    C order of ``np.linalg.qr``'s Q, since the bits of ``Q3 W`` depend on
+    Q3's layout.  Returns ``(V, sweeps, rotations)``.
     """
     R2, p = _pivoted_r(T)
-    Q3, R3 = np.linalg.qr(R2.conj().T)
+    Q3, R3 = _qr(R2.conj().T if R2.dtype.kind == "c" else R2.T)
     W, sweeps, rotations = _jacobi_orthogonalize(R3.conj().T)
     V = np.empty_like(W)
-    V[p] = Q3 @ W
+    V[p] = np.ascontiguousarray(Q3) @ W
     return V, sweeps, rotations
 
 
@@ -478,29 +511,40 @@ def check_matrix(A):
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
 
 
-def _svd(A):
-    """The thin SVD of a float or complex A: ``svd_real`` and
-    ``svd_complex`` after their cast, and a fit step's fallback."""
-    check_matrix(A)
+def _in_range(A):
+    """``(A 2^-shift, shift)`` for a finite A, non-finite input rejected.
+    Column inner products overflow above ~1e154 and lose their precision
+    below ~1e-154, so a matrix far out of range is brought near 1 by an
+    exact power of two; one in range is left untouched, with a shift of 0."""
     # NaN and inf propagate through the largest modulus, which also sets the
-    # shift below
+    # shift
     amax = np.max(np.abs(A))
     if not np.isfinite(amax):
         raise InvalidInputError("matrix contains non-finite entries")
-    n, m = A.shape
-    # column inner products overflow above ~1e154 and lose their precision
-    # below ~1e-154, so a matrix far out of range is brought near 1 by an
-    # exact power of two; one in range is left untouched
     _, e = np.frexp(amax)
     shift = int(e) if abs(e) > 256 else 0
-    if shift:
-        A = _ldexp(A, -shift)
+    return (_ldexp(A, -shift) if shift else A), shift
+
+
+def _wide_qr(A):
+    """``(Q, R)`` of A^H = QR, complete, for a wide n x p A: A = [R_n^H 0]
+    Q^H, R_n the leading n rows of R, so the trailing p - n columns of Q
+    span the null space of A."""
+    return np.linalg.qr(A.conj().T, mode="complete")
+
+
+def _svd(A):
+    """The thin SVD of a float or complex A: ``svd_real`` and
+    ``svd_complex`` after their cast, and a tall fit step's fallback."""
+    check_matrix(A)
+    A, shift = _in_range(A)
+    n, m = A.shape
     if n >= m:
         V, sweeps, rotations = _preconditioned(_r_factor(A))
     else:
-        # A = [R^H 0] Q^H from A^H = QR: rotating the square R^H keeps the
-        # null space of A, Q's trailing columns, out of the sweeps
-        Q, R = np.linalg.qr(A.conj().T, mode="complete")
+        # rotating the square R_n^H keeps the null space of A, Q's trailing
+        # columns, out of the sweeps
+        Q, R = _wide_qr(A)
         W, sweeps, rotations = _preconditioned(R[:n].conj().T)
         V = np.hstack([Q[:, :n] @ W, Q[:, n:]])
     # rotations let the norms of V's columns drift by a few ulps; normalise
@@ -533,13 +577,17 @@ def svd_complex(A):
     return _svd(number_array(A, "matrix", complex))
 
 
-def gap_bound(R):
-    """``(lower, ||R||_F)``: a lower bound on sigma_{m-1} of the m x m
-    triangle R, s - 4 max(m, 4) eps ||R||_F for s LAPACK's computed
-    sigma_{m-1}(R), and 0 where that is negative or not finite, inf for one
-    column; and R's norm, which a warm step's record reads as its scale,
-    formed once.  It runs under its own ``np.errstate``, which ignores
-    floating-point warnings.
+def gap_bound(R, p=None):
+    """``(lower, ||R||_F)``: a lower bound on sigma_{p-1} of a p-column
+    system whose singular values are those of the m x m triangle R and,
+    for p > m, p - m zeros, s - 4 max(m, 4) eps ||R||_F for s LAPACK's
+    computed sigma_{p-1}(R), and 0 where that is negative or not finite, inf
+    for one column; and R's norm, which a warm step's record reads as its
+    scale, formed once.  p is m by default, the R of a tall system A = QR;
+    the R_n of a wide one, A = [R_n^H 0] Q^H, has p = m + 1 for a null space
+    of dimension one, where s is R's last singular value, and p > m + 1
+    otherwise, where sigma_{p-1} = 0 exactly, and so is the bound.  It runs
+    under its own ``np.errstate``, which ignores floating-point warnings.
 
     s comes from ``?gesdd`` without vectors, by the gufunc that
     ``np.linalg.svd(R, compute_uv=False)`` wraps, called as
@@ -571,11 +619,14 @@ def gap_bound(R):
     kernel's record shares, is A's backward error and is left out.
     """
     m = R.shape[1]
+    p = m if p is None else p
     with np.errstate(all="ignore"):
         scale = float(_norm(R))
-        if m == 1:
+        if p == 1:
             return math.inf, scale
-        s = _umath_linalg.svd(R, signature="D->d" if R.dtype.kind == "c" else "d->d")[-2]
+        if p > m + 1:
+            return 0.0, scale
+        s = _umath_linalg.svd(R, signature="D->d" if R.dtype.kind == "c" else "d->d")[p - 2]
         ell = float(s - 4 * max(m, 4) * EPS * scale)
     return max(0.0, ell), scale
 
@@ -622,6 +673,38 @@ def _eigensolve(A, R):
     return None if solve.degenerate else solve
 
 
+def _wide_record(A):
+    """The record of a wide n x p A from the complete QR of A^H alone
+    (``_wide_qr``), with no sweeps.
+
+    A's null space is spanned by Q's trailing p - n columns, which the
+    kernel, ``_svd``, leaves out of its sweeps and appends to its rotated
+    columns; its ``smallest()`` vector is the trailing column q_j of least
+    computed ||A q_j||, the last of equals, wherever the rotated columns'
+    norms, about sigma_1 ... sigma_n, lie above it, as they do for a full
+    row rank A.  That column is taken here, with its bits: Q is normalized
+    and multiplied by A whole, where the kernel's V holds Q_n W in place of
+    Q's leading n columns, Q_n, since a column of a product or of its norms
+    keeps its bits only in the same place of the same shape.  sigma_min is
+    its ||A q_j||; ``lower`` and ``scale`` are ``gap_bound(R_n, p)``'s:
+    sigma_{p-1}(A) is R_n's last singular value net of its rounding for a
+    null space of dimension one, and 0 for a larger one, whose vector is not
+    determined.  The fields are those of A 2^-shift (``_in_range``), scaled
+    back, so a system far out of range keeps a finite record; non-finite
+    input is rejected."""
+    A, shift = _in_range(A)
+    n, p = A.shape
+    Q, R = _wide_qr(A)
+    V = Q / np.linalg.norm(Q, axis=0)
+    norms = np.linalg.norm(A @ V, axis=0)[n:]
+    j = int(np.argsort(-norms, kind="stable")[-1])
+    v = V[:, n + j]
+    lower, scale = gap_bound(R[:n], p)
+    with np.errstate(over="ignore"):
+        return SmallestVector(v * _entry_phase(v), float(np.ldexp(norms[j], shift)),
+                              float(np.ldexp(lower, shift)), float(np.ldexp(scale, shift)))
+
+
 def _gamma(k):
     """gamma_k = k u / (1 - k u), u = eps / 2: Higham's bound on k
     successive roundings."""
@@ -633,12 +716,9 @@ class WeightedQR:
     which the row-weighted systems A = D B0, D = diag(sqrt(mu)), of its later
     steps are solved without a QR of their own: the route.
 
-    Q0 and R0 come from one copy of B0: ``_geqrf`` factors it in place, R0
-    is read from it as ``_r_factor`` reads its R, and LAPACK's ``?orgqr``,
-    through NumPy's own binding, then overwrites it with Q0, in the Fortran
-    order the route reads.  Both have the bits of ``np.linalg.qr(B0)``'s
-    factors, which runs the same two routines with the same workspaces on
-    copies of its own, and the fit's first step reads R0 as its R.  For a
+    Q0 and R0 come from one copy of B0 (``_qr``), Q0 in the Fortran order
+    the route reads.  Both have the bits of ``np.linalg.qr(B0)``'s factors,
+    and the fit's first step reads R0 as its R.  For a
     later step, G = D Q0 = Q_G R_G, with R_G^T R_G = G^T G, gives
     A = Q_G (R_G R0): R = R_G R0 is a triangle of A, from one n x p Gram
     product (BLAS-3), one p x p Cholesky and one triangular product, where
@@ -693,14 +773,7 @@ class WeightedQR:
     """
 
     def __init__(self, B):
-        n, p = B.shape
-        F, tau = _geqrf(B)
-        self.R = _triu(F[:, :p].T)
-        lwork = _GEQRF_BLOCK * p
-        info = lapack_lite.dorgqr(n, p, p, F, n, tau, np.empty(lwork), lwork, 0)["info"]
-        if info:
-            raise np.linalg.LinAlgError(f"LAPACK orgqr failed with info = {info}")
-        self.Q = F.T
+        self.Q, self.R = _qr(B)
         self._G, self._S = np.empty_like(self.Q), np.empty((self.R.shape[0],) * 2)
         # the residual B0 - Q0 R0 is formed in G's buffer
         E = np.subtract(B, np.matmul(self.Q, self.R, out=self._G), out=self._G)
@@ -743,20 +816,24 @@ class WeightedQR:
         f = delta / (s * s - delta)
         solve = SmallestVector(own.vector, own.sigma_min,
                                (own.lower - t) / math.sqrt(1.0 + f) - h,
-                               (own.scale + t) / math.sqrt(1.0 - f) + h, route=True)
+                               (own.scale + t) / math.sqrt(1.0 - f) + h, route=True,
+                               terms=h + t)
         return None if solve.degenerate else solve
 
 
 def smallest_right_vector(A, qr=None, weights=None):
     """The ``SmallestVector`` of a fit step's system A, never None.
 
-    A tall A is factored, A = QR, by ``_r_factor``: LAPACK's ``?geqrf`` in
-    place on one Fortran-ordered copy, so A is left as it is for the
-    eigensolve's ``A v`` to read.  The eigensolve on R (``_eigensolve``)
-    gives the record where it is certified.  Otherwise, and for a wide A,
-    the Jacobi kernel runs to full convergence as ``svd_real`` and
-    ``svd_complex`` run it, by ``_svd(A)``, which factors a tall A itself:
-    the record is ``svd_real(A).smallest()`` or ``svd_complex(A).smallest()``
+    A wide A's record is ``_wide_record``'s, from the complete QR of A^H
+    alone, with no sweeps: for a full row rank A its vector is
+    ``svd_real(A).smallest()``'s or ``svd_complex(A).smallest()``'s bit for
+    bit.  A tall A is factored, A = QR, by ``_r_factor``: LAPACK's
+    ``?geqrf`` in place on one Fortran-ordered copy, so A is left as it is
+    for the eigensolve's ``A v`` to read.  The eigensolve on R
+    (``_eigensolve``) gives the record where it is certified.  Otherwise the
+    Jacobi kernel runs to full convergence as ``svd_real`` and
+    ``svd_complex`` run it, by ``_svd(A)``, which factors A itself: the
+    record is ``svd_real(A).smallest()`` or ``svd_complex(A).smallest()``
     bit for bit, and reads ``sweeps > 0``.  The vector is in the kernel's
     phase (``_vector_phase``), complex for a complex A.
 
@@ -771,6 +848,7 @@ def smallest_right_vector(A, qr=None, weights=None):
         if route is not None:
             return route
         qr = None
-    R = qr.R if qr is not None else _r_factor(A) if A.shape[0] >= A.shape[1] else None
-    warm = None if R is None else _eigensolve(A, R)
+    if A.shape[0] < A.shape[1]:
+        return _wide_record(A)
+    warm = _eigensolve(A, qr.R if qr is not None else _r_factor(A))
     return _svd(A).smallest() if warm is None else warm

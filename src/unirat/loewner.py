@@ -269,11 +269,11 @@ def bhat(nodes):
 
 def min_singular_pair(bhat_matrix):
     """(alpha, beta) from the smallest right singular vector of Bhat, as a
-    modified Lawson step takes them (``expanded_coefficients``): the
-    eigensolve's vector where it is certified, else the kernel's.  They
-    satisfy alpha_j = conj(beta_j) and minimize ||[M | -S_F M]
-    [alpha; beta]||_2; alpha, which the step leaves unformed, is formed
-    here."""
+    modified Lawson step takes them (``expanded_coefficients``): for a tall
+    Bhat the eigensolve's vector where it is certified, else the kernel's,
+    and for a wide one the vector of its QR alone.  They satisfy
+    alpha_j = conj(beta_j) and minimize ||[M | -S_F M] [alpha; beta]||_2;
+    alpha, which the step leaves unformed, is formed here."""
     B = number_array(bhat_matrix, "Bhat")
     check_matrix(B)
     if B.shape[1] % 2 != 0:

@@ -97,17 +97,27 @@ class TestFit:
         assert np.all(np.diff(m) == 1)
         assert cols["max_error"][-1] <= 1e-12
 
-    def test_degenerate_column_reads_the_svds(self, tmp_path):
+    def test_degenerate_column_reads_the_svds(self, tmp_path, monkeypatch):
         # 9 support nodes resolve exp(ix) on [-3, 3] to roundoff, so from the
         # tenth greedy iteration on, and in every Lawson step, the two
-        # smallest singular values both sit at roundoff.  A step's flag comes
-        # from the kernel, or is False where the eigensolve certified its
-        # vector
+        # smallest singular values both sit at roundoff.  Each step's flag
+        # is the one the Jacobi kernel's SVD of the step's system gives: on
+        # the tall degenerate step 10, whose record is the kernel's, and on
+        # the wide steps 11-14, whose records come from the QR of A^H alone
+        loewner = importlib.import_module("unirat.loewner")
+        systems = []
+
+        def record(A, *args, solve=loewner.smallest_right_vector):
+            systems.append(A.copy())
+            return solve(A, *args)
+        monkeypatch.setattr(loewner, "smallest_right_vector", record)
         _, trace = aaa_fit(np.linspace(-3, 3, 21), AaaConfig(m_max=11, tol=0.0, n_lawson=3))
+        monkeypatch.undo()
         steps = trace.iterations + trace.lawson.steps
         flags = [st.degenerate for st in steps]
         assert flags == [False] * 9 + [True] * 5
-        assert all(st.solve.sweeps for st in steps if st.degenerate)
+        assert flags == [linalg.svd_real(A).smallest().degenerate for A in systems]
+        assert [A.shape[0] < A.shape[1] for A in systems] == [False] * 10 + [True] * 4
         assert main(["fit", "--interval", "-3", "3", "--n-test", "21", "--m-max", "11",
                      "--tol", "0", "--lawson", "3", "--out", str(tmp_path)]) == 0
         _, cols = read_csv(tmp_path / "trace.csv")
@@ -115,25 +125,23 @@ class TestFit:
         assert cols["sigma_min"].tolist() == [st.sigma_min for st in steps]
         assert cols["degenerate"][9:].tolist() == [1.0] * 5
 
-    def test_zeroed_weights_pole_exit_1(self, tmp_path, monkeypatch, capsys):
-        # one test node is left after 2 greedy iterations, so each step's
-        # system is 3 x 4, wide: every step runs the kernel.  The exact fit at
-        # step 1 zeroes weights, and step 10's vector has a pole at a test
-        # node.  Only the Lawson steps' 4-column systems are recorded
-        loewner = importlib.import_module("unirat.loewner")
-        warm = []
-
-        def record(A, *args, solve=loewner.smallest_right_vector):
-            out = solve(A, *args)
-            if A.shape[1] == 4:
-                warm.append(out)
-            return out
-        monkeypatch.setattr(loewner, "smallest_right_vector", record)
-        rc = main(["fit", "--interval", "-3", "3", "--n-test", "3", "--m-max", "2",
-                   "--tol", "0", "--lawson", "10", "--out", str(tmp_path)])
+    def test_zeroed_weights_pole_exit_1(self, tmp_path, capsys):
+        # one test node is left after 2 greedy iterations, so each Lawson
+        # step's system is 3 x 4, wide.  Step 10's vector has a pole at a
+        # test node: the fit exits 1, and trace.csv holds the 11 steps that
+        # ran before it, 2 greedy iterations and 9 Lawson steps, each
+        # determined, the rows a fit stopped after step 9 writes
+        args = ["fit", "--interval", "-3", "3", "--n-test", "3", "--m-max", "2", "--tol", "0"]
+        rc = main(args + ["--lawson", "10", "--out", str(tmp_path / "failed")])
         assert rc == 1
         assert "Lawson step 10" in capsys.readouterr().err
-        assert len(warm) == 10 and all(out.sweeps > 0 for out in warm)
+        assert os.listdir(tmp_path / "failed") == ["trace.csv"]
+        _, failed = read_csv(tmp_path / "failed" / "trace.csv")
+        assert failed["m"].tolist() == list(range(1, 12))
+        assert failed["degenerate"].tolist() == [0.0] * 11
+        assert main(args + ["--lawson", "9", "--out", str(tmp_path / "nine")]) == 0
+        assert ((tmp_path / "failed" / "trace.csv").read_text()
+                == (tmp_path / "nine" / "trace.csv").read_text())
 
     def test_undetermined_lawson_exit_2(self, tmp_path, capsys):
         # 2 test nodes are left after 4 greedy iterations, too few for the

@@ -179,18 +179,25 @@ class TestLawsonFit:
         assert len(trace.steps) == 1 and trace.stop_reason == "exact"
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
-    @pytest.mark.parametrize("y", [[0.0, 1.0], [0.3, 1.1, 2.7]])
-    def test_pole_at_test_node_is_numerical_failure(self, monkeypatch, variant, y):
+    @pytest.mark.parametrize("y, kept", [([0.0, 1.0], 1.0), ([0.3, 1.1, 2.7], 0.0)],
+                             ids=["y0", "y1"])
+    def test_pole_at_test_node_is_numerical_failure(self, monkeypatch, variant, y, kept):
         # weights that vanish on every test node leave step 2 with only the
-        # support rows, a system with an m-dimensional null space, and the
-        # chosen vector has a zero beta_j: a pole at the node y_j
+        # support rows, a system with an m-dimensional null space, and with
+        # y0 the chosen vector has a zero beta_j: a pole at the node y_j.
+        # Weights that vanish on the support nodes too leave a zero system,
+        # all of whose vectors are null vectors; the chosen one, the last
+        # column of the identity that the QR of the zero A^H gives, has
+        # alpha_1 = beta_1 = 0, which reads 0/0 at the node y_1
         x = [4.0, 5.0][:len(y) - 1]
         monkeypatch.setattr("unirat.lawson.lawson_weight_update",
-                            lambda mu, eps: np.where(np.arange(mu.size) < len(x), 0.0, 1.0))
+                            lambda mu, eps: np.where(np.arange(mu.size) < len(x), 0.0, kept))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailureError, match="Lawson step 2: .* not finite"):
+            with pytest.raises(NumericalFailureError, match="Lawson step 2: .* not finite") as err:
                 lawson_fit(x, y, LawsonConfig(n_lawson=3, variant=variant))
+        # the failure carries the one step that ran before it
+        assert len(err.value.steps) == 1
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     def test_undetermined_systems_rejected(self, variant):

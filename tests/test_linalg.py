@@ -504,6 +504,88 @@ class TestPivotedQr:
         assert np.allclose(np.abs(np.diag(R)), [3.0, 2.0, 1.0], rtol=8 * EPS, atol=0)
 
 
+def reference_pivoted_r(T):
+    """``_pivoted_r`` as it was before it dropped its no-op work on real
+    input, the conjugate copies and ``np.outer``'s wrapper."""
+    R = np.array(T)
+    k = R.shape[1]
+    p = np.arange(k)
+    for j in range(k - 1):
+        B = R[j:, j:]
+        norms = np.einsum("ij,ij->j", B.conj(), B).real
+        i = int(norms.argmax())
+        if norms[i] == 0.0:
+            break
+        if i:
+            R[:, [j, j + i]] = R[:, [j + i, j]]
+            p[[j, j + i]] = p[[j + i, j]]
+        v = linalg._reflector(B[:, 0], math.sqrt(norms[i]))
+        B -= np.outer(v, v.conj() @ B)
+        B[1:, 0] = 0.0
+    return R, p
+
+
+def reference_preconditioned(T):
+    """``_preconditioned`` with its LQ step from ``np.linalg.qr``."""
+    R2, p = _pivoted_r(T)
+    Q3, R3 = np.linalg.qr(R2.conj().T)
+    W, sweeps, rotations = _jacobi_orthogonalize(R3.conj().T)
+    V = np.empty_like(W)
+    V[p] = Q3 @ W
+    return V, sweeps, rotations
+
+
+def square_triangle(A):
+    """The square triangle that ``_svd`` preconditions for A: R of A = QR
+    for a tall A, R_n^H of A^H = QR for a wide n-row one."""
+    n, m = A.shape
+    return linalg._r_factor(A) if n >= m else np.linalg.qr(A.conj().T)[1].conj().T
+
+
+class TestPreconditionerBits:
+    """The pivoted QR and the LQ step keep the bits of their NumPy forms."""
+
+    @pytest.mark.parametrize("name", list(pivoted_cases()))
+    def test_pivoted_r_cases(self, name):
+        T = pivoted_cases()[name]
+        R, p = _pivoted_r(T)
+        R0, p0 = reference_pivoted_r(T)
+        assert same_bits(R, R0) and same_bits(p, p0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graded_matrices())
+    def test_pivoted_r_of_triangles(self, A):
+        T = square_triangle(A)
+        R, p = _pivoted_r(T)
+        R0, p0 = reference_pivoted_r(T)
+        assert same_bits(R, R0) and same_bits(p, p0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (12, 7), (40, 30)])
+    def test_qr_factors(self, dtype, order, shape):
+        # both factors of np.linalg.qr bit for bit, Q in the Fortran order of
+        # LAPACK's buffer, whose C-ordered copy is np.linalg.qr's Q, layout
+        # included; the input is left as it was
+        A = np.asarray(gaussian_matrix(np.random.default_rng(139), shape, dtype), order=order)
+        before = A.copy(order="K")
+        Q, R = linalg._qr(A)
+        Q0, R0 = np.linalg.qr(A)
+        assert Q.flags.f_contiguous
+        assert same_bits(np.ascontiguousarray(Q), Q0) and same_bits(R, R0)
+        assert same_bits(A, before)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graded_matrices())
+    def test_preconditioned(self, A):
+        # V, its sweeps and its rotations, with the LQ step from _qr, are
+        # those of the LQ step from np.linalg.qr
+        T = square_triangle(A)
+        V, sweeps, rotations = linalg._preconditioned(T)
+        V0, sweeps0, rotations0 = reference_preconditioned(T)
+        assert same_bits(V, V0) and (sweeps, rotations) == (sweeps0, rotations0)
+
+
 def gaussian_matrix(rng, shape, dtype):
     """A standard normal real or complex matrix."""
     X = rng.standard_normal(shape)
@@ -840,9 +922,9 @@ def spectrum_matrix(rng, n, sigma, dtype):
 
 def record_warm_steps(monkeypatch, kernel=False):
     """Record ``(A, result)`` for every fit step, with a copy of A, since a
-    fit refills its systems in place; the result is the eigensolve's record,
-    the route's included, or None where the step ran the kernel, unless
-    ``kernel``, which keeps the kernel's records too."""
+    fit refills its systems in place; the result is the step's record, the
+    eigensolve's, the route's or a wide system's, or None where the step ran
+    the kernel, unless ``kernel``, which keeps the kernel's records too."""
     loewner = importlib.import_module("unirat.loewner")
     calls = []
 
@@ -928,8 +1010,7 @@ class TestInverseIteration:
         # a step that the kernel serves reads svd_real(A).smallest() or
         # svd_complex(A).smallest() bit for bit: with the eigensolve refusing
         # every step, 8 tall AAA steps and 3 tall Lawson steps, of which the
-        # modified fit's steps 2 and 3 try the route and are refused; and
-        # the 3 wide steps of a Lawson fit with too few test nodes
+        # modified fit's steps 2 and 3 try the route and are refused
         monkeypatch.setattr(linalg, "_eigensolve", lambda A, R: None)
         refused = []
 
@@ -941,15 +1022,20 @@ class TestInverseIteration:
         aaa_fit(np.linspace(-3, 3, 40), AaaConfig(m_max=8, tol=0.0, variant=variant, n_lawson=3))
         assert [A.shape[0] > A.shape[1] for A, _ in tall] == [True] * 11
         assert refused == ([None] * 2 if variant == "modified" else [])
+        svd = svd_real if variant == "modified" else svd_complex
+        for A, out in tall:
+            assert out.sweeps > 0
+            assert record_bits(out) == record_bits(svd(A).smallest())
+        # the 3 wide steps of a Lawson fit with too few test nodes, each of
+        # full row rank, are solved from the QR of A^H alone and read the
+        # kernel's vector bit for bit
         monkeypatch.undo()
         wide = record_warm_steps(monkeypatch, kernel=True)
         lawson.lawson_fit([4.0, 5.0, 6.0], [0.3, 1.1, 2.7, 3.5],
                           lawson.LawsonConfig(n_lawson=3, variant=variant))
-        assert [A.shape[0] < A.shape[1] for A, _ in wide] == [True] * 3
-        svd = svd_real if variant == "modified" else svd_complex
-        for A, out in tall + wide:
-            assert out.sweeps > 0
-            assert record_bits(out) == record_bits(svd(A).smallest())
+        assert [A.shape for A, _ in wide] == [(7, 8)] * 3
+        for A, out in wide:
+            assert_kernel_result(A, out)
 
     def test_figure_fit_records(self, figure_fits):
         # the kernel serves no step: every record is the eigensolve's, 79 on
@@ -1002,10 +1088,12 @@ class TestInverseIteration:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_uncertified_systems(self, dtype):
-        # a wide system, and a double smallest singular value
+        # a double smallest singular value is not certified and runs the
+        # kernel; a wide system of full row rank needs no eigensolve, and
+        # its record, from the QR of A^H alone, holds the kernel's result
         rng = np.random.default_rng(89)
         wide = spectrum_matrix(rng, 8, np.ones(7), dtype).T
-        assert linalg.smallest_right_vector(wide).sweeps > 0
+        assert_kernel_result(wide, linalg.smallest_right_vector(wide))
         double = spectrum_matrix(rng, 20, np.array([1.0] * 6 + [1e-3] * 2), dtype)
         assert linalg.smallest_right_vector(double).sweeps > 0
 
@@ -1130,12 +1218,13 @@ class TestInverseIteration:
 
     @pytest.mark.parametrize("variant", ["modified", "original"])
     @pytest.mark.parametrize("wide", [True, False], ids=["wide", "degenerate"])
-    def test_lawson_cold_steps(self, variant, wide):
-        # m - 1 test nodes leave each step's system one row short of square;
-        # with 11 support nodes on 41 nodes of [-3, 3] the systems are tall,
-        # and their two smallest singular values both sit at roundoff.
-        # Neither is certified: every step runs the kernel, whose flags the
-        # trace records
+    def test_lawson_cold_steps(self, monkeypatch, variant, wide):
+        # m - 1 test nodes leave each step's system one row short of square,
+        # of full row rank: the QR of A^H alone solves it, with the kernel's
+        # result.  With 11 support nodes on 41 nodes of [-3, 3] the systems
+        # are tall, and their two smallest singular values both sit at
+        # roundoff: no step is certified, and every step runs the kernel,
+        # whose flags the trace records
         if wide:
             x, y = [4.0, 5.0, 6.0], [0.3, 1.1, 2.7, 3.5]
         else:
@@ -1143,11 +1232,72 @@ class TestInverseIteration:
             y = aaa_fit(grid, AaaConfig(m_max=11, tol=0.0, variant=variant))[0].support
             x = grid[~np.isin(grid, y)]
         assert (len(x) + len(y) < 2 * len(y)) == wide
+        calls = record_warm_steps(monkeypatch, kernel=True)
         _, trace = lawson.lawson_fit(x, y, lawson.LawsonConfig(n_lawson=3, variant=variant))
-        solves = [st.solve for st in trace.steps]
-        assert all(s.sweeps > 0 for s in solves) and len(solves) == 3
-        flags = [st.degenerate for st in trace.steps]
-        assert wide or flags == [True] * 3
+        assert [out for _, out in calls] == [st.solve for st in trace.steps]
+        assert len(calls) == 3
+        if wide:
+            for A, out in calls:
+                assert_kernel_result(A, out)
+        else:
+            assert all(st.solve.sweeps > 0 and st.degenerate for st in trace.steps)
+
+
+@st.composite
+def wide_systems(draw):
+    """``(A, full)``: a wide n x p matrix, p <= 12, real or complex, scaled
+    by 1, 1e-200 or 1e200, of full row rank or of a rank below n (0 for
+    the zero matrix), and whether its rank is full."""
+    n = draw(st.integers(1, 11))
+    p = draw(st.integers(n + 1, 12))
+    rank = draw(st.integers(0, n))
+    dtype = complex if draw(st.booleans()) else float
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rank == n:
+        A = gaussian_matrix(rng, (n, p), dtype)
+    else:
+        A = gaussian_matrix(rng, (n, rank), dtype) @ gaussian_matrix(rng, (rank, p), dtype)
+    return scale * A, rank == n
+
+
+class TestWideRecords:
+    """A wide system's record comes from the complete QR of A^H alone."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(wide_systems())
+    def test_drawn_systems(self, case):
+        # every record is finite, with a unit null vector and a lower bound
+        # at most the kernel's sigma_{p-1}; where the rank is full it holds
+        # the kernel's result, and it is determined only for a null space
+        # of dimension one; where it is not, the record is degenerate
+        A, full = case
+        n, p = A.shape
+        out = linalg.smallest_right_vector(A)
+        kernel = (svd_complex if np.iscomplexobj(A) else svd_real)(A).smallest()
+        assert (out.sweeps, out.rotations, out.route, out.terms) == (0, 0, False, 0.0)
+        assert all(math.isfinite(x) for x in (out.sigma_min, out.lower, out.scale))
+        assert abs(np.linalg.norm(out.vector) - 1.0) <= 4 * p * EPS
+        assert out.lower <= kernel.lower
+        assert out.sigma_min <= 8 * EPS * out.scale
+        if full:
+            assert_kernel_result(A, out)
+            assert out.degenerate == (p > n + 1)
+        else:
+            assert out.degenerate
+
+
+def assert_kernel_result(A, out):
+    """That the record of a wide system A of full row rank, from the QR of
+    A^H alone, holds the kernel's result: the vector of ``svd_real`` or
+    ``svd_complex``'s ``smallest()`` bit for bit, a lower bound at most the
+    kernel's sigma_{p-1}, and sigma_min within 8 eps ``scale`` of the
+    kernel's, with no sweeps."""
+    kernel = (svd_complex if np.iscomplexobj(A) else svd_real)(A).smallest()
+    assert A.shape[0] < A.shape[1] and out.sweeps == 0
+    assert same_bits(out.vector, kernel.vector)
+    assert out.lower <= kernel.lower
+    assert abs(out.sigma_min - kernel.sigma_min) <= 8 * EPS * out.scale
 
 
 def record_bits(solve):
@@ -1346,16 +1496,38 @@ def test_random_fit_audit():
     # certifies and rejects the same steps
     counts, again, certified = audit_records()
     assert again == counts
-    # 19 fits complete, with 272 certified warm steps (11 of them modified
-    # Lawson steps by the route, which refuses 2) and 52 uncertified ones,
-    # under one and two OpenBLAS 0.3.31 threads; the bounds only keep the
-    # checks below from passing on few steps
+    # 19 fits complete, with 273 records the kernel did not make (11 of
+    # them modified Lawson steps by the route, which refuses 2, and one a
+    # wide step's) and 51 kernel runs under two OpenBLAS 0.3.31 threads
+    # (272 and 52, with the wide step a kernel run, under one and two); the
+    # bounds only keep the checks below from passing on few steps
     assert sum(c[0] for c in counts) >= 15 and sum(c[1] for c in counts) >= 100
     assert sum(out.route for _, out, _ in certified) >= 5
     for _, out, kernel in certified:
         p = np.vdot(kernel.vector, out.vector)
         angle = np.linalg.norm(out.vector - kernel.vector * (p / abs(p)))
         assert angle <= 2 * kernel.wedin
+
+
+def test_route_records_within_their_wedin(monkeypatch):
+    # three route records of the random-fit audit, two in fit 46 and one in
+    # fit 56, lie 11.1, 89.4 and 20.0 kernel Wedin angles from the kernel's
+    # vector: each lies within its own wedin, which holds the route's terms
+    # h + t, and outside the angle that eps scale alone gives
+    fits = list(audit_fits(57))
+    calls = record_warm_steps(monkeypatch)
+    for i in (46, 56):
+        aaa_fit(*fits[i])
+    far = []
+    for A, out in calls:
+        if out is None or not out.route:
+            continue
+        kernel = svd_real(A).smallest()
+        angle = vector_angle(kernel.vector, out.vector)
+        assert out.terms > 0 and angle <= out.wedin
+        if angle > 2 * kernel.wedin:
+            far.append(angle > EPS * out.scale / (out.lower - out.sigma_min))
+    assert far == [True] * 3
 
 
 def test_random_fit_lower_bounds():

@@ -436,13 +436,15 @@ def same_bits(a, b):
 
 
 class TestMinSingularPairSolve:
-    """``min_singular_pair`` is a modified Lawson step's solve: the
-    eigensolve's certified vector, else the kernel's."""
+    """``min_singular_pair`` is a modified Lawson step's solve: for a tall
+    ``Bhat`` the eigensolve's certified vector, else the kernel's, and for a
+    wide one the vector of its QR alone."""
 
     @pytest.mark.parametrize("n, m", [(11, 3), (8, 4), (5, 4)], ids=["tall", "square", "wide"])
     def test_kernel_fallback_keeps_the_kernel_bits(self, monkeypatch, n, m):
         # with no step certified, the pair is the kernel's last right vector
-        # of svd_real, mapped, bit for bit
+        # of svd_real, mapped, bit for bit; a wide Bhat of full row rank
+        # reads that vector from its QR alone
         rng = np.random.default_rng(40 + n)
         x, y = separated_nodes(rng, n, m)
         B = bhat(NodeSet(test_nodes=x, support_nodes=y, weights=10.0 ** rng.uniform(-3, 0, n)))
@@ -473,14 +475,15 @@ class TestMinSingularPairSolve:
         assert same_bits(got[1], beta)
 
     def test_certified_vectors_lie_within_wedin(self):
-        # on the benchmark's seed-1 systems, each certified vector is within
-        # its Wedin angle of the kernel's, and its pair is the one returned;
-        # both vectors are real and in the kernel's phase, so ||u - v|| is
-        # 2 sin of half their angle
+        # on the benchmark's seed-1 systems, each certified vector, the
+        # eigensolve's or a wide system's, is within its Wedin angle of the
+        # kernel's, and its pair is the one returned; both vectors are real
+        # and in the kernel's phase, so ||u - v|| is 2 sin of half their
+        # angle
         certified = 0
         for B in small_systems_bhat(1):
             solve = smallest_right_vector(B)
-            if solve.sweeps:
+            if solve.sweeps or solve.degenerate:
                 continue
             certified += 1
             u, v = solve.vector, svd_real(B).smallest().vector

@@ -6,9 +6,11 @@ Usage::
     python3 tools/golden.py --compare OLD NEW
     python3 tools/golden.py --against REV
 
-The first form runs, from the ``src`` tree next to this script, the six
+The first form runs, from the ``src`` tree next to this script, the eight
 ``unirat fit`` runs (both variants with ``--lawson 0`` and ``--lawson 5`` at
-``--tol 1e-12``, and both variants with ``--m-max 40 --tol 0``) and
+``--tol 1e-12``, both variants with ``--m-max 40 --tol 0``, and both
+variants with ``--n-test 15 --m-max 8 --tol 0 --lawson 3``, whose last AAA
+step, 7 x 8, and Lawson steps, 15 x 16, are wide) and
 ``unirat figure 1`` and ``2``, each into its own subdirectory of OUTDIR,
 and writes ``blas.json`` beside them: the name, version and thread count of
 NumPy's BLAS, read as ``bench/machine.py`` reads them.  Run it once in each
@@ -58,6 +60,9 @@ RUNS = {
        for variant in ("modified", "original") for steps in (0, 5)},
     **{f"fit-{variant}-mmax40-tol0": ["fit", "--variant", variant,
                                       "--m-max", "40", "--tol", "0"]
+       for variant in ("modified", "original")},
+    **{f"fit-{variant}-wide": ["fit", "--variant", variant, "--n-test", "15",
+                               "--m-max", "8", "--tol", "0", "--lawson", "3"]
        for variant in ("modified", "original")},
     "figure1": ["figure", "1"],
     "figure2": ["figure", "2"],
